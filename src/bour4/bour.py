@@ -19,8 +19,9 @@ the parameter curves the correspondence produces.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -30,20 +31,26 @@ from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (PROFILE_NAMES, HelicoidSpec, ProfileFn, RotationalSpec,
-                       SurfaceKind, helicoid_jet_from_profile,
-                       is_constant_profile, make_helicoid, profile_jets,
-                       rotational_jet)
+                       SurfaceKind, const_profile, expr_profile,
+                       helicoid_jet_from_profile, is_constant_profile,
+                       make_helicoid, profile_jets, rotational_jet)
 from .grids import Grid, grid_for, shrunk
 from .jets import Dual, Jet2
 from .lorentz import standard_to_pseudo
 from .quadrature import Antiderivative, default_tolerance
-from .surfaces import curvature_report, first_form, gauss_map
+from .surfaces import FirstForm, curvature_report, first_form, gauss_map
 
 GaugeFn = Callable[[float], Dual]
 
 
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
+
+#: The gauge constraint per kind as a^2 + s h(b) = rhs: the factor s, and
+#: whether h(b) is b^2 (kinds I and II) rather than b (kind III).
+_CONSTRAINT_FORM = {SurfaceKind.I: (-1.0, True), SurfaceKind.II: (1.0, True),
+                    SurfaceKind.III: (-2.0, False)}
+
 
 @dataclass(frozen=True)
 class BourGauge:
@@ -54,6 +61,8 @@ class BourGauge:
         kind I    a^2 - b^2 = (x^2 (z'^2 - w'^2) - lam^2 (x'^2 + z'^2)) / (x^2 x'^2)
         kind II   a^2 + b^2 = (w^2 (x'^2 + y'^2) + lam^2 (y'^2 - w'^2)) / (w^2 w'^2)
         kind III  a^2 - 2b  = (x'^2 - 2 w' z') / w'^2 - lam^2 / (2 w^2)
+
+    that is a^2 + s h(b) = rhs, with s = -1, 1, -2 and h(b) = b^2, b^2, b.
     """
 
     kind: SurfaceKind
@@ -64,16 +73,11 @@ class BourGauge:
     def residual(self, spec: HelicoidSpec, samples: int = 64) -> float:
         """Max violation of the compatibility constraint over a domain sample."""
         rhs = constraint_rhs(spec)
+        s, squared = _CONSTRAINT_FORM[self.kind]
         worst = 0.0
         for u in _samples(spec.domain, samples):
             a, b = self.a(u).v, self.b(u).v
-            if self.kind is SurfaceKind.III:
-                lhs = a * a - 2.0 * b
-            elif self.kind is SurfaceKind.II:
-                lhs = a * a + b * b
-            else:
-                lhs = a * a - b * b
-            worst = max(worst, abs(lhs - rhs(u).v))
+            worst = max(worst, abs(a * a + s * (b * b if squared else b) - rhs(u).v))
         return worst
 
 
@@ -83,13 +87,12 @@ def _samples(domain: tuple[float, float], n: int) -> list[float]:
 
 
 def gauge_from_expr(expr: "Expr | str", consts: Mapping[str, float] | None = None) -> GaugeFn:
-    e = parse(expr) if isinstance(expr, str) else expr
-    consts = dict(consts or {})
+    profile = expr_profile(expr, consts)
 
     def fn(u: float) -> Dual:
-        return Dual.from_jet(eval_jet(e, u, consts))
+        return Dual.from_jet(profile(u))
 
-    fn.source = to_source(e)  # type: ignore[attr-defined]
+    fn.source = profile.source  # type: ignore[attr-defined]
     return fn
 
 
@@ -128,36 +131,27 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
     g = gauge_from_expr(expr, spec.consts)
     rhs = constraint_rhs(spec)
-    kind = spec.kind
+    s, squared = _CONSTRAINT_FORM[spec.kind]
 
-    if kind is SurfaceKind.III and given == "a":
-        def other(u: float) -> Dual:
-            av = g(u)
-            return (av * av - rhs(u)) * 0.5
+    if given == "a":
+        def solved(u: float) -> Dual:  # h(b) = (rhs - a^2) / s
+            gv = g(u)
+            return (rhs(u) - gv * gv) / s
     else:
-        if kind is SurfaceKind.I and given == "a":
-            def square(u: float) -> Dual:  # b^2 = a^2 - rhs
-                gv = g(u)
-                return gv * gv - rhs(u)
-        elif kind is SurfaceKind.I:
-            def square(u: float) -> Dual:  # a^2 = rhs + b^2
-                gv = g(u)
-                return rhs(u) + gv * gv
-        elif kind is SurfaceKind.II:
-            def square(u: float) -> Dual:
-                gv = g(u)
-                return rhs(u) - gv * gv
-        else:  # kind III, b given: a^2 = rhs + 2 b
-            def square(u: float) -> Dual:
-                return rhs(u) + 2.0 * g(u)
+        def solved(u: float) -> Dual:  # a^2 = rhs - s h(b)
+            gv = g(u)
+            return rhs(u) - s * (gv * gv if squared else gv)
 
-        bad = [u for u in _samples(spec.domain, samples) if square(u).v < 0.0]
+    if given == "a" and not squared:
+        other = solved  # kind III: h(b) is b itself
+    else:
+        bad = [u for u in _samples(spec.domain, samples) if solved(u).v < 0.0]
         if bad:
             raise InfeasibleGaugeError(
                 "gauge constraint forces a negative square", (min(bad), max(bad)))
 
         def other(u: float) -> Dual:
-            return square(u).sqrt()
+            return solved(u).sqrt()
 
     a, b = (g, other) if given == "a" else (other, g)
     return BourGauge(spec.kind, a, b, given)
@@ -240,12 +234,18 @@ class VbarMap:
 
 
 @lru_cache(maxsize=128)
-def _vbar_cached(spec: HelicoidSpec, sign: int, tol: float) -> VbarMap:
-    return VbarMap(spec, sign, tol)
+def _vbar_cached(spec: HelicoidSpec, tol: float) -> VbarMap:
+    return VbarMap(spec, 1, tol)
 
 
 def vbar_map(spec: HelicoidSpec, sign: int = 1, tol: float | None = None) -> VbarMap:
-    return _vbar_cached(spec, sign, tol if tol is not None else default_tolerance())
+    """The memoised map of the spec; the other orientation is a shallow copy
+    that reads the same shift table."""
+    vb = _vbar_cached(spec, tol if tol is not None else default_tolerance())
+    if sign != vb.sign:
+        vb = copy.copy(vb)
+        vb.sign = sign
+    return vb
 
 
 def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1,
@@ -270,84 +270,100 @@ def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
     return fn
 
 
+#: Per kind: the profile component q the radial component rho is built from,
+#: the sign of lam^2 under rho = sqrt(q^2 +- lam^2) (None: rho = q), and the
+#: source label of rho'.
+_RADIAL = {
+    SurfaceKind.I: ("x", -1.0, "x x'/sqrt(x^2-lam^2)"),
+    SurfaceKind.II: ("w", 1.0, "w w'/sqrt(lam^2+w^2)"),
+    SurfaceKind.III: ("w", None, "w'"),
+}
+
+
 def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
                  constants: tuple[float, float] = (0.0, 0.0),
                  tol: float | None = None) -> RotationalSpec:
     """The rotational surface isometric to the helicoid under (u,v) -> (u, vbar).
 
-    The two quadrature-defined components are anchored to 0 at the left end
-    of the domain; ``constants`` adds the free additive constants.  For kind
-    I the radial component is sqrt(x^2 - lam^2), which must stay positive.
+    Each kind has a radial component rho: sqrt(x^2 - lam^2) for kind I,
+    sqrt(w^2 + lam^2) for kind II and w for kind III.  The other two
+    components integrate the gauge times rho': one integrates a rho', the
+    next b rho'.  Kind I puts rho in slot n, the integrals in s and r;
+    kinds II and III put the integrals in n and s, rho in slot r.  The
+    integrals are anchored to 0 at the left end of the domain; ``constants``
+    adds the free additive constants.  For kind I, x^2 - lam^2 must stay
+    positive.
     """
     if gauge.kind is not spec.kind:
         raise ValidationError("gauge kind does not match the surface kind")
     lam = spec.pitch
     consts = spec.consts
-    exprs = spec.exprs
+    q_name, pm, drho_label = _RADIAL[spec.kind]
+    q_expr = spec.exprs[q_name]
 
     if spec.kind is SurfaceKind.I:
-        x_expr = exprs["x"]
         for u in _samples(spec.domain, 64):
-            if eval_jet(x_expr, u, consts).v ** 2 <= lam ** 2:
+            if eval_jet(q_expr, u, consts).v ** 2 <= lam ** 2:
                 raise NotSpacelikeError(
                     f"x^2 - lambda^2 <= 0 at u = {u:.6g}: no radial component")
 
-        def n_fn(u: float) -> Jet2:
-            x = eval_jet(x_expr, u, consts)
-            return (x * x - lam ** 2).sqrt()
-        n_fn.source = f"sqrt(({to_source(x_expr)})^2 - {lam!r}^2)"  # type: ignore[attr-defined]
+    if pm is None:
+        def rho(u: float) -> Jet2:
+            return eval_jet(q_expr, u, consts)
+        rho.source = to_source(q_expr)  # type: ignore[attr-defined]
 
-        def base(u: float) -> Dual:
-            x = eval_jet(x_expr, u, consts)
-            xd = Dual.from_jet(x)
-            return xd * Dual.shift(x) / (xd * xd - lam ** 2).sqrt()
+        def drho(u: float) -> Dual:
+            return Dual.shift(eval_jet(q_expr, u, consts))
+    else:
+        c = pm * lam ** 2
 
-        s_fn = _quad_profile(lambda u: gauge.a(u) * base(u), spec.domain,
-                             constants[0], tol, "<quadrature a x x'/sqrt(x^2-lam^2)>")
-        r_fn = _quad_profile(lambda u: gauge.b(u) * base(u), spec.domain,
-                             constants[1], tol, "<quadrature b x x'/sqrt(x^2-lam^2)>")
-        return RotationalSpec(spec.kind, n_fn, s_fn, r_fn, spec.domain,
-                              v_domain=spec.v_domain)
+        def rho(u: float) -> Jet2:
+            q = eval_jet(q_expr, u, consts)
+            return (q * q + c).sqrt()
+        op = "-" if pm < 0 else "+"
+        rho.source = f"sqrt(({to_source(q_expr)})^2 {op} {lam!r}^2)"  # type: ignore[attr-defined]
 
-    if spec.kind is SurfaceKind.II:
-        w_expr = exprs["w"]
+        def drho(u: float) -> Dual:
+            q = eval_jet(q_expr, u, consts)
+            qd = Dual.from_jet(q)
+            return qd * Dual.shift(q) / (qd * qd + c).sqrt()
 
-        def r_fn(u: float) -> Jet2:
-            w = eval_jet(w_expr, u, consts)
-            return (w * w + lam ** 2).sqrt()
-        r_fn.source = f"sqrt(({to_source(w_expr)})^2 + {lam!r}^2)"  # type: ignore[attr-defined]
-
-        def base(u: float) -> Dual:
-            w = eval_jet(w_expr, u, consts)
-            wd = Dual.from_jet(w)
-            return wd * Dual.shift(w) / (wd * wd + lam ** 2).sqrt()
-
-        n_fn = _quad_profile(lambda u: gauge.a(u) * base(u), spec.domain,
-                             constants[0], tol, "<quadrature a w w'/sqrt(lam^2+w^2)>")
-        s_fn = _quad_profile(lambda u: gauge.b(u) * base(u), spec.domain,
-                             constants[1], tol, "<quadrature b w w'/sqrt(lam^2+w^2)>")
-        return RotationalSpec(spec.kind, n_fn, s_fn, r_fn, spec.domain,
-                              v_domain=spec.v_domain)
-
-    w_expr = exprs["w"]
-
-    def r_fn(u: float) -> Jet2:
-        return eval_jet(w_expr, u, consts)
-    r_fn.source = to_source(w_expr)  # type: ignore[attr-defined]
-
-    def wprime(u: float) -> Dual:
-        return Dual.shift(eval_jet(w_expr, u, consts))
-
-    n_fn = _quad_profile(lambda u: gauge.a(u) * wprime(u), spec.domain,
-                         constants[0], tol, "<quadrature a w'>")
-    s_fn = _quad_profile(lambda u: gauge.b(u) * wprime(u), spec.domain,
-                         constants[1], tol, "<quadrature b w'>")
-    return RotationalSpec(spec.kind, n_fn, s_fn, r_fn, spec.domain,
-                          v_domain=spec.v_domain)
+    quad_a = _quad_profile(lambda u: gauge.a(u) * drho(u), spec.domain,
+                           constants[0], tol, f"<quadrature a {drho_label}>")
+    quad_b = _quad_profile(lambda u: gauge.b(u) * drho(u), spec.domain,
+                           constants[1], tol, f"<quadrature b {drho_label}>")
+    n, s, r = (rho, quad_a, quad_b) if spec.kind is SurfaceKind.I else (quad_a, quad_b, rho)
+    return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
 
 
 # ---------------------------------------------------------------------------
 # residual checkers
+
+def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
+                tol: float | None):
+    """Yield u, v, k = d(vbar)/du, the helicoid metric and both surface jets.
+
+    The helicoid metric does not depend on v; it is taken once per u, at
+    v = 0.  The partner jet is read at (u, vbar(u, v)).
+    """
+    vb = vbar_map(h, sign, tol)
+    for u in grid.us():
+        pj = profile_jets(h, u)
+        k = vb.du(u)
+        g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
+        for v in grid.vs():
+            yield (u, v, k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
+                   rotational_jet(r, u, vb(u, v)))
+
+
+def _isometry_fold(worst: float, g: FirstForm, G: FirstForm, k: float) -> float:
+    """worst, raised to the defect of the partner metric G pulled back by k."""
+    p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
+    p12 = G.g12 + G.g22 * k
+    pW = p11 * G.g22 - p12 * p12
+    return max(worst, abs(p11 - g.g11), abs(p12 - g.g12),
+               abs(G.g22 - g.g22), abs(pW - g.W))
+
 
 def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                       sign: int = 1, tol: float | None = None) -> float:
@@ -357,35 +373,18 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     uses the exact derivative of the shift, so quadrature error never enters;
     the residual is zero exactly when the gauge constraint holds.
     """
-    vb = vbar_map(h, sign, tol)
     worst = 0.0
-    for u in grid.us():
-        pj = profile_jets(h, u)
-        g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, grid.vs()[0]))
-        k = vb.du(u)
-        for v in grid.vs():
-            G = first_form(rotational_jet(r, u, vb(u, v)))
-            p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
-            p12 = G.g12 + G.g22 * k
-            p22 = G.g22
-            pW = p11 * p22 - p12 * p12
-            worst = max(worst,
-                        abs(p11 - g.g11), abs(p12 - g.g12),
-                        abs(p22 - g.g22), abs(pW - g.W))
+    for _u, _v, k, g, _hj, rj in _pair_sweep(h, r, grid, sign, tol):
+        worst = _isometry_fold(worst, g, first_form(rj), k)
     return worst
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                    sign: int = 1, tol: float | None = None) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
-    vb = vbar_map(h, sign, tol)
     worst = 0.0
-    for u in grid.us():
-        pj = profile_jets(h, u)
-        for v in grid.vs():
-            nu_h = gauss_map(helicoid_jet_from_profile(h.kind, h.pitch, pj, v))
-            nu_r = gauss_map(rotational_jet(r, u, vb(u, v)))
-            worst = max(worst, (nu_h - nu_r).sup_norm())
+    for *_, hj, rj in _pair_sweep(h, r, grid, sign, tol):
+        worst = max(worst, (gauss_map(hj) - gauss_map(rj)).sup_norm())
     return worst
 
 
@@ -562,7 +561,6 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
                       {"x": x_expr, "z": Num(float(c1)), "w": w_expr},
                       domain, consts, v_domain)
 
-    from .families import const_profile, expr_profile
     n_fn = expr_profile(_build_from_template(_N_TEMPLATE_I, x_expr), consts)
     r_fn = expr_profile(_build_from_template(_R4_TEMPLATE_I, x_expr, sign_r, c4), consts)
 
@@ -603,10 +601,11 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
     w_expr = parse(w) if isinstance(w, str) else w
     consts = _merge_constants(constants, lam=lam, c3=c3, c4=c4)
 
-    probe = make_helicoid(SurfaceKind.II, lam,
-                          {"x": Num(0.0), "y": Num(0.0), "w": w_expr},
-                          domain, consts)
-    if is_constant_profile(probe, "w"):
+    x_expr = _build_from_template(_X_TEMPLATE_II, w_expr, sign_x)
+    h = make_helicoid(SurfaceKind.II, lam,
+                      {"x": x_expr, "y": Num(float(c1)), "w": w_expr},
+                      domain, consts, v_domain)
+    if is_constant_profile(h, "w"):
         raise ValidationError(
             "w is constant: a right helicoidal surface of kind II never shares "
             "its Gauss map with a rotational partner")
@@ -615,11 +614,6 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
         if 1.0 + c3 * (lam ** 2 + wv ** 2) <= 0.0:
             raise ValidationError(
                 f"1 + c3*(lambda^2 + w^2) <= 0 at u = {u:.6g}: asin leaves its domain")
-
-    x_expr = _build_from_template(_X_TEMPLATE_II, w_expr, sign_x)
-    h = make_helicoid(SurfaceKind.II, lam,
-                      {"x": x_expr, "y": Num(float(c1)), "w": w_expr},
-                      domain, consts, v_domain)
 
     u0 = shrunk(*domain)[0]
     wj = eval_jet(w_expr, u0, consts)
@@ -634,7 +628,6 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
     i_true = math.asinh(-lam / (sign_n * a0 * wj.v))
     offset = i_true - (vbar_map(h)(u0, 0.0))
 
-    from .families import const_profile, expr_profile
     n_fn = expr_profile(_build_from_template(_N_TEMPLATE_II, w_expr, sign_n, c4), consts)
     r_fn = expr_profile(_build_from_template(_R_TEMPLATE_II, w_expr), consts)
     partner = RotationalSpec(SurfaceKind.II, n_fn, const_profile(c2), r_fn,
@@ -653,9 +646,7 @@ class PairTolerances:
     hyperplanarity: float = 1e-10
 
     def to_json(self) -> dict:
-        return {"isometry": self.isometry, "gauss": self.gauss,
-                "mean_curvature": self.mean_curvature,
-                "hyperplanarity": self.hyperplanarity}
+        return asdict(self)
 
 
 @dataclass
@@ -691,29 +682,17 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     if grid is None:
         grid = grid_for(h)
-    vb = vbar_map(h, sign, tol)
     iso = 0.0
     gauss = 0.0
     h_sup = [0.0, 0.0]
     pos = ([], [])
-    for u in grid.us():
-        pj = profile_jets(h, u)
-        k = vb.du(u)
-        g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
-        for v in grid.vs():
-            hj = helicoid_jet_from_profile(h.kind, h.pitch, pj, v)
-            rj = rotational_jet(r, u, vb(u, v))
-            G = first_form(rj)
-            p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
-            p12 = G.g12 + G.g22 * k
-            pW = p11 * G.g22 - p12 * p12
-            iso = max(iso, abs(p11 - g.g11), abs(p12 - g.g12),
-                      abs(G.g22 - g.g22), abs(pW - g.W))
-            gauss = max(gauss, (gauss_map(hj) - gauss_map(rj)).sup_norm())
-            h_sup[0] = max(h_sup[0], curvature_report(hj).H_sup)
-            h_sup[1] = max(h_sup[1], curvature_report(rj).H_sup)
-            pos[0].append(tuple(hj.X))
-            pos[1].append(tuple(rj.X))
+    for _u, _v, k, g, hj, rj in _pair_sweep(h, r, grid, sign, tol):
+        iso = _isometry_fold(iso, g, first_form(rj), k)
+        gauss = max(gauss, (gauss_map(hj) - gauss_map(rj)).sup_norm())
+        h_sup[0] = max(h_sup[0], curvature_report(hj).H_sup)
+        h_sup[1] = max(h_sup[1], curvature_report(rj).H_sup)
+        pos[0].append(tuple(hj.X))
+        pos[1].append(tuple(rj.X))
     defects = tuple(float(np.min(np.var(np.asarray(p), axis=0))) for p in pos)
     verdicts = {
         "isometric": iso < tols.isometry,

@@ -28,7 +28,8 @@ from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
-                       helicoid_jet, helicoid_to_json, rotational_jet)
+                       helicoid_jet, helicoid_to_json, make_helicoid,
+                       rotational_jet)
 from .grids import Grid, grid_for
 from .meshes import sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
@@ -42,14 +43,22 @@ EXIT_NUMERICAL = 3
 #: isometry constructions plus the two shared-Gauss-map families.
 THEOREM_KINDS = {"3.1": SurfaceKind.I, "3.5": SurfaceKind.II, "3.7": SurfaceKind.III}
 PAIR_THEOREMS = ("3.3", "3.6")
+#: The claims a shared-Gauss-map pair must satisfy.
+SAME_GAUSS_CLAIMS = ("isometric", "same_gauss", "minimal", "hyperplanar")
+
+
+def _write_out(path: str | None, write) -> None:
+    """Call ``write`` on the file at ``path``, or on stdout for None or "-"."""
+    if path is None or path == "-":
+        write(sys.stdout)
+    else:
+        with open(path, "w") as f:
+            write(f)
 
 
 def _dump_json(data: dict, path: str | None) -> None:
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write_out(path, lambda f: f.write(text))
 
 
 def _load_spec(path: str) -> HelicoidSpec:
@@ -121,12 +130,24 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                   expect: list[str], extra: dict) -> tuple[dict, int]:
-    rep = pair_report(h, r, grid)
+def _pair_data(h: HelicoidSpec, r: RotationalSpec, grid: Grid, expect: list[str],
+               scenario: str, probe_sign: bool = False,
+               sign_choices: dict | None = None) -> tuple[dict, int]:
+    """The pair report JSON with its verdicts, expectations and failures.
+
+    With ``probe_sign`` the orientation of the angular shift is probed
+    first and the report uses the winner.  The ``gauss_differ`` verdict
+    (Gauss residual above 0.1) is added only when it is expected.
+    """
+    sign, probe = choose_vbar_sign(h, r) if probe_sign else (1, None)
+    rep = pair_report(h, r, grid, sign=sign, sign_choices=sign_choices)
     data = rep.to_json()
     data["quadrature_tolerance"] = default_tolerance()
-    data.update(extra)
+    data["scenario"] = scenario
+    if probe is not None:
+        data["vbar_sign_probe"] = probe
+    if "gauss_differ" in expect:
+        data["verdicts"]["gauss_differ"] = rep.gauss_residual > 0.1
     failures = [name for name in expect if not data["verdicts"].get(name, False)]
     data["expected"] = expect
     data["failures"] = failures
@@ -140,7 +161,6 @@ def _example3_pair(lam: float = 1.0,
     The partner is isometric but its Gauss map differs from the helicoid's,
     which is what this scenario asserts.
     """
-    from .families import make_helicoid
     h = make_helicoid(SurfaceKind.III, lam, {"x": "u", "z": "c", "w": "u"},
                       (0.75, math.pi), constants={"c": c},
                       v_domain=(-math.pi, math.pi))
@@ -148,24 +168,22 @@ def _example3_pair(lam: float = 1.0,
     return h, bour_partner(h, gauge, constants=(0.0, c))
 
 
-def cmd_verify(args) -> int:
-    sign_w = -1 if args.sign_w == "-" else 1
+def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, dict]:
+    """The pair a verify call checks, its expected claims, its scenario name,
+    and the keyword options of its report."""
     if args.pair_file:
         try:
             raw = json.loads(Path(args.pair_file).read_text())
             h = helicoid_from_json(raw["helicoid"])
             gspec = raw["gauge"]
             given, expr = gspec["given"], gspec["expr"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            c0, c1 = raw.get("partner_constants", (0.0, 0.0))
+            constants = (float(c0), float(c1))
+            expect = list(raw.get("expect", ["isometric"]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"bad pair file: {exc}") from None
-        gauge = gauge_complete(h, given, expr)
-        consts = raw.get("partner_constants", (0.0, 0.0))
-        r = bour_partner(h, gauge, constants=(float(consts[0]), float(consts[1])))
-        expect = list(raw.get("expect", ["isometric"]))
-        grid = _parse_grid(args.grid, h)
-        data, code = _verify_report(h, r, grid, expect, {"scenario": "pair-file"})
-        _dump_json(data, args.out)
-        return code
+        r = bour_partner(h, gauge_complete(h, given, expr), constants=constants)
+        return h, r, expect, "pair-file", {}
 
     if not args.theorem:
         raise ValidationError("verify needs --pair-file or --theorem")
@@ -173,19 +191,18 @@ def cmd_verify(args) -> int:
     if args.theorem == "3.3":
         if args.x is None or args.lam is None or args.c3 is None:
             raise ValidationError("--theorem 3.3 needs --x, --lambda and --c3")
+        sign_w = -1 if args.sign_w == "-" else 1
         domain = tuple(args.domain) if args.domain else (1.1 * args.lam, math.pi * args.lam)
         h, r = same_gauss_pair_I(args.x, args.lam, args.c3, sign_w=sign_w,
                                  c1=args.c1, c2=args.c2, c4=args.c4, domain=domain)
-        grid = _parse_grid(args.grid, h)
-        data, code = _verify_report(
-            h, r, grid, ["isometric", "same_gauss", "minimal", "hyperplanar"],
-            {"scenario": "3.3", "sign_choices": {"w": sign_w, "vbar": 1}})
-        _dump_json(data, args.out)
-        return code
+        return (h, r, list(SAME_GAUSS_CLAIMS), "3.3",
+                {"sign_choices": {"w": sign_w, "vbar": 1}})
 
     if args.theorem == "3.6":
         if args.w is None or args.lam is None or args.c3 is None:
             raise ValidationError("--theorem 3.6 needs --w, --lambda and --c3")
+        if not args.lam > 0.0:
+            raise ValidationError("shared-Gauss-map pairs need a positive pitch")
         if args.domain:
             domain = tuple(args.domain)
         else:
@@ -196,30 +213,13 @@ def cmd_verify(args) -> int:
             domain = (0.25 * wmax, 0.9 * wmax)
         h, r = same_gauss_pair_II(args.w, args.lam, args.c3,
                                   c1=args.c1, c2=args.c2, c4=args.c4, domain=domain)
-        grid = _parse_grid(args.grid, h)
-        sign, probe = choose_vbar_sign(h, r)
-        data, code = _verify_report(
-            h, r, grid, ["isometric", "same_gauss", "minimal", "hyperplanar"],
-            {"scenario": "3.6", "sign_choices": {"vbar": sign},
-             "vbar_sign_probe": probe})
-        _dump_json(data, args.out)
-        return code
+        return h, r, list(SAME_GAUSS_CLAIMS), "3.6", {"probe_sign": True}
+
+    if args.theorem == "3.7" and args.example == 3:
+        h, r = _example3_pair()
+        return h, r, ["isometric", "gauss_differ"], "3.7/example-3", {}
 
     if args.theorem in THEOREM_KINDS:
-        if args.theorem == "3.7" and args.example == 3:
-            h, r = _example3_pair()
-            grid = _parse_grid(args.grid, h)
-            rep = pair_report(h, r, grid)
-            data = rep.to_json()
-            data["quadrature_tolerance"] = default_tolerance()
-            data["scenario"] = "3.7/example-3"
-            gauss_big = rep.gauss_residual > 0.1
-            data["verdicts"]["gauss_differ"] = gauss_big
-            data["expected"] = ["isometric", "gauss_differ"]
-            failures = [k for k in data["expected"] if not data["verdicts"][k]]
-            data["failures"] = failures
-            _dump_json(data, args.out)
-            return EXIT_PASS if not failures else EXIT_VERDICT
         if args.spec is None or (args.gauge_a is None and args.gauge_b is None):
             raise ValidationError(
                 f"--theorem {args.theorem} needs --spec and --gauge-a or --gauge-b")
@@ -230,17 +230,20 @@ def cmd_verify(args) -> int:
                 f"--theorem {args.theorem} applies to kind {want.value}, "
                 f"spec is kind {h.kind.value}")
         given, expr = ("a", args.gauge_a) if args.gauge_a is not None else ("b", args.gauge_b)
-        gauge = gauge_complete(h, given, expr)
-        r = bour_partner(h, gauge)
-        grid = _parse_grid(args.grid, h)
-        data, code = _verify_report(h, r, grid, ["isometric"],
-                                    {"scenario": args.theorem})
-        _dump_json(data, args.out)
-        return code
+        r = bour_partner(h, gauge_complete(h, given, expr))
+        return h, r, ["isometric"], args.theorem, {}
 
     raise ValidationError(
         f"unknown --theorem {args.theorem!r} "
         f"(choose from {', '.join((*THEOREM_KINDS, *PAIR_THEOREMS))})")
+
+
+def cmd_verify(args) -> int:
+    h, r, expect, scenario, options = _verify_pair(args)
+    grid = _parse_grid(args.grid, h)
+    data, code = _pair_data(h, r, grid, expect, scenario, **options)
+    _dump_json(data, args.out)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +261,23 @@ def cmd_example(args) -> int:
     n = args.number
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    expect, projection = list(SAME_GAUSS_CLAIMS), "drop-constant"
     if n == 1:
         h, r = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0,
                                  domain=(1.1, math.pi), v_domain=(0.0, 2.0 * math.pi))
-        expect = ["isometric", "same_gauss", "minimal", "hyperplanar"]
-        projection = "drop-constant"
     elif n == 2:
         # the shared-Gauss-map construction only exists for c3 < 0 here; run
         # on a sub-domain keeping the inverse-sine argument inside (0, 1)
         h, r = same_gauss_pair_II("u", 1.0, -0.5,
                                   domain=(0.2, 0.9), v_domain=(0.0, math.pi / 4.0))
-        expect = ["isometric", "same_gauss", "minimal", "hyperplanar"]
-        projection = "drop-constant"
     elif n == 3:
         h, r = _example3_pair()
-        expect = ["isometric"]
-        projection = "drop-1"
+        expect, projection = ["isometric", "gauss_differ"], "drop-1"
     else:
         raise ValidationError(f"example number must be 1, 2 or 3, not {n!r}")
 
     grid = _parse_grid(args.grid, h)
-    sign, probe = (1, None)
-    if n == 2:
-        sign, probe = choose_vbar_sign(h, r)
-    rep = pair_report(h, r, grid, sign=sign)
-    data = rep.to_json()
-    data["quadrature_tolerance"] = default_tolerance()
-    data["scenario"] = f"example-{n}"
-    if probe is not None:
-        data["vbar_sign_probe"] = probe
-    if n == 3:
-        data["verdicts"]["gauss_differ"] = rep.gauss_residual > 0.1
-        expect = ["isometric", "gauss_differ"]
-    data["expected"] = expect
-    data["failures"] = [k for k in expect if not data["verdicts"][k]]
+    data, code = _pair_data(h, r, grid, expect, f"example-{n}", probe_sign=(n == 2))
     data["partner_components"] = r.component_sources()
     _dump_json(helicoid_to_json(h), str(out_dir / "helicoid.json"))
     _dump_json(data, str(out_dir / "pair_report.json"))
@@ -299,7 +285,7 @@ def cmd_example(args) -> int:
                   grid, projection)
     _write_meshes(out_dir, "rotational", lambda u, v: rotational_jet(r, u, v),
                   grid, projection)
-    return EXIT_PASS if not data["failures"] else EXIT_VERDICT
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +296,9 @@ def cmd_export(args) -> int:
     grid = _parse_grid(args.grid, spec)
     mesh = sample_mesh(lambda u, v: helicoid_jet(spec, u, v), grid)
     if args.format == "obj":
-        if args.out is None or args.out == "-":
-            write_obj(mesh, sys.stdout, args.projection)
-        else:
-            with open(args.out, "w") as f:
-                write_obj(mesh, f, args.projection)
+        _write_out(args.out, lambda f: write_obj(mesh, f, args.projection))
     else:
-        if args.out is None or args.out == "-":
-            write_csv(mesh, sys.stdout)
-        else:
-            with open(args.out, "w") as f:
-                write_csv(mesh, f)
+        _write_out(args.out, lambda f: write_csv(mesh, f))
     return EXIT_PASS
 
 

@@ -199,65 +199,15 @@ def closed_form_metric(spec: HelicoidSpec, u: float,
 
 
 # ---------------------------------------------------------------------------
-# closed-form frames
+# closed-form frames, second fundamental forms and curvature
 
-def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
-    """The families' explicit orthonormal frames (N1 spacelike, N2 timelike)."""
-    pj = profile_jets(spec, u)
-    lam = spec.pitch
-    ff = closed_form_metric_from_profile(spec.kind, lam, pj)
-    jet = helicoid_jet_from_profile(spec.kind, lam, pj, v)
-    if ff.g11 <= 0.0:
-        raise FrameFailureError(f"g11 = {ff.g11!r} <= 0 at u = {u!r}")
-    e1 = jet.Xu * (1.0 / math.sqrt(ff.g11))
-    e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / math.sqrt(ff.W * ff.g11))
-    rW = math.sqrt(ff.W)
+def _closed_form_pass(spec: HelicoidSpec, u: float,
+                      v: float) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
+    """Metric, explicit frame and second forms from one profile evaluation.
 
-    if spec.kind is SurfaceKind.I:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        P = x.d1 ** 2 + z.d1 ** 2
-        if P <= 0.0:
-            raise FrameFailureError(f"x'^2 + z'^2 vanishes at u = {u!r}")
-        rP = math.sqrt(P)
-        cv, sv = math.cos(v), math.sin(v)
-        N1 = Vec4(z.d1 * cv / rP, z.d1 * sv / rP, -x.d1 / rP, 0.0)
-        c = 1.0 / (rW * rP)
-        N2 = Vec4((x.v * x.d1 * w.d1 * cv - lam * P * sv) * c,
-                  (x.v * x.d1 * w.d1 * sv + lam * P * cv) * c,
-                  x.v * z.d1 * w.d1 * c,
-                  x.v * P * c)
-    elif spec.kind is SurfaceKind.II:
-        x, y, w = pj["x"], pj["y"], pj["w"]
-        Q = w.d1 ** 2 - y.d1 ** 2
-        if Q <= 0.0:
-            raise FrameFailureError(f"w'^2 - y'^2 = {Q!r} <= 0 at u = {u!r}")
-        rQ = math.sqrt(Q)
-        ch, sh = math.cosh(v), math.sinh(v)
-        N1 = Vec4(0.0, w.d1 / rQ, y.d1 * sh / rQ, y.d1 * ch / rQ)
-        c = 1.0 / (rW * rQ)
-        N2 = Vec4(w.v * Q * c,
-                  x.d1 * y.d1 * w.v * c,
-                  (x.d1 * w.v * w.d1 * sh - lam * Q * ch) * c,
-                  (x.d1 * w.v * w.d1 * ch - lam * Q * sh) * c)
-    else:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        if w.d1 == 0.0:
-            raise FrameFailureError(f"w' vanishes at u = {u!r}")
-        N1 = pseudo_to_standard(1.0, 0.0, x.d1 / w.d1, 0.0)
-        N2 = pseudo_to_standard(
-            SQRT2 * x.d1 * w.v / rW,
-            w.d1 * (lam + 2.0 * v * w.v) / rW,
-            SQRT2 * (x.d1 ** 2 * w.v + v * v * w.v * w.d1 ** 2
-                     + lam * v * w.d1 ** 2 - w.v * w.d1 * z.d1) / (w.d1 * rW),
-            SQRT2 * w.v * w.d1 / rW)
-    return Frame(e1, e2, N1, N2)
-
-
-# ---------------------------------------------------------------------------
-# closed-form second fundamental forms and curvature
-
-def closed_form_second_forms(spec: HelicoidSpec, u: float,
-                             v: float) -> tuple[FirstForm, SecondForm, SecondForm]:
+    The kind's frame precondition is checked before g11 > 0, so a profile
+    that leaves the family's frame convention is named as such.
+    """
     pj = profile_jets(spec, u)
     lam = spec.pitch
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
@@ -275,6 +225,13 @@ def closed_form_second_forms(spec: HelicoidSpec, u: float,
             x.v * (w.d1 * (x.d1 * x.d2 + z.d1 * z.d2) - w.d2 * P) / rWP,
             lam * x.d1 * rP / rW,
             -x.v ** 2 * x.d1 * w.d1 / rWP)
+        cv, sv = math.cos(v), math.sin(v)
+        N1 = Vec4(z.d1 * cv / rP, z.d1 * sv / rP, -x.d1 / rP, 0.0)
+        c = 1.0 / (rW * rP)
+        N2 = Vec4((x.v * x.d1 * w.d1 * cv - lam * P * sv) * c,
+                  (x.v * x.d1 * w.d1 * sv + lam * P * cv) * c,
+                  x.v * z.d1 * w.d1 * c,
+                  x.v * P * c)
     elif spec.kind is SurfaceKind.II:
         x, y, w = pj["x"], pj["y"], pj["w"]
         Q = w.d1 ** 2 - y.d1 ** 2
@@ -288,6 +245,13 @@ def closed_form_second_forms(spec: HelicoidSpec, u: float,
             w.v * (x.d1 * (y.d1 * y.d2 - w.d1 * w.d2) + x.d2 * Q) / rWQ,
             -lam * w.d1 * rQ / rW,
             -x.d1 * w.v ** 2 * w.d1 / rWQ)
+        ch, sh = math.cosh(v), math.sinh(v)
+        N1 = Vec4(0.0, w.d1 / rQ, y.d1 * sh / rQ, y.d1 * ch / rQ)
+        c = 1.0 / (rW * rQ)
+        N2 = Vec4(w.v * Q * c,
+                  x.d1 * y.d1 * w.v * c,
+                  (x.d1 * w.v * w.d1 * sh - lam * Q * ch) * c,
+                  (x.d1 * w.v * w.d1 * ch - lam * Q * sh) * c)
     else:
         x, z, w = pj["x"], pj["z"], pj["w"]
         if w.d1 == 0.0:
@@ -298,7 +262,24 @@ def closed_form_second_forms(spec: HelicoidSpec, u: float,
                            + w.d1 * (z.d1 * w.d2 - w.d1 * z.d2)) / (w.d1 * rW),
             SQRT2 * lam * w.d1 ** 2 / rW,
             -2.0 * SQRT2 * w.v ** 2 * w.d1 / rW)
-    return ff, b1, b2
+        N1 = pseudo_to_standard(1.0, 0.0, x.d1 / w.d1, 0.0)
+        N2 = pseudo_to_standard(
+            SQRT2 * x.d1 * w.v / rW,
+            w.d1 * (lam + 2.0 * v * w.v) / rW,
+            SQRT2 * (x.d1 ** 2 * w.v + v * v * w.v * w.d1 ** 2
+                     + lam * v * w.d1 ** 2 - w.v * w.d1 * z.d1) / (w.d1 * rW),
+            SQRT2 * w.v * w.d1 / rW)
+    if ff.g11 <= 0.0:
+        raise FrameFailureError(f"g11 = {ff.g11!r} <= 0 at u = {u!r}")
+    jet = helicoid_jet_from_profile(spec.kind, lam, pj, v)
+    e1 = jet.Xu * (1.0 / math.sqrt(ff.g11))
+    e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / math.sqrt(ff.W * ff.g11))
+    return ff, Frame(e1, e2, N1, N2), b1, b2
+
+
+def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
+    """The families' explicit orthonormal frames (N1 spacelike, N2 timelike)."""
+    return _closed_form_pass(spec, u, v)[1]
 
 
 def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float) -> CurvatureReport:
@@ -308,8 +289,7 @@ def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float) -> CurvatureR
     assembled through the standard component formulas; this route never
     touches the generic Gram-Schmidt machinery.
     """
-    ff, b1, b2 = closed_form_second_forms(spec, u, v)
-    frame = closed_form_frame(spec, u, v)
+    ff, frame, b1, b2 = _closed_form_pass(spec, u, v)
     return assemble_report(ff, frame, b1, b2)
 
 
@@ -407,57 +387,16 @@ class RotationalSpec:
 
 
 def rotational_jet(spec: RotationalSpec, u: float, v: float) -> SurfaceJet:
-    n, s, r = spec.n(u), spec.s(u), spec.r(u)
-    t = v + spec.v_offset
-    if spec.kind is SurfaceKind.I:
-        ct, st = math.cos(t), math.sin(t)
-        return SurfaceJet(
-            Vec4(n.v * ct, n.v * st, s.v, r.v),
-            Vec4(n.d1 * ct, n.d1 * st, s.d1, r.d1),
-            Vec4(-n.v * st, n.v * ct, 0.0, 0.0),
-            Vec4(n.d2 * ct, n.d2 * st, s.d2, r.d2),
-            Vec4(-n.d1 * st, n.d1 * ct, 0.0, 0.0),
-            Vec4(-n.v * ct, -n.v * st, 0.0, 0.0),
-        )
-    if spec.kind is SurfaceKind.II:
-        ch, sh = math.cosh(t), math.sinh(t)
-        return SurfaceJet(
-            Vec4(n.v, s.v, r.v * sh, r.v * ch),
-            Vec4(n.d1, s.d1, r.d1 * sh, r.d1 * ch),
-            Vec4(0.0, 0.0, r.v * ch, r.v * sh),
-            Vec4(n.d2, s.d2, r.d2 * sh, r.d2 * ch),
-            Vec4(0.0, 0.0, r.d1 * ch, r.d1 * sh),
-            Vec4(0.0, 0.0, r.v * sh, r.v * ch),
-        )
-    return SurfaceJet(
-        pseudo_to_standard(n.v, SQRT2 * t * r.v, s.v + t * t * r.v, r.v),
-        pseudo_to_standard(n.d1, SQRT2 * t * r.d1, s.d1 + t * t * r.d1, r.d1),
-        pseudo_to_standard(0.0, SQRT2 * r.v, 2.0 * t * r.v, 0.0),
-        pseudo_to_standard(n.d2, SQRT2 * t * r.d2, s.d2 + t * t * r.d2, r.d2),
-        pseudo_to_standard(0.0, SQRT2 * r.d1, 2.0 * t * r.d1, 0.0),
-        pseudo_to_standard(0.0, 0.0, 2.0 * r.v, 0.0),
-    )
+    """The pitch-0 helicoid jet of the profile (n, s, r) at angle v + v_offset."""
+    pj = dict(zip(PROFILE_NAMES[spec.kind], (spec.n(u), spec.s(u), spec.r(u))))
+    return helicoid_jet_from_profile(spec.kind, 0.0, pj, v + spec.v_offset)
 
 
 def rotational_from_profile(spec: HelicoidSpec) -> RotationalSpec:
     """The pitch-0 surface with the same profile curve (n, s, r) <- (x, z|y, w)."""
-    names = PROFILE_NAMES[spec.kind]
-    exprs = spec.exprs
-    consts = spec.consts
-    return RotationalSpec(
-        kind=spec.kind,
-        n=expr_profile(exprs[names[0]], consts),
-        s=expr_profile(exprs[names[1]], consts),
-        r=expr_profile(exprs[names[2]], consts),
-        domain=spec.domain,
-        v_domain=spec.v_domain,
-    )
-
-
-def rotational_position(spec: RotationalSpec) -> Callable[[float, float], Vec4]:
-    def pos(u, v):
-        return rotational_jet(spec, u, v).X
-    return pos
+    exprs, consts = spec.exprs, spec.consts
+    n, s, r = (expr_profile(exprs[name], consts) for name in PROFILE_NAMES[spec.kind])
+    return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+import bour4.bour as bour_mod
 from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
-                        gauge_complete, gauge_from_expr, gauss_residual,
-                        isometry_residual, minimal_pair_identity_residual,
-                        natural_gauge, pair_report, parallel_curve_residual,
+                        choose_vbar_sign, gauge_complete, gauge_from_expr,
+                        gauss_residual, isometry_residual,
+                        minimal_pair_identity_residual, natural_gauge,
+                        pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge,
                         vbar, vbar_map)
 from bour4.errors import (InfeasibleGaugeError, NotSpacelikeError,
@@ -48,6 +50,31 @@ class TestVbar:
     def test_zero_pitch_shift_vanishes(self):
         spec = make_helicoid("I", 0.0, {"x": "u", "z": "0", "w": "u"}, (1.5, 3.0))
         assert vbar(spec, 2.5, 1.2) == 1.2
+
+    def test_sign_probe_builds_no_table(self, monkeypatch):
+        # the example-2 pair tabulates its shift once; probing the other
+        # orientation reads the same table
+        bour_mod._vbar_cached.cache_clear()
+        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
+                                  v_domain=(0.0, math.pi / 4.0))
+        built = []
+
+        class CountedAntiderivative(bour_mod.Antiderivative):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bour_mod, "Antiderivative", CountedAntiderivative)
+        choose_vbar_sign(h, r)
+        assert built == []
+
+    def test_opposite_sign_reads_the_same_shift(self):
+        h, _ = same_gauss_pair_I("u", **EX1)
+        plus, minus = vbar_map(h), vbar_map(h, -1)
+        for u in (1.2, 1.9, 2.5, 3.0):
+            for v in (-0.4, 0.0, 1.3):
+                assert minus(u, v) == v - plus(u, 0.0)
+            assert minus.du(u) == -plus.du(u)
 
 
 class TestGaugeComplete:
@@ -180,6 +207,34 @@ class TestIsometry:
             for given, expr in (g1, g2):
                 r = bour_partner(spec, gauge_complete(spec, given, expr))
                 assert isometry_residual(spec, r, grid) < 1e-7
+
+
+class TestPairSweep:
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    def test_residual_checkers_match_pair_report(self, kind):
+        spec = {
+            "I": spec_I(),
+            "II": make_helicoid("II", 1.0, {"x": "2*u", "y": "u/4", "w": "0.8 + u"},
+                                (0.8, 2.0)),
+            "III": make_helicoid("III", 1.0, {"x": "u", "z": "c", "w": "u"},
+                                 (0.75, math.pi), constants={"c": 0.0}),
+        }[kind]
+        given, expr = {"I": ("a", "1/2"), "II": ("a", "1"), "III": ("b", "0")}[kind]
+        r = bour_partner(spec, gauge_complete(spec, given, expr))
+        grid = grid_for(spec, nu=9, nv=9)
+        rep = pair_report(spec, r, grid)
+        assert isometry_residual(spec, r, grid) == pytest.approx(rep.isometry_residual,
+                                                                 abs=1e-12)
+        assert gauss_residual(spec, r, grid) == pytest.approx(rep.gauss_residual,
+                                                              abs=1e-12)
+
+    def test_isometry_accepts_a_timelike_partner(self):
+        # a strongly detuned gauge can make the partner timelike; the
+        # isometry residual still measures it instead of failing
+        spec = spec_I()
+        bad = bour_partner(spec, scale_gauge(gauge_complete(spec, "a", "0"), b_factor=3.0))
+        grid = grid_for(spec, nu=5, nv=5)
+        assert isometry_residual(spec, bad, grid) > 1e-3
 
 
 class TestSameGaussPairs:

@@ -135,6 +135,36 @@ class TestVerify:
         assert main(["verify", "--pair-file", pf, "--grid", "9x9",
                      "--out", str(tmp_path / "v.json")]) == 1
 
+    def test_pair_file_can_expect_gauss_differ(self, tmp_path):
+        pair = {"helicoid": {"kind": "III", "lambda": 1.0,
+                             "profile": {"x": "u", "z": "0", "w": "u"},
+                             "domain": [0.75, 3.0]},
+                "gauge": {"given": "b", "expr": "0"},
+                "expect": ["isometric", "gauss_differ"]}
+        pf = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--pair-file", pf, "--grid", "9x9",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdicts"]["gauss_differ"]
+
+    @pytest.mark.parametrize("consts", [["abc", 0], [1.0], [0.0, 0.0, 1.0], 2.0])
+    def test_pair_file_bad_partner_constants_exit_2(self, tmp_path, capsys, consts):
+        pair = {"helicoid": {"kind": "I", "lambda": 1.0,
+                             "profile": {"x": "u", "z": "0", "w": "u/2"},
+                             "domain": [1.5, 3.0]},
+                "gauge": {"given": "a", "expr": "0"},
+                "partner_constants": consts}
+        pf = write_json(tmp_path / "pair.json", pair)
+        assert main(["verify", "--pair-file", pf, "--grid", "5x5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad pair file") and err.count("\n") == 1
+
+    def test_theorem_36_zero_pitch_exits_2(self, capsys):
+        assert main(["verify", "--theorem", "3.6", "--w", "u", "--lambda", "0",
+                     "--c3", "-0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shared-Gauss-map pairs need a positive pitch\n"
+
     def test_infeasible_gauge_exits_2(self, tmp_path):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "3*u", "w": "0"},
