@@ -7,13 +7,12 @@ the sup-norm of the mean curvature vector, W) ride along per vertex.
 """
 import io
 
-from bour4 import grid_for, helicoid_jet, make_helicoid, sample_mesh
+from bour4 import grid_for, make_helicoid, sample_mesh
 from bour4.meshes import resolve_projection, write_csv, write_obj
 
 spec = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
                      (1.5, 3.0), constants={"c1": 0.5})
-mesh = sample_mesh(lambda u, v: helicoid_jet(spec, u, v),
-                   grid_for(spec, nu=9, nv=17))
+mesh = sample_mesh(spec, grid_for(spec, nu=9, nv=17))
 print("vertices:", len(mesh.vertices), " faces:", len(mesh.faces))
 print("drop-constant picks coordinate index", resolve_projection(mesh, "drop-constant"),
       "(the frozen z)")

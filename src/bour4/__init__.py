@@ -16,8 +16,8 @@ from .bour import (BourGauge, PairReport, PairTolerances, bernoulli_residual,
                    vbar_map)
 from .errors import (Bour4Error, DegenerateSurfaceError, EvalDomainError,
                      ExprSyntaxError, FrameFailureError, InfeasibleGaugeError,
-                     NotSpacelikeError, NumericalError, QuadratureError,
-                     UnknownIdentifierError, ValidationError)
+                     NonFiniteError, NotSpacelikeError, NumericalError,
+                     QuadratureError, UnknownIdentifierError, ValidationError)
 from .expressions import Expr, eval_jet, parse, to_source
 from .families import (HelicoidSpec, ProfileFn, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, closed_form_frame,

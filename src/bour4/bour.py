@@ -23,7 +23,7 @@ import copy
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
 from .families import (PROFILE_NAMES, HelicoidSpec, ProfileFn, RotationalSpec,
                        SurfaceKind, const_profile, expr_profile,
                        helicoid_jet_from_profile, is_constant_profile,
-                       make_helicoid, profile_jets, rotational_jet)
-from .grids import Grid, grid_for, shrunk
+                       make_helicoid, profile_jets, rotational_jet,
+                       surface_jet, surface_profile)
+from .grids import Block, Grid, grid_for, shrunk, sweep
 from .jets import Dual, Jet2
-from .lorentz import standard_to_pseudo
+from .lorentz import standard_to_pseudo, sup
 from .quadrature import Antiderivative, default_tolerance
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map
 
@@ -225,8 +226,12 @@ class VbarMap:
             self._shift = self._table
             self._dshift = integrand
 
+    def shift(self, u: float) -> float:
+        """The oriented angular shift at u: vbar = v + shift(u)."""
+        return self.sign * self._shift(u)
+
     def __call__(self, u: float, v: float) -> float:
-        return v + self.sign * self._shift(u)
+        return v + self.shift(u)
 
     def du(self, u: float) -> float:
         """d(vbar)/du, exact (quadrature never enters)."""
@@ -340,29 +345,44 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
 # residual checkers
 
 def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
-                tol: float | None):
-    """Yield u, v, k = d(vbar)/du, the helicoid metric and both surface jets.
+                tol: float | None, point: Callable) -> Iterator[Block]:
+    """Sweep ``point(k, g, hj, rj)`` over the grid: k = d(vbar)/du, the
+    helicoid metric g and both surface jets.
 
     The helicoid metric does not depend on v; it is taken once per u, at
     v = 0.  The partner jet is read at (u, vbar(u, v)).
     """
     vb = vbar_map(h, sign, tol)
-    for u in grid.us():
+
+    def row(u):
         pj = profile_jets(h, u)
         k = vb.du(u)
         g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
-        for v in grid.vs():
-            yield (u, v, k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
-                   rotational_jet(r, u, vb(u, v)))
+        return pj, k, g, vb.shift(u), surface_profile(r, u)
+
+    def at(u, row, v):
+        pj, k, g, shift, rpj = row
+        return point(k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
+                     surface_jet(r, rpj, v + shift))
+
+    return sweep(grid, row, at)
 
 
-def _isometry_fold(worst: float, g: FirstForm, G: FirstForm, k: float) -> float:
-    """worst, raised to the defect of the partner metric G pulled back by k."""
+def _sweep_sup(blocks: Iterator[Block]) -> float:
+    """The largest output of a sweep, and at least 0."""
+    return max(0.0, *(float(b.out.max()) for b in blocks))
+
+
+def _isometry_defect(g: FirstForm, G: FirstForm, k: float) -> float:
+    """The defect of the partner metric G pulled back by k against g."""
     p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
     p12 = G.g12 + G.g22 * k
     pW = p11 * G.g22 - p12 * p12
-    return max(worst, abs(p11 - g.g11), abs(p12 - g.g12),
-               abs(G.g22 - g.g22), abs(pW - g.W))
+    return sup(abs(p11 - g.g11), abs(p12 - g.g12), abs(G.g22 - g.g22), abs(pW - g.W))
+
+
+def _gauss_defect(hj, rj) -> float:
+    return (gauss_map(hj) - gauss_map(rj)).sup_norm()
 
 
 def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
@@ -373,19 +393,16 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     uses the exact derivative of the shift, so quadrature error never enters;
     the residual is zero exactly when the gauge constraint holds.
     """
-    worst = 0.0
-    for _u, _v, k, g, _hj, rj in _pair_sweep(h, r, grid, sign, tol):
-        worst = _isometry_fold(worst, g, first_form(rj), k)
-    return worst
+    return _sweep_sup(_pair_sweep(
+        h, r, grid, sign, tol,
+        lambda k, g, hj, rj: (_isometry_defect(g, first_form(rj), k),)))
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                    sign: int = 1, tol: float | None = None) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
-    worst = 0.0
-    for *_, hj, rj in _pair_sweep(h, r, grid, sign, tol):
-        worst = max(worst, (gauss_map(hj) - gauss_map(rj)).sup_norm())
-    return worst
+    return _sweep_sup(_pair_sweep(h, r, grid, sign, tol,
+                                  lambda k, g, hj, rj: (_gauss_defect(hj, rj),)))
 
 
 def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec,
@@ -682,18 +699,20 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     if grid is None:
         grid = grid_for(h)
-    iso = 0.0
-    gauss = 0.0
-    h_sup = [0.0, 0.0]
-    pos = ([], [])
-    for _u, _v, k, g, hj, rj in _pair_sweep(h, r, grid, sign, tol):
-        iso = _isometry_fold(iso, g, first_form(rj), k)
-        gauss = max(gauss, (gauss_map(hj) - gauss_map(rj)).sup_norm())
-        h_sup[0] = max(h_sup[0], curvature_report(hj).H_sup)
-        h_sup[1] = max(h_sup[1], curvature_report(rj).H_sup)
-        pos[0].append(tuple(hj.X))
-        pos[1].append(tuple(rj.X))
-    defects = tuple(float(np.min(np.var(np.asarray(p), axis=0))) for p in pos)
+
+    def point(k, g, hj, rj):
+        return (_isometry_defect(g, first_form(rj), k), _gauss_defect(hj, rj),
+                curvature_report(hj).H_sup, curvature_report(rj).H_sup, *hj.X, *rj.X)
+
+    worst = np.zeros(4)
+    positions = []
+    for block in _pair_sweep(h, r, grid, sign, tol, point):
+        worst = np.maximum(worst, block.out[:, :4].max(axis=0))
+        positions.append(block.out[:, 4:])
+    iso, gauss, *h_sup = worst.tolist()
+    pos = np.concatenate(positions)
+    defects = tuple(float(np.min(np.var(np.ascontiguousarray(pos[:, c:c + 4]), axis=0)))
+                    for c in (0, 4))
     verdicts = {
         "isometric": iso < tols.isometry,
         "same_gauss": gauss < tols.gauss,

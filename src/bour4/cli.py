@@ -28,10 +28,9 @@ from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
-                       helicoid_jet, helicoid_to_json, make_helicoid,
-                       rotational_jet)
-from .grids import Grid, grid_for
-from .meshes import sample_mesh, write_csv, write_obj
+                       helicoid_to_json, make_helicoid, profile_jets)
+from .grids import Grid, grid_for, sweep
+from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
 
 EXIT_PASS = 0
@@ -45,6 +44,8 @@ THEOREM_KINDS = {"3.1": SurfaceKind.I, "3.5": SurfaceKind.II, "3.7": SurfaceKind
 PAIR_THEOREMS = ("3.3", "3.6")
 #: The claims a shared-Gauss-map pair must satisfy.
 SAME_GAUSS_CLAIMS = ("isometric", "same_gauss", "minimal", "hyperplanar")
+#: Most samples per grid direction: larger grids are refused before any work.
+MAX_GRID = 2000
 
 
 def _write_out(path: str | None, write) -> None:
@@ -71,7 +72,8 @@ def _load_spec(path: str) -> HelicoidSpec:
     return helicoid_from_json(raw)
 
 
-def _parse_grid(text: str | None, spec_like) -> Grid:
+def _grid_size(text: str | None) -> tuple[int, int]:
+    """Samples per direction of a --grid value (default 33x33)."""
     nu = nv = 33
     if text:
         try:
@@ -81,32 +83,49 @@ def _parse_grid(text: str | None, spec_like) -> Grid:
             raise ValidationError(f"bad --grid {text!r}, expected NUxNV") from None
         if nu < 2 or nv < 2:
             raise ValidationError("--grid needs at least 2 samples per direction")
-    return grid_for(spec_like, nu, nv)
+        if nu > MAX_GRID or nv > MAX_GRID:
+            raise ValidationError(
+                f"--grid {text!r} exceeds {MAX_GRID} samples per direction")
+    return nu, nv
 
 
 # ---------------------------------------------------------------------------
 # report
 
+def _located(exc: NumericalError, u: float, v: float) -> NumericalError:
+    return type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]")
+
+
 def cmd_report(args) -> int:
+    size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
-    grid = _parse_grid(args.grid, spec)
-    stats = {name: [] for name in ("K", "H1", "H2", "Hsup", "W")}
-    violations = []
-    for u in grid.us():
-        for v in grid.vs():
-            try:
-                rep = closed_form_curvatures(spec, u, v)
-            except (NotSpacelikeError, DegenerateSurfaceError) as exc:
-                violations.append({"u": u, "v": v, "reason": str(exc)})
-                continue
-            except NumericalError as exc:
-                raise type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]") from None
-            stats["K"].append(rep.K)
-            stats["H1"].append(rep.H1)
-            stats["H2"].append(rep.H2)
-            stats["Hsup"].append(rep.H_sup)
-            stats["W"].append(rep.first.W)
-    if not stats["K"]:
+    grid = grid_for(spec, *size)
+    tolerated = (NotSpacelikeError, DegenerateSurfaceError)
+
+    def row(u):
+        try:
+            return profile_jets(spec, u)
+        except NumericalError as exc:
+            raise _located(exc, u, grid.v0) from None
+
+    def point(u, pj, v):
+        try:
+            rep = closed_form_curvatures(spec, u, v, pj)
+        except tolerated:
+            raise
+        except NumericalError as exc:
+            raise _located(exc, u, v) from None
+        return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
+
+    kept, violations, first = [], 0, None
+    for block in sweep(grid, row, point, tolerated):
+        if block.tolerated and first is None:
+            u, v = block.uv(block.tolerated[0])
+            first = {"u": u, "v": v, "reason": block.reason}
+        violations += len(block.tolerated)
+        kept.append(np.delete(block.out, block.tolerated, axis=0))
+    values = np.concatenate(kept).T.copy()  # one contiguous row per channel
+    if not values.shape[1]:
         raise NotSpacelikeError("no spacelike points on the whole grid")
     report = {
         "surface": helicoid_to_json(spec),
@@ -115,12 +134,9 @@ def cmd_report(args) -> int:
         "stats": {
             name: {"min": float(np.min(vals)), "max": float(np.max(vals)),
                    "mean": float(np.mean(vals))}
-            for name, vals in stats.items()
+            for name, vals in zip(CHANNEL_NAMES, values)
         },
-        "spacelike_violations": {
-            "count": len(violations),
-            "first": violations[0] if violations else None,
-        },
+        "spacelike_violations": {"count": violations, "first": first},
         "quadrature_tolerance": default_tolerance(),
     }
     _dump_json(report, args.out)
@@ -239,8 +255,9 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
 
 
 def cmd_verify(args) -> int:
+    size = _grid_size(args.grid)
     h, r, expect, scenario, options = _verify_pair(args)
-    grid = _parse_grid(args.grid, h)
+    grid = grid_for(h, *size)
     data, code = _pair_data(h, r, grid, expect, scenario, **options)
     _dump_json(data, args.out)
     return code
@@ -249,8 +266,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # example
 
-def _write_meshes(out_dir: Path, stem: str, jet_at, grid: Grid, projection: str) -> None:
-    mesh = sample_mesh(jet_at, grid)
+def _write_meshes(out_dir: Path, stem: str, surface, grid: Grid, projection: str) -> None:
+    mesh = sample_mesh(surface, grid)
     with open(out_dir / f"{stem}.obj", "w") as f:
         write_obj(mesh, f, projection)
     with open(out_dir / f"{stem}.csv", "w") as f:
@@ -259,6 +276,7 @@ def _write_meshes(out_dir: Path, stem: str, jet_at, grid: Grid, projection: str)
 
 def cmd_example(args) -> int:
     n = args.number
+    size = _grid_size(args.grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     expect, projection = list(SAME_GAUSS_CLAIMS), "drop-constant"
@@ -276,15 +294,13 @@ def cmd_example(args) -> int:
     else:
         raise ValidationError(f"example number must be 1, 2 or 3, not {n!r}")
 
-    grid = _parse_grid(args.grid, h)
+    grid = grid_for(h, *size)
     data, code = _pair_data(h, r, grid, expect, f"example-{n}", probe_sign=(n == 2))
     data["partner_components"] = r.component_sources()
     _dump_json(helicoid_to_json(h), str(out_dir / "helicoid.json"))
     _dump_json(data, str(out_dir / "pair_report.json"))
-    _write_meshes(out_dir, "helicoid", lambda u, v: helicoid_jet(h, u, v),
-                  grid, projection)
-    _write_meshes(out_dir, "rotational", lambda u, v: rotational_jet(r, u, v),
-                  grid, projection)
+    _write_meshes(out_dir, "helicoid", h, grid, projection)
+    _write_meshes(out_dir, "rotational", r, grid, projection)
     return code
 
 
@@ -292,9 +308,9 @@ def cmd_example(args) -> int:
 # export
 
 def cmd_export(args) -> int:
+    size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
-    grid = _parse_grid(args.grid, spec)
-    mesh = sample_mesh(lambda u, v: helicoid_jet(spec, u, v), grid)
+    mesh = sample_mesh(spec, grid_for(spec, *size))
     if args.format == "obj":
         _write_out(args.out, lambda f: write_obj(mesh, f, args.projection))
     else:

@@ -42,6 +42,10 @@ class EvalDomainError(NumericalError):
         self.subexpr = subexpr
 
 
+class NonFiniteError(NumericalError):
+    """A value overflowed or became undefined (inf or nan)."""
+
+
 class DegenerateSurfaceError(NumericalError):
     """det(g) vanishes: the induced metric is degenerate at this point."""
 

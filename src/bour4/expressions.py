@@ -282,8 +282,8 @@ def eval_const(e: Expr, consts: Mapping[str, float]) -> float:
 def eval_jet(e: Expr, u: float, consts: Mapping[str, float] | None = None) -> Jet2:
     """Evaluate e and its first two u-derivatives at u.
 
-    Domain violations raise EvalDomainError naming the offending
-    sub-expression.
+    Domain violations and float overflow raise EvalDomainError naming the
+    offending sub-expression.
     """
     consts = consts or {}
     return _eval(e, Jet2.var(u), consts)
@@ -316,12 +316,16 @@ def _eval(e: Expr, uj: Jet2, consts) -> Jet2:
             return left / right
         except EvalDomainError as exc:
             raise _with_context(exc, e) from None
+        except OverflowError:
+            raise EvalDomainError("value overflows", to_source(e)) from None
     if isinstance(e, Call):
         arg = _eval(e.arg, uj, consts)
         try:
             return getattr(arg, e.fn)()
         except EvalDomainError as exc:
             raise _with_context(exc, e) from None
+        except OverflowError:
+            raise EvalDomainError("value overflows", to_source(e)) from None
     raise TypeError(f"not an Expr node: {e!r}")
 
 

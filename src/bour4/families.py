@@ -12,6 +12,8 @@ one-parameter rotation group composed with a proportional translation
 where x, z (or y), w are functions of u.  Alongside the exact parametric
 jets this module carries the families' closed-form metric, frames, second
 fundamental forms and Gauss maps, which the generic engine cross-checks.
+Profile jets may hold floats (one u) or arrays (a block of u rows), and v a
+float or an array that broadcasts against them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Callable, Mapping
 from .errors import FrameFailureError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
 from .jets import Jet2
-from .lorentz import Bivector6, Vec4, bivector_from_pseudo, pseudo_to_standard
+from .lorentz import (Bivector6, Vec4, bivector_from_pseudo, flag,
+                      pseudo_to_standard, where, xp)
 from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
                        assemble_report, finalize_first_form)
 
@@ -77,24 +80,55 @@ class HelicoidSpec:
         return self.pitch == 0.0
 
 
+def _number(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _interval(value, what: str) -> tuple[float, float]:
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be two numbers, got {value!r}") from None
+    return _number(a, what), _number(b, what)
+
+
 def make_helicoid(kind, pitch: float, profile: Mapping[str, "str | Expr"],
                   domain, constants: Mapping[str, float] | None = None,
                   v_domain=None) -> HelicoidSpec:
-    kind = SurfaceKind(kind)
+    try:
+        kind = SurfaceKind(kind)
+    except ValueError:
+        raise ValidationError(f"unknown kind {kind!r} (expected I, II or III)") from None
     names = PROFILE_NAMES[kind]
+    if not isinstance(profile, Mapping):
+        raise ValidationError("'profile' must map component names to expressions")
     if set(profile) != set(names):
         raise ValidationError(
             f"kind {kind.value} profile needs components {names}, got {sorted(profile)}")
-    if not (pitch >= 0.0 and math.isfinite(pitch)):
+    for name, e in profile.items():
+        if not isinstance(e, (str, Expr)):
+            raise ValidationError(
+                f"profile component {name!r} must be an expression string, got {e!r}")
+    pitch = _number(pitch, "lambda")
+    if pitch < 0.0:
         raise ValidationError(f"pitch must be a finite number >= 0, got {pitch!r}")
-    a, b = float(domain[0]), float(domain[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    a, b = _interval(domain, "domain")
+    if not a < b:
         raise ValidationError(f"bad u-domain {domain!r}")
     exprs = tuple(sorted(
         (name, parse(e) if isinstance(e, str) else e) for name, e in profile.items()))
-    consts = tuple(sorted((k, float(v)) for k, v in (constants or {}).items()))
-    vd = None if v_domain is None else (float(v_domain[0]), float(v_domain[1]))
-    return HelicoidSpec(kind, float(pitch), exprs, (a, b), consts, vd)
+    if not isinstance(constants or {}, Mapping):
+        raise ValidationError(f"constants must map names to numbers, got {constants!r}")
+    consts = tuple(sorted((k, _number(v, f"constant {k!r}"))
+                          for k, v in (constants or {}).items()))
+    vd = None if v_domain is None else _interval(v_domain, "v_domain")
+    return HelicoidSpec(kind, pitch, exprs, (a, b), consts, vd)
 
 
 def profile_jets(spec: HelicoidSpec, u: float) -> dict[str, Jet2]:
@@ -121,9 +155,10 @@ def is_constant_profile(spec: HelicoidSpec, name: str, samples: int = 64,
 def helicoid_jet_from_profile(kind: SurfaceKind, lam: float,
                               pj: Mapping[str, Jet2], v: float) -> SurfaceJet:
     """Assemble the exact surface jet at (u, v) from profile jets at u."""
+    m = xp(v)
     if kind is SurfaceKind.I:
         x, z, w = pj["x"], pj["z"], pj["w"]
-        cv, sv = math.cos(v), math.sin(v)
+        cv, sv = m.cos(v), m.sin(v)
         return SurfaceJet(
             Vec4(x.v * cv, x.v * sv, z.v, w.v + lam * v),
             Vec4(x.d1 * cv, x.d1 * sv, z.d1, w.d1),
@@ -134,7 +169,7 @@ def helicoid_jet_from_profile(kind: SurfaceKind, lam: float,
         )
     if kind is SurfaceKind.II:
         x, y, w = pj["x"], pj["y"], pj["w"]
-        ch, sh = math.cosh(v), math.sinh(v)
+        ch, sh = m.cosh(v), m.sinh(v)
         return SurfaceJet(
             Vec4(x.v + lam * v, y.v, w.v * sh, w.v * ch),
             Vec4(x.d1, y.d1, w.d1 * sh, w.d1 * ch),
@@ -201,23 +236,23 @@ def closed_form_metric(spec: HelicoidSpec, u: float,
 # ---------------------------------------------------------------------------
 # closed-form frames, second fundamental forms and curvature
 
-def _closed_form_pass(spec: HelicoidSpec, u: float,
-                      v: float) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
-    """Metric, explicit frame and second forms from one profile evaluation.
+def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
+                      pj: Mapping[str, Jet2]) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
+    """Metric, explicit frame and second forms from the profile jets at u.
 
     The kind's frame precondition is checked before g11 > 0, so a profile
     that leaves the family's frame convention is named as such.
     """
-    pj = profile_jets(spec, u)
     lam = spec.pitch
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
-    rW = math.sqrt(ff.W)
+    sqrt = xp(ff.W).sqrt
+    trig = xp(v)
+    rW = sqrt(ff.W)
     if spec.kind is SurfaceKind.I:
         x, z, w = pj["x"], pj["z"], pj["w"]
         P = x.d1 ** 2 + z.d1 ** 2
-        if P <= 0.0:
-            raise FrameFailureError(f"x'^2 + z'^2 vanishes at u = {u!r}")
-        rP, rWP = math.sqrt(P), math.sqrt(ff.W * P)
+        bad = flag(P <= 0.0, FrameFailureError, "x'^2 + z'^2 vanishes at u = {!r}", u)
+        rP, rWP = sqrt(P), sqrt(ff.W * P)
         b1 = SecondForm((x.d2 * z.d1 - x.d1 * z.d2) / rP,
                         0.0,
                         -x.v * z.d1 / rP)
@@ -225,7 +260,7 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
             x.v * (w.d1 * (x.d1 * x.d2 + z.d1 * z.d2) - w.d2 * P) / rWP,
             lam * x.d1 * rP / rW,
             -x.v ** 2 * x.d1 * w.d1 / rWP)
-        cv, sv = math.cos(v), math.sin(v)
+        cv, sv = trig.cos(v), trig.sin(v)
         N1 = Vec4(z.d1 * cv / rP, z.d1 * sv / rP, -x.d1 / rP, 0.0)
         c = 1.0 / (rW * rP)
         N2 = Vec4((x.v * x.d1 * w.d1 * cv - lam * P * sv) * c,
@@ -235,9 +270,8 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
     elif spec.kind is SurfaceKind.II:
         x, y, w = pj["x"], pj["y"], pj["w"]
         Q = w.d1 ** 2 - y.d1 ** 2
-        if Q <= 0.0:
-            raise FrameFailureError(f"w'^2 - y'^2 = {Q!r} <= 0 at u = {u!r}")
-        rQ, rWQ = math.sqrt(Q), math.sqrt(ff.W * Q)
+        bad = flag(Q <= 0.0, FrameFailureError, "w'^2 - y'^2 = {!r} <= 0 at u = {!r}", Q, u)
+        rQ, rWQ = sqrt(Q), sqrt(ff.W * Q)
         b1 = SecondForm((y.d2 * w.d1 - y.d1 * w.d2) / rQ,
                         0.0,
                         -w.v * y.d1 / rQ)
@@ -245,7 +279,7 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
             w.v * (x.d1 * (y.d1 * y.d2 - w.d1 * w.d2) + x.d2 * Q) / rWQ,
             -lam * w.d1 * rQ / rW,
             -x.d1 * w.v ** 2 * w.d1 / rWQ)
-        ch, sh = math.cosh(v), math.sinh(v)
+        ch, sh = trig.cosh(v), trig.sinh(v)
         N1 = Vec4(0.0, w.d1 / rQ, y.d1 * sh / rQ, y.d1 * ch / rQ)
         c = 1.0 / (rW * rQ)
         N2 = Vec4(w.v * Q * c,
@@ -254,8 +288,7 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
                   (x.d1 * w.v * w.d1 * ch - lam * Q * sh) * c)
     else:
         x, z, w = pj["x"], pj["z"], pj["w"]
-        if w.d1 == 0.0:
-            raise FrameFailureError(f"w' vanishes at u = {u!r}")
+        bad = flag(w.d1 == 0.0, FrameFailureError, "w' vanishes at u = {!r}", u)
         b1 = SecondForm((x.d2 * w.d1 - x.d1 * w.d2) / w.d1, 0.0, 0.0)
         b2 = SecondForm(
             SQRT2 * w.v * (x.d1 * x.d2 * w.d1 - x.d1 ** 2 * w.d2
@@ -269,39 +302,46 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
             SQRT2 * (x.d1 ** 2 * w.v + v * v * w.v * w.d1 ** 2
                      + lam * v * w.d1 ** 2 - w.v * w.d1 * z.d1) / (w.d1 * rW),
             SQRT2 * w.v * w.d1 / rW)
-    if ff.g11 <= 0.0:
-        raise FrameFailureError(f"g11 = {ff.g11!r} <= 0 at u = {u!r}")
+    bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
+                     ff.g11, u)
     jet = helicoid_jet_from_profile(spec.kind, lam, pj, v)
-    e1 = jet.Xu * (1.0 / math.sqrt(ff.g11))
-    e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / math.sqrt(ff.W * ff.g11))
+    e1 = jet.Xu * (1.0 / sqrt(ff.g11))
+    e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
+    b1, b2, N1, N2 = where(bad, math.nan, (b1, b2, N1, N2))
     return ff, Frame(e1, e2, N1, N2), b1, b2
 
 
 def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
     """The families' explicit orthonormal frames (N1 spacelike, N2 timelike)."""
-    return _closed_form_pass(spec, u, v)[1]
+    return _closed_form_pass(spec, u, v, profile_jets(spec, u))[1]
 
 
-def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float) -> CurvatureReport:
+def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
+                           pj: Mapping[str, Jet2] | None = None) -> CurvatureReport:
     """Mean curvature components, mean curvature vector, and Gauss curvature.
 
     Built from the families' explicit frames and second-form coefficients,
     assembled through the standard component formulas; this route never
-    touches the generic Gram-Schmidt machinery.
+    touches the generic Gram-Schmidt machinery.  ``pj`` passes the profile
+    jets at u when they are already evaluated.
     """
-    ff, frame, b1, b2 = _closed_form_pass(spec, u, v)
-    return assemble_report(ff, frame, b1, b2)
+    if pj is None:
+        pj = profile_jets(spec, u)
+    return assemble_report(*_closed_form_pass(spec, u, v, pj))
 
 
-def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:
+def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
+                      pj: Mapping[str, Jet2] | None = None) -> Bivector6:
     """The families' explicit Gauss-map component patterns (unit 2-vector)."""
-    pj = profile_jets(spec, u)
+    if pj is None:
+        pj = profile_jets(spec, u)
     lam = spec.pitch
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
-    c = 1.0 / math.sqrt(ff.W)
+    c = 1.0 / xp(ff.W).sqrt(ff.W)
+    trig = xp(v)
     if spec.kind is SurfaceKind.I:
         x, z, w = pj["x"], pj["z"], pj["w"]
-        cv, sv = math.cos(v), math.sin(v)
+        cv, sv = trig.cos(v), trig.sin(v)
         return Bivector6(
             x.v * x.d1 * c,
             x.v * z.d1 * sv * c,
@@ -311,7 +351,7 @@ def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:
             lam * z.d1 * c)
     if spec.kind is SurfaceKind.II:
         x, y, w = pj["x"], pj["y"], pj["w"]
-        ch, sh = math.cosh(v), math.sinh(v)
+        ch, sh = trig.cosh(v), trig.sinh(v)
         return Bivector6(
             -lam * y.d1 * c,
             (x.d1 * w.v * ch - lam * w.d1 * sh) * c,
@@ -386,10 +426,26 @@ class RotationalSpec:
         return out
 
 
+def surface_profile(surface: "HelicoidSpec | RotationalSpec", u: float) -> dict[str, Jet2]:
+    """The profile jets of either surface at u, under the kind's profile names."""
+    if isinstance(surface, RotationalSpec):
+        return dict(zip(PROFILE_NAMES[surface.kind],
+                        (surface.n(u), surface.s(u), surface.r(u))))
+    return profile_jets(surface, u)
+
+
+def surface_jet(surface: "HelicoidSpec | RotationalSpec", pj: Mapping[str, Jet2],
+                v: float) -> SurfaceJet:
+    """The surface jet at (u, v) from the profile jets at u; a rotational
+    surface is the pitch-0 helicoid at angle v + v_offset."""
+    if isinstance(surface, RotationalSpec):
+        return helicoid_jet_from_profile(surface.kind, 0.0, pj, v + surface.v_offset)
+    return helicoid_jet_from_profile(surface.kind, surface.pitch, pj, v)
+
+
 def rotational_jet(spec: RotationalSpec, u: float, v: float) -> SurfaceJet:
     """The pitch-0 helicoid jet of the profile (n, s, r) at angle v + v_offset."""
-    pj = dict(zip(PROFILE_NAMES[spec.kind], (spec.n(u), spec.s(u), spec.r(u))))
-    return helicoid_jet_from_profile(spec.kind, 0.0, pj, v + spec.v_offset)
+    return surface_jet(spec, surface_profile(spec, u), v)
 
 
 def rotational_from_profile(spec: HelicoidSpec) -> RotationalSpec:
@@ -424,11 +480,5 @@ def helicoid_from_json(data: Mapping) -> HelicoidSpec:
         domain = data["domain"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"spec object missing field: {exc}") from None
-    if not isinstance(profile, Mapping):
-        raise ValidationError("'profile' must map component names to expressions")
-    try:
-        kind = SurfaceKind(kind)
-    except ValueError:
-        raise ValidationError(f"unknown kind {kind!r} (expected I, II or III)") from None
-    return make_helicoid(kind, float(pitch), profile, domain,
+    return make_helicoid(kind, pitch, profile, domain,
                          data.get("constants"), data.get("v_domain"))

@@ -4,12 +4,14 @@ Jet2 carries (value, first, second derivative) and is the currency for
 profile-curve components: curvature formulas consume exact derivatives, never
 finite differences.  Dual carries (value, first derivative) only and is used
 where second derivatives of the inputs are not available, e.g. integrands of
-quadrature-defined components.
+quadrature-defined components.  JetBlock holds the same triple for a block
+of rows, as arrays.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import EvalDomainError
 
@@ -151,6 +153,14 @@ class Jet2:
         d = 1.0 + self.v * self.v
         rd = math.sqrt(d)
         return self._chain(math.asinh(self.v), 1.0 / rd, -self.v / (d * rd))
+
+
+class JetBlock(NamedTuple):
+    """Jet2 components (v, d1, d2) of one profile over a block of rows, as arrays."""
+
+    v: object
+    d1: object
+    d2: object
 
 
 class Dual:

@@ -8,13 +8,68 @@ of signature (+, +, +, -).  Oriented tangent planes of surfaces live in the
 space of 2-vectors Lambda^2, spanned by e_i ^ e_j for i < j; the induced
 inner product there has signature (+, +, -, +, -, -), so Lambda^2 is a
 pseudo-Euclidean 6-space of index 3.
+
+Every function here, and the geometry built on it, takes either Python floats
+(one point) or numpy arrays of a common broadcast shape (a block of grid
+points) in the fields of a Vec4 or Bivector6.  The helpers below are the only
+places where the two cases part: a branch on a Python bool is a plain ``if``,
+one on an array is a mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
+
+
+def xp(x):
+    """The namespace of elementary functions for x: numpy for arrays, math otherwise."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def where(cond, a, b):
+    """a where cond holds, b elsewhere; fieldwise through nested tuples, whose
+    types b sets (a may be one value for every field)."""
+    if cond is True or cond is False or not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(b, tuple):
+        parts = [where(cond, x, y)
+                 for x, y in zip(a if isinstance(a, tuple) else (a,) * len(b), b)]
+        return type(b)(*parts) if hasattr(b, "_fields") else tuple(parts)
+    return np.where(cond, a, b)
+
+
+def any_(cond) -> bool:
+    """Whether cond holds anywhere."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def flag(bad, error, message: str, *args):
+    """A failed check: raise ``error(message.format(*args))`` when ``bad`` is true.
+
+    An array check raises nothing: the mask of failed points is returned, and
+    the caller poisons them with NaN so that a sweep can find and re-run them
+    one at a time.  A scalar check that passes returns False.
+    """
+    if bad is False:
+        return False
+    if isinstance(bad, np.ndarray):
+        return bad
+    if bad:
+        raise error(message.format(*args))
+    return False
+
+
+def sup(*values):
+    """The largest of the values; pointwise when the first is an array (the
+    others broadcast against it)."""
+    if isinstance(values[0], np.ndarray):
+        return functools.reduce(np.maximum, values)
+    return max(values)
 
 
 class CausalClass(Enum):
@@ -28,6 +83,9 @@ class Vec4(NamedTuple):
     x2: float
     x3: float
     x4: float
+
+    #: numpy defers to the reflected operators, so array * Vec4 is a Vec4
+    __array_ufunc__ = None
 
     def __add__(self, other):
         return Vec4(self.x1 + other.x1, self.x2 + other.x2,
@@ -99,6 +157,8 @@ class Bivector6(NamedTuple):
     b24: float
     b34: float
 
+    __array_ufunc__ = None
+
     def __add__(self, other):
         return Bivector6(*(a + b for a, b in zip(tuple(self), tuple(other))))
 
@@ -114,7 +174,7 @@ class Bivector6(NamedTuple):
     __rmul__ = __mul__
 
     def sup_norm(self) -> float:
-        return max(abs(a) for a in tuple(self))
+        return sup(*map(abs, self))
 
 
 #: Self-products of the basis 2-vectors (e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4):
@@ -167,6 +227,7 @@ def bivector_from_pseudo(c12, c13, c14, c23, c24, c34) -> Bivector6:
     coeffs = (c12, c13, c14, c23, c24, c34)
     out = Bivector6(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for c, w in zip(coeffs, _PSEUDO_WEDGES):
-        if c != 0.0:
-            out = out + w * c
+        used = c != 0.0
+        if any_(used):
+            out = where(used, out + w * c, out)
     return out

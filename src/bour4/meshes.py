@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
-from .grids import Grid
+from .families import HelicoidSpec, RotationalSpec, surface_jet, surface_profile
+from .grids import BLOCK_POINTS, Grid, sweep
 from .lorentz import Vec4
 from .surfaces import SurfaceJet, curvature_report
 
@@ -26,10 +27,13 @@ CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 
 @dataclass
 class MeshGrid:
+    """Vertices (nu*nv x 4, row-major), quad faces (index quadruples) and
+    one array per scalar channel."""
+
     grid: Grid
-    vertices: list[Vec4]
-    faces: list[tuple[int, int, int, int]]
-    channels: dict[str, list[float]] = field(default_factory=dict)
+    vertices: np.ndarray
+    faces: np.ndarray
+    channels: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def nu(self) -> int:
@@ -40,29 +44,45 @@ class MeshGrid:
         return self.grid.nv
 
 
-def sample_mesh(jet_at: Callable[[float, float], SurfaceJet], grid: Grid) -> MeshGrid:
+def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     """Evaluate a surface over the grid; curvature channels are nan off the
-    spacelike locus."""
-    vertices = []
-    channels = {name: [] for name in CHANNEL_NAMES}
-    for u in grid.us():
-        for v in grid.vs():
-            jet = jet_at(u, v)
-            vertices.append(jet.X)
-            try:
-                rep = curvature_report(jet)
-                row = (rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
-            except (NotSpacelikeError, DegenerateSurfaceError):
-                row = (math.nan, math.nan, math.nan, math.nan, math.nan)
-            for name, val in zip(CHANNEL_NAMES, row):
-                channels[name].append(val)
-    faces = []
+    spacelike locus.
+
+    The profile is evaluated once per u and the geometry on blocks of rows.
+    A callable (u, v) -> SurfaceJet is accepted in place of a spec; its jets
+    can only be evaluated one point at a time.
+    """
+    if isinstance(surface, (HelicoidSpec, RotationalSpec)):
+        def row(u):
+            return surface_profile(surface, u)
+
+        def jet(u, pj, v):
+            return surface_jet(surface, pj, v)
+    else:
+        vs = grid.vs()
+
+        def row(u):
+            cols = np.array([surface(u, v) for v in vs]).transpose(1, 2, 0)
+            return SurfaceJet(*(Vec4(*c) for c in cols))
+
+        def jet(u, jets, v):
+            return jets if isinstance(v, np.ndarray) else surface(u, v)
+
+    def point(u, pj, v):
+        j = jet(u, pj, v)
+        rep = curvature_report(j)
+        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
+
+    parts = []
+    for block in sweep(grid, row, point, (NotSpacelikeError, DegenerateSurfaceError)):
+        block.out[block.tolerated, 4:] = math.nan
+        parts.append(block.out)
+    data = np.concatenate(parts)
     nv = grid.nv
-    for i in range(grid.nu - 1):
-        for j in range(grid.nv - 1):
-            a = i * nv + j
-            faces.append((a, a + 1, a + nv + 1, a + nv))
-    return MeshGrid(grid, vertices, faces, channels)
+    corner = (np.arange(grid.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
+    faces = np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
+    channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
+    return MeshGrid(grid, data[:, :4], faces, channels)
 
 
 def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
@@ -88,8 +108,11 @@ def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
     return int(flat[np.argmin(spread[flat])])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _vertex_blocks(mesh: MeshGrid):
+    """Slices of at most BLOCK_POINTS vertices, in order."""
+    n = len(mesh.vertices)
+    for start in range(0, n, BLOCK_POINTS):
+        yield slice(start, min(start + BLOCK_POINTS, n))
 
 
 def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") -> int:
@@ -103,28 +126,26 @@ def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") ->
     out.write(f"# parametric surface mesh, {mesh.nu} x {mesh.nv} samples\n")
     out.write(f"# projection: dropped coordinate x{drop + 1}\n")
     out.write(f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
-    for idx, p in enumerate(mesh.vertices):
-        coords = [p[k] for k in keep]
-        out.write("v " + " ".join(_fmt(c) for c in coords) + "\n")
-        extras = " ".join(_fmt(mesh.channels[name][idx]) for name in CHANNEL_NAMES)
-        out.write(f"# vd {_fmt(p[drop])} {extras}\n")
-    for a, b, c, d in mesh.faces:
-        out.write(f"f {a + 1} {b + 1} {c + 1} {d + 1}\n")
+    for rows in _vertex_blocks(mesh):
+        coords = mesh.vertices[rows][:, keep].tolist()
+        extras = np.column_stack([mesh.vertices[rows, drop]]
+                                 + [mesh.channels[name][rows] for name in CHANNEL_NAMES])
+        out.write("".join(
+            "v " + " ".join(map(repr, c)) + "\n# vd " + " ".join(map(repr, e)) + "\n"
+            for c, e in zip(coords, extras.tolist())))
+    for start in range(0, len(mesh.faces), BLOCK_POINTS):
+        out.write("".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in
+                          (mesh.faces[start:start + BLOCK_POINTS] + 1).tolist()))
     return drop
 
 
 def write_csv(mesh: MeshGrid, out: TextIO) -> int:
     """Write one row per sample: u,v,x1,x2,x3,x4,K,H1,H2,W.  Returns row count."""
     out.write("u,v,x1,x2,x3,x4,K,H1,H2,W\n")
-    rows = 0
-    us, vs = mesh.grid.us(), mesh.grid.vs()
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            idx = i * len(vs) + j
-            p = mesh.vertices[idx]
-            ch = mesh.channels
-            out.write(",".join(_fmt(x) for x in (
-                u, v, p.x1, p.x2, p.x3, p.x4,
-                ch["K"][idx], ch["H1"][idx], ch["H2"][idx], ch["W"][idx])) + "\n")
-            rows += 1
-    return rows
+    us, vs = np.array(mesh.grid.us()), np.array(mesh.grid.vs())
+    for rows in _vertex_blocks(mesh):
+        i, j = np.divmod(np.arange(rows.start, rows.stop), len(vs))
+        table = np.column_stack([us[i], vs[j], mesh.vertices[rows]]
+                                + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")])
+        out.write("".join(",".join(map(repr, r)) + "\n" for r in table.tolist()))
+    return len(mesh.vertices)

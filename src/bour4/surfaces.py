@@ -12,18 +12,21 @@ against which closed-form family formulas are checked:
     nu  = (Xu ^ Xv) / sqrt(W)
 
 The surface is required to be spacelike (W > 0) wherever frames, curvatures,
-or the Gauss map are requested.
+or the Gauss map are requested.  Jets may carry floats (one point) or arrays
+(a block of points); on arrays a failed check raises nothing and leaves NaN
+at the failed points instead (see ``lorentz.flag``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import sqrt
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DegenerateSurfaceError, FrameFailureError, NotSpacelikeError
-from .lorentz import (E1, E2, E3, E4, Bivector6, CausalClass, Vec4,
-                      minkowski_dot, wedge)
+from .errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
+                     NotSpacelikeError)
+from .lorentz import (E1, E2, E3, E4, Bivector6, CausalClass, Vec4, any_, flag,
+                      minkowski_dot, sup, wedge, where, xp)
 
 
 class SurfaceJet(NamedTuple):
@@ -64,6 +67,9 @@ class SecondForm(NamedTuple):
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """Curvature at one point (or a block of points); the minimal flag and
+    the causal class of Hvec are derived on access."""
+
     first: FirstForm
     b1: SecondForm
     b2: SecondForm
@@ -71,16 +77,22 @@ class CurvatureReport:
     H2: float
     Hvec: Vec4
     K: float
-    Hclass: CausalClass
-    minimal: bool
+
+    @property
+    def minimal(self) -> bool:
+        return classify_mean_curvature(self.Hvec, self.H1, self.H2)[0]
+
+    @property
+    def Hclass(self) -> CausalClass:
+        return classify_mean_curvature(self.Hvec, self.H1, self.H2)[1]
 
     @property
     def marginally_trapped(self) -> bool:
-        return (not self.minimal) and self.Hclass is CausalClass.LIGHTLIKE
+        return where(self.minimal, False, self.Hclass == CausalClass.LIGHTLIKE)
 
     @property
     def H_sup(self) -> float:
-        return max(abs(c) for c in self.Hvec)
+        return sup(*map(abs, self.Hvec))
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +160,27 @@ def first_form(j: SurfaceJet, require_spacelike: bool = False,
 
 def finalize_first_form(g11, g12, g22, W=None, require_spacelike=False,
                         tol=DEGENERACY_TOL) -> FirstForm:
-    """Shared validation: degenerate surfaces are excluded, W < 0 optionally too."""
+    """Shared validation: non-finite and degenerate forms are excluded, W < 0
+    optionally too."""
     if W is None:
         W = g11 * g22 - g12 * g12
     scale = abs(g11 * g22) + g12 * g12
-    if abs(W) <= tol * scale or scale == 0.0:
-        raise DegenerateSurfaceError(
-            f"first fundamental form degenerate: W = {W!r}")
-    if require_spacelike and W < 0.0:
-        raise NotSpacelikeError(f"W = {W!r} < 0: surface is timelike here")
-    return FirstForm(g11, g12, g22, W)
+    # x * 0.0 is 0.0 exactly when x is finite
+    nonfinite = (abs(W) + scale) * 0.0 != 0.0
+    degenerate = (abs(W) <= tol * scale) | (scale == 0.0)
+    timelike = (W < 0.0) & require_spacelike
+    ff = FirstForm(g11, g12, g22, W)
+    bad = nonfinite | degenerate | timelike
+    if bad is False:  # one point, every check passed
+        return ff
+    flag(nonfinite, NonFiniteError, "first fundamental form is not finite: W = {!r}", W)
+    flag(degenerate, DegenerateSurfaceError, "first fundamental form degenerate: W = {!r}", W)
+    flag(timelike, NotSpacelikeError, "W = {!r} < 0: surface is timelike here", W)
+    return where(bad, math.nan, ff)
 
 
 DEFAULT_SEEDS: tuple[Vec4, ...] = (E3, E4, E1, E2)
+_NAN4 = Vec4(math.nan, math.nan, math.nan, math.nan)
 
 
 def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
@@ -174,33 +194,39 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
     against a reference frame (normal planes must agree).
     """
     ff = first_form(j, require_spacelike=True)
-    if ff.g11 <= 0.0:
-        raise FrameFailureError(f"g11 = {ff.g11!r} <= 0 on a spacelike surface")
+    bad = flag(ff.g11 <= 0.0, FrameFailureError,
+               "g11 = {!r} <= 0 on a spacelike surface", ff.g11)
+    sqrt = xp(ff.W).sqrt
     e1 = j.Xu * (1.0 / sqrt(ff.g11))
     e2 = (j.Xv * ff.g11 - j.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
 
-    normals = []
+    # the first two usable seeds of each point go to (na, ea), then (nb, eb)
+    na = nb = _NAN4
+    ea = eb = 0
+    found = bad * 0  # seeds taken so far: 0, or zeros over a block
     for seed in seeds:
         n = seed - e1 * minkowski_dot(seed, e1) - e2 * minkowski_dot(seed, e2)
-        for prev, eps_prev in normals:
-            n = n - prev * (eps_prev * minkowski_dot(n, prev))
+        if na is not _NAN4:  # some point has taken its first seed
+            n = where(found == 1, n - na * (ea * minkowski_dot(n, na)), n)
         q = minkowski_dot(n, n)
-        if abs(q) > 1e-10 * (1.0 + n.euclid_sq()):
-            eps = 1 if q > 0.0 else -1
-            normals.append((n * (1.0 / sqrt(abs(q))), eps))
-            if len(normals) == 2:
+        usable = (abs(q) > 1e-10 * (1.0 + n.euclid_sq())) & (found < 2)
+        if any_(usable):
+            unit = (n * (1.0 / sqrt(abs(q))), (q > 0.0) * 2 - 1)
+            na, ea = where(usable & (found == 0), unit, (na, ea))
+            nb, eb = where(usable & (found == 1), unit, (nb, eb))
+            found = found + usable
+            if not any_(found < 2):
                 break
-    if len(normals) < 2:
-        raise FrameFailureError("no usable normal seeds: normal plane is numerically null")
-    (na, ea), (nb, eb) = normals
-    if ea + eb != 0:
-        raise FrameFailureError("normal plane does not have signature (+,-)")
-    N1, N2 = (na, nb) if ea > 0 else (nb, na)
+    bad = bad | flag(found < 2, FrameFailureError,
+                     "no usable normal seeds: normal plane is numerically null")
+    bad = bad | flag(ea + eb != 0, FrameFailureError,
+                     "normal plane does not have signature (+,-)")
+    N1, N2 = where(ea > 0, (na, nb), (nb, na))
     if align_to is not None:
-        if minkowski_dot(N1, align_to.N1) < 0.0:
-            N1 = -N1
-        if minkowski_dot(N2, align_to.N2) > 0.0:  # timelike pair: aligned means dot < 0
-            N2 = -N2
+        N1 = where(minkowski_dot(N1, align_to.N1) < 0.0, -N1, N1)
+        # timelike pair: aligned means dot < 0
+        N2 = where(minkowski_dot(N2, align_to.N2) > 0.0, -N2, N2)
+    N1, N2 = where(bad, math.nan, (N1, N2))
     return Frame(e1, e2, N1, N2)
 
 
@@ -210,14 +236,14 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
 def classify_mean_curvature(Hvec: Vec4, H1: float, H2: float,
                             band: float = 1e-8) -> tuple[bool, CausalClass]:
     """Minimal / causal classification with explicit tolerance bands."""
-    scale = max(1.0, abs(H1), abs(H2))
-    sup = max(abs(c) for c in Hvec)
-    if sup < band * scale:
-        return True, CausalClass.SPACELIKE  # zero vector convention
+    scale = sup(abs(H1), abs(H2), 1.0)
+    minimal = sup(*map(abs, Hvec)) < band * scale
     hsq = minkowski_dot(Hvec, Hvec)
-    if abs(hsq) < band * scale * scale:
-        return False, CausalClass.LIGHTLIKE
-    return False, CausalClass.SPACELIKE if hsq > 0 else CausalClass.TIMELIKE
+    # the zero vector counts as spacelike
+    hclass = where(minimal, CausalClass.SPACELIKE,
+                   where(abs(hsq) < band * scale * scale, CausalClass.LIGHTLIKE,
+                         where(hsq > 0, CausalClass.SPACELIKE, CausalClass.TIMELIKE)))
+    return minimal, hclass
 
 
 def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
@@ -228,8 +254,7 @@ def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
     Hvec = frame.N1 * (frame.eps1 * H1) + frame.N2 * (frame.eps2 * H2)
     K = (frame.eps1 * (b1.b11 * b1.b22 - b1.b12 ** 2)
          + frame.eps2 * (b2.b11 * b2.b22 - b2.b12 ** 2)) / ff.W
-    minimal, hclass = classify_mean_curvature(Hvec, H1, H2)
-    return CurvatureReport(ff, b1, b2, H1, H2, Hvec, K, hclass, minimal)
+    return CurvatureReport(ff, b1, b2, H1, H2, Hvec, K)
 
 
 def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureReport:
@@ -248,7 +273,7 @@ def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureRepo
 def gauss_map(j: SurfaceJet) -> Bivector6:
     """Unit 2-vector (Xu ^ Xv)/sqrt(W) representing the oriented tangent plane."""
     ff = first_form(j, require_spacelike=True)
-    return wedge(j.Xu, j.Xv) * (1.0 / sqrt(ff.W))
+    return wedge(j.Xu, j.Xv) * (1.0 / xp(ff.W).sqrt(ff.W))
 
 
 def normal_plane_residual(f1: Frame, f2: Frame) -> float:
@@ -261,5 +286,5 @@ def normal_plane_residual(f1: Frame, f2: Frame) -> float:
     for n in (f1.N1, f1.N2):
         proj = (f2.N1 * minkowski_dot(n, f2.N1) * f2.eps1
                 + f2.N2 * minkowski_dot(n, f2.N2) * f2.eps2)
-        worst = max(worst, sqrt((n - proj).euclid_sq()))
+        worst = max(worst, math.sqrt((n - proj).euclid_sq()))
     return worst

@@ -1,13 +1,30 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import bour4.bour
+import bour4.cli
+import bour4.grids
+import bour4.meshes
 from bour4.cli import main
+from bour4.families import closed_form_curvatures, helicoid_from_json
+from bour4.grids import grid_for
 
 COR34 = {"kind": "I", "lambda": 1.0,
          "profile": {"x": "u", "z": "c1", "w": "0"},
          "domain": [1.5, 3.0], "constants": {"c1": 0.5}}
+
+
+#: Kind II, timelike on part of its 9x7 grid.
+PARTLY_TIMELIKE = {"kind": "II", "lambda": 1.0,
+                   "profile": {"x": "u^2", "y": "0", "w": "u"},
+                   "domain": [0.5, 1.5], "v_domain": [-0.5, 0.5]}
+#: exp(u) overflows in its squares (and beyond u = 709.8 in exp itself).
+OVERFLOWING = {"kind": "I", "lambda": 0.5,
+               "profile": {"x": "exp(u)", "z": "0", "w": "0"},
+               "domain": [700, 720]}
 
 
 def write_json(path: Path, data) -> str:
@@ -56,6 +73,57 @@ class TestReport:
         rep = json.loads(out.read_text())
         assert rep["spacelike_violations"]["count"] > 0
         assert rep["spacelike_violations"]["first"]["u"] is not None
+
+    def test_timelike_points_are_counted(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "s.json", PARTLY_TIMELIKE)
+        out = tmp_path / "report.json"
+        assert main(["report", "--spec", spec, "--grid", "9x7", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        violations = json.loads(out.read_text())["spacelike_violations"]
+        assert violations == {
+            "count": 21,
+            "first": {"u": 0.52, "v": -0.48,
+                      "reason": "W = -0.9779353599999999 < 0: surface is timelike here"}}
+
+    def test_violations_do_not_depend_on_row_blocks(self, tmp_path, monkeypatch):
+        spec = write_json(tmp_path / "s.json", PARTLY_TIMELIKE)
+        outs = []
+        for block_points in (bour4.grids.BLOCK_POINTS, 7):  # 7 points: one row a block
+            monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", block_points)
+            outs.append(tmp_path / f"report_{block_points}.json")
+            assert main(["report", "--spec", spec, "--grid", "9x7",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_stats_match_scalar_calls(self, tmp_path):
+        data = {"kind": "III", "lambda": 1.0,
+                "profile": {"x": "u", "z": "0.1*u", "w": "1 + u + u^2/12"},
+                "domain": [0.6, 2.0], "v_domain": [-1.5, 1.5]}
+        out = tmp_path / "report.json"
+        assert main(["report", "--spec", write_json(tmp_path / "s.json", data),
+                     "--grid", "7x5", "--out", str(out)]) == 0
+        spec = helicoid_from_json(data)
+        grid = grid_for(spec, 7, 5)
+        reps = [closed_form_curvatures(spec, u, v) for u in grid.us() for v in grid.vs()]
+        columns = {"K": [r.K for r in reps], "H1": [r.H1 for r in reps],
+                   "H2": [r.H2 for r in reps], "Hsup": [r.H_sup for r in reps],
+                   "W": [r.first.W for r in reps]}
+        stats = json.loads(out.read_text())["stats"]
+        for name, vals in columns.items():
+            want = {"min": min(vals), "max": max(vals), "mean": math.fsum(vals) / len(vals)}
+            for key, w in want.items():
+                assert stats[name][key] == pytest.approx(w, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("data, u", [(OVERFLOWING, 700.4),
+                                         ({**COR34, "lambda": 1e200}, 1.53)])
+    @pytest.mark.parametrize("command", [["report"], ["export", "--format", "csv"]])
+    def test_overflow_exits_3(self, tmp_path, capsys, command, data, u):
+        spec = write_json(tmp_path / "s.json", data)
+        assert main([*command, "--spec", spec, "--grid", "5x5",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: non-finite value at u = {u!r}, v = ")
+        assert err.count("\n") == 1
 
     def test_invalid_spec_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "s.json", {"kind": "IV"})
@@ -254,7 +322,56 @@ class TestExport:
                      "--out", str(out)]) == 0
         assert "dropped coordinate x1" in out.read_text()
 
+    def test_timelike_rows_are_nan(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "s.json", PARTLY_TIMELIKE)
+        out = tmp_path / "m.csv"
+        assert main(["export", "--spec", spec, "--grid", "9x7", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 63
+        assert sum(1 for r in rows if r[6:] == ["nan"] * 4) == 21
+        assert all("nan" not in r[:6] for r in rows)
+
     def test_unknown_projection_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "s.json", COR34)
         assert main(["export", "--spec", spec, "--projection", "drop-9",
                      "--out", str(tmp_path / "m.obj")]) == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("change", [
+        {"domain": [1.0]},
+        {"domain": "ab"},
+        {"lambda": "abc"},
+        {"lambda": None},
+        {"profile": {"x": 3, "z": "0", "w": "0"}},
+        {"v_domain": ["a", 1.0]},
+        {"v_domain": 2.0},
+        {"constants": {"c1": "abc"}},
+        {"constants": [1.0, 2.0]},
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, change):
+        spec = write_json(tmp_path / "s.json", {**COR34, **change})
+        assert main(["report", "--spec", spec, "--grid", "5x5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["5000x5000", "2001x2"])
+    @pytest.mark.parametrize("command", [
+        ["report", "--spec", "SPEC"], ["export", "--spec", "SPEC"],
+        ["verify", "--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5"],
+        ["example", "1", "--out-dir", "OUT"]])
+    def test_grid_cap_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch,
+                                              grid, command):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        for module in (bour4.cli, bour4.meshes, bour4.bour):
+            monkeypatch.setattr(module, "sweep", no_sweep)
+        spec = write_json(tmp_path / "s.json", COR34)
+        argv = [spec if a == "SPEC" else str(tmp_path / "out") if a == "OUT" else a
+                for a in command]
+        assert main([*argv, "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --grid '{grid}' exceeds 2000 samples per direction\n"

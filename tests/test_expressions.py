@@ -156,6 +156,17 @@ class TestEvalJet:
             eval_jet(parse("1 + sqrt(u - 3)"), 1.0)
         assert "sqrt(u - 3)" in str(info.value)
 
+    @pytest.mark.parametrize("src, u, sub", [
+        ("1 + exp(u)", 800.0, "exp(u)"),
+        ("2*cosh(u)", 800.0, "cosh(u)"),
+        ("sinh(u) - 1", -800.0, "sinh(u)"),
+        ("1 + u^400", 10.0, "u^400"),
+    ])
+    def test_overflow_names_subexpression(self, src, u, sub):
+        with pytest.raises(EvalDomainError) as info:
+            eval_jet(parse(src), u)
+        assert info.value.subexpr == sub
+
     def test_log_domain_error(self):
         with pytest.raises(EvalDomainError):
             eval_jet(parse("log(u)"), -1.0)

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from bour4.errors import DegenerateSurfaceError, NotSpacelikeError
-from bour4.families import make_helicoid, helicoid_jet, helicoid_position
+import numpy as np
+
+from bour4.bour import bour_partner, gauge_complete
+from bour4.errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
+                          NotSpacelikeError)
+from bour4.families import (HelicoidSpec, closed_form_curvatures, closed_form_gauss,
+                            make_helicoid, helicoid_jet, helicoid_position,
+                            rotational_jet, surface_jet, surface_profile)
+import bour4.grids
+from bour4.grids import Grid, sweep
 from bour4.lorentz import (E1, E2, E3, E4, CausalClass, Vec4, bivector_dot,
                            minkowski_dot, wedge)
 from bour4.surfaces import (SurfaceJet, curvature_report, first_form,
@@ -79,6 +87,12 @@ class TestFirstForm:
                        Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
         with pytest.raises(DegenerateSurfaceError):
             first_form(j)  # Xu lightlike and orthogonal to Xv: W = 0
+
+    def test_non_finite_rejected(self):
+        j = SurfaceJet(Vec4(0, 0, 0, 0), Vec4(1e200, 0, 0, 0), Vec4(0, 1e200, 0, 0),
+                       Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0), Vec4(0, 0, 0, 0))
+        with pytest.raises(NonFiniteError):
+            first_form(j)  # g11 g22 overflows
 
     def test_lagrange_identity(self):
         for _ in range(200):
@@ -193,3 +207,100 @@ class TestCausalBands:
         assert minimal
         minimal, cls = classify_mean_curvature(Vec4(0, 0, 0, 1), 0.5, 0.5)
         assert cls is CausalClass.TIMELIKE
+
+
+# ---------------------------------------------------------------------------
+# row-block sweeps: the array path against the scalar calls, point by point
+
+SWEEP_SPECS = {
+    "I": make_helicoid("I", 1.0, {"x": "2 + u + 0.1*sin(u)", "z": "0.3*sin(u)",
+                                  "w": "0.2*cos(u)"}, (0.3, 1.8)),
+    "II": make_helicoid("II", 1.0, {"x": "2*u", "y": "0.2*sin(u)", "w": "0.8 + u"},
+                        (0.5, 1.7), v_domain=(-0.8, 0.8)),
+    "III": make_helicoid("III", 1.0, {"x": "u", "z": "0.1*u", "w": "1 + u + u^2/12"},
+                         (0.6, 2.0), v_domain=(-1.5, 1.5)),
+}
+
+
+def sweep_surface(name):
+    if name != "partner":
+        return SWEEP_SPECS[name]
+    spec = SWEEP_SPECS["I"]
+    return bour_partner(spec, gauge_complete(spec, "a", "1/2"))
+
+
+def scalar_jet(surface, u, v):
+    if isinstance(surface, HelicoidSpec):
+        return helicoid_jet(surface, u, v)
+    return rotational_jet(surface, u, v)
+
+
+def swept(surface, grid, point):
+    blocks = list(sweep(grid, lambda u: surface_profile(surface, u), point))
+    return np.concatenate([b.out for b in blocks])
+
+
+def assert_matches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (got, want)
+
+
+GRID_7x5 = {"I": Grid(0.35, 1.75, 0.1, 6.0, 7, 5),
+            "II": Grid(0.55, 1.65, -0.7, 0.7, 7, 5),
+            "III": Grid(0.65, 1.95, -1.4, 1.4, 7, 5),
+            "partner": Grid(0.35, 1.75, 0.1, 6.0, 7, 5)}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", ["I", "II", "III", "partner"])
+    def test_generic_route_matches_scalar_calls(self, name):
+        surface, grid = sweep_surface(name), GRID_7x5[name]
+
+        def outputs(jet):
+            rep = curvature_report(jet)
+            return (*jet.X, rep.K, rep.H1, rep.H2, rep.first.W, *gauss_map(jet))
+
+        out = swept(surface, grid, lambda u, pj, v: outputs(surface_jet(surface, pj, v)))
+        points = [(u, v) for u in grid.us() for v in grid.vs()]
+        for row, (u, v) in zip(out, points):
+            assert_matches(row, outputs(scalar_jet(surface, u, v)))
+
+    @pytest.mark.parametrize("name", ["I", "II", "III"])
+    def test_closed_form_route_matches_scalar_calls(self, name):
+        spec, grid = SWEEP_SPECS[name], GRID_7x5[name]
+
+        def outputs(u, v, pj=None):
+            rep = closed_form_curvatures(spec, u, v, pj)
+            return (rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W,
+                    *closed_form_gauss(spec, u, v, pj))
+
+        out = swept(spec, grid, lambda u, pj, v: outputs(u, v, pj))
+        points = [(u, v) for u in grid.us() for v in grid.vs()]
+        for row, (u, v) in zip(out, points):
+            assert_matches(row, outputs(u, v))
+
+    def test_row_blocks_are_stitched_in_order(self, monkeypatch):
+        surface, grid = sweep_surface("II"), GRID_7x5["II"]
+
+        def point(u, pj, v):
+            jet = surface_jet(surface, pj, v)
+            return (*jet.X, curvature_report(jet).K)
+
+        whole = swept(surface, grid, point)
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 2 * grid.nv + 1)  # 2 rows
+        assert np.array_equal(swept(surface, grid, point), whole)
+
+    def test_first_error_in_row_major_order_is_raised(self):
+        # kind II with w'^2 - y'^2 reaching zero at u = 1: the array path
+        # raises the scalar error of the first failing point
+        spec = make_helicoid("II", 1.0, {"x": "3*u", "y": "u^2/2", "w": "u"}, (0.5, 1.5))
+        grid = Grid(0.6, 1.4, -0.5, 0.5, 9, 4)
+
+        def point(u, pj, v):
+            rep = closed_form_curvatures(spec, u, v, pj)
+            return rep.H1, rep.H2
+
+        with pytest.raises(FrameFailureError) as info:
+            swept(spec, grid, point)
+        assert str(info.value) == "w'^2 - y'^2 = 0.0 <= 0 at u = 1.0"
