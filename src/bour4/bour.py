@@ -41,6 +41,8 @@ from .lorentz import standard_to_pseudo, sup
 from .quadrature import Antiderivative, default_tolerance
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map
 
+#: A gauge function of u.  Like the integrands built from it, it takes a
+#: float or an array of u (a level of quadrature nodes).
 GaugeFn = Callable[[float], Dual]
 
 
@@ -195,7 +197,8 @@ class VbarMap:
     """The angular correspondence (u, v) -> vbar for one helicoidal spec.
 
     The u-dependent shift is tabulated once (adaptive quadrature for kinds I
-    and II); du() returns its exact derivative from the integrand.
+    and II, whose integrand takes a float or an array of u); du() returns its
+    exact derivative from the integrand.
     ``sign=-1`` flips the shift, which probes the wrong orientation.
     """
 
@@ -264,6 +267,8 @@ def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1,
 
 def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
                   tol: float | None, label: str) -> ProfileFn:
+    """The profile constant + int integrand du, tabulated once; the integrand
+    takes a float or an array of u, the profile a float."""
     table = Antiderivative(lambda u: integrand(u).v, domain[0], domain[1],
                            tol if tol is not None else default_tolerance())
 

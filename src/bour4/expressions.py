@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from .jets import Jet2
 
@@ -279,14 +281,22 @@ def eval_const(e: Expr, consts: Mapping[str, float]) -> float:
     raise UnknownIdentifierError("u", e.span[0])
 
 
-def eval_jet(e: Expr, u: float, consts: Mapping[str, float] | None = None) -> Jet2:
-    """Evaluate e and its first two u-derivatives at u.
+def eval_jet(e: Expr, u, consts: Mapping[str, float] | None = None) -> Jet2:
+    """Evaluate e and its first two u-derivatives at u, a float or an array.
 
-    Domain violations and float overflow raise EvalDomainError naming the
-    offending sub-expression.
+    On a float, domain violations and float overflow raise EvalDomainError
+    naming the offending sub-expression.  On an array, every field of the
+    result is an array of u's shape, and the elements where the float call
+    would raise are not finite (NaN for a domain violation), without a
+    warning; a violation in a sub-expression free of u raises on arrays too.
     """
     consts = consts or {}
-    return _eval(e, Jet2.var(u), consts)
+    if not isinstance(u, np.ndarray):
+        return _eval(e, Jet2.var(u), consts)
+    with np.errstate(all="ignore"):
+        j = _eval(e, Jet2.var(u), consts)
+    shape = np.shape(u)
+    return Jet2(*(np.broadcast_to(c, shape) for c in (j.v, j.d1, j.d2)))
 
 
 def _eval(e: Expr, uj: Jet2, consts) -> Jet2:

@@ -10,15 +10,12 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .families import HelicoidSpec
-from .jets import Jet2, JetBlock
+from .jets import Jet2
+from .lorentz import BLOCK_POINTS
 
 #: Fraction of the span trimmed from each end of a declared domain before
 #: sweeping, so grids stay clear of endpoint singularities.
 EDGE_SHRINK = 0.02
-
-#: Grid points evaluated together: a sweep takes max(1, BLOCK_POINTS // nv)
-#: rows at a time, so its temporaries stay small at any grid size.
-BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def sweep(grid: Grid, row: Callable, point: Callable,
     still swept first.
     """
     us, vs = grid.us(), grid.vs()
-    step = max(1, BLOCK_POINTS // len(vs))
+    step = max(1, BLOCK_POINTS // len(vs))  # rows per block
     for start in range(0, len(us), step):
         block_us = us[start:start + step]
         rows = []
@@ -117,8 +114,8 @@ def _stack(items: list):
     if isinstance(first, dict):
         return {k: _stack([it[k] for it in items]) for k in first}
     if isinstance(first, Jet2):
-        return JetBlock(*(np.array([getattr(j, c) for j in items])[:, None]
-                          for c in ("v", "d1", "d2")))
+        return Jet2(*(np.array([getattr(j, c) for j in items])[:, None]
+                      for c in ("v", "d1", "d2")))
     if isinstance(first, tuple):
         parts = [_stack([it[k] for it in items]) for k in range(len(first))]
         return type(first)(*parts) if hasattr(first, "_fields") else tuple(parts)

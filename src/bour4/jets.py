@@ -4,16 +4,30 @@ Jet2 carries (value, first, second derivative) and is the currency for
 profile-curve components: curvature formulas consume exact derivatives, never
 finite differences.  Dual carries (value, first derivative) only and is used
 where second derivatives of the inputs are not available, e.g. integrands of
-quadrature-defined components.  JetBlock holds the same triple for a block
-of rows, as arrays.
+quadrature-defined components.
+
+Both carry Python floats (one point) or numpy arrays (many points: a block
+of sweep rows, a level of quadrature nodes), as the geometry of lorentz.py
+does.  A domain check raises EvalDomainError on a float; on an array the
+failed elements become NaN (see lorentz.flag), and the caller that batched
+the points re-runs the first failed one on floats for its error.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EvalDomainError
+from .lorentz import flag, where, xp
+
+
+def _poison(bad, *fields):
+    """The fields with NaN where the array mask ``bad`` holds."""
+    if not bad.any():
+        return fields
+    return tuple(where(bad, math.nan, x) for x in fields)
 
 
 class Jet2:
@@ -22,13 +36,15 @@ class Jet2:
     __slots__ = ("v", "d1", "d2")
 
     def __init__(self, v, d1=0.0, d2=0.0):
-        self.v = float(v)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
+        self.v = v
+        self.d1 = d1
+        self.d2 = d2
 
     @staticmethod
     def var(u):
-        return Jet2(u, 1.0, 0.0)
+        """The independent variable at u: a float, or a float array of points."""
+        return Jet2(np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else float(u),
+                    1.0, 0.0)
 
     @staticmethod
     def const(c):
@@ -67,100 +83,96 @@ class Jet2:
 
     def __truediv__(self, o):
         o = Jet2._coerce(o)
-        if o.v == 0.0:
-            raise EvalDomainError("division by zero")
+        bad = flag(o.v == 0.0, EvalDomainError, "division by zero")
         q = self.v / o.v
         q1 = (self.d1 - q * o.d1) / o.v
         q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v
-        return Jet2(q, q1, q2)
+        return Jet2(q, q1, q2) if bad is False else Jet2(*_poison(bad, q, q1, q2))
 
     def __rtruediv__(self, o):
         return Jet2._coerce(o).__truediv__(self)
 
-    def _chain(self, f0, f1, f2):
-        """Compose with an outer f given f(v), f'(v), f''(v)."""
-        return Jet2(f0, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)
+    def _chain(self, f0, f1, f2, bad=False):
+        """Compose with an outer f given f(v), f'(v), f''(v); NaN where bad."""
+        f1, f2 = f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2
+        return Jet2(f0, f1, f2) if bad is False else Jet2(*_poison(bad, f0, f1, f2))
 
     def __pow__(self, p):
         p = float(p)
         x = self.v
         if p.is_integer():
             n = int(p)
-            if x == 0.0:
-                if n < 0:
-                    raise EvalDomainError("zero raised to a negative power")
-                f0 = 1.0 if n == 0 else 0.0
-                f1 = 1.0 if n == 1 else 0.0
-                f2 = 2.0 if n == 2 else 0.0
-                return self._chain(f0, f1, f2)
-            return self._chain(x ** n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2))
-        if x < 0.0:
-            raise EvalDomainError(f"fractional power of negative value {x!r}")
-        if x == 0.0:
-            raise EvalDomainError("fractional power of zero has a singular derivative")
-        return self._chain(x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0))
+            bad = flag(x == 0.0, EvalDomainError,
+                       "zero raised to a negative power") if n < 0 else False
+            # a power of x whose factor is 0 is never formed, so x = 0 needs
+            # no case of its own
+            return self._chain(x ** n, n * x ** (n - 1) if n else 0.0,
+                               n * (n - 1) * x ** (n - 2) if n not in (0, 1) else 0.0, bad)
+        bad = (flag(x < 0.0, EvalDomainError, "fractional power of negative value {!r}", x)
+               | flag(x == 0.0, EvalDomainError,
+                      "fractional power of zero has a singular derivative"))
+        return self._chain(x ** p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0), bad)
 
     def sqrt(self):
-        if self.v < 0.0:
-            raise EvalDomainError(f"square root of negative value {self.v!r}")
-        if self.v == 0.0:
-            raise EvalDomainError("square root of zero has a singular derivative")
-        r = math.sqrt(self.v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
+        x = self.v
+        bad = (flag(x < 0.0, EvalDomainError, "square root of negative value {!r}", x)
+               | flag(x == 0.0, EvalDomainError, "square root of zero has a singular derivative"))
+        r = xp(x).sqrt(x)
+        return self._chain(r, 0.5 / r, -0.25 / (r * x), bad)
 
     def exp(self):
-        e = math.exp(self.v)
+        e = xp(self.v).exp(self.v)
         return self._chain(e, e, e)
 
     def log(self):
-        if self.v <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {self.v!r}")
-        return self._chain(math.log(self.v), 1.0 / self.v, -1.0 / (self.v * self.v))
+        x = self.v
+        bad = flag(x <= 0.0, EvalDomainError, "log of non-positive value {!r}", x)
+        return self._chain(xp(x).log(x), 1.0 / x, -1.0 / (x * x), bad)
 
     def sin(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        m = xp(self.v)
+        s, c = m.sin(self.v), m.cos(self.v)
         return self._chain(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        m = xp(self.v)
+        s, c = m.sin(self.v), m.cos(self.v)
         return self._chain(c, -s, -c)
 
     def sinh(self):
-        s, c = math.sinh(self.v), math.cosh(self.v)
+        m = xp(self.v)
+        s, c = m.sinh(self.v), m.cosh(self.v)
         return self._chain(s, c, s)
 
     def cosh(self):
-        s, c = math.sinh(self.v), math.cosh(self.v)
+        m = xp(self.v)
+        s, c = m.sinh(self.v), m.cosh(self.v)
         return self._chain(c, s, c)
 
     def tan(self):
-        t = math.tan(self.v)
+        t = xp(self.v).tan(self.v)
         sec2 = 1.0 + t * t
         return self._chain(t, sec2, 2.0 * t * sec2)
 
     def atan(self):
-        d = 1.0 + self.v * self.v
-        return self._chain(math.atan(self.v), 1.0 / d, -2.0 * self.v / (d * d))
+        x = self.v
+        d = 1.0 + x * x
+        return self._chain(xp(x).atan(x), 1.0 / d, -2.0 * x / (d * d))
 
     def asin(self):
-        if abs(self.v) >= 1.0:
-            raise EvalDomainError(f"asin outside (-1, 1): {self.v!r}")
-        d = 1.0 - self.v * self.v
-        rd = math.sqrt(d)
-        return self._chain(math.asin(self.v), 1.0 / rd, self.v / (d * rd))
+        x = self.v
+        bad = flag(abs(x) >= 1.0, EvalDomainError, "asin outside (-1, 1): {!r}", x)
+        m = xp(x)
+        d = 1.0 - x * x
+        rd = m.sqrt(d)
+        return self._chain(m.asin(x), 1.0 / rd, x / (d * rd), bad)
 
     def asinh(self):
-        d = 1.0 + self.v * self.v
-        rd = math.sqrt(d)
-        return self._chain(math.asinh(self.v), 1.0 / rd, -self.v / (d * rd))
-
-
-class JetBlock(NamedTuple):
-    """Jet2 components (v, d1, d2) of one profile over a block of rows, as arrays."""
-
-    v: object
-    d1: object
-    d2: object
+        x = self.v
+        m = xp(x)
+        d = 1.0 + x * x
+        rd = m.sqrt(d)
+        return self._chain(m.asinh(x), 1.0 / rd, -x / (d * rd))
 
 
 class Dual:
@@ -169,8 +181,8 @@ class Dual:
     __slots__ = ("v", "d")
 
     def __init__(self, v, d=0.0):
-        self.v = float(v)
-        self.d = float(d)
+        self.v = v
+        self.d = d
 
     @staticmethod
     def from_jet(j: Jet2) -> "Dual":
@@ -212,10 +224,10 @@ class Dual:
 
     def __truediv__(self, o):
         o = Dual._coerce(o)
-        if o.v == 0.0:
-            raise EvalDomainError("division by zero")
+        bad = flag(o.v == 0.0, EvalDomainError, "division by zero")
         q = self.v / o.v
-        return Dual(q, (self.d - q * o.d) / o.v)
+        d = (self.d - q * o.d) / o.v
+        return Dual(q, d) if bad is False else Dual(*_poison(bad, q, d))
 
     def __rtruediv__(self, o):
         return Dual._coerce(o).__truediv__(self)
@@ -225,17 +237,18 @@ class Dual:
         x = self.v
         if p.is_integer():
             n = int(p)
-            if x == 0.0:
-                if n < 0:
-                    raise EvalDomainError("zero raised to a negative power")
-                return Dual(1.0 if n == 0 else 0.0, self.d if n == 1 else 0.0)
-            return Dual(x ** n, n * x ** (n - 1) * self.d)
-        if x <= 0.0:
-            raise EvalDomainError(f"fractional power of non-positive value {x!r}")
-        return Dual(x ** p, p * x ** (p - 1.0) * self.d)
+            bad = flag(x == 0.0, EvalDomainError,
+                       "zero raised to a negative power") if n < 0 else False
+            v, d = x ** n, (n * x ** (n - 1) if n else 0.0) * self.d
+        else:
+            bad = flag(x <= 0.0, EvalDomainError,
+                       "fractional power of non-positive value {!r}", x)
+            v, d = x ** p, p * x ** (p - 1.0) * self.d
+        return Dual(v, d) if bad is False else Dual(*_poison(bad, v, d))
 
     def sqrt(self):
-        if self.v <= 0.0:
-            raise EvalDomainError(f"square root of non-positive value {self.v!r}")
-        r = math.sqrt(self.v)
-        return Dual(r, 0.5 * self.d / r)
+        x = self.v
+        bad = flag(x <= 0.0, EvalDomainError, "square root of non-positive value {!r}", x)
+        r = xp(x).sqrt(x)
+        d = 0.5 * self.d / r
+        return Dual(r, d) if bad is False else Dual(*_poison(bad, r, d))

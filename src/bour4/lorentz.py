@@ -26,6 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 
+#: Points evaluated together in one array call (a block of sweep rows, a
+#: batch of quadrature nodes, a block of mesh lines), so that temporaries
+#: stay small at any problem size.
+BLOCK_POINTS = 4096
+
+
 def xp(x):
     """The namespace of elementary functions for x: numpy for arrays, math otherwise."""
     return np if isinstance(x, np.ndarray) else math

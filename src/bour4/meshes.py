@@ -142,10 +142,13 @@ def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") ->
 def write_csv(mesh: MeshGrid, out: TextIO) -> int:
     """Write one row per sample: u,v,x1,x2,x3,x4,K,H1,H2,W.  Returns row count."""
     out.write("u,v,x1,x2,x3,x4,K,H1,H2,W\n")
-    us, vs = np.array(mesh.grid.us()), np.array(mesh.grid.vs())
+    # each u and v is formatted once, not once per row
+    u_text = [f"{u!r}," for u in mesh.grid.us()]
+    v_text = [f"{v!r}," for v in mesh.grid.vs()]
+    nv = len(v_text)
     for rows in _vertex_blocks(mesh):
-        i, j = np.divmod(np.arange(rows.start, rows.stop), len(vs))
-        table = np.column_stack([us[i], vs[j], mesh.vertices[rows]]
+        table = np.column_stack([mesh.vertices[rows]]
                                 + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")])
-        out.write("".join(",".join(map(repr, r)) + "\n" for r in table.tolist()))
+        out.write("".join(u_text[k // nv] + v_text[k % nv] + ",".join(map(repr, r)) + "\n"
+                          for k, r in enumerate(table.tolist(), rows.start)))
     return len(mesh.vertices)

@@ -1,12 +1,16 @@
 """Adaptive Gauss-Kronrod integration and memoized antiderivatives.
 
 ``integrate`` is a standard 15-point Kronrod / 7-point Gauss pair with
-recursive bisection.  ``Antiderivative`` builds F(u) = int_{u0}^{u} f once on
+adaptive bisection.  ``Antiderivative`` builds F(u) = int_{u0}^{u} f once on
 a refined panel table and answers point queries by cubic Hermite
 interpolation (panel endpoint values plus the exact integrand as slope), so
 grid sweeps do not re-integrate.  Panels are split until both the Kronrod
 error estimate and the interpolation error estimate at the panel midpoint
 clear the requested tolerance.
+
+Both refine breadth first: the nodes of every open panel of a refinement
+level are evaluated together, in calls of at most BLOCK_POINTS nodes, so an
+integrand takes a float or an array of u and returns the same shape.
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from itertools import accumulate
 from typing import Callable
 
+import numpy as np
+
 from .errors import QuadratureError
+from .lorentz import BLOCK_POINTS
 
 DEFAULT_TOL = 1e-11
 #: Interpolation-table tolerance; one order looser than the panel integrals.
@@ -55,58 +63,134 @@ _WG = (
     0.129484966168870, 0.279705391489277,
     0.381830050505119, 0.417959183673469,
 )
+_XGK_OFF = np.array(_XGK[:7])
 
 
-def _gk15(f, a, b):
-    """Kronrod-15 estimate of int_a^b f with an error estimate |K15 - G7|."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
+def _gk15_nodes(lo, hi):
+    """The 15 Kronrod nodes of each panel [lo, hi], one row per panel:
+    mid - dx_0..6, mid + dx_0..6, mid."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    dx = half[:, None] * _XGK_OFF
+    return np.concatenate([mid[:, None] - dx, mid[:, None] + dx, mid[:, None]], axis=1)
+
+
+def _gk15_sum(lo, hi, fx):
+    """Kronrod-15 estimates of each panel's integral from its node values
+    (laid out as in _gk15_nodes), with the error estimates |K15 - G7|."""
+    half = 0.5 * (hi - lo)
+    kron = _WGK[7] * fx[:, 14]
+    gauss = _WG[3] * fx[:, 14]
     for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        kron += _WGK[i] * (f1 + f2)
+        pair = fx[:, i] + fx[:, 7 + i]
+        kron = kron + _WGK[i] * pair
         if i % 2 == 1:
-            gauss += _WG[i // 2] * (f1 + f2)
-    kron *= half
-    gauss *= half
-    return kron, abs(kron - gauss)
+            gauss = gauss + _WG[i // 2] * pair
+    kron = kron * half
+    gauss = gauss * half
+    return kron, np.abs(kron - gauss)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
+def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
+    """f at every node, in calls of at most BLOCK_POINTS nodes."""
+    flat = nodes.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, BLOCK_POINTS):
+        chunk = flat[start:start + BLOCK_POINTS]
+        out[start:start + BLOCK_POINTS] = np.broadcast_to(
+            np.asarray(f(chunk), dtype=float), chunk.shape)
+    return out.reshape(nodes.shape)
+
+
+def _not_finite(f, lo, hi, nodes, fx, full):
+    """The error for a level whose values are not all finite: the scalar
+    integrand's own, raised at the first such node in ascending u, or a
+    QuadratureError for that node's panel."""
+    rows, cols = np.nonzero(~np.isfinite(fx))
+    if rows.size:
+        k = int(np.argmin(nodes[rows, cols]))
+        f(float(nodes[rows[k], cols[k]]))
+        row = rows[k]
+    else:  # finite values whose panel sum overflowed
+        row = int(np.argmax(~np.isfinite(full)))
+    return QuadratureError(f"integrand not finite on [{lo[row]:.6g}, {hi[row]:.6g}]")
+
+
+def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float | None,
+            max_depth: int, max_panels: int):
+    """Adaptive Gauss-Kronrod panels of [edges[0], edges[-1]], breadth first.
+
+    A panel is split while its Kronrod error exceeds max(budget, tol*|K15|),
+    the budget halving with each split.  With a ``table_tol`` it is also
+    split while the cubic Hermite prediction of its left half's integral
+    misses the Kronrod value by more than table_tol.  Returns the accepted
+    panels' (lo, hi, integral, f(lo), f(hi)) as arrays in ascending order.
+    """
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    budgets = np.full(lo.size, budget)
+    done = []
+    accepted = 0
+    for depth in range(max_depth + 1):
+        if accepted + lo.size > max_panels:
+            raise QuadratureError("antiderivative table exceeded panel budget")
+        parts = [_gk15_nodes(lo, hi), lo[:, None], hi[:, None]]
+        mid = 0.5 * (lo + hi)
+        if table_tol is not None:
+            parts.append(_gk15_nodes(lo, mid))
+        nodes = np.concatenate(parts, axis=1)
+        fx = _evaluate(f, nodes)
+        full, err = _gk15_sum(lo, hi, fx[:, :15])
+        if not (np.isfinite(fx).all() and np.isfinite(full).all()):
+            raise _not_finite(f, lo, hi, nodes, fx, full)
+        f_lo, f_hi = fx[:, 15], fx[:, 16]
+        split = err > np.maximum(budgets, tol * np.abs(full))
+        if table_tol is not None:
+            left_half, _ = _gk15_sum(lo, mid, fx[:, 17:])
+            # cubic Hermite prediction of F(mid) - F(lo) from panel data
+            hermite_mid = 0.5 * full + 0.125 * (hi - lo) * (f_lo - f_hi)
+            split |= np.abs(hermite_mid - left_half) > table_tol
+        keep = ~split
+        done.append((lo[keep], hi[keep], full[keep], f_lo[keep], f_hi[keep]))
+        accepted += int(keep.sum())
+        if not split.any():
+            break
+        if depth == max_depth:
+            first = int(np.argmax(split))
+            raise QuadratureError(f"no convergence on [{lo[first]:.6g}, {hi[first]:.6g}] "
+                                  f"(error {err[first]:.3g})")
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.stack([lo, mid], axis=1).reshape(-1), np.stack([mid, hi], axis=1).reshape(-1)
+        budgets = np.repeat(0.5 * budgets[split], 2)
+    panels = [np.concatenate(column) for column in zip(*done)]
+    order = np.argsort(panels[0], kind="stable")
+    return [column[order] for column in panels]
+
+
+def integrate(f: Callable, a: float, b: float,
               tol: float | None = None, max_depth: int = 48) -> float:
-    """Adaptive integral of f over [a, b] to absolute/relative tolerance tol."""
+    """Adaptive integral of f over [a, b] to absolute/relative tolerance tol.
+
+    f takes a float or an array of u and returns the same shape.
+    """
     if tol is None:
         tol = default_tolerance()
     if a == b:
         return 0.0
-
-    def rec(lo, hi, budget, depth):
-        val, err = _gk15(f, lo, hi)
-        if not math.isfinite(val):
-            raise QuadratureError(f"integrand not finite on [{lo:.6g}, {hi:.6g}]")
-        if err <= max(budget, tol * abs(val)):
-            return val
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"no convergence on [{lo:.6g}, {hi:.6g}] (error {err:.3g})")
-        mid = 0.5 * (lo + hi)
-        return rec(lo, mid, budget * 0.5, depth + 1) + rec(mid, hi, budget * 0.5, depth + 1)
-
-    return rec(a, b, tol, 0)
+    if a > b:
+        return -integrate(f, b, a, tol, max_depth)
+    with np.errstate(all="ignore"):
+        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, max_depth, math.inf)
+    return sum(values.tolist())
 
 
 class Antiderivative:
     """F(u) = int_{u0}^{u} f du on [u0, u1], tabulated once, then interpolated.
 
-    f must be smooth on the closed interval.  Queries slightly outside the
-    build interval (within one panel width) fall back to direct quadrature.
+    f must be smooth on the closed interval and take a float or an array of
+    u.  Queries slightly outside the build interval (within one panel width)
+    fall back to direct quadrature.
     """
 
-    def __init__(self, f: Callable[[float], float], u0: float, u1: float,
+    def __init__(self, f: Callable, u0: float, u1: float,
                  tol: float | None = None, initial_panels: int = 8,
                  max_panels: int = 200000):
         if u1 <= u0:
@@ -125,41 +209,13 @@ class Antiderivative:
         table_tol = 0.5 * max(self.tol * 10.0, TABLE_TOL)
         edges = [self.u0 + (self.u1 - self.u0) * i / initial_panels
                  for i in range(initial_panels + 1)]
-        nodes = []
-        increments = []
-
-        def refine(lo, hi, budget, depth):
-            if len(nodes) > self._max_panels:
-                raise QuadratureError("antiderivative table exceeded panel budget")
-            full, err = _gk15(self.f, lo, hi)
-            if not math.isfinite(full):
-                raise QuadratureError(
-                    f"integrand not finite on [{lo:.6g}, {hi:.6g}]")
-            mid = 0.5 * (lo + hi)
-            left_half, _ = _gk15(self.f, lo, mid)
-            # cubic Hermite prediction of F(mid) - F(lo) from panel data
-            hermite_mid = 0.5 * full + 0.125 * (hi - lo) * (self.f(lo) - self.f(hi))
-            interp_err = abs(hermite_mid - left_half)
-            if (err > max(budget, self.tol * abs(full)) or interp_err > table_tol):
-                if depth >= 48:
-                    raise QuadratureError(
-                        f"no convergence on [{lo:.6g}, {hi:.6g}]")
-                refine(lo, mid, budget * 0.5, depth + 1)
-                refine(mid, hi, budget * 0.5, depth + 1)
-            else:
-                nodes.append(hi)
-                increments.append(full)
-
-        for lo, hi in zip(edges, edges[1:]):
-            refine(lo, hi, self.tol / initial_panels, 0)
-
-        self._us = [self.u0] + nodes
-        self._Fs = [0.0]
-        acc = 0.0
-        for inc in increments:
-            acc += inc
-            self._Fs.append(acc)
-        self._fs = [self.f(u) for u in self._us]
+        with np.errstate(all="ignore"):
+            _, hi, increments, f_lo, f_hi = _refine(
+                self.f, edges, self.tol / initial_panels, self.tol, table_tol,
+                48, self._max_panels)
+        self._us = [self.u0] + hi.tolist()
+        self._Fs = [0.0, *accumulate(increments.tolist())]
+        self._fs = f_lo[:1].tolist() + f_hi.tolist()
 
     def __call__(self, u: float) -> float:
         us = self._us

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import bour4.bour as bour_mod
@@ -41,7 +42,7 @@ class TestVbar:
         h, _ = same_gauss_pair_I("u", **EX1)
         vb = vbar_map(h)
         from bour4.quadrature import integrate
-        f = lambda t: -1.0 / (t * math.sqrt(t ** 4 - 1.0))
+        f = lambda t: -1.0 / (t * np.sqrt(t ** 4 - 1.0))
         for u in (1.3, 1.9, 2.5, 3.0):
             expected = integrate(f, h.domain[0], u)
             assert vb(u, 0.0) == pytest.approx(expected, abs=1e-8)
@@ -67,6 +68,22 @@ class TestVbar:
         monkeypatch.setattr(bour_mod, "Antiderivative", CountedAntiderivative)
         choose_vbar_sign(h, r)
         assert built == []
+
+    @pytest.mark.parametrize("pair,panels", [
+        # example 1; verify --theorem 3.3 --x u --lambda 1 --c3 0.5 builds the same table
+        (lambda: same_gauss_pair_I("u", **EX1), 351),
+        (lambda: same_gauss_pair_I("u", 1.0, 0.5), 175),  # default domain (1.5, 3)
+        # example 2
+        (lambda: same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9)), 330),
+        (lambda: same_gauss_pair_II("u", 1.0, -0.5), 253),  # default domain (0.3, 0.9)
+        # verify --theorem 3.6 --w u --lambda 1 --c3 -0.5: (0.25, 0.9) * sqrt(1/0.5 - 1)
+        (lambda: same_gauss_pair_II("u", 1.0, -0.5, domain=(0.25, 0.9)), 295),
+    ])
+    def test_shift_table_panels(self, pair, panels):
+        # the adaptive refinement chooses these panels; a change of refinement
+        # order or batching must not move them
+        h, _ = pair()
+        assert len(vbar_map(h)._table._us) - 1 == panels
 
     def test_opposite_sign_reads_the_same_shift(self):
         h, _ = same_gauss_pair_I("u", **EX1)

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bour4.bour import _W_TEMPLATE_I, _X_TEMPLATE_II, constraint_rhs
 from bour4.errors import (EvalDomainError, ExprSyntaxError,
                           UnknownIdentifierError)
-from bour4.expressions import (Bin, Call, Num, Var, eval_jet, parse,
-                               to_source)
+from bour4.expressions import (FUNCTIONS, Bin, Call, Num, Var, eval_jet, parse,
+                               substitute, to_source)
+from bour4.families import make_helicoid
 
 # text of the fourth profile component used in the first bundled example
 EXAMPLE_W = ("asinh(sqrt((u^2 - 1)/2)) - atan(sqrt((u^2 - 1)/(u^2 + 1)))")
@@ -191,3 +194,85 @@ class TestEvalJet:
     def test_negative_base_fractional_exponent_rejected(self):
         with pytest.raises(EvalDomainError):
             eval_jet(parse("u^0.5"), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against the one-point API
+
+#: (tree, u interval, constants, whether some samples leave the domain):
+#: each function of the grammar on an inner polynomial (sqrt, log and asin
+#: leave their domain; u = 0 is a sample, where the inner value is 0),
+#: powers and a quotient with a pole at the sample u = 1, and the two
+#: shared-Gauss-map templates on intervals crossing their domain edge.
+PARITY_CASES = [
+    *((f"{fn}(u^2/2 - u/3)", (-2.0, 2.0), {}, fn in ("sqrt", "log", "asin"))
+      for fn in FUNCTIONS),
+    ("(u - 1)^-2 + u^1.5 + u^0 + u^1", (-2.0, 2.0), {}, True),
+    ("1/(u - 1)", (-2.0, 2.0), {}, True),
+    (substitute(parse(_W_TEMPLATE_I), {"X": Var()}), (0.5, 3.5),
+     {"lam": 1.0, "c3": 0.5}, True),
+    (substitute(parse(_X_TEMPLATE_II), {"X": Var()}), (0.0, 1.5),
+     {"lam": 1.0, "c3": -0.5}, True),
+]
+
+
+def _scalar_fields(fn, us, names):
+    """Per-u scalar results as arrays, NaN where the scalar call raises."""
+    rows = []
+    for u in us.tolist():
+        try:
+            out = fn(u)
+        except EvalDomainError:
+            rows.append([np.nan] * len(names))
+        else:
+            rows.append([getattr(out, n) for n in names])
+    return np.array(rows).T
+
+
+def _assert_parity(batched, scalar):
+    for got, want in zip(batched, scalar):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(got[ok] - want[ok]) <= 1e-14 * np.maximum(1.0, np.abs(want[ok])))
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("tree,interval,consts,partial", PARITY_CASES,
+                             ids=lambda case: case if isinstance(case, str) else None)
+    def test_jet_matches_scalar_calls(self, tree, interval, consts, partial):
+        e = parse(tree) if isinstance(tree, str) else tree
+        us = np.linspace(*interval, 257)
+        j = eval_jet(e, us, consts)
+        batched = [np.asarray(getattr(j, n)) for n in ("v", "d1", "d2")]
+        assert all(b.shape == us.shape for b in batched)
+        scalar = _scalar_fields(lambda u: eval_jet(e, u, consts), us, ("v", "d1", "d2"))
+        assert np.isnan(scalar[0]).any() == partial and not np.isnan(scalar[0]).all()
+        _assert_parity(batched, scalar)
+
+    def test_scalar_results_stay_floats(self):
+        j = eval_jet(parse("sqrt(u) + 2*sin(u)"), 2)
+        assert all(type(x) is float for x in (j.v, j.d1, j.d2))
+
+    def test_constant_subtree_out_of_domain_raises_on_arrays(self):
+        with pytest.raises(EvalDomainError, match="sqrt"):
+            eval_jet(parse("u + sqrt(0 - 1)"), np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("kind,names", [("I", ("x", "z", "w")),
+                                            ("II", ("x", "y", "w")),
+                                            ("III", ("x", "z", "w"))])
+    def test_dual_matches_scalar_calls_through_constraint_rhs(self, kind, names):
+        # x, w and their derivatives vanish at samples (u = -1, 0, 1), where
+        # the constraint divides by zero
+        profile = dict(zip(names, ("u^2 - 1", "sin(u)", "u^2 - 1 + u^3/5")))
+        if kind == "I":
+            profile["x"], profile["w"] = profile["w"], profile["x"]
+        spec = make_helicoid(kind, 0.7, profile, (-2.0, 2.0))
+        rhs = constraint_rhs(spec)
+        us = np.linspace(-2.0, 2.0, 257)
+        # array arithmetic runs under the batching caller's errstate, as in
+        # the quadrature loop and the grid sweep
+        with np.errstate(all="ignore"):
+            d = rhs(us)
+        scalar = _scalar_fields(rhs, us, ("v", "d"))
+        assert np.isnan(scalar[0]).any() and not np.isnan(scalar[0]).all()
+        _assert_parity([d.v, d.d], scalar)
