@@ -359,18 +359,14 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
     """
     vb = vbar_map(h, sign, tol)
 
-    def row(u):
+    def f(u, v):
         pj = profile_jets(h, u)
         k = vb.du(u)
         g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
-        return pj, k, g, vb.shift(u), surface_profile(r, u)
-
-    def at(u, row, v):
-        pj, k, g, shift, rpj = row
         return point(k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
-                     surface_jet(r, rpj, v + shift))
+                     surface_jet(r, surface_profile(r, u), vb(u, v)))
 
-    return sweep(grid, row, at)
+    return sweep(grid, f)
 
 
 def _sweep_sup(blocks: Iterator[Block]) -> float:

@@ -28,7 +28,7 @@ from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
-                       helicoid_to_json, make_helicoid, profile_jets)
+                       helicoid_to_json, make_helicoid)
 from .grids import Grid, grid_for, sweep
 from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
@@ -102,15 +102,9 @@ def cmd_report(args) -> int:
     grid = grid_for(spec, *size)
     tolerated = (NotSpacelikeError, DegenerateSurfaceError)
 
-    def row(u):
+    def f(u, v):
         try:
-            return profile_jets(spec, u)
-        except NumericalError as exc:
-            raise _located(exc, u, grid.v0) from None
-
-    def point(u, pj, v):
-        try:
-            rep = closed_form_curvatures(spec, u, v, pj)
+            rep = closed_form_curvatures(spec, u, v)
         except tolerated:
             raise
         except NumericalError as exc:
@@ -118,7 +112,7 @@ def cmd_report(args) -> int:
         return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
 
     kept, violations, first = [], 0, None
-    for block in sweep(grid, row, point, tolerated):
+    for block in sweep(grid, f, tolerated):
         if block.tolerated and first is None:
             u, v = block.uv(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}
@@ -193,9 +187,14 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
             h = helicoid_from_json(raw["helicoid"])
             gspec = raw["gauge"]
             given, expr = gspec["given"], gspec["expr"]
+            if not isinstance(expr, str):
+                raise TypeError(f"gauge expr must be an expression string, got {expr!r}")
             c0, c1 = raw.get("partner_constants", (0.0, 0.0))
             constants = (float(c0), float(c1))
-            expect = list(raw.get("expect", ["isometric"]))
+            expect = raw.get("expect", ["isometric"])
+            claims = (*SAME_GAUSS_CLAIMS, "gauss_differ")
+            if not (isinstance(expect, list) and all(name in claims for name in expect)):
+                raise ValueError(f"expect must be a list of claims from {claims}, got {expect!r}")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"bad pair file: {exc}") from None
         r = bour_partner(h, gauge_complete(h, given, expr), constants=constants)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .families import HelicoidSpec
-from .jets import Jet2
 from .lorentz import BLOCK_POINTS
 
 #: Fraction of the span trimmed from each end of a declared domain before
@@ -60,7 +59,7 @@ class Block:
     """The outputs of one block of grid rows.
 
     ``out`` has one row per grid point (row-major: u outer, v inner) and one
-    column per output of the point function.  ``tolerated`` lists the
+    column per output of the swept function.  ``tolerated`` lists the
     points, as indices into ``out``, whose scalar re-run raised a tolerated
     error; ``reason`` is the message of the first of them.
     """
@@ -76,78 +75,62 @@ class Block:
         return self.us[i], self.vs[j]
 
 
-def sweep(grid: Grid, row: Callable, point: Callable,
+def sweep(grid: Grid, f: Callable,
           tolerated: tuple[type[Exception], ...] = ()) -> Iterator[Block]:
-    """Evaluate ``point(u, row(u), v)`` over the grid, one block of rows at a time.
+    """Evaluate ``f(u, v)`` over the grid, one block of rows at a time.
 
-    ``row`` runs once per u on floats and returns Jet2s and floats (or rows
-    of nv values), nested in dicts and tuples.  ``point`` is written once
-    over floats and arrays and returns a tuple of outputs; each block stacks
-    its rows into column arrays and calls it once, with v as a row array.
+    ``f`` is written once over floats and arrays and returns a tuple of
+    outputs.  Each block calls it once, with u as a column of the block's
+    rows and v as a row of the grid's columns, so whatever depends on u
+    alone (a profile) is evaluated once per u and broadcast against v.
     Points with a non-finite output (a failed check leaves NaN, and so does
-    a non-finite profile, jet or metric) are re-run one at a time on
-    floats, in row-major order, so that they raise the scalar code's own
-    error: a ``tolerated`` one is recorded in the block, any other
-    propagates, and a point that raises none, or only an overflow, is a
-    NonFiniteError naming it.  When ``row`` raises, the rows before it are
-    still swept first.
+    a non-finite profile, jet or metric) are re-run one at a time on floats,
+    in row-major order, so that they raise the scalar code's own error: a
+    ``tolerated`` one is recorded in the block, any other propagates, and a
+    point that raises none, or only an overflow, is a NonFiniteError naming
+    it.  When the array call itself raises (a failure free of u and v does
+    on arrays too), the block's first point is re-run on floats the same
+    way, tolerating nothing.
     """
     us, vs = grid.us(), grid.vs()
     step = max(1, BLOCK_POINTS // len(vs))  # rows per block
     for start in range(0, len(us), step):
-        block_us = us[start:start + step]
-        rows = []
-        try:
-            for u in block_us:
-                rows.append(row(u))
-        except Exception:
-            if rows:
-                yield _sweep_block(block_us[:len(rows)], vs, rows, point, tolerated)
-            raise
-        yield _sweep_block(block_us, vs, rows, point, tolerated)
+        yield _sweep_block(us[start:start + step], vs, f, tolerated)
 
 
-def _stack(items: list):
-    """Arrays of one row per item, in the structure of the items: a float
-    becomes a column, an array of nv values a full row."""
-    first = items[0]
-    if isinstance(first, dict):
-        return {k: _stack([it[k] for it in items]) for k in first}
-    if isinstance(first, Jet2):
-        return Jet2(*(np.array([getattr(j, c) for j in items])[:, None]
-                      for c in ("v", "d1", "d2")))
-    if isinstance(first, tuple):
-        parts = [_stack([it[k] for it in items]) for k in range(len(first))]
-        return type(first)(*parts) if hasattr(first, "_fields") else tuple(parts)
-    return np.array(items, dtype=float).reshape(len(items), -1)
-
-
-def _sweep_block(us: list[float], vs: list[float], rows: list, point: Callable,
+def _sweep_block(us: list[float], vs: list[float], f: Callable,
                  tolerated: tuple[type[Exception], ...]) -> Block:
     nu, nv = len(us), len(vs)
-    stacked = _stack(rows)
     try:
         with np.errstate(all="ignore"):
-            values = point(np.array(us)[:, None], stacked, np.array(vs)[None, :])
-    except ArithmeticError:
-        # a term computed on floats alone overflowed: it does at every point
-        raise _non_finite(us[0], vs[0]) from None
+            values = f(np.array(us)[:, None], np.array(vs)[None, :])
+    except Exception:
+        _rerun(f, us[0], vs[0], ())
+        raise
     out = np.empty((nu * nv, len(values)))
     for k, x in enumerate(values):
         out[:, k] = np.broadcast_to(x, (nu, nv)).reshape(-1)
     found, reason = [], None
     for index in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
         i, j = divmod(index, nv)
-        try:
-            point(us[i], rows[i], vs[j])
-        except tolerated as exc:
-            found.append(index)
-            reason = str(exc) if reason is None else reason
-            continue
-        except (ArithmeticError, ValueError, NonFiniteError):
-            pass
-        raise _non_finite(us[i], vs[j])
+        exc = _rerun(f, us[i], vs[j], tolerated)
+        found.append(index)
+        reason = str(exc) if reason is None else reason
     return Block(us, vs, out, found, reason)
+
+
+def _rerun(f: Callable, u: float, v: float,
+           tolerated: tuple[type[Exception], ...]) -> Exception:
+    """Run f at one point on floats for its error: return a tolerated one,
+    raise any other, and raise a NonFiniteError naming the point when f
+    raises nothing or only an overflow."""
+    try:
+        f(u, v)
+    except tolerated as exc:
+        return exc
+    except (ArithmeticError, ValueError, NonFiniteError):
+        pass
+    raise _non_finite(u, v)
 
 
 def _non_finite(u: float, v: float) -> NonFiniteError:

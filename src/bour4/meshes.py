@@ -50,31 +50,27 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
 
     The profile is evaluated once per u and the geometry on blocks of rows.
     A callable (u, v) -> SurfaceJet is accepted in place of a spec; its jets
-    can only be evaluated one point at a time.
+    are evaluated one point at a time, and a point where it raises is left
+    NaN, so that the sweep re-runs it for its error.
     """
     if isinstance(surface, (HelicoidSpec, RotationalSpec)):
-        def row(u):
-            return surface_profile(surface, u)
-
-        def jet(u, pj, v):
-            return surface_jet(surface, pj, v)
+        def jet(u, v):
+            return surface_jet(surface, surface_profile(surface, u), v)
     else:
-        vs = grid.vs()
+        def jet(u, v):
+            if not isinstance(u, np.ndarray):
+                return surface(u, v)
+            cells = [[_jet_or_nan(surface, a, b) for b in v[0].tolist()]
+                     for a in u[:, 0].tolist()]
+            return SurfaceJet(*(Vec4(*c) for c in np.array(cells).transpose(2, 3, 0, 1)))
 
-        def row(u):
-            cols = np.array([surface(u, v) for v in vs]).transpose(1, 2, 0)
-            return SurfaceJet(*(Vec4(*c) for c in cols))
-
-        def jet(u, jets, v):
-            return jets if isinstance(v, np.ndarray) else surface(u, v)
-
-    def point(u, pj, v):
-        j = jet(u, pj, v)
+    def f(u, v):
+        j = jet(u, v)
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
     parts = []
-    for block in sweep(grid, row, point, (NotSpacelikeError, DegenerateSurfaceError)):
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
         block.out[block.tolerated, 4:] = math.nan
         parts.append(block.out)
     data = np.concatenate(parts)
@@ -83,6 +79,13 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     faces = np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
     return MeshGrid(grid, data[:, :4], faces, channels)
+
+
+def _jet_or_nan(surface, u: float, v: float) -> SurfaceJet:
+    try:
+        return surface(u, v)
+    except Exception:
+        return SurfaceJet(*[Vec4(*[math.nan] * 4)] * 6)
 
 
 def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:

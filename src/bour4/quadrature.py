@@ -2,11 +2,11 @@
 
 ``integrate`` is a standard 15-point Kronrod / 7-point Gauss pair with
 adaptive bisection.  ``Antiderivative`` builds F(u) = int_{u0}^{u} f once on
-a refined panel table and answers point queries by cubic Hermite
-interpolation (panel endpoint values plus the exact integrand as slope), so
-grid sweeps do not re-integrate.  Panels are split until both the Kronrod
-error estimate and the interpolation error estimate at the panel midpoint
-clear the requested tolerance.
+a refined panel table and answers queries, at a float or an array of u, by
+cubic Hermite interpolation (panel endpoint values plus the exact integrand
+as slope), so grid sweeps do not re-integrate.  Panels are split until both
+the Kronrod error estimate and the interpolation error estimate at the panel
+midpoint clear the requested tolerance.
 
 Both refine breadth first: the nodes of every open panel of a refinement
 level are evaluated together, in calls of at most BLOCK_POINTS nodes, so an
@@ -182,12 +182,28 @@ def integrate(f: Callable, a: float, b: float,
     return sum(values.tolist())
 
 
+def _hermite(u, i, us, Fs, fs):
+    """F at u in panel i of a table with knots us, values Fs and slopes fs."""
+    a, b = us[i], us[i + 1]
+    h = b - a
+    t = (u - a) / h
+    fa, fb = fs[i], fs[i + 1]
+    dF = Fs[i + 1] - Fs[i]
+    # Hermite cubic in integrated form: exact for f cubic on the panel
+    t2 = t * t
+    h00 = 2.0 * t2 * t - 3.0 * t2 + 1.0
+    h10 = t2 * t - 2.0 * t2 + t
+    h01 = 1.0 - h00
+    h11 = t2 * t - t2
+    return (h00 * 0.0 + h01 * dF + h * (h10 * fa + h11 * fb)) + Fs[i]
+
+
 class Antiderivative:
     """F(u) = int_{u0}^{u} f du on [u0, u1], tabulated once, then interpolated.
 
     f must be smooth on the closed interval and take a float or an array of
-    u.  Queries slightly outside the build interval (within one panel width)
-    fall back to direct quadrature.
+    u; so does a query.  Queries slightly outside the build interval (within
+    one panel width) fall back to direct quadrature.
     """
 
     def __init__(self, f: Callable, u0: float, u1: float,
@@ -216,27 +232,26 @@ class Antiderivative:
         self._us = [self.u0] + hi.tolist()
         self._Fs = [0.0, *accumulate(increments.tolist())]
         self._fs = f_lo[:1].tolist() + f_hi.tolist()
+        self._arrays = np.array([self._us, self._Fs, self._fs])  # for array queries
 
-    def __call__(self, u: float) -> float:
+    def __call__(self, u):
+        """F at u, a float or an array of u.  An array is answered with the
+        arithmetic of the float queries, so bit for bit as they would be;
+        its points outside the table go through the fallback one at a time."""
         us = self._us
+        if isinstance(u, np.ndarray):
+            out = np.empty(u.shape)
+            inside = (u > us[0]) & (u < us[-1])
+            out[~inside] = [self(x) for x in u[~inside].tolist()]
+            x, table = u[inside], self._arrays
+            out[inside] = _hermite(x, np.searchsorted(table[0], x, side="right") - 1, *table)
+            return out
         if u <= us[0]:
             return 0.0 if u == us[0] else -integrate(self.f, u, us[0], self.tol)
         if u >= us[-1]:
             return self._Fs[-1] if u == us[-1] else (
                 self._Fs[-1] + integrate(self.f, us[-1], u, self.tol))
-        i = bisect.bisect_right(us, u) - 1
-        a, b = us[i], us[i + 1]
-        h = b - a
-        t = (u - a) / h
-        fa, fb = self._fs[i], self._fs[i + 1]
-        dF = self._Fs[i + 1] - self._Fs[i]
-        # Hermite cubic in integrated form: exact for f cubic on the panel
-        t2 = t * t
-        h00 = 2.0 * t2 * t - 3.0 * t2 + 1.0
-        h10 = t2 * t - 2.0 * t2 + t
-        h01 = 1.0 - h00
-        h11 = t2 * t - t2
-        return (h00 * 0.0 + h01 * dF + h * (h10 * fa + h11 * fb)) + self._Fs[i]
+        return _hermite(u, bisect.bisect_right(us, u) - 1, us, self._Fs, self._fs)
 
     @property
     def total(self) -> float:

@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bour4.bour
 import bour4.cli
@@ -25,6 +30,51 @@ PARTLY_TIMELIKE = {"kind": "II", "lambda": 1.0,
 OVERFLOWING = {"kind": "I", "lambda": 0.5,
                "profile": {"x": "exp(u)", "z": "0", "w": "0"},
                "domain": [700, 720]}
+
+
+#: The valid pair of TestVerify.test_pair_file_flow.
+FLOW_PAIR = {"helicoid": {"kind": "I", "lambda": 1.0,
+                          "profile": {"x": "u", "z": "0", "w": "u/2"},
+                          "domain": [1.5, 3.0]},
+             "gauge": {"given": "a", "expr": "0"}}
+#: Small values of each JSON type.
+JSON_VALUES = {
+    "number": st.integers(-5, 5) | st.floats(-10.0, 10.0),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers(-2, 2) | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    "null": st.none(),
+}
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list"}.get(type(value), "object")
+
+
+@st.composite
+def pair_mutations(draw):
+    """FLOW_PAIR with one field, top-level or inside helicoid/gauge, dropped
+    or replaced by a value of another JSON type."""
+    pair = copy.deepcopy(FLOW_PAIR)
+    path = draw(st.sampled_from(
+        [("helicoid",), ("gauge",), ("expect",), ("partner_constants",)]
+        + [("helicoid", key) for key in FLOW_PAIR["helicoid"]]
+        + [("gauge", key) for key in FLOW_PAIR["gauge"]]))
+    *parents, key = path
+    target = pair
+    for name in parents:
+        target = target[name]
+    kinds = [k for k in JSON_VALUES if key not in target or k != json_type(target[key])]
+    choice = draw(st.sampled_from(["drop", *kinds]))
+    if choice == "drop":
+        target.pop(key, None)
+    else:
+        target[key] = draw(JSON_VALUES[choice])
+    return pair
 
 
 def write_json(path: Path, data) -> str:
@@ -215,13 +265,19 @@ class TestVerify:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdicts"]["gauss_differ"]
 
-    @pytest.mark.parametrize("consts", [["abc", 0], [1.0], [0.0, 0.0, 1.0], 2.0])
-    def test_pair_file_bad_partner_constants_exit_2(self, tmp_path, capsys, consts):
+    @pytest.mark.parametrize("field, value", [
+        ("partner_constants", ["abc", 0]), ("partner_constants", [1.0]),
+        ("partner_constants", [0.0, 0.0, 1.0]), ("partner_constants", 2.0),
+        ("gauge", {"given": "a", "expr": 0.5}),
+        ("expect", ["isometic"]), ("expect", "isometric"),
+    ], ids=["consts0", "consts1", "consts2", "2.0",
+            "gauge-expr-number", "expect-unknown-claim", "expect-string"])
+    def test_pair_file_bad_partner_constants_exit_2(self, tmp_path, capsys, field, value):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "0", "w": "u/2"},
                              "domain": [1.5, 3.0]},
                 "gauge": {"given": "a", "expr": "0"},
-                "partner_constants": consts}
+                field: value}
         pf = write_json(tmp_path / "pair.json", pair)
         assert main(["verify", "--pair-file", pf, "--grid", "5x5"]) == 2
         err = capsys.readouterr().err
@@ -356,6 +412,23 @@ class TestInputValidation:
         assert main(["report", "--spec", spec, "--grid", "5x5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(pair=pair_mutations())
+    def test_pair_file_mutations_keep_the_exit_code_contract(self, tmp_path_factory, pair):
+        work = tmp_path_factory.mktemp("pair")
+        pf = write_json(work / "pair.json", pair)
+        out = work / "v.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["verify", "--pair-file", pf, "--grid", "3x3", "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code in (2, 3):
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        if code == 1:
+            assert json.loads(out.read_text())["failures"]
 
     @pytest.mark.parametrize("grid", ["5000x5000", "2001x2"])
     @pytest.mark.parametrize("command", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bour4.bour import bour_partner, gauge_complete
-from bour4.errors import ValidationError
+from bour4.errors import EvalDomainError, ValidationError
 from bour4.families import helicoid_jet, make_helicoid, rotational_jet
 from bour4.grids import Grid, grid_for
 from bour4.meshes import (CHANNEL_NAMES, resolve_projection, sample_mesh,
@@ -67,6 +67,18 @@ class TestSampleMesh:
         assert np.array_equal(by_spec.vertices, by_callback.vertices)
         for name in CHANNEL_NAMES:
             assert np.array_equal(by_spec.channels[name], by_callback.channels[name])
+
+    def test_jet_callback_raises_the_error_of_its_first_failing_point(self):
+        # sqrt(1 - u) fails from u = 1 on, past the first rows of the block
+        spec = make_helicoid("I", 1.0, {"x": "2 + sqrt(1 - u)", "z": "0", "w": "u"},
+                             (0.3, 1.8))
+        grid = grid_for(spec, 9, 5)
+        with pytest.raises(EvalDomainError) as by_spec:
+            sample_mesh(spec, grid)
+        with pytest.raises(EvalDomainError) as by_callback:
+            sample_mesh(lambda u, v: helicoid_jet(spec, u, v), grid)
+        assert str(by_callback.value) == str(by_spec.value)
+        assert "sqrt(1 - u)" in str(by_spec.value)
 
     def test_timelike_points_keep_their_vertices(self):
         spec = make_helicoid("II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5),

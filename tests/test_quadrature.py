@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import bour4.bour
 import bour4.quadrature
+from bour4.bour import VbarMap, bour_partner, gauge_complete, same_gauss_pair_I
 from bour4.errors import EvalDomainError, QuadratureError
 from bour4.expressions import eval_jet, parse
+from bour4.families import make_helicoid
 from bour4.quadrature import (TABLE_TOL, _WG, _WGK, _XGK, Antiderivative,
                               default_tolerance, integrate)
 
@@ -64,6 +67,42 @@ class TestAntiderivative:
     def test_decreasing_interval_rejected(self):
         with pytest.raises(QuadratureError):
             Antiderivative(np.sin, 2.0, 1.0)
+
+
+def _partner_tables(monkeypatch):
+    """The two quadrature tables of a theorem-3.1 Bour partner."""
+    tables = []
+
+    class Recorded(Antiderivative):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(bour4.bour, "Antiderivative", Recorded)
+    spec = make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
+    bour_partner(spec, gauge_complete(spec, "a", "1/2"))
+    return tables
+
+
+class TestArrayQueries:
+    @pytest.mark.parametrize("table", ["example-1 vbar", "partner a", "partner b"])
+    def test_equal_to_scalar_queries_bit_for_bit(self, monkeypatch, table):
+        if table == "example-1 vbar":
+            h, _ = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0, domain=(1.1, math.pi))
+            F = VbarMap(h)._table
+        else:
+            F = _partner_tables(monkeypatch)[table == "partner b"]
+        knots = np.array(F._us)
+        span = knots[-1] - knots[0]
+        inside = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]),
+                                 knots[:-1] + 0.3 * np.diff(knots)])
+        outside = [knots[0] - 1e-3 * span, knots[-1] + 1e-3 * span]
+        u = np.concatenate([inside, outside]).reshape(-1, 1)
+        got = F(u)
+        want = np.array([F(x) for x in u[:, 0].tolist()]).reshape(-1, 1)
+        assert got.shape == u.shape
+        assert got.tobytes() == want.tobytes()
+        assert F(knots[:1])[0] == 0.0 and F(knots[-1:])[0] == F.total
 
 
 def _depth_first_table(f, u0, u1, tol, initial_panels=8):

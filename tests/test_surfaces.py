@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 import numpy as np
 
 from bour4.bour import bour_partner, gauge_complete
+from bour4.cli import main
 from bour4.errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                           NotSpacelikeError)
 from bour4.families import (HelicoidSpec, closed_form_curvatures, closed_form_gauss,
@@ -236,7 +238,7 @@ def scalar_jet(surface, u, v):
 
 
 def swept(surface, grid, point):
-    blocks = list(sweep(grid, lambda u: surface_profile(surface, u), point))
+    blocks = list(sweep(grid, lambda u, v: point(u, surface_profile(surface, u), v)))
     return np.concatenate([b.out for b in blocks])
 
 
@@ -304,3 +306,40 @@ class TestSweep:
         with pytest.raises(FrameFailureError) as info:
             swept(spec, grid, point)
         assert str(info.value) == "w'^2 - y'^2 = 0.0 <= 0 at u = 1.0"
+
+    def test_one_array_call_per_block_and_one_float_call_per_bad_point(self, monkeypatch):
+        # kind II, timelike on part of the grid: those points are re-run
+        spec = make_helicoid("II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5),
+                             v_domain=(-0.5, 0.5))
+        grid = Grid(0.55, 1.45, -0.45, 0.45, 11, 7)
+        points = 3 * grid.nv + 2  # 3 rows a block
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", points)
+        calls = {"array": 0, "float": 0}
+
+        def f(u, v):
+            calls["array" if isinstance(u, np.ndarray) else "float"] += 1
+            return (closed_form_curvatures(spec, u, v).K,)
+
+        blocks = list(sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)))
+        bad = sum(int((~np.isfinite(b.out)).any(axis=1).sum()) for b in blocks)
+        assert bad > 0 and bad == sum(len(b.tolerated) for b in blocks)
+        assert calls == {"array": math.ceil(grid.nu / max(1, points // grid.nv)),
+                         "float": bad}
+
+    @pytest.mark.parametrize("command, suffix", [
+        (["report"], " [at u = 0.32999999999999996, v = 0.12566370614359174]"),
+        (["export", "--format", "csv"], ""),
+        (["verify", "--theorem", "3.1", "--gauge-a", "0.5"], ""),
+    ])
+    def test_failure_free_of_u_keeps_the_scalar_error(self, tmp_path, capsys, command,
+                                                      suffix):
+        # sqrt(c) raises on the block's arrays too: the first point names it
+        data = {"kind": "I", "lambda": 1.0, "domain": [0.3, 1.8], "constants": {"c": -1},
+                "profile": {"x": "sqrt(c) + u", "z": "0.3*sin(u)", "w": "0.2*cos(u)"}}
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(data))
+        assert main([*command, "--spec", str(spec), "--grid", "9x5",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: square root of negative value -1.0 in 'sqrt(c)'"
+            f"{suffix}\n")
