@@ -30,14 +30,14 @@ import numpy as np
 from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
-from .families import (PROFILE_NAMES, HelicoidSpec, ProfileFn, RotationalSpec,
+from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
                        SurfaceKind, const_profile, expr_profile,
                        helicoid_jet_from_profile, is_constant_profile,
                        make_helicoid, profile_jets, rotational_jet,
                        surface_jet, surface_profile)
-from .grids import Block, Grid, grid_for, shrunk, sweep
+from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Dual, Jet2
-from .lorentz import standard_to_pseudo, sup
+from .lorentz import flag, sup, where
 from .quadrature import Antiderivative, default_tolerance
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map
 
@@ -49,12 +49,6 @@ GaugeFn = Callable[[float], Dual]
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
 
-#: The gauge constraint per kind as a^2 + s h(b) = rhs: the factor s, and
-#: whether h(b) is b^2 (kinds I and II) rather than b (kind III).
-_CONSTRAINT_FORM = {SurfaceKind.I: (-1.0, True), SurfaceKind.II: (1.0, True),
-                    SurfaceKind.III: (-2.0, False)}
-
-
 @dataclass(frozen=True)
 class BourGauge:
     """The free pair a(u), b(u) of the partner construction.
@@ -65,7 +59,8 @@ class BourGauge:
         kind II   a^2 + b^2 = (w^2 (x'^2 + y'^2) + lam^2 (y'^2 - w'^2)) / (w^2 w'^2)
         kind III  a^2 - 2b  = (x'^2 - 2 w' z') / w'^2 - lam^2 / (2 w^2)
 
-    that is a^2 + s h(b) = rhs, with s = -1, 1, -2 and h(b) = b^2, b^2, b.
+    that is a^2 + s h(b) = rhs, with s = -1, 1, -2 and h(b) = b^2, b^2, b
+    (``Family.constraint``).
     """
 
     kind: SurfaceKind
@@ -76,17 +71,29 @@ class BourGauge:
     def residual(self, spec: HelicoidSpec, samples: int = 64) -> float:
         """Max violation of the compatibility constraint over a domain sample."""
         rhs = constraint_rhs(spec)
-        s, squared = _CONSTRAINT_FORM[self.kind]
-        worst = 0.0
-        for u in _samples(spec.domain, samples):
+        s, squared = FAMILIES[self.kind].constraint
+
+        def violation(u):
             a, b = self.a(u).v, self.b(u).v
-            worst = max(worst, abs(a * a + s * (b * b if squared else b) - rhs(u).v))
-        return worst
+            return abs(a * a + s * (b * b if squared else b) - rhs(u).v)
+        return _scan_sup(spec.domain, samples, violation)
 
 
-def _samples(domain: tuple[float, float], n: int) -> list[float]:
-    a, b = domain
-    return [a + (b - a) * (i + 0.5) / n for i in range(n)]
+def _scan_sup(domain: tuple[float, float], n: int, f: Callable) -> float:
+    """The largest value of f on a domain scan, and at least 0; like max()
+    over the samples, it passes over a NaN that raised no error."""
+    return float(np.fmax.reduce(scan(domain, n, f)[1], initial=0.0))
+
+
+def _require_positive(domain: tuple[float, float], f: Callable, error: type,
+                      message: str) -> None:
+    """Scan f over 64 domain samples: the first sample u in ascending order
+    where f(u) <= 0, or where f raises, raises ``error(message.format(u))``
+    or f's own error."""
+    def check(u):
+        value = f(u)
+        return where(flag(value <= 0.0, error, message, u), math.nan, value)
+    scan(domain, 64, check)
 
 
 def gauge_from_expr(expr: "Expr | str", consts: Mapping[str, float] | None = None) -> GaugeFn:
@@ -102,23 +109,10 @@ def gauge_from_expr(expr: "Expr | str", consts: Mapping[str, float] | None = Non
 def constraint_rhs(spec: HelicoidSpec) -> Callable[[float], Dual]:
     """Right-hand side of the gauge constraint as a function of u (with derivative)."""
     lam2 = spec.pitch ** 2
-    kind = spec.kind
+    fam = FAMILIES[spec.kind]
 
     def rhs(u: float) -> Dual:
-        pj = profile_jets(spec, u)
-        if kind is SurfaceKind.I:
-            xv, xp = Dual.from_jet(pj["x"]), Dual.shift(pj["x"])
-            zp, wp = Dual.shift(pj["z"]), Dual.shift(pj["w"])
-            return ((xv * xv * (zp * zp - wp * wp) - lam2 * (xp * xp + zp * zp))
-                    / (xv * xv * xp * xp))
-        if kind is SurfaceKind.II:
-            wv, wp = Dual.from_jet(pj["w"]), Dual.shift(pj["w"])
-            xp, yp = Dual.shift(pj["x"]), Dual.shift(pj["y"])
-            return ((wv * wv * (xp * xp + yp * yp) + lam2 * (yp * yp - wp * wp))
-                    / (wv * wv * wp * wp))
-        wv, wp = Dual.from_jet(pj["w"]), Dual.shift(pj["w"])
-        xp, zp = Dual.shift(pj["x"]), Dual.shift(pj["z"])
-        return (xp * xp - 2.0 * wp * zp) / (wp * wp) - lam2 / (2.0 * wv * wv)
+        return fam.constraint_rhs(lam2, *fam.profile(profile_jets(spec, u)))
 
     return rhs
 
@@ -134,7 +128,7 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
     g = gauge_from_expr(expr, spec.consts)
     rhs = constraint_rhs(spec)
-    s, squared = _CONSTRAINT_FORM[spec.kind]
+    s, squared = FAMILIES[spec.kind].constraint
 
     if given == "a":
         def solved(u: float) -> Dual:  # h(b) = (rhs - a^2) / s
@@ -148,7 +142,8 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
     if given == "a" and not squared:
         other = solved  # kind III: h(b) is b itself
     else:
-        bad = [u for u in _samples(spec.domain, samples) if solved(u).v < 0.0]
+        us, squares = scan(spec.domain, samples, lambda u: solved(u).v)
+        bad = us[squares < 0.0].tolist()
         if bad:
             raise InfeasibleGaugeError(
                 "gauge constraint forces a negative square", (min(bad), max(bad)))
@@ -164,22 +159,17 @@ def natural_gauge(spec: HelicoidSpec) -> BourGauge:
     """The gauge for which the pitch-0 partner is the original surface itself.
 
     kind I: (a, b) = (z'/x', w'/x'); kind II: (x'/w', y'/w'); kind III:
-    (x'/w', z'/w').  The first quadrature channel always rebuilds the first
-    profile component; swapping the channels would break the pitch-0
-    reduction, which pins the pairing down.
+    (x'/w', z'/w') (``Family.natural``).  The first quadrature channel
+    always rebuilds the first profile component; swapping the channels
+    would break the pitch-0 reduction, which pins the pairing down.
     """
-    names = PROFILE_NAMES[spec.kind]
-    first, second, third = names
-
     def ratio(num_name: str, den_name: str) -> GaugeFn:
         def fn(u: float) -> Dual:
             pj = profile_jets(spec, u)
             return Dual.shift(pj[num_name]) / Dual.shift(pj[den_name])
         return fn
 
-    if spec.kind is SurfaceKind.I:
-        return BourGauge(spec.kind, ratio(second, first), ratio(third, first))
-    return BourGauge(spec.kind, ratio(first, third), ratio(second, third))
+    return BourGauge(spec.kind, *(ratio(*pair) for pair in FAMILIES[spec.kind].natural))
 
 
 def scale_gauge(gauge: BourGauge, a_factor: float = 1.0, b_factor: float = 1.0) -> BourGauge:
@@ -206,24 +196,19 @@ class VbarMap:
         self.spec = spec
         self.sign = sign
         lam = spec.pitch
+        fam = FAMILIES[spec.kind]
         self._table = None
-        if spec.kind is SurfaceKind.III:
+        if fam.closed_shift is not None:
             def shift_dual(u: float) -> Dual:
-                return lam / (2.0 * Dual.from_jet(profile_jets(spec, u)["w"]))
+                return fam.closed_shift(lam, *fam.profile(profile_jets(spec, u)))
             self._shift = lambda u: shift_dual(u).v
             self._dshift = lambda u: shift_dual(u).d
         elif lam == 0.0:
             self._shift = lambda u: 0.0
             self._dshift = lambda u: 0.0
         else:
-            if spec.kind is SurfaceKind.I:
-                def integrand(u: float) -> float:
-                    pj = profile_jets(spec, u)
-                    return -lam * pj["w"].d1 / (pj["x"].v ** 2 - lam ** 2)
-            else:
-                def integrand(u: float) -> float:
-                    pj = profile_jets(spec, u)
-                    return lam * pj["x"].d1 / (lam ** 2 + pj["w"].v ** 2)
+            def integrand(u: float) -> float:
+                return fam.shift_rate(lam, *fam.profile(profile_jets(spec, u)))
             self._table = Antiderivative(integrand, spec.domain[0], spec.domain[1],
                                          tol if tol is not None else default_tolerance())
             self._shift = self._table
@@ -280,16 +265,6 @@ def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
     return fn
 
 
-#: Per kind: the profile component q the radial component rho is built from,
-#: the sign of lam^2 under rho = sqrt(q^2 +- lam^2) (None: rho = q), and the
-#: source label of rho'.
-_RADIAL = {
-    SurfaceKind.I: ("x", -1.0, "x x'/sqrt(x^2-lam^2)"),
-    SurfaceKind.II: ("w", 1.0, "w w'/sqrt(lam^2+w^2)"),
-    SurfaceKind.III: ("w", None, "w'"),
-}
-
-
 def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
                  constants: tuple[float, float] = (0.0, 0.0),
                  tol: float | None = None) -> RotationalSpec:
@@ -308,14 +283,14 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
         raise ValidationError("gauge kind does not match the surface kind")
     lam = spec.pitch
     consts = spec.consts
-    q_name, pm, drho_label = _RADIAL[spec.kind]
+    fam = FAMILIES[spec.kind]
+    q_name, pm, drho_label = fam.radial
     q_expr = spec.exprs[q_name]
 
-    if spec.kind is SurfaceKind.I:
-        for u in _samples(spec.domain, 64):
-            if eval_jet(q_expr, u, consts).v ** 2 <= lam ** 2:
-                raise NotSpacelikeError(
-                    f"x^2 - lambda^2 <= 0 at u = {u:.6g}: no radial component")
+    if pm == -1.0:  # sqrt(q^2 - lam^2) is real only where q^2 > lam^2
+        _require_positive(spec.domain, lambda u: eval_jet(q_expr, u, consts).v ** 2 - lam ** 2,
+                          NotSpacelikeError,
+                          q_name + "^2 - lambda^2 <= 0 at u = {:.6g}: no radial component")
 
     if pm is None:
         def rho(u: float) -> Jet2:
@@ -342,7 +317,9 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
                            constants[0], tol, f"<quadrature a {drho_label}>")
     quad_b = _quad_profile(lambda u: gauge.b(u) * drho(u), spec.domain,
                            constants[1], tol, f"<quadrature b {drho_label}>")
-    n, s, r = (rho, quad_a, quad_b) if spec.kind is SurfaceKind.I else (quad_a, quad_b, rho)
+    parts = [quad_a, quad_b]
+    parts.insert(fam.radial_slot, rho)
+    n, s, r = parts
     return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
 
 
@@ -435,20 +412,21 @@ def bernoulli_residual(sq_gauge: "GaugeFn | Expr | str", profile: "Expr | str",
     sq_gauge supplies b^2 (resp. a^2); the positive root is differentiated
     by dual arithmetic.
     """
-    if kind not in (SurfaceKind.I, SurfaceKind.II):
+    fam = FAMILIES.get(kind)
+    if fam is None or fam.ode_sign is None:
         raise ValidationError("the gauge ODE exists for kinds I and II only")
+    sign = fam.ode_sign
     consts = dict(consts or {})
     sq = sq_gauge if callable(sq_gauge) else gauge_from_expr(sq_gauge, consts)
     p = parse(profile) if isinstance(profile, str) else profile
-    sign = -1.0 if kind is SurfaceKind.I else 1.0
-    worst = 0.0
-    for u in _samples(domain, samples):
+
+    def violation(u):
         g = sq(u).sqrt()
         q = eval_jet(p, u, consts)
         qq = q.v * q.d1
         lhs = (q.v * q.v + sign * lam * lam) * g.d + qq * g.v
-        worst = max(worst, abs(lhs - qq * g.v ** 3))
-    return worst
+        return abs(lhs - qq * g.v ** 3)
+    return _scan_sup(domain, samples, violation)
 
 
 def minimal_pair_identity_residual(spec: HelicoidSpec, samples: int = 64) -> float:
@@ -457,23 +435,12 @@ def minimal_pair_identity_residual(spec: HelicoidSpec, samples: int = 64) -> flo
     kind I:  lam^2 (x x' w'' + w'(2 x'^2 - x x'')) + x^2 (w'(w'^2 - x'^2) + x (x'' w' - x' w''))
     kind II: lam (x' w'^2 (2 lam^2 + w^2) - w^2 x'^3 + w (lam^2 + w^2)(x'' w' - x' w''))
     """
-    lam = spec.pitch
-    worst = 0.0
-    for u in _samples(spec.domain, samples):
-        pj = profile_jets(spec, u)
-        x, w = pj["x"], pj["w"]
-        if spec.kind is SurfaceKind.I:
-            val = (lam ** 2 * (x.v * x.d1 * w.d2 + w.d1 * (2 * x.d1 ** 2 - x.v * x.d2))
-                   + x.v ** 2 * (w.d1 * (w.d1 ** 2 - x.d1 ** 2)
-                                 + x.v * (x.d2 * w.d1 - x.d1 * w.d2)))
-        elif spec.kind is SurfaceKind.II:
-            val = lam * (x.d1 * w.d1 ** 2 * (2 * lam ** 2 + w.v ** 2)
-                         - w.v ** 2 * x.d1 ** 3
-                         + w.v * (lam ** 2 + w.v ** 2) * (x.d2 * w.d1 - x.d1 * w.d2))
-        else:
-            raise ValidationError("no shared-Gauss-map identity exists for kind III")
-        worst = max(worst, abs(val))
-    return worst
+    fam = FAMILIES[spec.kind]
+    if fam.identity is None:
+        raise ValidationError(
+            f"no shared-Gauss-map identity exists for kind {spec.kind.value}")
+    return _scan_sup(spec.domain, samples, lambda u: abs(
+        fam.identity(spec.pitch, *fam.profile(profile_jets(spec, u)))))
 
 
 def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
@@ -486,28 +453,12 @@ def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
     kind III: a null-plane parabola (in the null-pair basis, the third
     coordinate is quadratic in the second with frozen first and fourth).
     """
-    pj = profile_jets(h, u0)
+    fam = FAMILIES[h.kind]
+    jets = fam.profile(profile_jets(h, u0))
     pts = [rotational_jet(r, u0, v).X for v in vs]
     worst = 0.0
-    if h.kind is SurfaceKind.I:
-        rad2 = pj["x"].v ** 2 - h.pitch ** 2
-        p0 = pts[0]
-        for p in pts:
-            worst = max(worst, abs(math.hypot(p.x1, p.x2) - math.sqrt(rad2)),
-                        abs(p.x3 - p0.x3), abs(p.x4 - p0.x4))
-    elif h.kind is SurfaceKind.II:
-        c = h.pitch ** 2 + pj["w"].v ** 2
-        p0 = pts[0]
-        for p in pts:
-            worst = max(worst, abs((p.x4 ** 2 - p.x3 ** 2) - c),
-                        abs(p.x1 - p0.x1), abs(p.x2 - p0.x2))
-    else:
-        qs = [standard_to_pseudo(p) for p in pts]
-        q0 = qs[0]
-        s0 = q0[2] - q0[1] ** 2 / (2.0 * q0[3])
-        for q in qs:
-            worst = max(worst, abs(q[0] - q0[0]), abs(q[3] - q0[3]),
-                        abs(q[2] - s0 - q[1] ** 2 / (2.0 * q[3])))
+    for defects in fam.parallel(h.pitch, *jets, pts):
+        worst = max(worst, *defects)
     return worst
 
 
@@ -542,6 +493,16 @@ def _build_from_template(template: str, placeholder_value: Expr,
     return tree
 
 
+def pitch_bound(lam: float) -> float:
+    """1/lam^2, the bound on c3 of a shared-Gauss-map pair with pitch lam;
+    the pitch must keep lam^2 and 1/lam^2 normal floats."""
+    if not lam > 0.0:
+        raise ValidationError("shared-Gauss-map pairs need a positive pitch")
+    if not 1e-150 < lam < 1e150:
+        raise ValidationError(f"pitch {lam!r} outside (1e-150, 1e150)")
+    return 1.0 / lam ** 2
+
+
 def _merge_constants(user: Mapping[str, float] | None, **fixed: float) -> dict:
     merged = dict(user or {})
     for k, v in fixed.items():
@@ -559,25 +520,26 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
                       v_domain=None) -> tuple[HelicoidSpec, RotationalSpec]:
     """The kind-I helicoid/rotational pair sharing a Gauss map.
 
-    Requires lam > 0 and 0 < c3 <= 1/lam^2; c3 = 1/lam^2 gives the right
-    helicoid (the fourth profile component degenerates to zero).  Both
+    Requires lam > 0, 0 < c3 <= 1/lam^2 and x^2 > lam^2 on the domain;
+    c3 = 1/lam^2 gives the right helicoid (the fourth profile component
+    degenerates to zero).  Both
     surfaces are hyperplanar (third coordinate frozen at c1 resp. c2) and
     minimal; the partner's angular offset is chosen so the Gauss maps agree
     pointwise under the vbar correspondence.
     """
-    if not lam > 0.0:
-        raise ValidationError("shared-Gauss-map pairs need a positive pitch")
-    if not 0.0 < c3 <= 1.0 / lam ** 2:
-        raise ValidationError(
-            f"c3 = {c3!r} outside (0, 1/lambda^2] = (0, {1.0 / lam ** 2!r}]")
+    bound = pitch_bound(lam)
+    if not 0.0 < c3 <= bound:
+        raise ValidationError(f"c3 = {c3!r} outside (0, 1/lambda^2] = (0, {bound!r}]")
     x_expr = parse(x) if isinstance(x, str) else x
     consts = _merge_constants(constants, lam=lam, c3=c3, c4=c4)
 
-    right_helicoid = (c3 == 1.0 / lam ** 2)
+    right_helicoid = (c3 == bound)
     w_expr = Num(0.0) if right_helicoid else _build_from_template(_W_TEMPLATE_I, x_expr, sign_w)
     h = make_helicoid(SurfaceKind.I, lam,
                       {"x": x_expr, "z": Num(float(c1)), "w": w_expr},
                       domain, consts, v_domain)
+    _require_positive(domain, lambda u: eval_jet(x_expr, u, consts).v ** 2 - lam ** 2,
+                      ValidationError, "x^2 - lambda^2 <= 0 at u = {:.6g}: sqrt leaves its domain")
 
     n_fn = expr_profile(_build_from_template(_N_TEMPLATE_I, x_expr), consts)
     r_fn = expr_profile(_build_from_template(_R4_TEMPLATE_I, x_expr, sign_r, c4), consts)
@@ -589,6 +551,8 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
     u0 = shrunk(*domain)[0]
     xj = eval_jet(x_expr, u0, consts)
     wj = eval_jet(w_expr, u0, consts)
+    if xj.v == 0.0 or xj.d1 == 0.0:
+        raise ValidationError(f"x or x' vanishes at u = {u0:.6g}: no angular alignment exists")
     b0 = sign_r / math.sqrt(1.0 + c3 * (xj.v ** 2 - lam ** 2))
     j_true = math.atan2(-lam / (b0 * xj.v), wj.d1 / (b0 * xj.d1))
     offset = -j_true - vbar_map(h)(u0, 0.0)
@@ -611,11 +575,9 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
     with its rotational partner (the causal character of the corresponding
     plane would have to change), so that request is rejected.
     """
-    if not lam > 0.0:
-        raise ValidationError("shared-Gauss-map pairs need a positive pitch")
-    if not -1.0 / lam ** 2 < c3 < 0.0:
-        raise ValidationError(
-            f"c3 = {c3!r} outside (-1/lambda^2, 0) = ({-1.0 / lam ** 2!r}, 0)")
+    bound = pitch_bound(lam)
+    if not -bound < c3 < 0.0:
+        raise ValidationError(f"c3 = {c3!r} outside (-1/lambda^2, 0) = ({-bound!r}, 0)")
     w_expr = parse(w) if isinstance(w, str) else w
     consts = _merge_constants(constants, lam=lam, c3=c3, c4=c4)
 
@@ -627,11 +589,9 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
         raise ValidationError(
             "w is constant: a right helicoidal surface of kind II never shares "
             "its Gauss map with a rotational partner")
-    for u in _samples(domain, 64):
-        wv = eval_jet(w_expr, u, consts).v
-        if 1.0 + c3 * (lam ** 2 + wv ** 2) <= 0.0:
-            raise ValidationError(
-                f"1 + c3*(lambda^2 + w^2) <= 0 at u = {u:.6g}: asin leaves its domain")
+    _require_positive(domain, lambda u: 1.0 + c3 * (lam ** 2 + eval_jet(w_expr, u, consts).v ** 2),
+                      ValidationError,
+                      "1 + c3*(lambda^2 + w^2) <= 0 at u = {:.6g}: asin leaves its domain")
 
     u0 = shrunk(*domain)[0]
     wj = eval_jet(w_expr, u0, consts)

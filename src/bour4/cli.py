@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bour import (bour_partner, choose_vbar_sign, gauge_complete,
-                   pair_report, same_gauss_pair_I, same_gauss_pair_II)
+from .bour import (bour_partner, choose_vbar_sign, gauge_complete, pair_report,
+                   pitch_bound, same_gauss_pair_I, same_gauss_pair_II)
 from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
@@ -216,12 +216,11 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
     if args.theorem == "3.6":
         if args.w is None or args.lam is None or args.c3 is None:
             raise ValidationError("--theorem 3.6 needs --w, --lambda and --c3")
-        if not args.lam > 0.0:
-            raise ValidationError("shared-Gauss-map pairs need a positive pitch")
+        bound = pitch_bound(args.lam)
         if args.domain:
             domain = tuple(args.domain)
         else:
-            if not -1.0 / args.lam ** 2 < args.c3 < 0.0:
+            if not -bound < args.c3 < 0.0:
                 raise ValidationError(
                     f"c3 = {args.c3!r} outside (-1/lambda^2, 0)")
             wmax = math.sqrt(-1.0 / args.c3 - args.lam ** 2)

@@ -284,11 +284,12 @@ def eval_const(e: Expr, consts: Mapping[str, float]) -> float:
 def eval_jet(e: Expr, u, consts: Mapping[str, float] | None = None) -> Jet2:
     """Evaluate e and its first two u-derivatives at u, a float or an array.
 
-    On a float, domain violations and float overflow raise EvalDomainError
-    naming the offending sub-expression.  On an array, every field of the
-    result is an array of u's shape, and the elements where the float call
-    would raise are not finite (NaN for a domain violation), without a
-    warning; a violation in a sub-expression free of u raises on arrays too.
+    On a float, domain violations, float overflow and divisors that underflow
+    to zero raise EvalDomainError naming the offending sub-expression.  On an
+    array, every field of the result is an array of u's shape, and the
+    elements where the float call would raise are not finite (NaN for a
+    domain violation), without a warning; a violation in a sub-expression
+    free of u raises on arrays too.
     """
     consts = consts or {}
     if not isinstance(u, np.ndarray):
@@ -326,17 +327,21 @@ def _eval(e: Expr, uj: Jet2, consts) -> Jet2:
             return left / right
         except EvalDomainError as exc:
             raise _with_context(exc, e) from None
-        except OverflowError:
-            raise EvalDomainError("value overflows", to_source(e)) from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalDomainError(_FLOAT_FAILURES[type(exc)], to_source(e)) from None
     if isinstance(e, Call):
         arg = _eval(e.arg, uj, consts)
         try:
             return getattr(arg, e.fn)()
         except EvalDomainError as exc:
             raise _with_context(exc, e) from None
-        except OverflowError:
-            raise EvalDomainError("value overflows", to_source(e)) from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalDomainError(_FLOAT_FAILURES[type(exc)], to_source(e)) from None
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+#: Float arithmetic errors: an overflow, and a divisor that underflowed to 0.
+_FLOAT_FAILURES = {OverflowError: "value overflows", ZeroDivisionError: "division by zero"}
 
 
 def _with_context(exc: EvalDomainError, node: Expr) -> EvalDomainError:

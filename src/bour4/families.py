@@ -9,11 +9,14 @@ one-parameter rotation group composed with a proportional translation
     kind III  X(u,v) = x e1 + sqrt2 v w e2
                        + (z + v^2 w + lam v) xi3 + w xi4          (rotation fixes a null plane)
 
-where x, z (or y), w are functions of u.  Alongside the exact parametric
-jets this module carries the families' closed-form metric, frames, second
-fundamental forms and Gauss maps, which the generic engine cross-checks.
-Profile jets may hold floats (one u) or arrays (a block of u rows), and v a
-float or an array that broadcasts against them.
+where x, z (or y), w are functions of u.  What a kind is lives in one
+record, ``FAMILIES[kind]``: its profile names and default v-domain, its
+exact parametric jets, closed-form metric, frames, second fundamental forms
+and Gauss maps (which the generic engine cross-checks), and the data of its
+Bour construction (gauge constraint, angular shift, radial component,
+natural gauge, minimality ODE, shared-Gauss-map identity, parallel curves),
+which ``bour`` reads.  Profile jets may hold floats (one u) or arrays (a
+block of u rows), and v a float or an array that broadcasts against them.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from typing import Callable, Mapping
 
 from .errors import FrameFailureError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
-from .jets import Jet2
+from .grids import scan
+from .jets import Dual, Jet2
 from .lorentz import (Bivector6, Vec4, bivector_from_pseudo, flag,
-                      pseudo_to_standard, where, xp)
+                      pseudo_to_standard, standard_to_pseudo, where, xp)
 from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
                        assemble_report, finalize_first_form)
 
@@ -40,18 +44,269 @@ class SurfaceKind(str, Enum):
     III = "III"
 
 
-PROFILE_NAMES = {
-    SurfaceKind.I: ("x", "z", "w"),
-    SurfaceKind.II: ("x", "y", "w"),
-    SurfaceKind.III: ("x", "z", "w"),
+@dataclass(frozen=True)
+class Family:
+    """What one kind is.  Each formula takes the pitch lam (lam^2 for
+    ``constraint_rhs``), then the profile jets in ``names`` order, floats or
+    arrays alike.  A formula or datum the kind lacks is None."""
+
+    names: tuple[str, str, str]
+    v_domain: tuple[float, float]
+    jet: Callable  # (lam, *jets, v) -> the exact SurfaceJet at angle v
+    metric: Callable  # (lam, *jets) -> (g11, g12, g22, W)
+    frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
+    gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
+    constraint: tuple[float, bool]  # (s, squared): a^2 + s h(b) = rhs, h(b) = b^2 or b
+    constraint_rhs: Callable  # (lam^2, *jets) -> rhs, a Dual in u
+    # (q, s, label): the partner's radial component rho is sqrt(q^2 + s lam^2),
+    # or q itself for s None, and label is the source of rho'
+    radial: tuple[str, float | None, str]
+    radial_slot: int  # the slot of rho in the partner's (n, s, r)
+    natural: tuple[tuple[str, str], ...]  # the natural gauge (a, b) as ratios p'/q' (p, q)
+    parallel: Callable  # (lam, *jets at u0, partner points on u = u0) -> their defects
+    shift_rate: Callable | None = None  # (lam, *jets) -> d(vbar)/du, for quadrature
+    closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Dual in u
+    ode_sign: float | None = None  # the sign of lam^2 in the squared gauge's minimality ODE
+    identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
+
+    def profile(self, pj: Mapping[str, Jet2]) -> list[Jet2]:
+        """The profile jets of a name -> jet map, in name order."""
+        return [pj[name] for name in self.names]
+
+
+# ---------------------------------------------------------------------------
+# kind I: (x cos v, x sin v, z, w + lam v)
+
+def _jet_I(lam, x, z, w, v):
+    cv, sv = xp(v).cos(v), xp(v).sin(v)
+    return SurfaceJet(
+        Vec4(x.v * cv, x.v * sv, z.v, w.v + lam * v),
+        Vec4(x.d1 * cv, x.d1 * sv, z.d1, w.d1),
+        Vec4(-x.v * sv, x.v * cv, 0.0, lam),
+        Vec4(x.d2 * cv, x.d2 * sv, z.d2, w.d2),
+        Vec4(-x.d1 * sv, x.d1 * cv, 0.0, 0.0),
+        Vec4(-x.v * cv, -x.v * sv, 0.0, 0.0),
+    )
+
+
+def _metric_I(lam, x, z, w):
+    return (x.d1 ** 2 + z.d1 ** 2 - w.d1 ** 2, -lam * w.d1, x.v ** 2 - lam ** 2,
+            (x.v ** 2 - lam ** 2) * (x.d1 ** 2 + z.d1 ** 2) - x.v ** 2 * w.d1 ** 2)
+
+
+def _frame_I(lam, x, z, w, v, u, W, rW):
+    sqrt = xp(W).sqrt
+    P = x.d1 ** 2 + z.d1 ** 2
+    bad = flag(P <= 0.0, FrameFailureError, "x'^2 + z'^2 vanishes at u = {!r}", u)
+    rP, rWP = sqrt(P), sqrt(W * P)
+    b1 = SecondForm((x.d2 * z.d1 - x.d1 * z.d2) / rP,
+                    0.0,
+                    -x.v * z.d1 / rP)
+    b2 = SecondForm(
+        x.v * (w.d1 * (x.d1 * x.d2 + z.d1 * z.d2) - w.d2 * P) / rWP,
+        lam * x.d1 * rP / rW,
+        -x.v ** 2 * x.d1 * w.d1 / rWP)
+    cv, sv = xp(v).cos(v), xp(v).sin(v)
+    N1 = Vec4(z.d1 * cv / rP, z.d1 * sv / rP, -x.d1 / rP, 0.0)
+    c = 1.0 / (rW * rP)
+    N2 = Vec4((x.v * x.d1 * w.d1 * cv - lam * P * sv) * c,
+              (x.v * x.d1 * w.d1 * sv + lam * P * cv) * c,
+              x.v * z.d1 * w.d1 * c,
+              x.v * P * c)
+    return bad, b1, b2, N1, N2
+
+
+def _gauss_I(lam, x, z, w, v, c):
+    cv, sv = xp(v).cos(v), xp(v).sin(v)
+    return Bivector6(
+        x.v * x.d1 * c,
+        x.v * z.d1 * sv * c,
+        (lam * x.d1 * cv + x.v * w.d1 * sv) * c,
+        -x.v * z.d1 * cv * c,
+        (lam * x.d1 * sv - x.v * w.d1 * cv) * c,
+        lam * z.d1 * c)
+
+
+def _rhs_I(lam2, x, z, w):
+    xv, dx = Dual.from_jet(x), Dual.shift(x)
+    dz, dw = Dual.shift(z), Dual.shift(w)
+    return ((xv * xv * (dz * dz - dw * dw) - lam2 * (dx * dx + dz * dz))
+            / (xv * xv * dx * dx))
+
+
+def _identity_I(lam, x, z, w):
+    return (lam ** 2 * (x.v * x.d1 * w.d2 + w.d1 * (2 * x.d1 ** 2 - x.v * x.d2))
+            + x.v ** 2 * (w.d1 * (w.d1 ** 2 - x.d1 ** 2)
+                          + x.v * (x.d2 * w.d1 - x.d1 * w.d2)))
+
+
+def _parallel_I(lam, x, z, w, pts):
+    rad2 = x.v ** 2 - lam ** 2
+    p0 = pts[0]
+    return [(abs(math.hypot(p.x1, p.x2) - math.sqrt(rad2)),
+             abs(p.x3 - p0.x3), abs(p.x4 - p0.x4)) for p in pts]
+
+
+# ---------------------------------------------------------------------------
+# kind II: (x + lam v, y, w sinh v, w cosh v)
+
+def _jet_II(lam, x, y, w, v):
+    ch, sh = xp(v).cosh(v), xp(v).sinh(v)
+    return SurfaceJet(
+        Vec4(x.v + lam * v, y.v, w.v * sh, w.v * ch),
+        Vec4(x.d1, y.d1, w.d1 * sh, w.d1 * ch),
+        Vec4(lam, 0.0, w.v * ch, w.v * sh),
+        Vec4(x.d2, y.d2, w.d2 * sh, w.d2 * ch),
+        Vec4(0.0, 0.0, w.d1 * ch, w.d1 * sh),
+        Vec4(0.0, 0.0, w.v * sh, w.v * ch),
+    )
+
+
+def _metric_II(lam, x, y, w):
+    return (x.d1 ** 2 + y.d1 ** 2 - w.d1 ** 2, lam * x.d1, w.v ** 2 + lam ** 2,
+            (w.v ** 2 + lam ** 2) * (y.d1 ** 2 - w.d1 ** 2) + x.d1 ** 2 * w.v ** 2)
+
+
+def _frame_II(lam, x, y, w, v, u, W, rW):
+    sqrt = xp(W).sqrt
+    Q = w.d1 ** 2 - y.d1 ** 2
+    bad = flag(Q <= 0.0, FrameFailureError, "w'^2 - y'^2 = {!r} <= 0 at u = {!r}", Q, u)
+    rQ, rWQ = sqrt(Q), sqrt(W * Q)
+    b1 = SecondForm((y.d2 * w.d1 - y.d1 * w.d2) / rQ,
+                    0.0,
+                    -w.v * y.d1 / rQ)
+    b2 = SecondForm(
+        w.v * (x.d1 * (y.d1 * y.d2 - w.d1 * w.d2) + x.d2 * Q) / rWQ,
+        -lam * w.d1 * rQ / rW,
+        -x.d1 * w.v ** 2 * w.d1 / rWQ)
+    ch, sh = xp(v).cosh(v), xp(v).sinh(v)
+    N1 = Vec4(0.0, w.d1 / rQ, y.d1 * sh / rQ, y.d1 * ch / rQ)
+    c = 1.0 / (rW * rQ)
+    N2 = Vec4(w.v * Q * c,
+              x.d1 * y.d1 * w.v * c,
+              (x.d1 * w.v * w.d1 * sh - lam * Q * ch) * c,
+              (x.d1 * w.v * w.d1 * ch - lam * Q * sh) * c)
+    return bad, b1, b2, N1, N2
+
+
+def _gauss_II(lam, x, y, w, v, c):
+    ch, sh = xp(v).cosh(v), xp(v).sinh(v)
+    return Bivector6(
+        -lam * y.d1 * c,
+        (x.d1 * w.v * ch - lam * w.d1 * sh) * c,
+        (x.d1 * w.v * sh - lam * w.d1 * ch) * c,
+        y.d1 * w.v * ch * c,
+        y.d1 * w.v * sh * c,
+        -w.v * w.d1 * c)
+
+
+def _rhs_II(lam2, x, y, w):
+    wv, dw = Dual.from_jet(w), Dual.shift(w)
+    dx, dy = Dual.shift(x), Dual.shift(y)
+    return ((wv * wv * (dx * dx + dy * dy) + lam2 * (dy * dy - dw * dw))
+            / (wv * wv * dw * dw))
+
+
+def _identity_II(lam, x, y, w):
+    return lam * (x.d1 * w.d1 ** 2 * (2 * lam ** 2 + w.v ** 2)
+                  - w.v ** 2 * x.d1 ** 3
+                  + w.v * (lam ** 2 + w.v ** 2) * (x.d2 * w.d1 - x.d1 * w.d2))
+
+
+def _parallel_II(lam, x, y, w, pts):
+    c = lam ** 2 + w.v ** 2
+    p0 = pts[0]
+    return [(abs((p.x4 ** 2 - p.x3 ** 2) - c),
+             abs(p.x1 - p0.x1), abs(p.x2 - p0.x2)) for p in pts]
+
+
+# ---------------------------------------------------------------------------
+# kind III: x e1 + sqrt2 v w e2 + (z + v^2 w + lam v) xi3 + w xi4
+
+def _jet_III(lam, x, z, w, v):
+    return SurfaceJet(
+        pseudo_to_standard(x.v, SQRT2 * v * w.v, z.v + v * v * w.v + lam * v, w.v),
+        pseudo_to_standard(x.d1, SQRT2 * v * w.d1, z.d1 + v * v * w.d1, w.d1),
+        pseudo_to_standard(0.0, SQRT2 * w.v, 2.0 * v * w.v + lam, 0.0),
+        pseudo_to_standard(x.d2, SQRT2 * v * w.d2, z.d2 + v * v * w.d2, w.d2),
+        pseudo_to_standard(0.0, SQRT2 * w.d1, 2.0 * v * w.d1, 0.0),
+        pseudo_to_standard(0.0, 0.0, 2.0 * w.v, 0.0),
+    )
+
+
+def _metric_III(lam, x, z, w):
+    return (x.d1 ** 2 - 2.0 * w.d1 * z.d1, -lam * w.d1, 2.0 * w.v ** 2,
+            2.0 * w.v ** 2 * (x.d1 ** 2 - 2.0 * w.d1 * z.d1) - lam ** 2 * w.d1 ** 2)
+
+
+def _frame_III(lam, x, z, w, v, u, W, rW):
+    bad = flag(w.d1 == 0.0, FrameFailureError, "w' vanishes at u = {!r}", u)
+    b1 = SecondForm((x.d2 * w.d1 - x.d1 * w.d2) / w.d1, 0.0, 0.0)
+    b2 = SecondForm(
+        SQRT2 * w.v * (x.d1 * x.d2 * w.d1 - x.d1 ** 2 * w.d2
+                       + w.d1 * (z.d1 * w.d2 - w.d1 * z.d2)) / (w.d1 * rW),
+        SQRT2 * lam * w.d1 ** 2 / rW,
+        -2.0 * SQRT2 * w.v ** 2 * w.d1 / rW)
+    N1 = pseudo_to_standard(1.0, 0.0, x.d1 / w.d1, 0.0)
+    N2 = pseudo_to_standard(
+        SQRT2 * x.d1 * w.v / rW,
+        w.d1 * (lam + 2.0 * v * w.v) / rW,
+        SQRT2 * (x.d1 ** 2 * w.v + v * v * w.v * w.d1 ** 2
+                 + lam * v * w.d1 ** 2 - w.v * w.d1 * z.d1) / (w.d1 * rW),
+        SQRT2 * w.v * w.d1 / rW)
+    return bad, b1, b2, N1, N2
+
+
+def _gauss_III(lam, x, z, w, v, c):
+    return bivector_from_pseudo(
+        SQRT2 * x.d1 * w.v * c,
+        x.d1 * (lam + 2.0 * v * w.v) * c,
+        0.0,
+        SQRT2 * (v * v * w.v * w.d1 - w.v * z.d1 + lam * v * w.d1) * c,
+        -SQRT2 * w.v * w.d1 * c,
+        -w.d1 * (lam + 2.0 * v * w.v) * c)
+
+
+def _rhs_III(lam2, x, z, w):
+    wv, dw = Dual.from_jet(w), Dual.shift(w)
+    dx, dz = Dual.shift(x), Dual.shift(z)
+    return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * wv * wv)
+
+
+def _parallel_III(lam, x, z, w, pts):
+    qs = [standard_to_pseudo(p) for p in pts]
+    q0 = qs[0]
+    s0 = q0[2] - q0[1] ** 2 / (2.0 * q0[3])
+    return [(abs(q[0] - q0[0]), abs(q[3] - q0[3]),
+             abs(q[2] - s0 - q[1] ** 2 / (2.0 * q[3]))) for q in qs]
+
+
+FAMILIES = {
+    SurfaceKind.I: Family(
+        ("x", "z", "w"), (0.0, 2.0 * math.pi), _jet_I, _metric_I, _frame_I, _gauss_I,
+        constraint=(-1.0, True), constraint_rhs=_rhs_I,
+        radial=("x", -1.0, "x x'/sqrt(x^2-lam^2)"), radial_slot=0,
+        natural=(("z", "x"), ("w", "x")), parallel=_parallel_I,
+        shift_rate=lambda lam, x, z, w: -lam * w.d1 / (x.v ** 2 - lam ** 2),
+        ode_sign=-1.0, identity=_identity_I),
+    SurfaceKind.II: Family(
+        ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _jet_II, _metric_II, _frame_II,
+        _gauss_II, constraint=(1.0, True), constraint_rhs=_rhs_II,
+        radial=("w", 1.0, "w w'/sqrt(lam^2+w^2)"), radial_slot=2,
+        natural=(("x", "w"), ("y", "w")), parallel=_parallel_II,
+        shift_rate=lambda lam, x, y, w: lam * x.d1 / (lam ** 2 + w.v ** 2),
+        ode_sign=1.0, identity=_identity_II),
+    SurfaceKind.III: Family(
+        ("x", "z", "w"), (-math.pi, math.pi), _jet_III, _metric_III, _frame_III, _gauss_III,
+        constraint=(-2.0, False), constraint_rhs=_rhs_III,
+        radial=("w", None, "w'"), radial_slot=2,
+        natural=(("x", "w"), ("z", "w")), parallel=_parallel_III,
+        closed_shift=lambda lam, x, z, w: lam / (2.0 * Dual.from_jet(w))),
 }
 
-_DEFAULT_V_DOMAIN = {
-    SurfaceKind.I: (0.0, 2.0 * math.pi),
-    SurfaceKind.II: (-math.pi / 4.0, math.pi / 4.0),
-    SurfaceKind.III: (-math.pi, math.pi),
-}
 
+# ---------------------------------------------------------------------------
+# helicoid specs
 
 @dataclass(frozen=True)
 class HelicoidSpec:
@@ -72,7 +327,7 @@ class HelicoidSpec:
 
     @property
     def v_range(self) -> tuple[float, float]:
-        return self.v_domain if self.v_domain is not None else _DEFAULT_V_DOMAIN[self.kind]
+        return self.v_domain if self.v_domain is not None else FAMILIES[self.kind].v_domain
 
     @property
     def rotational(self) -> bool:
@@ -105,7 +360,7 @@ def make_helicoid(kind, pitch: float, profile: Mapping[str, "str | Expr"],
         kind = SurfaceKind(kind)
     except ValueError:
         raise ValidationError(f"unknown kind {kind!r} (expected I, II or III)") from None
-    names = PROFILE_NAMES[kind]
+    names = FAMILIES[kind].names
     if not isinstance(profile, Mapping):
         raise ValidationError("'profile' must map component names to expressions")
     if set(profile) != set(names):
@@ -136,16 +391,27 @@ def profile_jets(spec: HelicoidSpec, u: float) -> dict[str, Jet2]:
     return {name: eval_jet(e, u, consts) for name, e in spec.profile}
 
 
+class _Varies(Exception):
+    """A domain sample where a profile component's derivative is not negligible."""
+
+
 def is_constant_profile(spec: HelicoidSpec, name: str, samples: int = 64,
                         tol: float = 1e-12) -> bool:
-    """True when the component's derivative vanishes across a domain sample."""
-    expr = spec.exprs[name]
-    a, b = spec.domain
-    consts = spec.consts
-    for i in range(samples):
-        u = a + (b - a) * (i + 0.5) / samples
-        if abs(eval_jet(expr, u, consts).d1) > tol:
-            return False
+    """True when the component's derivative vanishes across a domain sample.
+
+    Like a loop over the samples, the scan stops at the first one where the
+    derivative does not vanish: a failure beyond it raises nothing.
+    """
+    expr, consts = spec.exprs[name], spec.consts
+
+    def slope(u):
+        d1 = eval_jet(expr, u, consts).d1
+        return where(flag(abs(d1) > tol, _Varies, ""), math.nan, d1)
+
+    try:
+        scan(spec.domain, samples, slope)
+    except _Varies:
+        return False
     return True
 
 
@@ -155,38 +421,8 @@ def is_constant_profile(spec: HelicoidSpec, name: str, samples: int = 64,
 def helicoid_jet_from_profile(kind: SurfaceKind, lam: float,
                               pj: Mapping[str, Jet2], v: float) -> SurfaceJet:
     """Assemble the exact surface jet at (u, v) from profile jets at u."""
-    m = xp(v)
-    if kind is SurfaceKind.I:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        cv, sv = m.cos(v), m.sin(v)
-        return SurfaceJet(
-            Vec4(x.v * cv, x.v * sv, z.v, w.v + lam * v),
-            Vec4(x.d1 * cv, x.d1 * sv, z.d1, w.d1),
-            Vec4(-x.v * sv, x.v * cv, 0.0, lam),
-            Vec4(x.d2 * cv, x.d2 * sv, z.d2, w.d2),
-            Vec4(-x.d1 * sv, x.d1 * cv, 0.0, 0.0),
-            Vec4(-x.v * cv, -x.v * sv, 0.0, 0.0),
-        )
-    if kind is SurfaceKind.II:
-        x, y, w = pj["x"], pj["y"], pj["w"]
-        ch, sh = m.cosh(v), m.sinh(v)
-        return SurfaceJet(
-            Vec4(x.v + lam * v, y.v, w.v * sh, w.v * ch),
-            Vec4(x.d1, y.d1, w.d1 * sh, w.d1 * ch),
-            Vec4(lam, 0.0, w.v * ch, w.v * sh),
-            Vec4(x.d2, y.d2, w.d2 * sh, w.d2 * ch),
-            Vec4(0.0, 0.0, w.d1 * ch, w.d1 * sh),
-            Vec4(0.0, 0.0, w.v * sh, w.v * ch),
-        )
-    x, z, w = pj["x"], pj["z"], pj["w"]
-    return SurfaceJet(
-        pseudo_to_standard(x.v, SQRT2 * v * w.v, z.v + v * v * w.v + lam * v, w.v),
-        pseudo_to_standard(x.d1, SQRT2 * v * w.d1, z.d1 + v * v * w.d1, w.d1),
-        pseudo_to_standard(0.0, SQRT2 * w.v, 2.0 * v * w.v + lam, 0.0),
-        pseudo_to_standard(x.d2, SQRT2 * v * w.d2, z.d2 + v * v * w.d2, w.d2),
-        pseudo_to_standard(0.0, SQRT2 * w.d1, 2.0 * v * w.d1, 0.0),
-        pseudo_to_standard(0.0, 0.0, 2.0 * w.v, 0.0),
-    )
+    fam = FAMILIES[kind]
+    return fam.jet(lam, *fam.profile(pj), v)
 
 
 def helicoid_jet(spec: HelicoidSpec, u: float, v: float) -> SurfaceJet:
@@ -206,25 +442,8 @@ def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
 def closed_form_metric_from_profile(kind: SurfaceKind, lam: float,
                                     pj: Mapping[str, Jet2],
                                     require_spacelike: bool = True) -> FirstForm:
-    if kind is SurfaceKind.I:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        g11 = x.d1 ** 2 + z.d1 ** 2 - w.d1 ** 2
-        g12 = -lam * w.d1
-        g22 = x.v ** 2 - lam ** 2
-        W = (x.v ** 2 - lam ** 2) * (x.d1 ** 2 + z.d1 ** 2) - x.v ** 2 * w.d1 ** 2
-    elif kind is SurfaceKind.II:
-        x, y, w = pj["x"], pj["y"], pj["w"]
-        g11 = x.d1 ** 2 + y.d1 ** 2 - w.d1 ** 2
-        g12 = lam * x.d1
-        g22 = w.v ** 2 + lam ** 2
-        W = (w.v ** 2 + lam ** 2) * (y.d1 ** 2 - w.d1 ** 2) + x.d1 ** 2 * w.v ** 2
-    else:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        g11 = x.d1 ** 2 - 2.0 * w.d1 * z.d1
-        g12 = -lam * w.d1
-        g22 = 2.0 * w.v ** 2
-        W = 2.0 * w.v ** 2 * (x.d1 ** 2 - 2.0 * w.d1 * z.d1) - lam ** 2 * w.d1 ** 2
-    return finalize_first_form(g11, g12, g22, W, require_spacelike)
+    fam = FAMILIES[kind]
+    return finalize_first_form(*fam.metric(lam, *fam.profile(pj)), require_spacelike)
 
 
 def closed_form_metric(spec: HelicoidSpec, u: float,
@@ -244,64 +463,10 @@ def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
     that leaves the family's frame convention is named as such.
     """
     lam = spec.pitch
+    fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
     sqrt = xp(ff.W).sqrt
-    trig = xp(v)
-    rW = sqrt(ff.W)
-    if spec.kind is SurfaceKind.I:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        P = x.d1 ** 2 + z.d1 ** 2
-        bad = flag(P <= 0.0, FrameFailureError, "x'^2 + z'^2 vanishes at u = {!r}", u)
-        rP, rWP = sqrt(P), sqrt(ff.W * P)
-        b1 = SecondForm((x.d2 * z.d1 - x.d1 * z.d2) / rP,
-                        0.0,
-                        -x.v * z.d1 / rP)
-        b2 = SecondForm(
-            x.v * (w.d1 * (x.d1 * x.d2 + z.d1 * z.d2) - w.d2 * P) / rWP,
-            lam * x.d1 * rP / rW,
-            -x.v ** 2 * x.d1 * w.d1 / rWP)
-        cv, sv = trig.cos(v), trig.sin(v)
-        N1 = Vec4(z.d1 * cv / rP, z.d1 * sv / rP, -x.d1 / rP, 0.0)
-        c = 1.0 / (rW * rP)
-        N2 = Vec4((x.v * x.d1 * w.d1 * cv - lam * P * sv) * c,
-                  (x.v * x.d1 * w.d1 * sv + lam * P * cv) * c,
-                  x.v * z.d1 * w.d1 * c,
-                  x.v * P * c)
-    elif spec.kind is SurfaceKind.II:
-        x, y, w = pj["x"], pj["y"], pj["w"]
-        Q = w.d1 ** 2 - y.d1 ** 2
-        bad = flag(Q <= 0.0, FrameFailureError, "w'^2 - y'^2 = {!r} <= 0 at u = {!r}", Q, u)
-        rQ, rWQ = sqrt(Q), sqrt(ff.W * Q)
-        b1 = SecondForm((y.d2 * w.d1 - y.d1 * w.d2) / rQ,
-                        0.0,
-                        -w.v * y.d1 / rQ)
-        b2 = SecondForm(
-            w.v * (x.d1 * (y.d1 * y.d2 - w.d1 * w.d2) + x.d2 * Q) / rWQ,
-            -lam * w.d1 * rQ / rW,
-            -x.d1 * w.v ** 2 * w.d1 / rWQ)
-        ch, sh = trig.cosh(v), trig.sinh(v)
-        N1 = Vec4(0.0, w.d1 / rQ, y.d1 * sh / rQ, y.d1 * ch / rQ)
-        c = 1.0 / (rW * rQ)
-        N2 = Vec4(w.v * Q * c,
-                  x.d1 * y.d1 * w.v * c,
-                  (x.d1 * w.v * w.d1 * sh - lam * Q * ch) * c,
-                  (x.d1 * w.v * w.d1 * ch - lam * Q * sh) * c)
-    else:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        bad = flag(w.d1 == 0.0, FrameFailureError, "w' vanishes at u = {!r}", u)
-        b1 = SecondForm((x.d2 * w.d1 - x.d1 * w.d2) / w.d1, 0.0, 0.0)
-        b2 = SecondForm(
-            SQRT2 * w.v * (x.d1 * x.d2 * w.d1 - x.d1 ** 2 * w.d2
-                           + w.d1 * (z.d1 * w.d2 - w.d1 * z.d2)) / (w.d1 * rW),
-            SQRT2 * lam * w.d1 ** 2 / rW,
-            -2.0 * SQRT2 * w.v ** 2 * w.d1 / rW)
-        N1 = pseudo_to_standard(1.0, 0.0, x.d1 / w.d1, 0.0)
-        N2 = pseudo_to_standard(
-            SQRT2 * x.d1 * w.v / rW,
-            w.d1 * (lam + 2.0 * v * w.v) / rW,
-            SQRT2 * (x.d1 ** 2 * w.v + v * v * w.v * w.d1 ** 2
-                     + lam * v * w.d1 ** 2 - w.v * w.d1 * z.d1) / (w.d1 * rW),
-            SQRT2 * w.v * w.d1 / rW)
+    bad, b1, b2, N1, N2 = fam.frame(lam, *fam.profile(pj), v, u, ff.W, sqrt(ff.W))
     bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
                      ff.g11, u)
     jet = helicoid_jet_from_profile(spec.kind, lam, pj, v)
@@ -335,38 +500,10 @@ def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
     """The families' explicit Gauss-map component patterns (unit 2-vector)."""
     if pj is None:
         pj = profile_jets(spec, u)
-    lam = spec.pitch
-    ff = closed_form_metric_from_profile(spec.kind, lam, pj)
+    fam = FAMILIES[spec.kind]
+    ff = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
     c = 1.0 / xp(ff.W).sqrt(ff.W)
-    trig = xp(v)
-    if spec.kind is SurfaceKind.I:
-        x, z, w = pj["x"], pj["z"], pj["w"]
-        cv, sv = trig.cos(v), trig.sin(v)
-        return Bivector6(
-            x.v * x.d1 * c,
-            x.v * z.d1 * sv * c,
-            (lam * x.d1 * cv + x.v * w.d1 * sv) * c,
-            -x.v * z.d1 * cv * c,
-            (lam * x.d1 * sv - x.v * w.d1 * cv) * c,
-            lam * z.d1 * c)
-    if spec.kind is SurfaceKind.II:
-        x, y, w = pj["x"], pj["y"], pj["w"]
-        ch, sh = trig.cosh(v), trig.sinh(v)
-        return Bivector6(
-            -lam * y.d1 * c,
-            (x.d1 * w.v * ch - lam * w.d1 * sh) * c,
-            (x.d1 * w.v * sh - lam * w.d1 * ch) * c,
-            y.d1 * w.v * ch * c,
-            y.d1 * w.v * sh * c,
-            -w.v * w.d1 * c)
-    x, z, w = pj["x"], pj["z"], pj["w"]
-    return bivector_from_pseudo(
-        SQRT2 * x.d1 * w.v * c,
-        x.d1 * (lam + 2.0 * v * w.v) * c,
-        0.0,
-        SQRT2 * (v * v * w.v * w.d1 - w.v * z.d1 + lam * v * w.d1) * c,
-        -SQRT2 * w.v * w.d1 * c,
-        -w.d1 * (lam + 2.0 * v * w.v) * c)
+    return fam.gauss(spec.pitch, *fam.profile(pj), v, c)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +553,7 @@ class RotationalSpec:
 
     @property
     def v_range(self) -> tuple[float, float]:
-        return self.v_domain if self.v_domain is not None else _DEFAULT_V_DOMAIN[self.kind]
+        return self.v_domain if self.v_domain is not None else FAMILIES[self.kind].v_domain
 
     def component_sources(self) -> dict[str, str]:
         out = {}
@@ -429,7 +566,7 @@ class RotationalSpec:
 def surface_profile(surface: "HelicoidSpec | RotationalSpec", u: float) -> dict[str, Jet2]:
     """The profile jets of either surface at u, under the kind's profile names."""
     if isinstance(surface, RotationalSpec):
-        return dict(zip(PROFILE_NAMES[surface.kind],
+        return dict(zip(FAMILIES[surface.kind].names,
                         (surface.n(u), surface.s(u), surface.r(u))))
     return profile_jets(surface, u)
 
@@ -451,7 +588,7 @@ def rotational_jet(spec: RotationalSpec, u: float, v: float) -> SurfaceJet:
 def rotational_from_profile(spec: HelicoidSpec) -> RotationalSpec:
     """The pitch-0 surface with the same profile curve (n, s, r) <- (x, z|y, w)."""
     exprs, consts = spec.exprs, spec.consts
-    n, s, r = (expr_profile(exprs[name], consts) for name in PROFILE_NAMES[spec.kind])
+    n, s, r = (expr_profile(exprs[name], consts) for name in FAMILIES[spec.kind].names)
     return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
 
 

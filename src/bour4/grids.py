@@ -1,16 +1,19 @@
-"""Uniform parameter grids, and the row-block sweep that evaluates a surface
-over one for residual checks, reports and meshes."""
+"""Uniform parameter grids, the row-block sweep that evaluates a surface
+over one for residual checks, reports and meshes, and the scan of a
+function of u over samples of a domain."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .families import HelicoidSpec
 from .lorentz import BLOCK_POINTS
+
+if TYPE_CHECKING:
+    from .families import HelicoidSpec
 
 #: Fraction of the span trimmed from each end of a declared domain before
 #: sweeping, so grids stay clear of endpoint singularities.
@@ -137,3 +140,40 @@ def _non_finite(u: float, v: float) -> NonFiniteError:
     return NonFiniteError(
         f"non-finite value at u = {u!r}, v = {v!r}: "
         "a profile value, surface jet or metric overflows or is undefined")
+
+
+# ---------------------------------------------------------------------------
+# domain scans
+
+def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoints u_i = a + (b - a) (i + 0.5) / n of n equal cells of the
+    domain, and f at every one of them, from one array call.
+
+    ``f`` is written once over floats and arrays, as for ``sweep``, and a
+    check that fails leaves NaN.  Samples whose value is not finite are
+    re-run on floats in ascending u, so the first one that raises raises its
+    own error, as a loop over the samples would; one that raises only an
+    overflow or a math domain error is a NonFiniteError naming the sample.
+    When the array call itself raises (a failure free of u), the first
+    sample is re-run on floats.
+    """
+    a, b = domain
+    with np.errstate(all="ignore"):
+        us = a + (b - a) * (np.arange(n) + 0.5) / n
+        try:
+            values = np.broadcast_to(np.asarray(f(us), dtype=float), us.shape)
+        except Exception:
+            _rescan(f, float(us[0]))
+            raise
+    for u in us[~np.isfinite(values)].tolist():
+        _rescan(f, u)
+    return us, values
+
+
+def _rescan(f: Callable, u: float) -> None:
+    """Run f at one sample on floats for its error."""
+    try:
+        f(u)
+    except (ArithmeticError, ValueError):
+        raise NonFiniteError(
+            f"non-finite value at u = {u!r}: a value overflows or is undefined") from None

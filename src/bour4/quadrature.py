@@ -235,9 +235,10 @@ class Antiderivative:
         self._arrays = np.array([self._us, self._Fs, self._fs])  # for array queries
 
     def __call__(self, u):
-        """F at u, a float or an array of u.  An array is answered with the
-        arithmetic of the float queries, so bit for bit as they would be;
-        its points outside the table go through the fallback one at a time."""
+        """F at u, a float or an array of u; NaN at a NaN.  An array is
+        answered with the arithmetic of the float queries, so bit for bit as
+        they would be; its points outside the table go through the fallback
+        one at a time."""
         us = self._us
         if isinstance(u, np.ndarray):
             out = np.empty(u.shape)
@@ -251,6 +252,8 @@ class Antiderivative:
         if u >= us[-1]:
             return self._Fs[-1] if u == us[-1] else (
                 self._Fs[-1] + integrate(self.f, us[-1], u, self.tol))
+        if math.isnan(u):  # bisect would put it past the last knot
+            return math.nan
         return _hermite(u, bisect.bisect_right(us, u) - 1, us, self._Fs, self._fs)
 
     @property

@@ -11,11 +11,11 @@ from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
                         pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge,
                         vbar, vbar_map)
-from bour4.errors import (InfeasibleGaugeError, NotSpacelikeError,
-                          ValidationError)
-from bour4.expressions import eval_jet
-from bour4.families import (SurfaceKind, helicoid_jet, make_helicoid,
-                            rotational_jet)
+from bour4.errors import (EvalDomainError, InfeasibleGaugeError,
+                          NotSpacelikeError, ValidationError)
+from bour4.expressions import eval_jet, parse
+from bour4.families import (SurfaceKind, helicoid_jet, is_constant_profile,
+                            make_helicoid, rotational_jet)
 from bour4.grids import grid_for
 from bour4.surfaces import curvature_report
 
@@ -24,6 +24,19 @@ EX1 = dict(lam=1.0, c3=0.5, domain=(1.1, math.pi))
 
 def spec_I(w="u/2", z="0", lam=1.0, domain=(1.5, 3.0)):
     return make_helicoid("I", lam, {"x": "u", "z": z, "w": w}, domain)
+
+
+def samples(domain, n):
+    """The domain samples a check loops over: midpoints of n equal cells."""
+    a, b = domain
+    return [a + (b - a) * (i + 0.5) / n for i in range(n)]
+
+
+#: A kind-I spec whose x and z are undefined beyond u = 2.6, where z
+#: stops being constant.
+FAILING_I = make_helicoid("I", 1.0, {"x": "u + 0*sqrt(2.6 - u)", "z": "0*sqrt(2.6 - u)",
+                                     "w": "u/2"}, (1.5, 3.0))
+B_ONE_I = BourGauge(SurfaceKind.I, gauge_from_expr("0"), gauge_from_expr("1"))
 
 
 class TestVbar:
@@ -319,8 +332,11 @@ class TestSameGaussPairs:
             same_gauss_pair_II("u", 1.0, -2.0)
 
     def test_kind_II_asin_domain_guarded(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 1.5))
+        u = next(u for u in samples((0.2, 1.5), 64) if 1.0 - 0.5 * (1.0 + u * u) <= 0.0)
+        assert str(info.value) == (
+            f"1 + c3*(lambda^2 + w^2) <= 0 at u = {u:.6g}: asin leaves its domain")
 
 
 class TestGaussResidual:
@@ -472,3 +488,53 @@ class TestMeanCurvatureRelation:
         hj = curvature_report(helicoid_jet(spec, u, 0.3))
         rj = curvature_report(rotational_jet(r, u, vb(u, 0.3)))
         assert abs(abs(rj.H2) - abs(u * u * 0.5 * hj.H2)) > 1e-3
+
+
+class TestDomainScans:
+    """Each domain check raises the error of its first failing sample in
+    ascending u, with the message a loop over the samples gives."""
+
+    @pytest.mark.parametrize("x,first", [
+        ("4 - u + 0*sqrt(2.5 - u)", NotSpacelikeError),  # x^2 <= 4 from u = 2 on
+        ("4 - u + 0*sqrt(u - 1.8)", EvalDomainError),  # undefined below u = 1.8
+    ])
+    def test_radial_prescan_raises_at_the_first_failing_sample(self, x, first):
+        spec = make_helicoid("I", 2.0, {"x": x, "z": "0", "w": "0"}, (1.5, 3.0))
+        with pytest.raises(first) as info:
+            bour_partner(spec, B_ONE_I)
+        if first is NotSpacelikeError:
+            u = next(u for u in samples(spec.domain, 64) if u >= 2.0)
+            assert str(info.value) == (
+                f"x^2 - lambda^2 <= 0 at u = {u:.6g}: no radial component")
+
+    def test_infeasible_gauge_interval_is_first_and_last_bad_sample(self):
+        # with a = 0, b^2 = -rhs = 1 + 1/u^2 - u^2, negative from u = 1.272 on
+        spec = make_helicoid("I", 1.0, {"x": "u", "z": "u^2/2", "w": "0"}, (1.0, 2.0))
+        with pytest.raises(InfeasibleGaugeError) as info:
+            gauge_complete(spec, "a", "0")
+        bad = [u for u in samples(spec.domain, 96) if u ** 4 - u ** 2 - 1.0 > 0.0]
+        assert info.value.interval == (bad[0], bad[-1]) == (1.0 + 26.5 / 96, 1.0 + 95.5 / 96)
+        assert str(info.value) == ("gauge constraint forces a negative square "
+                                   "on u in [1.27604, 1.99479]")
+
+    @pytest.mark.parametrize("check,limit,domain,n", [
+        (lambda: gauge_complete(FAILING_I, "a", "0"), 2.6, (1.5, 3.0), 96),
+        (lambda: B_ONE_I.residual(FAILING_I), 2.6, (1.5, 3.0), 64),
+        (lambda: bour_partner(FAILING_I, B_ONE_I), 2.6, (1.5, 3.0), 64),
+        (lambda: bernoulli_residual("1", "u + 0*sqrt(2.6 - u)", 1.0, (1.5, 3.0)),
+         2.6, (1.5, 3.0), 64),
+        (lambda: minimal_pair_identity_residual(FAILING_I), 2.6, (1.5, 3.0), 64),
+        (lambda: is_constant_profile(FAILING_I, "z"), 2.6, (1.5, 3.0), 64),
+        (lambda: same_gauss_pair_II("u + 0*sqrt(0.6 - u)", 1.0, -0.5, domain=(0.3, 0.9)),
+         0.6, (0.3, 0.9), 64),
+    ], ids=["gauge_complete", "residual", "radial_prescan", "bernoulli", "identity",
+            "is_constant", "asin_check"])
+    def test_domain_error_is_the_float_loops(self, check, limit, domain, n):
+        root = f"sqrt({limit} - u)"
+        u = next(u for u in samples(domain, n) if u > limit)
+        with pytest.raises(EvalDomainError) as want:
+            eval_jet(parse(root), u)
+        with pytest.raises(EvalDomainError) as got:
+            check()
+        assert str(got.value) == str(want.value)
+        assert got.value.subexpr == root

@@ -56,16 +56,12 @@ def json_type(value) -> str:
 
 
 @st.composite
-def pair_mutations(draw):
-    """FLOW_PAIR with one field, top-level or inside helicoid/gauge, dropped
-    or replaced by a value of another JSON type."""
-    pair = copy.deepcopy(FLOW_PAIR)
-    path = draw(st.sampled_from(
-        [("helicoid",), ("gauge",), ("expect",), ("partner_constants",)]
-        + [("helicoid", key) for key in FLOW_PAIR["helicoid"]]
-        + [("gauge", key) for key in FLOW_PAIR["gauge"]]))
-    *parents, key = path
-    target = pair
+def field_mutations(draw, base: dict, paths: list[tuple[str, ...]]):
+    """base with the field at one of the paths dropped or replaced by a
+    value of another JSON type."""
+    data = copy.deepcopy(base)
+    *parents, key = draw(st.sampled_from(paths))
+    target = data
     for name in parents:
         target = target[name]
     kinds = [k for k in JSON_VALUES if key not in target or k != json_type(target[key])]
@@ -74,7 +70,96 @@ def pair_mutations(draw):
         target.pop(key, None)
     else:
         target[key] = draw(JSON_VALUES[choice])
-    return pair
+    return data
+
+
+def pair_mutations():
+    """FLOW_PAIR with one field, top-level or inside helicoid/gauge, mutated."""
+    return field_mutations(FLOW_PAIR, [("helicoid",), ("gauge",), ("expect",),
+                                       ("partner_constants",)]
+                           + [("helicoid", key) for key in FLOW_PAIR["helicoid"]]
+                           + [("gauge", key) for key in FLOW_PAIR["gauge"]])
+
+
+#: Values of --lambda and --c3.  Calls pass option values as --option=value:
+#: argparse takes a lone value such as -1e-05, -inf or -u for an option.
+NUMBERS = (st.sampled_from(["0", "1", "0.5", "-0.5", "2", "nan", "inf", "-inf", "1e200",
+                            "1e-300", "-1e200"])
+           | st.floats(-2.0, 2.0).map(repr))
+#: The two values of --domain, as plain decimals that argparse reads as numbers.
+DOMAIN_ENDS = st.sampled_from(["nan", "inf", "1e200"]) | st.floats(-5.0, 5.0).map("{:.3f}".format)
+EXPRESSIONS = (st.sampled_from(["0", "2", "u", "1/2", "u/3", "2 + u", "1 - u", "(u - 1)^2",
+                                "cos(u)", "sqrt(u)", "sqrt(-1)", "1/(u - 2)", "log(u - 1)",
+                                "exp(1000*u)", "asin(u)", "c1", "q", "u^", "(", "",
+                                "1e308*u^2", "u^(1/2)", "tan(u)"])
+               | st.text(max_size=4))
+GRIDS = st.sampled_from(["3x3", "2x4", "4X2", "1x3", "3x0", "-2x3", "3", "x", "3x3x3",
+                         "ax3", "2001x2", " 3x3 ", ""])
+PROJECTIONS = st.sampled_from(["drop-constant", "drop-1", "drop-4", "drop-0", "drop-5",
+                               "drop-", "x"]) | st.text(max_size=6)
+#: Every field of COR34, top-level or inside profile/constants.
+SPEC_PATHS = ([(key,) for key in (*COR34, "v_domain")]
+              + [("profile", key) for key in COR34["profile"]] + [("constants", "c1")])
+
+
+#: One valid call per subcommand and scenario; SPEC and OUT stand for the
+#: spec file (COR34) and the output path.
+VALID_CALLS = [
+    ["report", "--spec", "SPEC", "--grid=3x3", "--out", "OUT"],
+    ["export", "--spec", "SPEC", "--format", "csv", "--projection=drop-constant",
+     "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.1", "--spec", "SPEC", "--gauge-a=0", "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.1", "--spec", "SPEC", "--gauge-b=1", "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.3", "--x=u", "--lambda=1", "--c3=0.5", "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.6", "--w=u", "--lambda=1", "--c3=-0.5", "--grid=3x3", "--out", "OUT"],
+    ["example", "1", "--grid=3x3", "--out-dir", "OUT"],
+]
+#: What may stand in for each option's value.
+OPTION_VALUES = {"--theorem": st.sampled_from(["3.1", "3.5", "3.7", "3.2", ""]),
+                 "--gauge-a": EXPRESSIONS, "--gauge-b": EXPRESSIONS, "--x": EXPRESSIONS,
+                 "--w": EXPRESSIONS, "--lambda": NUMBERS, "--c3": NUMBERS, "--grid": GRIDS,
+                 "--projection": PROJECTIONS}
+
+
+@st.composite
+def cli_calls(draw):
+    """A valid call with up to two option values redrawn and maybe a
+    --domain added, and its spec file: COR34, with one field mutated or a
+    profile component redrawn."""
+    spec = copy.deepcopy(COR34)
+    choice = draw(st.sampled_from(["valid", "mutated", "expression"]))
+    if choice == "mutated":
+        spec = draw(field_mutations(COR34, SPEC_PATHS))
+    elif choice == "expression":
+        spec["profile"][draw(st.sampled_from(sorted(spec["profile"])))] = draw(EXPRESSIONS)
+    argv = list(draw(st.sampled_from(VALID_CALLS)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.sampled_from([i for i, a in enumerate(argv)
+                                  if a.split("=")[0] in OPTION_VALUES]))
+        option = argv[i].split("=")[0]
+        argv[i] = f"{option}={draw(OPTION_VALUES[option])}"
+    if argv[0] == "verify" and draw(st.booleans()):
+        argv += ["--domain", draw(DOMAIN_ENDS), draw(DOMAIN_ENDS)]
+    return spec, argv
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """main's exit code and standard error for argv."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code: int, err: str, report: Path) -> None:
+    """Exit code in {0, 1, 2, 3}, no traceback, one stderr line on exit 2
+    or 3, and exit 1 only for a report with failed claims."""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code == 1:
+        assert json.loads(report.read_text())["failures"]
 
 
 def write_json(path: Path, data) -> str:
@@ -289,6 +374,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "error: shared-Gauss-map pairs need a positive pitch\n"
 
+    @pytest.mark.parametrize("args,err", [
+        (["--theorem", "3.3", "--x", "u", "--lambda=1e200", "--c3", "0.5"],
+         "error: pitch 1e+200 outside (1e-150, 1e150)\n"),
+        (["--theorem", "3.6", "--w", "u", "--lambda=1e-300", "--c3", "-0.5"],
+         "error: pitch 1e-300 outside (1e-150, 1e150)\n"),
+        (["--theorem", "3.3", "--x", "2", "--lambda", "1", "--c3", "0.5"],
+         "error: x or x' vanishes at u = 1.14083: no angular alignment exists\n"),
+        (["--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3=5e-262"],
+         "numerical failure: division by zero in 'sqrt(c3 * (u^2 - lam^2))'\n"),
+        (["--theorem", "3.6", "--w", "u", "--lambda", "1", "--c3", "-0.5",
+          "--domain", "0.681", "1e200"],
+         "numerical failure: non-finite value at u = 7.8125e+197: "
+         "a value overflows or is undefined\n"),
+    ], ids=["huge-pitch", "tiny-pitch", "constant-x", "underflow", "overflowing-domain"])
+    def test_degenerate_pair_inputs_exit_2_or_3(self, capsys, args, err):
+        code = main(["verify", *args, "--grid", "3x3"])
+        assert code == (2 if err.startswith("error: ") else 3)
+        assert capsys.readouterr().err == err
+
     def test_infeasible_gauge_exits_2(self, tmp_path):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "3*u", "w": "0"},
@@ -419,16 +523,18 @@ class TestInputValidation:
         work = tmp_path_factory.mktemp("pair")
         pf = write_json(work / "pair.json", pair)
         out = work / "v.json"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["verify", "--pair-file", pf, "--grid", "3x3", "--out", str(out)])
-        err = err.getvalue()
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
-        if code in (2, 3):
-            assert err.count("\n") == 1 and err.endswith("\n"), err
-        if code == 1:
-            assert json.loads(out.read_text())["failures"]
+        code, err = run_cli(["verify", "--pair-file", pf, "--grid", "3x3", "--out", str(out)])
+        assert_exit_contract(code, err, out)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(call=cli_calls())
+    def test_spec_files_and_options_keep_the_exit_code_contract(self, tmp_path_factory, call):
+        spec, argv = call
+        work = tmp_path_factory.mktemp("cli")
+        paths = {"SPEC": write_json(work / "spec.json", spec), "OUT": str(work / "out")}
+        code, err = run_cli([paths.get(a, a) for a in argv])
+        report = work / "out" / "pair_report.json" if argv[0] == "example" else work / "out"
+        assert_exit_contract(code, err, report)
 
     @pytest.mark.parametrize("grid", ["5000x5000", "2001x2"])
     @pytest.mark.parametrize("command", [

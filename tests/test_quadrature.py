@@ -104,6 +104,16 @@ class TestArrayQueries:
         assert got.tobytes() == want.tobytes()
         assert F(knots[:1])[0] == 0.0 and F(knots[-1:])[0] == F.total
 
+    def test_nan_query_is_nan_and_leaves_finite_queries_alone(self):
+        F = Antiderivative(np.cos, 0.0, 1.0)
+        assert math.isnan(F(float("nan")))
+        finite = np.array([0.0, 0.3, 0.7, 1.0, 1.2, -0.1])
+        u = np.insert(finite, [0, 2, 6], np.nan)
+        got = F(u)
+        assert np.isnan(got).tolist() == np.isnan(u).tolist()
+        assert got[~np.isnan(u)].tobytes() == F(finite).tobytes()
+        assert F(finite).tolist() == [F(x) for x in finite.tolist()]
+
 
 def _depth_first_table(f, u0, u1, tol, initial_panels=8):
     """Reference: the panel table built by recursive bisection, one scalar

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from bour4.families import (HelicoidSpec, closed_form_curvatures, closed_form_ga
                             make_helicoid, helicoid_jet, helicoid_position,
                             rotational_jet, surface_jet, surface_profile)
 import bour4.grids
+import bour4.surfaces
 from bour4.grids import Grid, sweep
 from bour4.lorentz import (E1, E2, E3, E4, CausalClass, Vec4, bivector_dot,
                            minkowski_dot, wedge)
@@ -37,6 +40,35 @@ def random_spacelike_jet():
         g22 = minkowski_dot(j.Xv, j.Xv)
         if g11 > 0.1 and g11 * g22 - g12 * g12 > 0.1:
             return j
+
+
+def package_imports(path: Path):
+    """The dotted names each import statement of a bour4 module loads."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("bour4" + (f".{node.module}" if node.module else "")
+                      if node.level else node.module)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_generic_engine_never_imports_the_closed_forms():
+    """surfaces.py (with numeric_jet) and every package module it imports,
+    directly or not, stay clear of families and bour."""
+    package = Path(bour4.surfaces.__file__).parent
+    reached, todo = set(), ["bour4.surfaces"]
+    while todo:
+        name = todo.pop()
+        parts = name.split(".")
+        path = package / ("__init__.py" if len(parts) == 1 else f"{parts[-1]}.py")
+        if parts[0] != "bour4" or len(parts) > 2 or name in reached or not path.exists():
+            continue
+        reached.add(name)
+        todo.extend(package_imports(path))
+    assert {"bour4.surfaces", "bour4.lorentz", "bour4.errors"} <= reached
+    assert not reached & {"bour4", "bour4.families", "bour4.bour"}
 
 
 class TestNumericJet:
