@@ -192,7 +192,7 @@ class VbarMap:
     ``sign=-1`` flips the shift, which probes the wrong orientation.
     """
 
-    def __init__(self, spec: HelicoidSpec, sign: int = 1, tol: float | None = None):
+    def __init__(self, spec: HelicoidSpec, sign: int = 1):
         self.spec = spec
         self.sign = sign
         lam = spec.pitch
@@ -209,8 +209,7 @@ class VbarMap:
         else:
             def integrand(u: float) -> float:
                 return fam.shift_rate(lam, *fam.profile(profile_jets(spec, u)))
-            self._table = Antiderivative(integrand, spec.domain[0], spec.domain[1],
-                                         tol if tol is not None else default_tolerance())
+            self._table = Antiderivative(integrand, spec.domain[0], spec.domain[1])
             self._shift = self._table
             self._dshift = integrand
 
@@ -228,34 +227,33 @@ class VbarMap:
 
 @lru_cache(maxsize=128)
 def _vbar_cached(spec: HelicoidSpec, tol: float) -> VbarMap:
-    return VbarMap(spec, 1, tol)
+    # tol keys the cache only: the table reads the same default_tolerance()
+    return VbarMap(spec)
 
 
-def vbar_map(spec: HelicoidSpec, sign: int = 1, tol: float | None = None) -> VbarMap:
-    """The memoised map of the spec; the other orientation is a shallow copy
-    that reads the same shift table."""
-    vb = _vbar_cached(spec, tol if tol is not None else default_tolerance())
+def vbar_map(spec: HelicoidSpec, sign: int = 1) -> VbarMap:
+    """The memoised map of the spec at the current quadrature tolerance; the
+    other orientation is a shallow copy that reads the same shift table."""
+    vb = _vbar_cached(spec, default_tolerance())
     if sign != vb.sign:
         vb = copy.copy(vb)
         vb.sign = sign
     return vb
 
 
-def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1,
-         tol: float | None = None) -> float:
+def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1) -> float:
     """The reparametrized angle for one point; see VbarMap."""
-    return vbar_map(spec, sign, tol)(u, v)
+    return vbar_map(spec, sign)(u, v)
 
 
 # ---------------------------------------------------------------------------
 # the isometric rotational partner
 
 def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
-                  tol: float | None, label: str) -> ProfileFn:
+                  label: str) -> ProfileFn:
     """The profile constant + int integrand du, tabulated once; the integrand
     takes a float or an array of u, the profile a float."""
-    table = Antiderivative(lambda u: integrand(u).v, domain[0], domain[1],
-                           tol if tol is not None else default_tolerance())
+    table = Antiderivative(lambda u: integrand(u).v, domain[0], domain[1])
 
     def fn(u: float) -> Jet2:
         d = integrand(u)
@@ -266,8 +264,7 @@ def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
 
 
 def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
-                 constants: tuple[float, float] = (0.0, 0.0),
-                 tol: float | None = None) -> RotationalSpec:
+                 constants: tuple[float, float] = (0.0, 0.0)) -> RotationalSpec:
     """The rotational surface isometric to the helicoid under (u,v) -> (u, vbar).
 
     Each kind has a radial component rho: sqrt(x^2 - lam^2) for kind I,
@@ -314,9 +311,9 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
             return qd * Dual.shift(q) / (qd * qd + c).sqrt()
 
     quad_a = _quad_profile(lambda u: gauge.a(u) * drho(u), spec.domain,
-                           constants[0], tol, f"<quadrature a {drho_label}>")
+                           constants[0], f"<quadrature a {drho_label}>")
     quad_b = _quad_profile(lambda u: gauge.b(u) * drho(u), spec.domain,
-                           constants[1], tol, f"<quadrature b {drho_label}>")
+                           constants[1], f"<quadrature b {drho_label}>")
     parts = [quad_a, quad_b]
     parts.insert(fam.radial_slot, rho)
     n, s, r = parts
@@ -327,14 +324,14 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
 # residual checkers
 
 def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
-                tol: float | None, point: Callable) -> Iterator[Block]:
+                point: Callable) -> Iterator[Block]:
     """Sweep ``point(k, g, hj, rj)`` over the grid: k = d(vbar)/du, the
     helicoid metric g and both surface jets.
 
     The helicoid metric does not depend on v; it is taken once per u, at
     v = 0.  The partner jet is read at (u, vbar(u, v)).
     """
-    vb = vbar_map(h, sign, tol)
+    vb = vbar_map(h, sign)
 
     def f(u, v):
         pj = profile_jets(h, u)
@@ -364,7 +361,7 @@ def _gauss_defect(hj, rj) -> float:
 
 
 def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                      sign: int = 1, tol: float | None = None) -> float:
+                      sign: int = 1) -> float:
     """Sup difference between the helicoid metric and the pulled-back partner metric.
 
     The pullback of the partner's first form under (u, v) -> (u, vbar(u, v))
@@ -372,14 +369,14 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     the residual is zero exactly when the gauge constraint holds.
     """
     return _sweep_sup(_pair_sweep(
-        h, r, grid, sign, tol,
+        h, r, grid, sign,
         lambda k, g, hj, rj: (_isometry_defect(g, first_form(rj), k),)))
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                   sign: int = 1, tol: float | None = None) -> float:
+                   sign: int = 1) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
-    return _sweep_sup(_pair_sweep(h, r, grid, sign, tol,
+    return _sweep_sup(_pair_sweep(h, r, grid, sign,
                                   lambda k, g, hj, rj: (_gauss_defect(hj, rj),)))
 
 
@@ -456,10 +453,7 @@ def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
     fam = FAMILIES[h.kind]
     jets = fam.profile(profile_jets(h, u0))
     pts = [rotational_jet(r, u0, v).X for v in vs]
-    worst = 0.0
-    for defects in fam.parallel(h.pitch, *jets, pts):
-        worst = max(worst, *defects)
-    return worst
+    return max([0.0, *(d for defects in fam.parallel(h.pitch, *jets, pts) for d in defects)])
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +649,7 @@ class PairReport:
 
 def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
                 tols: PairTolerances = PairTolerances(),
-                sign: int = 1, tol: float | None = None,
+                sign: int = 1,
                 sign_choices: Mapping[str, int] | None = None) -> PairReport:
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     if grid is None:
@@ -665,15 +659,20 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
         return (_isometry_defect(g, first_form(rj), k), _gauss_defect(hj, rj),
                 curvature_report(hj).H_sup, curvature_report(rj).H_sup, *hj.X, *rj.X)
 
-    worst = np.zeros(4)
-    positions = []
-    for block in _pair_sweep(h, r, grid, sign, tol, point):
+    # the residual maxima fold per block; both surfaces' positions go into
+    # one array, whose variances are then taken in place
+    n = grid.nu * grid.nv
+    worst, positions, start = np.zeros(4), np.empty((2, n, 4)), 0
+    for block in _pair_sweep(h, r, grid, sign, point):
         worst = np.maximum(worst, block.out[:, :4].max(axis=0))
-        positions.append(block.out[:, 4:])
+        stop = start + len(block.out)
+        positions[:, start:stop] = block.out[:, 4:].reshape(-1, 2, 4).transpose(1, 0, 2)
+        start = stop
     iso, gauss, *h_sup = worst.tolist()
-    pos = np.concatenate(positions)
-    defects = tuple(float(np.min(np.var(np.ascontiguousarray(pos[:, c:c + 4]), axis=0)))
-                    for c in (0, 4))
+    # the steps of np.var(axis=1), without its copy of the positions
+    positions -= positions.sum(axis=1, keepdims=True) / n
+    positions *= positions
+    defects = tuple(np.min(positions.sum(axis=1) / n, axis=1).tolist())
     verdicts = {
         "isometric": iso < tols.isometry,
         "same_gauss": gauss < tols.gauss,

@@ -48,13 +48,20 @@ SAME_GAUSS_CLAIMS = ("isometric", "same_gauss", "minimal", "hyperplanar")
 MAX_GRID = 2000
 
 
+def _unwritable(path, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
 def _write_out(path: str | None, write) -> None:
     """Call ``write`` on the file at ``path``, or on stdout for None or "-"."""
     if path is None or path == "-":
         write(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             write(f)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
 
 
 def _dump_json(data: dict, path: str | None) -> None:
@@ -111,15 +118,19 @@ def cmd_report(args) -> int:
             raise _located(exc, u, v) from None
         return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
 
-    kept, violations, first = [], 0, None
+    # one contiguous row per channel; tolerated points are dropped on arrival
+    values = np.empty((len(CHANNEL_NAMES), grid.nu * grid.nv))
+    kept, violations, first = 0, 0, None
     for block in sweep(grid, f, tolerated):
         if block.tolerated and first is None:
             u, v = block.uv(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}
         violations += len(block.tolerated)
-        kept.append(np.delete(block.out, block.tolerated, axis=0))
-    values = np.concatenate(kept).T.copy()  # one contiguous row per channel
-    if not values.shape[1]:
+        out = np.delete(block.out, block.tolerated, axis=0)
+        values[:, kept:kept + len(out)] = out.T
+        kept += len(out)
+    values = values[:, :kept]
+    if not kept:
         raise NotSpacelikeError("no spacelike points on the whole grid")
     report = {
         "surface": helicoid_to_json(spec),
@@ -266,17 +277,18 @@ def cmd_verify(args) -> int:
 
 def _write_meshes(out_dir: Path, stem: str, surface, grid: Grid, projection: str) -> None:
     mesh = sample_mesh(surface, grid)
-    with open(out_dir / f"{stem}.obj", "w") as f:
-        write_obj(mesh, f, projection)
-    with open(out_dir / f"{stem}.csv", "w") as f:
-        write_csv(mesh, f)
+    _write_out(str(out_dir / f"{stem}.obj"), lambda f: write_obj(mesh, f, projection))
+    _write_out(str(out_dir / f"{stem}.csv"), lambda f: write_csv(mesh, f))
 
 
 def cmd_example(args) -> int:
     n = args.number
     size = _grid_size(args.grid)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir, exc) from None
     expect, projection = list(SAME_GAUSS_CLAIMS), "drop-constant"
     if n == 1:
         h, r = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0,
@@ -318,13 +330,20 @@ def cmd_export(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take one stderr line, without usage."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bour4",
         description="Spacelike helicoidal/rotational surface geometry in "
                     "Minkowski 4-space: curvature reports, isometric partner "
                     "verification, and mesh export.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     rep = sub.add_parser("report", help="curvature statistics over a grid")
     rep.add_argument("--spec", required=True, help="surface spec JSON file")

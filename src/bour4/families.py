@@ -490,16 +490,14 @@ def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
     touches the generic Gram-Schmidt machinery.  ``pj`` passes the profile
     jets at u when they are already evaluated.
     """
-    if pj is None:
-        pj = profile_jets(spec, u)
+    pj = profile_jets(spec, u) if pj is None else pj
     return assemble_report(*_closed_form_pass(spec, u, v, pj))
 
 
 def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
                       pj: Mapping[str, Jet2] | None = None) -> Bivector6:
     """The families' explicit Gauss-map component patterns (unit 2-vector)."""
-    if pj is None:
-        pj = profile_jets(spec, u)
+    pj = profile_jets(spec, u) if pj is None else pj
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
     c = 1.0 / xp(ff.W).sqrt(ff.W)
@@ -556,11 +554,8 @@ class RotationalSpec:
         return self.v_domain if self.v_domain is not None else FAMILIES[self.kind].v_domain
 
     def component_sources(self) -> dict[str, str]:
-        out = {}
-        for name in ("n", "s", "r"):
-            fn = getattr(self, name)
-            out[name] = getattr(fn, "source", "<numeric>")
-        return out
+        return {name: getattr(getattr(self, name), "source", "<numeric>")
+                for name in ("n", "s", "r")}
 
 
 def surface_profile(surface: "HelicoidSpec | RotationalSpec", u: float) -> dict[str, Jet2]:
@@ -611,10 +606,7 @@ def helicoid_to_json(spec: HelicoidSpec) -> dict:
 
 def helicoid_from_json(data: Mapping) -> HelicoidSpec:
     try:
-        kind = data["kind"]
-        pitch = data["lambda"]
-        profile = data["profile"]
-        domain = data["domain"]
+        kind, pitch, profile, domain = (data[k] for k in ("kind", "lambda", "profile", "domain"))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"spec object missing field: {exc}") from None
     return make_helicoid(kind, pitch, profile, domain,

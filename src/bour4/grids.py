@@ -133,13 +133,8 @@ def _rerun(f: Callable, u: float, v: float,
         return exc
     except (ArithmeticError, ValueError, NonFiniteError):
         pass
-    raise _non_finite(u, v)
-
-
-def _non_finite(u: float, v: float) -> NonFiniteError:
-    return NonFiniteError(
-        f"non-finite value at u = {u!r}, v = {v!r}: "
-        "a profile value, surface jet or metric overflows or is undefined")
+    raise NonFiniteError(f"non-finite value at u = {u!r}, v = {v!r}: "
+                         "a profile value, surface jet or metric overflows or is undefined")
 
 
 # ---------------------------------------------------------------------------

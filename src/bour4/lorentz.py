@@ -26,9 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 
-#: Points evaluated together in one array call (a block of sweep rows, a
-#: batch of quadrature nodes, a block of mesh lines), so that temporaries
-#: stay small at any problem size.
+#: Points evaluated together in one array call (a block of sweep rows or a
+#: batch of quadrature nodes), so that temporaries stay small at any size.
 BLOCK_POINTS = 4096
 
 
@@ -112,9 +111,6 @@ class Vec4(NamedTuple):
     def euclid_sq(self) -> float:
         return self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3 + self.x4 * self.x4
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self))
-
 
 ZERO4 = Vec4(0.0, 0.0, 0.0, 0.0)
 E1 = Vec4(1.0, 0.0, 0.0, 0.0)
@@ -132,10 +128,6 @@ XI4 = Vec4(0.0, 0.0, 1.0 / _SQRT2, 1.0 / _SQRT2)
 def minkowski_dot(x: Vec4, y: Vec4) -> float:
     """Indefinite inner product of signature (+, +, +, -)."""
     return x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 - x.x4 * y.x4
-
-
-def sq_norm(v: Vec4) -> float:
-    return minkowski_dot(v, v)
 
 
 def causal_character(v: Vec4, band: float = 1e-12) -> CausalClass:

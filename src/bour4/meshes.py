@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
 from .families import HelicoidSpec, RotationalSpec, surface_jet, surface_profile
-from .grids import BLOCK_POINTS, Grid, sweep
+from .grids import Grid, sweep
 from .lorentz import Vec4
 from .surfaces import SurfaceJet, curvature_report
 
@@ -27,12 +27,11 @@ CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 
 @dataclass
 class MeshGrid:
-    """Vertices (nu*nv x 4, row-major), quad faces (index quadruples) and
-    one array per scalar channel."""
+    """Vertices (nu*nv x 4, row-major) and one array per scalar channel;
+    the quad faces follow from the grid."""
 
     grid: Grid
     vertices: np.ndarray
-    faces: np.ndarray
     channels: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -42,6 +41,13 @@ class MeshGrid:
     @property
     def nv(self) -> int:
         return self.grid.nv
+
+    @property
+    def faces(self) -> np.ndarray:
+        """Quad faces as vertex-index quadruples, (nu-1)*(nv-1) x 4, row-major."""
+        nv = self.nv
+        corner = (np.arange(self.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
+        return np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
 
 
 def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
@@ -69,16 +75,15 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
-    parts = []
+    # every block is written into the one array the mesh keeps
+    data = np.empty((grid.nu * grid.nv, 4 + len(CHANNEL_NAMES)))
+    start = 0
     for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
         block.out[block.tolerated, 4:] = math.nan
-        parts.append(block.out)
-    data = np.concatenate(parts)
-    nv = grid.nv
-    corner = (np.arange(grid.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
-    faces = np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
+        data[start:start + len(block.out)] = block.out
+        start += len(block.out)
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
-    return MeshGrid(grid, data[:, :4], faces, channels)
+    return MeshGrid(grid, data[:, :4], channels)
 
 
 def _jet_or_nan(surface, u: float, v: float) -> SurfaceJet:
@@ -100,9 +105,8 @@ def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
     if mode != "drop-constant":
         raise ValidationError(
             f"unknown projection {mode!r} (use drop-constant or drop-1..drop-4)")
-    arr = np.asarray(mesh.vertices)
-    spread = arr.max(axis=0) - arr.min(axis=0)
-    scale = np.maximum(1.0, np.abs(arr).max(axis=0))
+    hi, lo = mesh.vertices.max(axis=0), mesh.vertices.min(axis=0)
+    spread, scale = hi - lo, np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))  # max |x|
     flat = np.flatnonzero(spread <= tol * scale)
     if flat.size == 0:
         raise ValidationError(
@@ -111,34 +115,30 @@ def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
     return int(flat[np.argmin(spread[flat])])
 
 
-def _vertex_blocks(mesh: MeshGrid):
-    """Slices of at most BLOCK_POINTS vertices, in order."""
-    n = len(mesh.vertices)
-    for start in range(0, n, BLOCK_POINTS):
-        yield slice(start, min(start + BLOCK_POINTS, n))
-
-
 def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") -> int:
     """Write a quad OBJ; returns the index of the dropped coordinate.
 
     Each vertex line is followed by a comment carrying the dropped
-    coordinate and the scalar channels.
+    coordinate and the scalar channels.  Like write_csv, it formats one grid
+    row of lines per write, so no chunk of text outgrows a sweep block.
     """
     drop = resolve_projection(mesh, projection)
     keep = [k for k in range(4) if k != drop]
     out.write(f"# parametric surface mesh, {mesh.nu} x {mesh.nv} samples\n")
     out.write(f"# projection: dropped coordinate x{drop + 1}\n")
     out.write(f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
-    for rows in _vertex_blocks(mesh):
+    nv = mesh.nv
+    for i in range(mesh.nu):
+        rows = slice(i * nv, (i + 1) * nv)
         coords = mesh.vertices[rows][:, keep].tolist()
         extras = np.column_stack([mesh.vertices[rows, drop]]
                                  + [mesh.channels[name][rows] for name in CHANNEL_NAMES])
         out.write("".join(
             "v " + " ".join(map(repr, c)) + "\n# vd " + " ".join(map(repr, e)) + "\n"
             for c, e in zip(coords, extras.tolist())))
-    for start in range(0, len(mesh.faces), BLOCK_POINTS):
-        out.write("".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in
-                          (mesh.faces[start:start + BLOCK_POINTS] + 1).tolist()))
+    for i in range(mesh.nu - 1):  # the faces of the cells below grid row i, 1-based
+        out.write("".join(f"f {a} {a + 1} {a + nv + 1} {a + nv}\n"
+                          for a in range(i * nv + 1, (i + 1) * nv)))
     return drop
 
 
@@ -149,9 +149,10 @@ def write_csv(mesh: MeshGrid, out: TextIO) -> int:
     u_text = [f"{u!r}," for u in mesh.grid.us()]
     v_text = [f"{v!r}," for v in mesh.grid.vs()]
     nv = len(v_text)
-    for rows in _vertex_blocks(mesh):
+    for i, u in enumerate(u_text):
+        rows = slice(i * nv, (i + 1) * nv)
         table = np.column_stack([mesh.vertices[rows]]
                                 + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")])
-        out.write("".join(u_text[k // nv] + v_text[k % nv] + ",".join(map(repr, r)) + "\n"
-                          for k, r in enumerate(table.tolist(), rows.start)))
+        out.write("".join(u + v + ",".join(map(repr, r)) + "\n"
+                          for v, r in zip(v_text, table.tolist())))
     return len(mesh.vertices)

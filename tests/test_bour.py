@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bour4.bour as bour_mod
+import bour4.grids
 from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
                         choose_vbar_sign, gauge_complete, gauge_from_expr,
                         gauss_residual, isometry_residual,
@@ -257,6 +258,23 @@ class TestPairSweep:
                                                                  abs=1e-12)
         assert gauss_residual(spec, r, grid) == pytest.approx(rep.gauss_residual,
                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("pair", ["theorem-3.1", "example-1"])
+    def test_defects_equal_the_variance_of_the_concatenated_blocks(self, monkeypatch, pair):
+        # rows of 7 points do not divide blocks of 16: two rows a block
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
+        if pair == "example-1":
+            h, r = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0, domain=(1.1, math.pi),
+                                     v_domain=(0.0, 2.0 * math.pi))
+        else:
+            h = spec_I()
+            r = bour_partner(h, gauge_complete(h, "a", "1/2"))
+        grid = grid_for(h, nu=9, nv=7)
+        blocks = bour_mod._pair_sweep(h, r, grid, 1, lambda k, g, hj, rj: (*hj.X, *rj.X))
+        pos = np.concatenate([block.out for block in blocks])
+        want = tuple(float(np.min(np.var(np.ascontiguousarray(pos[:, c:c + 4]), axis=0)))
+                     for c in (0, 4))
+        assert pair_report(h, r, grid).hyperplanarity_defect == want
 
     def test_isometry_accepts_a_timelike_partner(self):
         # a strongly detuned gauge can make the partner timelike; the

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,10 @@ import bour4.cli
 import bour4.grids
 import bour4.meshes
 from bour4.cli import main
+from bour4.errors import DegenerateSurfaceError, NotSpacelikeError
 from bour4.families import closed_form_curvatures, helicoid_from_json
-from bour4.grids import grid_for
+from bour4.grids import grid_for, sweep
+from bour4.meshes import CHANNEL_NAMES
 
 COR34 = {"kind": "I", "lambda": 1.0,
          "profile": {"x": "u", "z": "c1", "w": "0"},
@@ -248,6 +251,27 @@ class TestReport:
             want = {"min": min(vals), "max": max(vals), "mean": math.fsum(vals) / len(vals)}
             for key, w in want.items():
                 assert stats[name][key] == pytest.approx(w, rel=1e-12, abs=1e-15)
+
+    def test_stats_equal_the_concatenated_blocks(self, tmp_path, monkeypatch):
+        # rows of 7 points do not divide blocks of 16: two rows a block
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
+        out = tmp_path / "report.json"
+        assert main(["report", "--spec", write_json(tmp_path / "s.json", PARTLY_TIMELIKE),
+                     "--grid", "9x7", "--out", str(out)]) == 0
+        spec = helicoid_from_json(PARTLY_TIMELIKE)
+
+        def f(u, v):
+            rep = closed_form_curvatures(spec, u, v)
+            return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
+
+        kept = [np.delete(block.out, block.tolerated, axis=0)
+                for block in sweep(grid_for(spec, 9, 7), f,
+                                   (NotSpacelikeError, DegenerateSurfaceError))]
+        values = np.concatenate(kept).T.copy()
+        assert json.loads(out.read_text())["stats"] == {
+            name: {"min": float(np.min(vals)), "max": float(np.max(vals)),
+                   "mean": float(np.mean(vals))}
+            for name, vals in zip(CHANNEL_NAMES, values)}
 
     @pytest.mark.parametrize("data, u", [(OVERFLOWING, 700.4),
                                          ({**COR34, "lambda": 1e200}, 1.53)])
@@ -535,6 +559,41 @@ class TestInputValidation:
         code, err = run_cli([paths.get(a, a) for a in argv])
         report = work / "out" / "pair_report.json" if argv[0] == "example" else work / "out"
         assert_exit_contract(code, err, report)
+
+    @pytest.mark.parametrize("command, target", [
+        *[(command, target) for command in (
+            ["report", "--spec", "SPEC", "--out"], ["export", "--spec", "SPEC", "--out"],
+            ["verify", "--theorem", "3.1", "--spec", "SPEC", "--gauge-a", "0", "--out"])
+          for target in ("missing-dir/out", "dir")],
+        (["example", "3", "--out-dir"], "file")])
+    def test_unwritable_output_exits_2(self, tmp_path, command, target):
+        spec = write_json(tmp_path / "s.json", COR34)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / target)
+        code, err = run_cli([spec if a == "SPEC" else a for a in command]
+                            + [path, "--grid", "3x3"])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--theorem", "3.6", "--w", "u", "--lambda", "-inf", "--c3", "-0.5"],
+         "bour4 verify: error: argument --lambda: expected one argument"),
+        (["verify", "--theorem", "3.3", "--x", "-u", "--lambda", "1", "--c3", "0.5"],
+         "bour4 verify: error: argument --x: expected one argument"),
+        (["frobnicate"], "bour4: error: argument command: invalid choice: 'frobnicate'"),
+        (["report", "--grid", "3x3"],
+         "bour4 report: error: the following arguments are required: --spec"),
+    ])
+    def test_argument_errors_take_one_line(self, argv, message):
+        code, err = run_cli(argv)
+        assert code == 2
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n"), err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['bour4', *argv[:-1]])} ")
 
     @pytest.mark.parametrize("grid", ["5000x5000", "2001x2"])
     @pytest.mark.parametrize("command", [

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import bour4.grids
 from bour4.bour import bour_partner, gauge_complete
-from bour4.errors import EvalDomainError, ValidationError
-from bour4.families import helicoid_jet, make_helicoid, rotational_jet
-from bour4.grids import Grid, grid_for
+from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeError,
+                          ValidationError)
+from bour4.families import (helicoid_jet, make_helicoid, rotational_jet, surface_jet,
+                            surface_profile)
+from bour4.grids import Grid, grid_for, sweep
 from bour4.meshes import (CHANNEL_NAMES, resolve_projection, sample_mesh,
                           write_csv, write_obj)
 from bour4.surfaces import curvature_report
@@ -122,3 +125,63 @@ class TestWriters:
         buf = io.StringIO()
         assert write_csv(mesh, buf) == 35
         assert len(buf.getvalue().splitlines()) == 36
+
+    @pytest.mark.parametrize("name", ["I", "timelike"])
+    def test_text_equals_the_block_list_writers(self, monkeypatch, name):
+        # rows of 7 points do not divide blocks of 16: sweep blocks of two
+        # rows, and the old writers' 16-vertex chunks end inside a row
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
+        spec = KINDS["I"] if name == "I" else make_helicoid(
+            "II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5), v_domain=(-0.5, 0.5))
+        grid = grid_for(spec, 9, 7)
+        mesh = sample_mesh(spec, grid)
+        obj, csv = io.StringIO(), io.StringIO()
+        write_obj(mesh, obj, "drop-4")
+        write_csv(mesh, csv)
+        want_obj, want_csv = block_list_writers(spec, grid, 16)
+        assert obj.getvalue() == want_obj
+        assert csv.getvalue() == want_csv
+
+
+def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
+    """OBJ (drop-4) and CSV text as the writers made it from the sweep's
+    concatenated blocks and a faces array, chunk vertices at a time."""
+    def f(u, v):
+        j = surface_jet(spec, surface_profile(spec, u), v)
+        rep = curvature_report(j)
+        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
+
+    parts = []
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
+        block.out[block.tolerated, 4:] = math.nan
+        parts.append(block.out)
+    data = np.concatenate(parts)
+    vertices = data[:, :4]
+    channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
+    nv, n = grid.nv, len(data)
+    corner = (np.arange(grid.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
+    faces = np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
+    chunks = [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+
+    obj = [f"# parametric surface mesh, {grid.nu} x {nv} samples\n",
+           "# projection: dropped coordinate x4\n",
+           "# per-vertex comments: vd x4 " + " ".join(CHANNEL_NAMES) + "\n"]
+    for rows in chunks:
+        extras = np.column_stack([vertices[rows, 3]]
+                                 + [channels[name][rows] for name in CHANNEL_NAMES])
+        obj.append("".join(
+            "v " + " ".join(map(repr, c)) + "\n# vd " + " ".join(map(repr, e)) + "\n"
+            for c, e in zip(vertices[rows][:, :3].tolist(), extras.tolist())))
+    for start in range(0, len(faces), chunk):
+        obj.append("".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in
+                           (faces[start:start + chunk] + 1).tolist()))
+
+    csv = ["u,v,x1,x2,x3,x4,K,H1,H2,W\n"]
+    u_text = [f"{u!r}," for u in grid.us()]
+    v_text = [f"{v!r}," for v in grid.vs()]
+    for rows in chunks:
+        table = np.column_stack([vertices[rows]]
+                                + [channels[name][rows] for name in ("K", "H1", "H2", "W")])
+        csv.append("".join(u_text[k // nv] + v_text[k % nv] + ",".join(map(repr, r)) + "\n"
+                           for k, r in enumerate(table.tolist(), rows.start)))
+    return "".join(obj), "".join(csv)
