@@ -30,7 +30,7 @@ from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
                        helicoid_to_json, make_helicoid)
 from .grids import Grid, grid_for, sweep
-from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
+from .meshes import CHANNEL_NAMES, resolve_projection, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
 
 EXIT_PASS = 0
@@ -91,8 +91,7 @@ def _grid_size(text: str | None) -> tuple[int, int]:
         if nu < 2 or nv < 2:
             raise ValidationError("--grid needs at least 2 samples per direction")
         if nu > MAX_GRID or nv > MAX_GRID:
-            raise ValidationError(
-                f"--grid {text!r} exceeds {MAX_GRID} samples per direction")
+            raise ValidationError(f"--grid {text!r} exceeds {MAX_GRID} samples per direction")
     return nu, nv
 
 
@@ -232,8 +231,7 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
             domain = tuple(args.domain)
         else:
             if not -bound < args.c3 < 0.0:
-                raise ValidationError(
-                    f"c3 = {args.c3!r} outside (-1/lambda^2, 0)")
+                raise ValidationError(f"c3 = {args.c3!r} outside (-1/lambda^2, 0)")
             wmax = math.sqrt(-1.0 / args.c3 - args.lam ** 2)
             domain = (0.25 * wmax, 0.9 * wmax)
         h, r = same_gauss_pair_II(args.w, args.lam, args.c3,
@@ -277,7 +275,8 @@ def cmd_verify(args) -> int:
 
 def _write_meshes(out_dir: Path, stem: str, surface, grid: Grid, projection: str) -> None:
     mesh = sample_mesh(surface, grid)
-    _write_out(str(out_dir / f"{stem}.obj"), lambda f: write_obj(mesh, f, projection))
+    drop = f"drop-{resolve_projection(mesh, projection) + 1}"  # before the file is opened
+    _write_out(str(out_dir / f"{stem}.obj"), lambda f: write_obj(mesh, f, drop))
     _write_out(str(out_dir / f"{stem}.csv"), lambda f: write_csv(mesh, f))
 
 
@@ -322,7 +321,8 @@ def cmd_export(args) -> int:
     spec = _load_spec(args.spec)
     mesh = sample_mesh(spec, grid_for(spec, *size))
     if args.format == "obj":
-        _write_out(args.out, lambda f: write_obj(mesh, f, args.projection))
+        drop = f"drop-{resolve_projection(mesh, args.projection) + 1}"  # before --out is opened
+        _write_out(args.out, lambda f: write_obj(mesh, f, drop))
     else:
         _write_out(args.out, lambda f: write_csv(mesh, f))
     return EXIT_PASS

@@ -5,13 +5,17 @@ needs a 3D projection of the 4D vertices: either drop one coordinate
 explicitly (``drop-k``) or drop the one that is constant across the mesh
 (``drop-constant``, available exactly for hyperplanar surfaces).  The
 dropped coordinate and the per-vertex scalar channels ride along in comment
-lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.
+lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.  Both
+writers write one grid row per write and format each distinct float of a row
+once; floats are told apart by their bits (-0.0 is not 0.0), so the text is
+that of one repr per value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TextIO
 
 import numpy as np
@@ -27,8 +31,8 @@ CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 
 @dataclass
 class MeshGrid:
-    """Vertices (nu*nv x 4, row-major) and one array per scalar channel;
-    the quad faces follow from the grid."""
+    """Float64 vertices (nu*nv x 4, row-major) and one float64 array per
+    scalar channel; the quad faces follow from the grid."""
 
     grid: Grid
     vertices: np.ndarray
@@ -115,44 +119,40 @@ def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
     return int(flat[np.argmin(spread[flat])])
 
 
+def _fill(fmt: str, columns: list[np.ndarray]) -> str:
+    """``fmt`` filled with the reprs of the columns' table, row by row."""
+    bits, pick = np.unique(np.column_stack(columns).view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return fmt % itemgetter(*pick.ravel().tolist())(texts)
+
+
 def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") -> int:
     """Write a quad OBJ; returns the index of the dropped coordinate.
 
     Each vertex line is followed by a comment carrying the dropped
-    coordinate and the scalar channels.  Like write_csv, it formats one grid
-    row of lines per write, so no chunk of text outgrows a sweep block.
-    """
+    coordinate and the scalar channels."""
     drop = resolve_projection(mesh, projection)
-    keep = [k for k in range(4) if k != drop]
-    out.write(f"# parametric surface mesh, {mesh.nu} x {mesh.nv} samples\n")
-    out.write(f"# projection: dropped coordinate x{drop + 1}\n")
-    out.write(f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
+    columns = [k for k in range(4) if k != drop] + [drop]
+    out.write(f"# parametric surface mesh, {mesh.nu} x {mesh.nv} samples\n"
+              f"# projection: dropped coordinate x{drop + 1}\n"
+              f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
     nv = mesh.nv
     for i in range(mesh.nu):
         rows = slice(i * nv, (i + 1) * nv)
-        coords = mesh.vertices[rows][:, keep].tolist()
-        extras = np.column_stack([mesh.vertices[rows, drop]]
-                                 + [mesh.channels[name][rows] for name in CHANNEL_NAMES])
-        out.write("".join(
-            "v " + " ".join(map(repr, c)) + "\n# vd " + " ".join(map(repr, e)) + "\n"
-            for c, e in zip(coords, extras.tolist())))
+        out.write(_fill("v %s %s %s\n# vd %s %s %s %s %s %s\n" * nv, [mesh.vertices[rows, columns]]
+                        + [mesh.channels[name][rows] for name in CHANNEL_NAMES]))
+    corners = (np.arange(1, nv)[:, None] + [0, 1, nv + 1, nv]).reshape(-1)  # faces below row 0
     for i in range(mesh.nu - 1):  # the faces of the cells below grid row i, 1-based
-        out.write("".join(f"f {a} {a + 1} {a + nv + 1} {a + nv}\n"
-                          for a in range(i * nv + 1, (i + 1) * nv)))
+        out.write(("f %d %d %d %d\n" * (nv - 1)) % tuple((corners + i * nv).tolist()))
     return drop
 
 
 def write_csv(mesh: MeshGrid, out: TextIO) -> int:
     """Write one row per sample: u,v,x1,x2,x3,x4,K,H1,H2,W.  Returns row count."""
     out.write("u,v,x1,x2,x3,x4,K,H1,H2,W\n")
-    # each u and v is formatted once, not once per row
-    u_text = [f"{u!r}," for u in mesh.grid.us()]
-    v_text = [f"{v!r}," for v in mesh.grid.vs()]
-    nv = len(v_text)
-    for i, u in enumerate(u_text):
-        rows = slice(i * nv, (i + 1) * nv)
-        table = np.column_stack([mesh.vertices[rows]]
-                                + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")])
-        out.write("".join(u + v + ",".join(map(repr, r)) + "\n"
-                          for v, r in zip(v_text, table.tolist())))
+    tails = [repr(v) + ",%s,%s,%s,%s,%s,%s,%s,%s\n" for v in mesh.grid.vs()]
+    for i, u in enumerate(map(repr, mesh.grid.us())):
+        rows = slice(i * len(tails), (i + 1) * len(tails))
+        out.write(_fill("".join([u + "," + tail for tail in tails]), [mesh.vertices[rows]]
+                        + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")]))
     return len(mesh.vertices)

@@ -576,6 +576,27 @@ class TestInputValidation:
         assert code == 2
         assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("projection, message", [
+        ("drop-constant", "error: drop-constant: no coordinate is constant across the mesh"),
+        ("drop-9", "error: unknown projection 'drop-9'")], ids=["drop-constant", "drop-9"])
+    def test_refused_projection_leaves_out_as_it_was(self, tmp_path, existing,
+                                                     projection, message):
+        data = {"kind": "III", "lambda": 1.0, "profile": {"x": "u", "z": "0", "w": "u"},
+                "domain": [0.75, 3.0], "v_domain": [-1.0, 1.0]}
+        spec = write_json(tmp_path / "s.json", data)
+        out = tmp_path / "m.obj"
+        if existing is not None:
+            out.write_bytes(existing)
+        code, err = run_cli(["export", "--spec", spec, "--grid", "5x5", "--format", "obj",
+                             "--projection", projection, "--out", str(out)])
+        assert code == 2
+        assert err.startswith(message) and err.count("\n") == 1
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--theorem", "3.6", "--w", "u", "--lambda", "-inf", "--c3", "-0.5"],
          "bour4 verify: error: argument --lambda: expected one argument"),

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import bour4.grids
+import bour4.meshes
 from bour4.bour import bour_partner, gauge_complete
 from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeError,
                           ValidationError)
 from bour4.families import (helicoid_jet, make_helicoid, rotational_jet, surface_jet,
                             surface_profile)
 from bour4.grids import Grid, grid_for, sweep
-from bour4.meshes import (CHANNEL_NAMES, resolve_projection, sample_mesh,
+from bour4.meshes import (CHANNEL_NAMES, MeshGrid, resolve_projection, sample_mesh,
                           write_csv, write_obj)
 from bour4.surfaces import curvature_report
 
@@ -126,12 +127,12 @@ class TestWriters:
         assert write_csv(mesh, buf) == 35
         assert len(buf.getvalue().splitlines()) == 36
 
-    @pytest.mark.parametrize("name", ["I", "timelike"])
+    @pytest.mark.parametrize("name", [*KINDS, "timelike"])
     def test_text_equals_the_block_list_writers(self, monkeypatch, name):
         # rows of 7 points do not divide blocks of 16: sweep blocks of two
         # rows, and the old writers' 16-vertex chunks end inside a row
         monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
-        spec = KINDS["I"] if name == "I" else make_helicoid(
+        spec = KINDS[name] if name in KINDS else make_helicoid(
             "II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5), v_domain=(-0.5, 0.5))
         grid = grid_for(spec, 9, 7)
         mesh = sample_mesh(spec, grid)
@@ -141,6 +142,72 @@ class TestWriters:
         want_obj, want_csv = block_list_writers(spec, grid, 16)
         assert obj.getvalue() == want_obj
         assert csv.getvalue() == want_csv
+
+    def test_special_floats_print_as_their_repr(self):
+        # every row mixes 0.0 and -0.0, NaNs of both signs and with a
+        # payload, +-inf, the smallest subnormals and repeated values
+        nan_payload = np.array([0x7FF8000000000001]).view(np.float64)[0]
+        pool = np.array([0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf,
+                         5e-324, -5e-324, 0.1, 0.1, 1.0, -0.0, 0.0])
+        nu, nv = 4, 5
+        table = pool[(np.arange(nu * nv * 9).reshape(nu * nv, 9) * 5) % len(pool)]
+        table[np.arange(nu * nv), np.arange(nu * nv) % 9] = -0.0  # -0.0 in every column
+        mesh = MeshGrid(Grid(0.0, 1.0, 0.0, 2.0, nu, nv), table[:, :4],
+                        {name: table[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)})
+        obj, csv = io.StringIO(), io.StringIO()
+        write_obj(mesh, obj, "drop-2")
+        write_csv(mesh, csv)
+        want_obj, want_csv = per_value_writers(mesh, drop=1)
+        assert obj.getvalue() == want_obj
+        assert csv.getvalue() == want_csv
+        # the CSV holds the table's columns in order, after u and v
+        fields = np.array([line.split(",")[2:] for line in csv.getvalue().splitlines()[1:]])
+        csv_table = np.column_stack([table[:, :4], table[:, [4, 5, 6, 8]]])
+        negative_zero = (csv_table == 0.0) & np.signbit(csv_table)
+        assert negative_zero.any(axis=0).all()
+        assert (fields[negative_zero] == "-0.0").all()
+        assert (fields[(csv_table == 0.0) & ~negative_zero] == "0.0").all()
+
+    @pytest.mark.parametrize("writer", ["csv", "obj"])
+    def test_each_distinct_float_of_a_row_is_formatted_once(self, monkeypatch, writer):
+        calls = []
+        monkeypatch.setattr(bour4.meshes, "repr", lambda x: calls.append(x) or repr(x),
+                            raising=False)
+        spec = KINDS["I"]
+        mesh = sample_mesh(spec, grid_for(spec, 9, 7))
+        names = ("K", "H1", "H2", "W") if writer == "csv" else CHANNEL_NAMES
+        table = np.column_stack([mesh.vertices] + [mesh.channels[name] for name in names])
+        rows = table.view(np.int64).reshape(mesh.nu, -1)
+        distinct = sum(len(set(row.tolist())) for row in rows)
+        if writer == "csv":
+            write_csv(mesh, io.StringIO())
+            assert len(calls) == distinct + mesh.nu + mesh.nv
+        else:
+            write_obj(mesh, io.StringIO(), "drop-4")
+            assert len(calls) == distinct
+        assert distinct < table.size  # rows repeat values: the axis column depends on u only
+
+
+def per_value_writers(mesh: MeshGrid, drop: int) -> tuple[str, str]:
+    """OBJ and CSV text with one repr per value, one line at a time."""
+    nu, nv = mesh.nu, mesh.nv
+    channels = {name: values.tolist() for name, values in mesh.channels.items()}
+    us, vs = mesh.grid.us(), mesh.grid.vs()
+    obj = [f"# parametric surface mesh, {nu} x {nv} samples\n",
+           f"# projection: dropped coordinate x{drop + 1}\n",
+           f"# per-vertex comments: vd x{drop + 1} K H1 H2 Hsup W\n"]
+    csv = ["u,v,x1,x2,x3,x4,K,H1,H2,W\n"]
+    for k, x in enumerate(mesh.vertices.tolist()):
+        vd = [x[drop]] + [channels[name][k] for name in CHANNEL_NAMES]
+        obj.append("v " + " ".join(repr(c) for j, c in enumerate(x) if j != drop) + "\n")
+        obj.append("# vd " + " ".join(repr(c) for c in vd) + "\n")
+        row = [us[k // nv], vs[k % nv], *x, *(channels[n][k] for n in ("K", "H1", "H2", "W"))]
+        csv.append(",".join(repr(c) for c in row) + "\n")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            obj.append(f"f {a} {a + 1} {a + nv + 1} {a + nv}\n")
+    return "".join(obj), "".join(csv)
 
 
 def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
