@@ -9,11 +9,10 @@ numerically against a generic finite-difference/jet oracle.
 
 from .bour import (BourGauge, PairReport, PairTolerances, bernoulli_residual,
                    bour_partner, choose_vbar_sign, constraint_rhs,
-                   gauge_complete, gauge_from_expr, gauss_residual,
-                   isometry_residual, minimal_pair_identity_residual,
-                   natural_gauge, pair_report, parallel_curve_residual,
-                   same_gauss_pair_I, same_gauss_pair_II, scale_gauge, vbar,
-                   vbar_map)
+                   gauge_complete, gauss_residual, isometry_residual,
+                   minimal_pair_identity_residual, natural_gauge, pair_report,
+                   parallel_curve_residual, same_gauss_pair_I,
+                   same_gauss_pair_II, scale_gauge, vbar, vbar_map)
 from .errors import (Bour4Error, DegenerateSurfaceError, EvalDomainError,
                      ExprSyntaxError, FrameFailureError, InfeasibleGaugeError,
                      NonFiniteError, NotSpacelikeError, NumericalError,
@@ -26,7 +25,7 @@ from .families import (HelicoidSpec, ProfileFn, RotationalSpec, SurfaceKind,
                        helicoid_to_json, is_constant_profile, make_helicoid,
                        profile_jets, rotational_from_profile, rotational_jet)
 from .grids import Grid, grid_for
-from .jets import Dual, Jet2
+from .jets import Jet2
 from .lorentz import (BIVECTOR_SIGNATURE, Bivector6, CausalClass, Vec4,
                       bivector_dot, causal_character, minkowski_dot,
                       pseudo_to_standard, standard_to_pseudo, wedge)

@@ -31,20 +31,15 @@ from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
-                       SurfaceKind, const_profile, expr_profile,
+                       SurfaceKind, _number, const_profile, expr_profile,
                        helicoid_jet_from_profile, is_constant_profile,
                        make_helicoid, profile_jets, rotational_jet,
                        surface_jet, surface_profile)
 from .grids import Block, Grid, grid_for, scan, shrunk, sweep
-from .jets import Dual, Jet2
+from .jets import Jet2
 from .lorentz import flag, sup, where
 from .quadrature import Antiderivative, default_tolerance
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map
-
-#: A gauge function of u.  Like the integrands built from it, it takes a
-#: float or an array of u (a level of quadrature nodes).
-GaugeFn = Callable[[float], Dual]
-
 
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
@@ -60,12 +55,14 @@ class BourGauge:
         kind III  a^2 - 2b  = (x'^2 - 2 w' z') / w'^2 - lam^2 / (2 w^2)
 
     that is a^2 + s h(b) = rhs, with s = -1, 1, -2 and h(b) = b^2, b^2, b
-    (``Family.constraint``).
+    (``Family.constraint``).  Each of a and b is a profile function of u,
+    and like the integrands built from it takes a float or an array of u (a
+    level of quadrature nodes); ``expr_profile`` makes one from an expression.
     """
 
     kind: SurfaceKind
-    a: GaugeFn
-    b: GaugeFn
+    a: ProfileFn
+    b: ProfileFn
     given: str = ""
 
     def residual(self, spec: HelicoidSpec, samples: int = 64) -> float:
@@ -96,22 +93,13 @@ def _require_positive(domain: tuple[float, float], f: Callable, error: type,
     scan(domain, 64, check)
 
 
-def gauge_from_expr(expr: "Expr | str", consts: Mapping[str, float] | None = None) -> GaugeFn:
-    profile = expr_profile(expr, consts)
-
-    def fn(u: float) -> Dual:
-        return Dual.from_jet(profile(u))
-
-    fn.source = profile.source  # type: ignore[attr-defined]
-    return fn
-
-
-def constraint_rhs(spec: HelicoidSpec) -> Callable[[float], Dual]:
-    """Right-hand side of the gauge constraint as a function of u (with derivative)."""
+def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
+    """Right-hand side of the gauge constraint as a function of u, exact to
+    first order (its second order reads the profile's unknown third)."""
     lam2 = spec.pitch ** 2
     fam = FAMILIES[spec.kind]
 
-    def rhs(u: float) -> Dual:
+    def rhs(u: float) -> Jet2:
         return fam.constraint_rhs(lam2, *fam.profile(profile_jets(spec, u)))
 
     return rhs
@@ -126,16 +114,16 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
     """
     if given not in ("a", "b"):
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
-    g = gauge_from_expr(expr, spec.consts)
+    g = expr_profile(expr, spec.consts)
     rhs = constraint_rhs(spec)
     s, squared = FAMILIES[spec.kind].constraint
 
     if given == "a":
-        def solved(u: float) -> Dual:  # h(b) = (rhs - a^2) / s
+        def solved(u: float) -> Jet2:  # h(b) = (rhs - a^2) / s
             gv = g(u)
             return (rhs(u) - gv * gv) / s
     else:
-        def solved(u: float) -> Dual:  # a^2 = rhs - s h(b)
+        def solved(u: float) -> Jet2:  # a^2 = rhs - s h(b)
             gv = g(u)
             return rhs(u) - s * (gv * gv if squared else gv)
 
@@ -148,7 +136,7 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
             raise InfeasibleGaugeError(
                 "gauge constraint forces a negative square", (min(bad), max(bad)))
 
-        def other(u: float) -> Dual:
+        def other(u: float) -> Jet2:
             return solved(u).sqrt()
 
     a, b = (g, other) if given == "a" else (other, g)
@@ -163,10 +151,10 @@ def natural_gauge(spec: HelicoidSpec) -> BourGauge:
     always rebuilds the first profile component; swapping the channels
     would break the pitch-0 reduction, which pins the pairing down.
     """
-    def ratio(num_name: str, den_name: str) -> GaugeFn:
-        def fn(u: float) -> Dual:
+    def ratio(num_name: str, den_name: str) -> ProfileFn:
+        def fn(u: float) -> Jet2:
             pj = profile_jets(spec, u)
-            return Dual.shift(pj[num_name]) / Dual.shift(pj[den_name])
+            return pj[num_name].deriv() / pj[den_name].deriv()
         return fn
 
     return BourGauge(spec.kind, *(ratio(*pair) for pair in FAMILIES[spec.kind].natural))
@@ -199,10 +187,10 @@ class VbarMap:
         fam = FAMILIES[spec.kind]
         self._table = None
         if fam.closed_shift is not None:
-            def shift_dual(u: float) -> Dual:
+            def shift_jet(u: float) -> Jet2:
                 return fam.closed_shift(lam, *fam.profile(profile_jets(spec, u)))
-            self._shift = lambda u: shift_dual(u).v
-            self._dshift = lambda u: shift_dual(u).d
+            self._shift = lambda u: shift_jet(u).v
+            self._dshift = lambda u: shift_jet(u).d1
         elif lam == 0.0:
             self._shift = lambda u: 0.0
             self._dshift = lambda u: 0.0
@@ -249,15 +237,16 @@ def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # the isometric rotational partner
 
-def _quad_profile(integrand: Callable[[float], Dual], domain, constant: float,
+def _quad_profile(integrand: ProfileFn, domain, constant: float,
                   label: str) -> ProfileFn:
     """The profile constant + int integrand du, tabulated once; the integrand
-    takes a float or an array of u, the profile a float."""
+    takes a float or an array of u and is read to first order, the profile
+    takes a float."""
     table = Antiderivative(lambda u: integrand(u).v, domain[0], domain[1])
 
     def fn(u: float) -> Jet2:
         d = integrand(u)
-        return Jet2(constant + table(u), d.v, d.d)
+        return Jet2(constant + table(u), d.v, d.d1)
 
     fn.source = label  # type: ignore[attr-defined]
     return fn
@@ -293,9 +282,6 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
         def rho(u: float) -> Jet2:
             return eval_jet(q_expr, u, consts)
         rho.source = to_source(q_expr)  # type: ignore[attr-defined]
-
-        def drho(u: float) -> Dual:
-            return Dual.shift(eval_jet(q_expr, u, consts))
     else:
         c = pm * lam ** 2
 
@@ -305,14 +291,9 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
         op = "-" if pm < 0 else "+"
         rho.source = f"sqrt(({to_source(q_expr)})^2 {op} {lam!r}^2)"  # type: ignore[attr-defined]
 
-        def drho(u: float) -> Dual:
-            q = eval_jet(q_expr, u, consts)
-            qd = Dual.from_jet(q)
-            return qd * Dual.shift(q) / (qd * qd + c).sqrt()
-
-    quad_a = _quad_profile(lambda u: gauge.a(u) * drho(u), spec.domain,
+    quad_a = _quad_profile(lambda u: gauge.a(u) * rho(u).deriv(), spec.domain,
                            constants[0], f"<quadrature a {drho_label}>")
-    quad_b = _quad_profile(lambda u: gauge.b(u) * drho(u), spec.domain,
+    quad_b = _quad_profile(lambda u: gauge.b(u) * rho(u).deriv(), spec.domain,
                            constants[1], f"<quadrature b {drho_label}>")
     parts = [quad_a, quad_b]
     parts.insert(fam.radial_slot, rho)
@@ -396,7 +377,7 @@ def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec,
     return sign, {"plus": plus, "minus": minus}
 
 
-def bernoulli_residual(sq_gauge: "GaugeFn | Expr | str", profile: "Expr | str",
+def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str",
                        lam: float, domain: tuple[float, float],
                        consts: Mapping[str, float] | None = None,
                        kind: SurfaceKind = SurfaceKind.I,
@@ -406,22 +387,22 @@ def bernoulli_residual(sq_gauge: "GaugeFn | Expr | str", profile: "Expr | str",
     kind I  (with q = x):  (q^2 - lam^2) b' + q q' b = q q' b^3
     kind II (with q = w):  (q^2 + lam^2) a' + q q' a = q q' a^3
 
-    sq_gauge supplies b^2 (resp. a^2); the positive root is differentiated
-    by dual arithmetic.
+    sq_gauge supplies b^2 (resp. a^2), as a profile function or an
+    expression; the positive root is differentiated by jet arithmetic.
     """
     fam = FAMILIES.get(kind)
     if fam is None or fam.ode_sign is None:
         raise ValidationError("the gauge ODE exists for kinds I and II only")
     sign = fam.ode_sign
     consts = dict(consts or {})
-    sq = sq_gauge if callable(sq_gauge) else gauge_from_expr(sq_gauge, consts)
+    sq = sq_gauge if callable(sq_gauge) else expr_profile(sq_gauge, consts)
     p = parse(profile) if isinstance(profile, str) else profile
 
     def violation(u):
         g = sq(u).sqrt()
         q = eval_jet(p, u, consts)
         qq = q.v * q.d1
-        lhs = (q.v * q.v + sign * lam * lam) * g.d + qq * g.v
+        lhs = (q.v * q.v + sign * lam * lam) * g.d1 + qq * g.v
         return abs(lhs - qq * g.v ** 3)
     return _scan_sup(domain, samples, violation)
 
@@ -524,13 +505,14 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
     bound = pitch_bound(lam)
     if not 0.0 < c3 <= bound:
         raise ValidationError(f"c3 = {c3!r} outside (0, 1/lambda^2] = (0, {bound!r}]")
+    c1, c2 = _number(c1, "c1"), _number(c2, "c2")
     x_expr = parse(x) if isinstance(x, str) else x
     consts = _merge_constants(constants, lam=lam, c3=c3, c4=c4)
 
     right_helicoid = (c3 == bound)
     w_expr = Num(0.0) if right_helicoid else _build_from_template(_W_TEMPLATE_I, x_expr, sign_w)
     h = make_helicoid(SurfaceKind.I, lam,
-                      {"x": x_expr, "z": Num(float(c1)), "w": w_expr},
+                      {"x": x_expr, "z": Num(c1), "w": w_expr},
                       domain, consts, v_domain)
     _require_positive(domain, lambda u: eval_jet(x_expr, u, consts).v ** 2 - lam ** 2,
                       ValidationError, "x^2 - lambda^2 <= 0 at u = {:.6g}: sqrt leaves its domain")
@@ -572,12 +554,13 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
     bound = pitch_bound(lam)
     if not -bound < c3 < 0.0:
         raise ValidationError(f"c3 = {c3!r} outside (-1/lambda^2, 0) = ({-bound!r}, 0)")
+    c1, c2 = _number(c1, "c1"), _number(c2, "c2")
     w_expr = parse(w) if isinstance(w, str) else w
     consts = _merge_constants(constants, lam=lam, c3=c3, c4=c4)
 
     x_expr = _build_from_template(_X_TEMPLATE_II, w_expr, sign_x)
     h = make_helicoid(SurfaceKind.II, lam,
-                      {"x": x_expr, "y": Num(float(c1)), "w": w_expr},
+                      {"x": x_expr, "y": Num(c1), "w": w_expr},
                       domain, consts, v_domain)
     if is_constant_profile(h, "w"):
         raise ValidationError(
@@ -669,7 +652,11 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
         positions[:, start:stop] = block.out[:, 4:].reshape(-1, 2, 4).transpose(1, 0, 2)
         start = stop
     iso, gauss, *h_sup = worst.tolist()
-    # the steps of np.var(axis=1), without its copy of the positions
+    # the steps of np.var(axis=1), without its copy of the positions, after
+    # moving each surface's first point to the origin, so that a constant
+    # coordinate has variance exactly 0 however large it is (the copy keeps
+    # numpy from buffering the whole overlapping subtraction)
+    positions -= positions[:, :1].copy()
     positions -= positions.sum(axis=1, keepdims=True) / n
     positions *= positions
     defects = tuple(np.min(positions.sum(axis=1) / n, axis=1).tolist())

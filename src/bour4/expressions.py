@@ -261,9 +261,12 @@ def eval_const(e: Expr, consts: Mapping[str, float]) -> float:
         return -eval_const(e.arg, consts)
     if isinstance(e, Bin):
         a = eval_const(e.left, consts)
-        if e.op == "^":
-            return a ** eval_const(e.right, consts)
         b = eval_const(e.right, consts)
+        if e.op == "^":
+            p = a ** b
+            if isinstance(p, complex):
+                raise EvalDomainError(f"fractional power of negative value {a!r}", to_source(e))
+            return p
         if e.op == "+":
             return a + b
         if e.op == "-":

@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 from .errors import FrameFailureError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
 from .grids import scan
-from .jets import Dual, Jet2
+from .jets import Jet2
 from .lorentz import (Bivector6, Vec4, bivector_from_pseudo, flag,
                       pseudo_to_standard, standard_to_pseudo, where, xp)
 from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
@@ -57,7 +57,7 @@ class Family:
     frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
     gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
     constraint: tuple[float, bool]  # (s, squared): a^2 + s h(b) = rhs, h(b) = b^2 or b
-    constraint_rhs: Callable  # (lam^2, *jets) -> rhs, a Dual in u
+    constraint_rhs: Callable  # (lam^2, *jets) -> rhs, a Jet2 in u exact to first order
     # (q, s, label): the partner's radial component rho is sqrt(q^2 + s lam^2),
     # or q itself for s None, and label is the source of rho'
     radial: tuple[str, float | None, str]
@@ -65,7 +65,7 @@ class Family:
     natural: tuple[tuple[str, str], ...]  # the natural gauge (a, b) as ratios p'/q' (p, q)
     parallel: Callable  # (lam, *jets at u0, partner points on u = u0) -> their defects
     shift_rate: Callable | None = None  # (lam, *jets) -> d(vbar)/du, for quadrature
-    closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Dual in u
+    closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u
     ode_sign: float | None = None  # the sign of lam^2 in the squared gauge's minimality ODE
     identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
 
@@ -128,10 +128,9 @@ def _gauss_I(lam, x, z, w, v, c):
 
 
 def _rhs_I(lam2, x, z, w):
-    xv, dx = Dual.from_jet(x), Dual.shift(x)
-    dz, dw = Dual.shift(z), Dual.shift(w)
-    return ((xv * xv * (dz * dz - dw * dw) - lam2 * (dx * dx + dz * dz))
-            / (xv * xv * dx * dx))
+    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
+    return ((x * x * (dz * dz - dw * dw) - lam2 * (dx * dx + dz * dz))
+            / (x * x * dx * dx))
 
 
 def _identity_I(lam, x, z, w):
@@ -201,10 +200,9 @@ def _gauss_II(lam, x, y, w, v, c):
 
 
 def _rhs_II(lam2, x, y, w):
-    wv, dw = Dual.from_jet(w), Dual.shift(w)
-    dx, dy = Dual.shift(x), Dual.shift(y)
-    return ((wv * wv * (dx * dx + dy * dy) + lam2 * (dy * dy - dw * dw))
-            / (wv * wv * dw * dw))
+    dx, dy, dw = x.deriv(), y.deriv(), w.deriv()
+    return ((w * w * (dx * dx + dy * dy) + lam2 * (dy * dy - dw * dw))
+            / (w * w * dw * dw))
 
 
 def _identity_II(lam, x, y, w):
@@ -268,9 +266,8 @@ def _gauss_III(lam, x, z, w, v, c):
 
 
 def _rhs_III(lam2, x, z, w):
-    wv, dw = Dual.from_jet(w), Dual.shift(w)
-    dx, dz = Dual.shift(x), Dual.shift(z)
-    return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * wv * wv)
+    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
+    return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * w * w)
 
 
 def _parallel_III(lam, x, z, w, pts):
@@ -301,7 +298,7 @@ FAMILIES = {
         constraint=(-2.0, False), constraint_rhs=_rhs_III,
         radial=("w", None, "w'"), radial_slot=2,
         natural=(("x", "w"), ("z", "w")), parallel=_parallel_III,
-        closed_shift=lambda lam, x, z, w: lam / (2.0 * Dual.from_jet(w))),
+        closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
 }
 
 

@@ -2,11 +2,12 @@
 
 Jet2 carries (value, first, second derivative) and is the currency for
 profile-curve components: curvature formulas consume exact derivatives, never
-finite differences.  Dual carries (value, first derivative) only and is used
-where second derivatives of the inputs are not available, e.g. integrands of
-quadrature-defined components.
+finite differences.  Where a third derivative is unknown, as in the jet of a
+profile's derivative (``Jet2.deriv``), the second order is NaN.  No value or
+first derivative ever reads a second one, so first-order results stay exact,
+and a read of the unknown order shows up as a non-finite output.
 
-Both carry Python floats (one point) or numpy arrays (many points: a block
+Jets carry Python floats (one point) or numpy arrays (many points: a block
 of sweep rows, a level of quadrature nodes), as the geometry of lorentz.py
 does.  A domain check raises EvalDomainError on a float; on an array the
 failed elements become NaN (see lorentz.flag), and the caller that batched
@@ -53,6 +54,10 @@ class Jet2:
     @staticmethod
     def _coerce(x):
         return x if isinstance(x, Jet2) else Jet2(x)
+
+    def deriv(self) -> "Jet2":
+        """The jet of the derivative, (d1, d2, NaN): its second order is unknown."""
+        return Jet2(self.d1, self.d2, math.nan)
 
     def __repr__(self):
         return f"Jet2({self.v!r}, {self.d1!r}, {self.d2!r})"
@@ -173,82 +178,3 @@ class Jet2:
         d = 1.0 + x * x
         rd = m.sqrt(d)
         return self._chain(m.asinh(x), 1.0 / rd, -x / (d * rd))
-
-
-class Dual:
-    """First-order companion to Jet2: (value, derivative) only."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d=0.0):
-        self.v = v
-        self.d = d
-
-    @staticmethod
-    def from_jet(j: Jet2) -> "Dual":
-        return Dual(j.v, j.d1)
-
-    @staticmethod
-    def shift(j: Jet2) -> "Dual":
-        """Dual of the derivative of a Jet2-valued function: (d1, d2)."""
-        return Dual(j.d1, j.d2)
-
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, Dual) else Dual(x)
-
-    def __repr__(self):
-        return f"Dual({self.v!r}, {self.d!r})"
-
-    def __add__(self, o):
-        o = Dual._coerce(o)
-        return Dual(self.v + o.v, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = Dual._coerce(o)
-        return Dual(self.v - o.v, self.d - o.d)
-
-    def __rsub__(self, o):
-        return Dual._coerce(o).__sub__(self)
-
-    def __neg__(self):
-        return Dual(-self.v, -self.d)
-
-    def __mul__(self, o):
-        o = Dual._coerce(o)
-        return Dual(self.v * o.v, self.d * o.v + self.v * o.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = Dual._coerce(o)
-        bad = flag(o.v == 0.0, EvalDomainError, "division by zero")
-        q = self.v / o.v
-        d = (self.d - q * o.d) / o.v
-        return Dual(q, d) if bad is False else Dual(*_poison(bad, q, d))
-
-    def __rtruediv__(self, o):
-        return Dual._coerce(o).__truediv__(self)
-
-    def __pow__(self, p):
-        p = float(p)
-        x = self.v
-        if p.is_integer():
-            n = int(p)
-            bad = flag(x == 0.0, EvalDomainError,
-                       "zero raised to a negative power") if n < 0 else False
-            v, d = x ** n, (n * x ** (n - 1) if n else 0.0) * self.d
-        else:
-            bad = flag(x <= 0.0, EvalDomainError,
-                       "fractional power of non-positive value {!r}", x)
-            v, d = x ** p, p * x ** (p - 1.0) * self.d
-        return Dual(v, d) if bad is False else Dual(*_poison(bad, v, d))
-
-    def sqrt(self):
-        x = self.v
-        bad = flag(x <= 0.0, EvalDomainError, "square root of non-positive value {!r}", x)
-        r = xp(x).sqrt(x)
-        d = 0.5 * self.d / r
-        return Dual(r, d) if bad is False else Dual(*_poison(bad, r, d))

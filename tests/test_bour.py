@@ -6,17 +6,16 @@ import pytest
 import bour4.bour as bour_mod
 import bour4.grids
 from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
-                        choose_vbar_sign, gauge_complete, gauge_from_expr,
-                        gauss_residual, isometry_residual,
-                        minimal_pair_identity_residual, natural_gauge,
-                        pair_report, parallel_curve_residual,
+                        choose_vbar_sign, gauge_complete, gauss_residual,
+                        isometry_residual, minimal_pair_identity_residual,
+                        natural_gauge, pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge,
                         vbar, vbar_map)
 from bour4.errors import (EvalDomainError, InfeasibleGaugeError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse
-from bour4.families import (SurfaceKind, helicoid_jet, is_constant_profile,
-                            make_helicoid, rotational_jet)
+from bour4.families import (SurfaceKind, expr_profile, helicoid_jet,
+                            is_constant_profile, make_helicoid, rotational_jet)
 from bour4.grids import grid_for
 from bour4.surfaces import curvature_report
 
@@ -37,7 +36,7 @@ def samples(domain, n):
 #: stops being constant.
 FAILING_I = make_helicoid("I", 1.0, {"x": "u + 0*sqrt(2.6 - u)", "z": "0*sqrt(2.6 - u)",
                                      "w": "u/2"}, (1.5, 3.0))
-B_ONE_I = BourGauge(SurfaceKind.I, gauge_from_expr("0"), gauge_from_expr("1"))
+B_ONE_I = BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("1"))
 
 
 class TestVbar:
@@ -181,7 +180,7 @@ class TestBourPartner:
 
     def test_kind_I_needs_radial_positivity(self):
         spec = make_helicoid("I", 2.0, {"x": "u", "z": "0", "w": "0"}, (1.5, 3.0))
-        gauge = BourGauge(SurfaceKind.I, gauge_from_expr("0"), gauge_from_expr("1"))
+        gauge = BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("1"))
         with pytest.raises(NotSpacelikeError):
             bour_partner(spec, gauge)  # x^2 < lambda^2 near u = 1.5
 
@@ -199,9 +198,33 @@ class TestBourPartner:
                 assert tuple(va) == pytest.approx(tuple(vb), abs=1e-9)
 
     def test_gauge_kind_checked(self):
-        gauge = BourGauge(SurfaceKind.II, gauge_from_expr("0"), gauge_from_expr("1"))
+        gauge = BourGauge(SurfaceKind.II, expr_profile("0"), expr_profile("1"))
         with pytest.raises(ValidationError):
             bour_partner(spec_I(), gauge)
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    @pytest.mark.parametrize("gauge_of", [
+        lambda spec: gauge_complete(spec, "a" if spec.kind != "III" else "b", "1/2"),
+        natural_gauge,
+    ], ids=["completed", "natural"])
+    def test_partner_second_derivatives_are_finite_and_exact(self, kind, gauge_of):
+        # the integrands read rho'' and the gauge's derivative, never a
+        # third derivative: every d2 is finite and differentiates d1
+        spec = {
+            "I": spec_I(w="u/2 + sin(u)/8"),
+            "II": make_helicoid("II", 1.0, {"x": "2*u", "y": "u/4", "w": "0.8 + u"},
+                                (0.8, 2.0)),
+            "III": make_helicoid("III", 1.0, {"x": "u", "z": "u/8", "w": "u + u^2/10"},
+                                 (1.2, 2.5)),
+        }[kind]
+        r = bour_partner(spec, gauge_of(spec))
+        h = 1e-5
+        for u in samples(spec.domain, 5):
+            for profile in (r.n, r.s, r.r):
+                d2 = profile(u).d2
+                diff = (profile(u + h).d1 - profile(u - h).d1) / (2.0 * h)
+                assert math.isfinite(d2)
+                assert d2 == pytest.approx(diff, rel=1e-6, abs=1e-8)
 
 
 class TestIsometry:
@@ -317,6 +340,14 @@ class TestSameGaussPairs:
         assert gauss_residual(h, r, grid) < 1e-7
         rep = pair_report(h, r, grid)
         assert max(rep.max_mean_curvature) < 1e-9
+
+    @pytest.mark.parametrize("build, c3", [(same_gauss_pair_I, 0.5),
+                                           (same_gauss_pair_II, -0.5)])
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "x"])
+    def test_free_constants_must_be_finite_numbers(self, build, c3, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            build("u", 1.0, c3, **{name: value})
 
     def test_kind_I_parameter_range(self):
         with pytest.raises(ValidationError):
@@ -478,7 +509,7 @@ class TestMeanCurvatureRelation:
         for u in (1.7, 2.0, 2.6):
             x, xp = u, 1.0
             b = gauge.b(u)
-            num = -(x * x - lam * lam) * b.d + b.v * x * xp * (b.v ** 2 - 1.0)
+            num = -(x * x - lam * lam) * b.d1 + b.v * x * xp * (b.v ** 2 - 1.0)
             den = (2.0 * (1.0 - b.v ** 2) ** 1.5 * x * xp
                    * math.sqrt(x * x - lam * lam))
             expected = num / den

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ def pair_mutations():
                            + [("gauge", key) for key in FLOW_PAIR["gauge"]])
 
 
-#: Values of --lambda and --c3.  Calls pass option values as --option=value:
+#: Values of --lambda, --c1, --c2 and --c3.  Calls pass option values as --option=value:
 #: argparse takes a lone value such as -1e-05, -inf or -u for an option.
 NUMBERS = (st.sampled_from(["0", "1", "0.5", "-0.5", "2", "nan", "inf", "-inf", "1e200",
                             "1e-300", "-1e200"])
@@ -94,7 +95,7 @@ DOMAIN_ENDS = st.sampled_from(["nan", "inf", "1e200"]) | st.floats(-5.0, 5.0).ma
 EXPRESSIONS = (st.sampled_from(["0", "2", "u", "1/2", "u/3", "2 + u", "1 - u", "(u - 1)^2",
                                 "cos(u)", "sqrt(u)", "sqrt(-1)", "1/(u - 2)", "log(u - 1)",
                                 "exp(1000*u)", "asin(u)", "c1", "q", "u^", "(", "",
-                                "1e308*u^2", "u^(1/2)", "tan(u)"])
+                                "1e308*u^2", "u^(1/2)", "tan(u)", "u^((0-8)^(1/3))"])
                | st.text(max_size=4))
 GRIDS = st.sampled_from(["3x3", "2x4", "4X2", "1x3", "3x0", "-2x3", "3", "x", "3x3x3",
                          "ax3", "2001x2", " 3x3 ", ""])
@@ -113,14 +114,17 @@ VALID_CALLS = [
      "--grid=3x3", "--out", "OUT"],
     ["verify", "--theorem=3.1", "--spec", "SPEC", "--gauge-a=0", "--grid=3x3", "--out", "OUT"],
     ["verify", "--theorem=3.1", "--spec", "SPEC", "--gauge-b=1", "--grid=3x3", "--out", "OUT"],
-    ["verify", "--theorem=3.3", "--x=u", "--lambda=1", "--c3=0.5", "--grid=3x3", "--out", "OUT"],
-    ["verify", "--theorem=3.6", "--w=u", "--lambda=1", "--c3=-0.5", "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.3", "--x=u", "--lambda=1", "--c3=0.5", "--c1=0", "--c2=0",
+     "--grid=3x3", "--out", "OUT"],
+    ["verify", "--theorem=3.6", "--w=u", "--lambda=1", "--c3=-0.5", "--c1=0", "--c2=0",
+     "--grid=3x3", "--out", "OUT"],
     ["example", "1", "--grid=3x3", "--out-dir", "OUT"],
 ]
 #: What may stand in for each option's value.
 OPTION_VALUES = {"--theorem": st.sampled_from(["3.1", "3.5", "3.7", "3.2", ""]),
                  "--gauge-a": EXPRESSIONS, "--gauge-b": EXPRESSIONS, "--x": EXPRESSIONS,
-                 "--w": EXPRESSIONS, "--lambda": NUMBERS, "--c3": NUMBERS, "--grid": GRIDS,
+                 "--w": EXPRESSIONS, "--lambda": NUMBERS, "--c1": NUMBERS, "--c2": NUMBERS,
+                 "--c3": NUMBERS, "--grid": GRIDS,
                  "--projection": PROJECTIONS}
 
 
@@ -284,6 +288,20 @@ class TestReport:
         assert err.startswith(f"numerical failure: non-finite value at u = {u!r}, v = ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, x, constants, sub, base", [
+        (["report"], "2 + u^((0-8)^(1/3))", {}, "(0 - 8)^(1 / 3)", "-8.0"),
+        (["export", "--format", "csv"], "2 + u^(c^0.5)", {"c": -1}, "c^0.5", "-1.0")])
+    def test_complex_constant_exponent_exits_3(self, tmp_path, capsys, command,
+                                               x, constants, sub, base):
+        data = {**COR34, "profile": {**COR34["profile"], "x": x}, "constants": constants}
+        out = tmp_path / "out"
+        assert main([*command, "--spec", write_json(tmp_path / "s.json", data),
+                     "--grid", "5x5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: fractional power of negative value "
+                              f"{base} in '{sub}'")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_invalid_spec_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "s.json", {"kind": "IV"})
         assert main(["report", "--spec", spec]) == 2
@@ -411,7 +429,12 @@ class TestVerify:
           "--domain", "0.681", "1e200"],
          "numerical failure: non-finite value at u = 7.8125e+197: "
          "a value overflows or is undefined\n"),
-    ], ids=["huge-pitch", "tiny-pitch", "constant-x", "underflow", "overflowing-domain"])
+        (["--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5", "--c1", "inf"],
+         "error: c1 must be finite, got inf\n"),
+        (["--theorem", "3.6", "--w", "u", "--lambda", "1", "--c3", "-0.5", "--c2", "nan"],
+         "error: c2 must be finite, got nan\n"),
+    ], ids=["huge-pitch", "tiny-pitch", "constant-x", "underflow", "overflowing-domain",
+            "infinite-c1", "nan-c2"])
     def test_degenerate_pair_inputs_exit_2_or_3(self, capsys, args, err):
         code = main(["verify", *args, "--grid", "3x3"])
         assert code == (2 if err.startswith("error: ") else 3)
@@ -429,6 +452,16 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert main(["verify", "--theorem", "3.3"]) == 2
         assert main(["verify", "--theorem", "9.9"]) == 2
+
+    def test_huge_frozen_coordinate_is_hyperplanar(self, tmp_path):
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--theorem", "3.3", "--x", "u", "--lambda", "1",
+                         "--c3", "0.5", "--c1", "1e200", "--grid", "5x5",
+                         "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["residuals"]["hyperplanarity"] == [0.0, 0.0] and rep["failures"] == []
 
     def test_quadrature_tolerance_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LB_QUAD_TOL", "1e-09")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -195,6 +196,27 @@ class TestEvalJet:
         with pytest.raises(EvalDomainError):
             eval_jet(parse("u^0.5"), -1.0)
 
+    @pytest.mark.parametrize("u", [2.0, np.linspace(1.0, 3.0, 5)], ids=["float", "array"])
+    @pytest.mark.parametrize("src, consts, sub, base", [
+        ("u^((0-8)^(1/3))", {}, "(0 - 8)^(1 / 3)", "-8.0"),
+        ("2 + u^(c^0.5)", {"c": -1.0}, "c^0.5", "-1.0"),
+    ])
+    def test_complex_constant_exponent_rejected(self, u, src, consts, sub, base):
+        # a negative base to a fractional constant power is complex in Python
+        with pytest.raises(EvalDomainError) as info:
+            eval_jet(parse(src), u, consts)
+        assert info.value.subexpr == sub
+        assert str(info.value) == f"fractional power of negative value {base} in '{sub}'"
+
+    def test_deriv_shifts_the_orders_and_leaves_the_third_unknown(self):
+        d = eval_jet(parse("u^3"), 2.0).deriv()
+        assert (d.v, d.d1) == (12.0, 12.0) and math.isnan(d.d2)
+        us = np.linspace(-1.0, 1.0, 5)
+        j = eval_jet(parse("u^3"), us)
+        d = j.deriv()
+        assert np.array_equal(d.v, j.d1) and np.array_equal(d.d1, j.d2)
+        assert np.isnan(d.d2).all()
+
 
 # ---------------------------------------------------------------------------
 # array evaluation against the one-point API
@@ -260,7 +282,7 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("kind,names", [("I", ("x", "z", "w")),
                                             ("II", ("x", "y", "w")),
                                             ("III", ("x", "z", "w"))])
-    def test_dual_matches_scalar_calls_through_constraint_rhs(self, kind, names):
+    def test_rhs_first_order_matches_scalar_calls(self, kind, names):
         # x, w and their derivatives vanish at samples (u = -1, 0, 1), where
         # the constraint divides by zero
         profile = dict(zip(names, ("u^2 - 1", "sin(u)", "u^2 - 1 + u^3/5")))
@@ -272,7 +294,7 @@ class TestArrayEvaluation:
         # array arithmetic runs under the batching caller's errstate, as in
         # the quadrature loop and the grid sweep
         with np.errstate(all="ignore"):
-            d = rhs(us)
-        scalar = _scalar_fields(rhs, us, ("v", "d"))
+            j = rhs(us)
+        scalar = _scalar_fields(rhs, us, ("v", "d1"))
         assert np.isnan(scalar[0]).any() and not np.isnan(scalar[0]).all()
-        _assert_parity([d.v, d.d], scalar)
+        _assert_parity([j.v, j.d1], scalar)
