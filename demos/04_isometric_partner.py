@@ -8,7 +8,7 @@ on parallel circles of radius sqrt(x^2 - lambda^2).
 """
 from bour4 import (bour_partner, gauge_complete, grid_for, isometry_residual,
                    make_helicoid, pair_report, parallel_curve_residual,
-                   rotational_jet, scale_gauge, vbar)
+                   rotational_jet, scale_gauge)
 
 h = make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
 
@@ -22,7 +22,7 @@ grid = grid_for(h, nu=17, nv=17)
 print("isometry residual:", isometry_residual(h, partner, grid))
 
 # the correspondence shifts the angle by a quadrature in u
-print("vbar(2.0, 0.3) =", vbar(h, 2.0, 0.3))
+print("vbar(2.0, 0.3) =", h.vbar(2.0, 0.3))
 
 # a detuned gauge breaks the isometry by a visible amount
 bad = bour_partner(h, scale_gauge(gauge, b_factor=1.1))

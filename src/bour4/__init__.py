@@ -12,7 +12,7 @@ from .bour import (BourGauge, PairReport, PairTolerances, bernoulli_residual,
                    gauge_complete, gauss_residual, isometry_residual,
                    minimal_pair_identity_residual, natural_gauge, pair_report,
                    parallel_curve_residual, same_gauss_pair_I,
-                   same_gauss_pair_II, scale_gauge, vbar, vbar_map)
+                   same_gauss_pair_II, scale_gauge)
 from .errors import (Bour4Error, DegenerateSurfaceError, EvalDomainError,
                      ExprSyntaxError, FrameFailureError, InfeasibleGaugeError,
                      NonFiniteError, NotSpacelikeError, NumericalError,

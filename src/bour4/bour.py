@@ -19,10 +19,8 @@ the parameter curves the correspondence produces.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,10 +33,11 @@ from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
                        helicoid_jet_from_profile, is_constant_profile,
                        make_helicoid, profile_jets, rotational_jet,
                        surface_jet, surface_profile)
+from .families import VbarMap  # noqa: F401  (re-exported)
 from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
 from .lorentz import flag, sup, where
-from .quadrature import Antiderivative, default_tolerance
+from .quadrature import Antiderivative
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map
 
 # ---------------------------------------------------------------------------
@@ -63,17 +62,16 @@ class BourGauge:
     kind: SurfaceKind
     a: ProfileFn
     b: ProfileFn
-    given: str = ""
 
-    def residual(self, spec: HelicoidSpec, samples: int = 64) -> float:
-        """Max violation of the compatibility constraint over a domain sample."""
+    def residual(self, spec: HelicoidSpec) -> float:
+        """Max violation of the compatibility constraint over 64 domain samples."""
         rhs = constraint_rhs(spec)
         s, squared = FAMILIES[self.kind].constraint
 
         def violation(u):
             a, b = self.a(u).v, self.b(u).v
             return abs(a * a + s * (b * b if squared else b) - rhs(u).v)
-        return _scan_sup(spec.domain, samples, violation)
+        return _scan_sup(spec.domain, 64, violation)
 
 
 def _scan_sup(domain: tuple[float, float], n: int, f: Callable) -> float:
@@ -105,12 +103,11 @@ def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
     return rhs
 
 
-def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
-                   samples: int = 96) -> BourGauge:
+def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str") -> BourGauge:
     """Fill in the missing gauge function from the constraint, nonnegative branch.
 
     Raises InfeasibleGaugeError (with the offending u-interval) when the
-    induced square goes negative somewhere on the domain.
+    induced square goes negative at one of 96 domain samples.
     """
     if given not in ("a", "b"):
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
@@ -130,7 +127,7 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
     if given == "a" and not squared:
         other = solved  # kind III: h(b) is b itself
     else:
-        us, squares = scan(spec.domain, samples, lambda u: solved(u).v)
+        us, squares = scan(spec.domain, 96, lambda u: solved(u).v)
         bad = us[squares < 0.0].tolist()
         if bad:
             raise InfeasibleGaugeError(
@@ -140,7 +137,7 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str",
             return solved(u).sqrt()
 
     a, b = (g, other) if given == "a" else (other, g)
-    return BourGauge(spec.kind, a, b, given)
+    return BourGauge(spec.kind, a, b)
 
 
 def natural_gauge(spec: HelicoidSpec) -> BourGauge:
@@ -164,88 +161,21 @@ def scale_gauge(gauge: BourGauge, a_factor: float = 1.0, b_factor: float = 1.0) 
     """Deliberately detuned gauge, for negative controls."""
     return BourGauge(gauge.kind,
                      lambda u: gauge.a(u) * a_factor,
-                     lambda u: gauge.b(u) * b_factor,
-                     gauge.given)
-
-
-# ---------------------------------------------------------------------------
-# the reparametrized angle
-
-class VbarMap:
-    """The angular correspondence (u, v) -> vbar for one helicoidal spec.
-
-    The u-dependent shift is tabulated once (adaptive quadrature for kinds I
-    and II, whose integrand takes a float or an array of u); du() returns its
-    exact derivative from the integrand.
-    ``sign=-1`` flips the shift, which probes the wrong orientation.
-    """
-
-    def __init__(self, spec: HelicoidSpec, sign: int = 1):
-        self.spec = spec
-        self.sign = sign
-        lam = spec.pitch
-        fam = FAMILIES[spec.kind]
-        self._table = None
-        if fam.closed_shift is not None:
-            def shift_jet(u: float) -> Jet2:
-                return fam.closed_shift(lam, *fam.profile(profile_jets(spec, u)))
-            self._shift = lambda u: shift_jet(u).v
-            self._dshift = lambda u: shift_jet(u).d1
-        elif lam == 0.0:
-            self._shift = lambda u: 0.0
-            self._dshift = lambda u: 0.0
-        else:
-            def integrand(u: float) -> float:
-                return fam.shift_rate(lam, *fam.profile(profile_jets(spec, u)))
-            self._table = Antiderivative(integrand, spec.domain[0], spec.domain[1])
-            self._shift = self._table
-            self._dshift = integrand
-
-    def shift(self, u: float) -> float:
-        """The oriented angular shift at u: vbar = v + shift(u)."""
-        return self.sign * self._shift(u)
-
-    def __call__(self, u: float, v: float) -> float:
-        return v + self.shift(u)
-
-    def du(self, u: float) -> float:
-        """d(vbar)/du, exact (quadrature never enters)."""
-        return self.sign * self._dshift(u)
-
-
-@lru_cache(maxsize=128)
-def _vbar_cached(spec: HelicoidSpec, tol: float) -> VbarMap:
-    # tol keys the cache only: the table reads the same default_tolerance()
-    return VbarMap(spec)
-
-
-def vbar_map(spec: HelicoidSpec, sign: int = 1) -> VbarMap:
-    """The memoised map of the spec at the current quadrature tolerance; the
-    other orientation is a shallow copy that reads the same shift table."""
-    vb = _vbar_cached(spec, default_tolerance())
-    if sign != vb.sign:
-        vb = copy.copy(vb)
-        vb.sign = sign
-    return vb
-
-
-def vbar(spec: HelicoidSpec, u: float, v: float, sign: int = 1) -> float:
-    """The reparametrized angle for one point; see VbarMap."""
-    return vbar_map(spec, sign)(u, v)
+                     lambda u: gauge.b(u) * b_factor)
 
 
 # ---------------------------------------------------------------------------
 # the isometric rotational partner
 
-def _quad_profile(integrand: ProfileFn, domain, constant: float,
+def _quad_profile(g: ProfileFn, rho: ProfileFn, domain, constant: float,
                   label: str) -> ProfileFn:
-    """The profile constant + int integrand du, tabulated once; the integrand
-    takes a float or an array of u and is read to first order, the profile
+    """The profile constant + int g rho' du, tabulated once; the table reads
+    the integrand's value alone (on a float or an array of u), the profile
     takes a float."""
-    table = Antiderivative(lambda u: integrand(u).v, domain[0], domain[1])
+    table = Antiderivative(lambda u: g(u).v * rho(u).d1, domain[0], domain[1])
 
     def fn(u: float) -> Jet2:
-        d = integrand(u)
+        d = g(u) * rho(u).deriv()
         return Jet2(constant + table(u), d.v, d.d1)
 
     fn.source = label  # type: ignore[attr-defined]
@@ -291,10 +221,10 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
         op = "-" if pm < 0 else "+"
         rho.source = f"sqrt(({to_source(q_expr)})^2 {op} {lam!r}^2)"  # type: ignore[attr-defined]
 
-    quad_a = _quad_profile(lambda u: gauge.a(u) * rho(u).deriv(), spec.domain,
-                           constants[0], f"<quadrature a {drho_label}>")
-    quad_b = _quad_profile(lambda u: gauge.b(u) * rho(u).deriv(), spec.domain,
-                           constants[1], f"<quadrature b {drho_label}>")
+    quad_a = _quad_profile(gauge.a, rho, spec.domain, constants[0],
+                           f"<quadrature a {drho_label}>")
+    quad_b = _quad_profile(gauge.b, rho, spec.domain, constants[1],
+                           f"<quadrature b {drho_label}>")
     parts = [quad_a, quad_b]
     parts.insert(fam.radial_slot, rho)
     n, s, r = parts
@@ -310,16 +240,17 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
     helicoid metric g and both surface jets.
 
     The helicoid metric does not depend on v; it is taken once per u, at
-    v = 0.  The partner jet is read at (u, vbar(u, v)).
+    v = 0.  The partner jet is read at (u, v + sign shift(u)): ``sign = -1``
+    probes the other orientation of the helicoid's one angular map.
     """
-    vb = vbar_map(h, sign)
+    vb = h.vbar
 
     def f(u, v):
         pj = profile_jets(h, u)
-        k = vb.du(u)
+        k = sign * vb.du(u)
         g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
         return point(k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
-                     surface_jet(r, surface_profile(r, u), vb(u, v)))
+                     surface_jet(r, surface_profile(r, u), v + sign * vb.shift(u)))
 
     return sweep(grid, f)
 
@@ -361,16 +292,14 @@ def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                                   lambda k, g, hj, rj: (_gauss_defect(hj, rj),)))
 
 
-def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec,
-                     probe: Grid | None = None) -> tuple[int, dict]:
+def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec) -> tuple[int, dict]:
     """Pick the orientation of the angular shift empirically.
 
     Some sources disagree on the sign of the accumulated shift for kind II;
-    both orientations are probed on a coarse grid and the one with the
+    both orientations are probed on a coarse 5x5 grid and the one with the
     smaller Gauss residual wins.  Returns the sign and the probe residuals.
     """
-    if probe is None:
-        probe = grid_for(h, nu=5, nv=5)
+    probe = grid_for(h, nu=5, nv=5)
     plus = gauss_residual(h, r, probe, sign=1)
     minus = gauss_residual(h, r, probe, sign=-1)
     sign = 1 if plus <= minus else -1
@@ -380,9 +309,9 @@ def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec,
 def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str",
                        lam: float, domain: tuple[float, float],
                        consts: Mapping[str, float] | None = None,
-                       kind: SurfaceKind = SurfaceKind.I,
-                       samples: int = 64) -> float:
-    """Residual of the minimality ODE for the squared gauge function.
+                       kind: SurfaceKind = SurfaceKind.I) -> float:
+    """Residual of the minimality ODE for the squared gauge function, at 64
+    domain samples.
 
     kind I  (with q = x):  (q^2 - lam^2) b' + q q' b = q q' b^3
     kind II (with q = w):  (q^2 + lam^2) a' + q q' a = q q' a^3
@@ -404,11 +333,12 @@ def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str"
         qq = q.v * q.d1
         lhs = (q.v * q.v + sign * lam * lam) * g.d1 + qq * g.v
         return abs(lhs - qq * g.v ** 3)
-    return _scan_sup(domain, samples, violation)
+    return _scan_sup(domain, 64, violation)
 
 
-def minimal_pair_identity_residual(spec: HelicoidSpec, samples: int = 64) -> float:
-    """Residual of the profile identity that a shared Gauss map forces.
+def minimal_pair_identity_residual(spec: HelicoidSpec) -> float:
+    """Residual of the profile identity that a shared Gauss map forces, at 64
+    domain samples.
 
     kind I:  lam^2 (x x' w'' + w'(2 x'^2 - x x'')) + x^2 (w'(w'^2 - x'^2) + x (x'' w' - x' w''))
     kind II: lam (x' w'^2 (2 lam^2 + w^2) - w^2 x'^3 + w (lam^2 + w^2)(x'' w' - x' w''))
@@ -417,7 +347,7 @@ def minimal_pair_identity_residual(spec: HelicoidSpec, samples: int = 64) -> flo
     if fam.identity is None:
         raise ValidationError(
             f"no shared-Gauss-map identity exists for kind {spec.kind.value}")
-    return _scan_sup(spec.domain, samples, lambda u: abs(
+    return _scan_sup(spec.domain, 64, lambda u: abs(
         fam.identity(spec.pitch, *fam.profile(profile_jets(spec, u)))))
 
 
@@ -531,7 +461,7 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
         raise ValidationError(f"x or x' vanishes at u = {u0:.6g}: no angular alignment exists")
     b0 = sign_r / math.sqrt(1.0 + c3 * (xj.v ** 2 - lam ** 2))
     j_true = math.atan2(-lam / (b0 * xj.v), wj.d1 / (b0 * xj.d1))
-    offset = -j_true - vbar_map(h)(u0, 0.0)
+    offset = -j_true - h.vbar(u0, 0.0)
     partner = RotationalSpec(SurfaceKind.I, n_fn, const_profile(c2), r_fn,
                              domain, v_offset=offset, v_domain=v_domain)
     return h, partner
@@ -581,7 +511,7 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
         raise ValidationError(
             "no angular alignment exists for this sign of the partner's first component")
     i_true = math.asinh(-lam / (sign_n * a0 * wj.v))
-    offset = i_true - (vbar_map(h)(u0, 0.0))
+    offset = i_true - h.vbar(u0, 0.0)
 
     n_fn = expr_profile(_build_from_template(_N_TEMPLATE_II, w_expr, sign_n, c4), consts)
     r_fn = expr_profile(_build_from_template(_R_TEMPLATE_II, w_expr), consts)
@@ -630,13 +560,10 @@ class PairReport:
         }
 
 
-def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid | None = None,
-                tols: PairTolerances = PairTolerances(),
-                sign: int = 1,
+def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
                 sign_choices: Mapping[str, int] | None = None) -> PairReport:
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
-    if grid is None:
-        grid = grid_for(h)
+    tols = PairTolerances()
 
     def point(k, g, hj, rj):
         return (_isometry_defect(g, first_form(rj), k), _gauss_defect(hj, rj),

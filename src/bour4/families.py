@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .errors import FrameFailureError, ValidationError
@@ -32,6 +33,7 @@ from .grids import scan
 from .jets import Jet2
 from .lorentz import (Bivector6, Vec4, bivector_from_pseudo, flag,
                       pseudo_to_standard, standard_to_pseudo, where, xp)
+from .quadrature import Antiderivative
 from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
                        assemble_report, finalize_first_form)
 
@@ -331,6 +333,11 @@ class HelicoidSpec:
         """Zero pitch: the surface is a plain rotational surface."""
         return self.pitch == 0.0
 
+    @cached_property
+    def vbar(self) -> VbarMap:
+        """The helicoid's angular map, built on first use and kept."""
+        return VbarMap(self)
+
 
 def _number(value, what: str) -> float:
     try:
@@ -347,7 +354,10 @@ def _interval(value, what: str) -> tuple[float, float]:
         a, b = value
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be two numbers, got {value!r}") from None
-    return _number(a, what), _number(b, what)
+    a, b = _number(a, what), _number(b, what)
+    if not math.isfinite(b - a):
+        raise ValidationError(f"{what} {value!r} is too wide: its width overflows")
+    return a, b
 
 
 def make_helicoid(kind, pitch: float, profile: Mapping[str, "str | Expr"],
@@ -392,9 +402,9 @@ class _Varies(Exception):
     """A domain sample where a profile component's derivative is not negligible."""
 
 
-def is_constant_profile(spec: HelicoidSpec, name: str, samples: int = 64,
-                        tol: float = 1e-12) -> bool:
-    """True when the component's derivative vanishes across a domain sample.
+def is_constant_profile(spec: HelicoidSpec, name: str) -> bool:
+    """True when the component's derivative is within 1e-12 of 0 at 64 domain
+    samples.
 
     Like a loop over the samples, the scan stops at the first one where the
     derivative does not vanish: a failure beyond it raises nothing.
@@ -403,13 +413,45 @@ def is_constant_profile(spec: HelicoidSpec, name: str, samples: int = 64,
 
     def slope(u):
         d1 = eval_jet(expr, u, consts).d1
-        return where(flag(abs(d1) > tol, _Varies, ""), math.nan, d1)
+        return where(flag(abs(d1) > 1e-12, _Varies, ""), math.nan, d1)
 
     try:
-        scan(spec.domain, samples, slope)
+        scan(spec.domain, 64, slope)
     except _Varies:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the reparametrized angle
+
+class VbarMap:
+    """The angular correspondence (u, v) -> vbar = v + shift(u) of one helicoid.
+
+    The shift is tabulated when the map is built (adaptive quadrature for
+    kinds I and II, whose integrand takes a float or an array of u); ``du(u)``
+    is its exact derivative, from the integrand.
+    """
+
+    def __init__(self, spec: HelicoidSpec):
+        lam = spec.pitch
+        fam = FAMILIES[spec.kind]
+        self._table = None
+        if fam.closed_shift is not None:
+            def shift_jet(u: float) -> Jet2:
+                return fam.closed_shift(lam, *fam.profile(profile_jets(spec, u)))
+            self.shift = lambda u: shift_jet(u).v
+            self.du = lambda u: shift_jet(u).d1
+        elif lam == 0.0:
+            self.shift = self.du = lambda u: 0.0
+        else:
+            def integrand(u: float) -> float:
+                return fam.shift_rate(lam, *fam.profile(profile_jets(spec, u)))
+            self._table = self.shift = Antiderivative(integrand, *spec.domain)
+            self.du = integrand
+
+    def __call__(self, u: float, v: float) -> float:
+        return v + self.shift(u)
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +479,13 @@ def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
 # closed-form metric
 
 def closed_form_metric_from_profile(kind: SurfaceKind, lam: float,
-                                    pj: Mapping[str, Jet2],
-                                    require_spacelike: bool = True) -> FirstForm:
+                                    pj: Mapping[str, Jet2]) -> FirstForm:
     fam = FAMILIES[kind]
-    return finalize_first_form(*fam.metric(lam, *fam.profile(pj)), require_spacelike)
+    return finalize_first_form(*fam.metric(lam, *fam.profile(pj)), require_spacelike=True)
 
 
-def closed_form_metric(spec: HelicoidSpec, u: float,
-                       require_spacelike: bool = True) -> FirstForm:
-    return closed_form_metric_from_profile(spec.kind, spec.pitch,
-                                           profile_jets(spec, u), require_spacelike)
+def closed_form_metric(spec: HelicoidSpec, u: float) -> FirstForm:
+    return closed_form_metric_from_profile(spec.kind, spec.pitch, profile_jets(spec, u))
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,14 @@ class Grid:
                 "nu": self.nu, "nv": self.nv}
 
 
-def shrunk(a: float, b: float, fraction: float = EDGE_SHRINK) -> tuple[float, float]:
-    pad = (b - a) * fraction
+def shrunk(a: float, b: float) -> tuple[float, float]:
+    pad = (b - a) * EDGE_SHRINK
     return a + pad, b - pad
 
 
-def grid_for(spec: HelicoidSpec, nu: int = 33, nv: int = 33,
-             shrink: float = EDGE_SHRINK) -> Grid:
-    u0, u1 = shrunk(*spec.domain, shrink)
-    v0, v1 = shrunk(*spec.v_range, shrink)
+def grid_for(spec: HelicoidSpec, nu: int = 33, nv: int = 33) -> Grid:
+    u0, u1 = shrunk(*spec.domain)
+    v0, v1 = shrunk(*spec.v_range)
     return Grid(u0, u1, v0, v1, nu, nv)
 
 

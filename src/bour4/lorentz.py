@@ -130,17 +130,17 @@ def minkowski_dot(x: Vec4, y: Vec4) -> float:
     return x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 - x.x4 * y.x4
 
 
-def causal_character(v: Vec4, band: float = 1e-12) -> CausalClass:
+def causal_character(v: Vec4) -> CausalClass:
     """Classify v by the sign of <v, v>.
 
     The zero vector counts as spacelike.  Lightlike means <v,v> = 0 with
-    v != 0; in floating point the test is |<v,v>| <= band * |v|_euclid^2.
+    v != 0; in floating point the test is |<v,v>| <= 1e-12 * |v|_euclid^2.
     """
     e = v.euclid_sq()
     if e == 0.0:
         return CausalClass.SPACELIKE
     s = minkowski_dot(v, v)
-    if abs(s) <= band * e:
+    if abs(s) <= 1e-12 * e:
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if s > 0.0 else CausalClass.TIMELIKE
 

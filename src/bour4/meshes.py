@@ -97,12 +97,12 @@ def _jet_or_nan(surface, u: float, v: float) -> SurfaceJet:
         return SurfaceJet(*[Vec4(*[math.nan] * 4)] * 6)
 
 
-def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
+def resolve_projection(mesh: MeshGrid, mode: str) -> int:
     """Index (0..3) of the coordinate to drop for a 3D projection.
 
     ``drop-k`` for k in 1..4 drops that coordinate; ``drop-constant`` finds
-    the coordinate whose range over the mesh vanishes (within tol, relative
-    to its size) and fails when no coordinate is constant.
+    the coordinate whose range over the mesh vanishes (within 1e-9,
+    relative to its size) and fails when no coordinate is constant.
     """
     if mode.startswith("drop-") and mode[5:] in ("1", "2", "3", "4"):
         return int(mode[5:]) - 1
@@ -111,7 +111,7 @@ def resolve_projection(mesh: MeshGrid, mode: str, tol: float = 1e-9) -> int:
             f"unknown projection {mode!r} (use drop-constant or drop-1..drop-4)")
     hi, lo = mesh.vertices.max(axis=0), mesh.vertices.min(axis=0)
     spread, scale = hi - lo, np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))  # max |x|
-    flat = np.flatnonzero(spread <= tol * scale)
+    flat = np.flatnonzero(spread <= 1e-9 * scale)
     if flat.size == 0:
         raise ValidationError(
             "drop-constant: no coordinate is constant across the mesh "

@@ -29,6 +29,11 @@ from .lorentz import BLOCK_POINTS
 DEFAULT_TOL = 1e-11
 #: Interpolation-table tolerance; one order looser than the panel integrals.
 TABLE_TOL = 1e-10
+#: Bisection levels before a panel that still misses its tolerance fails.
+MAX_DEPTH = 48
+#: Equal panels a table starts from, and the most it may accept.
+INITIAL_PANELS = 8
+MAX_PANELS = 200000
 
 _ENV_TOL = "LB_QUAD_TOL"
 
@@ -165,8 +170,7 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
     return [column[order] for column in panels]
 
 
-def integrate(f: Callable, a: float, b: float,
-              tol: float | None = None, max_depth: int = 48) -> float:
+def integrate(f: Callable, a: float, b: float, tol: float | None = None) -> float:
     """Adaptive integral of f over [a, b] to absolute/relative tolerance tol.
 
     f takes a float or an array of u and returns the same shape.
@@ -176,9 +180,9 @@ def integrate(f: Callable, a: float, b: float,
     if a == b:
         return 0.0
     if a > b:
-        return -integrate(f, b, a, tol, max_depth)
+        return -integrate(f, b, a, tol)
     with np.errstate(all="ignore"):
-        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, max_depth, math.inf)
+        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, MAX_DEPTH, math.inf)
     return sum(values.tolist())
 
 
@@ -206,30 +210,21 @@ class Antiderivative:
     one panel width) fall back to direct quadrature.
     """
 
-    def __init__(self, f: Callable, u0: float, u1: float,
-                 tol: float | None = None, initial_panels: int = 8,
-                 max_panels: int = 200000):
+    def __init__(self, f: Callable, u0: float, u1: float):
         if u1 <= u0:
             raise QuadratureError("antiderivative needs an increasing interval")
         self.f = f
-        self.u0 = u0
-        self.u1 = u1
-        self.tol = default_tolerance() if tol is None else tol
-        self._max_panels = max_panels
-        self._build(initial_panels)
-
-    def _build(self, initial_panels):
+        self.tol = default_tolerance()
         # the midpoint Hermite check is an estimate of the panel's worst
         # interpolation error; the safety factor keeps the true maximum at
         # or below the advertised table tolerance
         table_tol = 0.5 * max(self.tol * 10.0, TABLE_TOL)
-        edges = [self.u0 + (self.u1 - self.u0) * i / initial_panels
-                 for i in range(initial_panels + 1)]
+        edges = [u0 + (u1 - u0) * i / INITIAL_PANELS for i in range(INITIAL_PANELS + 1)]
         with np.errstate(all="ignore"):
             _, hi, increments, f_lo, f_hi = _refine(
-                self.f, edges, self.tol / initial_panels, self.tol, table_tol,
-                48, self._max_panels)
-        self._us = [self.u0] + hi.tolist()
+                f, edges, self.tol / INITIAL_PANELS, self.tol, table_tol,
+                MAX_DEPTH, MAX_PANELS)
+        self._us = [u0] + hi.tolist()
         self._Fs = [0.0, *accumulate(increments.tolist())]
         self._fs = f_lo[:1].tolist() + f_hi.tolist()
         self._arrays = np.array([self._us, self._Fs, self._fs])  # for array queries

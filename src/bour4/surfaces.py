@@ -98,15 +98,13 @@ class CurvatureReport:
 # ---------------------------------------------------------------------------
 # finite-difference jets (the numeric oracle for closed-form parametrizations)
 
-def numeric_jet(surface: Callable[[float, float], Vec4], u: float, v: float,
-                h: float | None = None) -> SurfaceJet:
+def numeric_jet(surface: Callable[[float, float], Vec4], u: float, v: float) -> SurfaceJet:
     """Second-order central differences on a 5x5 stencil, Richardson-extrapolated once.
 
-    The default step is 1e-3 * max(1, |u|, |v|); the result has O(h^4) error
-    on smooth surfaces.
+    The step is h = 1e-3 * max(1, |u|, |v|); the result has O(h^4) error on
+    smooth surfaces.
     """
-    if h is None:
-        h = 1e-3 * max(1.0, abs(u), abs(v))
+    h = 1e-3 * max(1.0, abs(u), abs(v))
     s = 0.5 * h
     # stencil indexed by offsets in units of s = h/2
     pts = {}
@@ -150,16 +148,14 @@ def numeric_jet(surface: Callable[[float, float], Vec4], u: float, v: float,
 DEGENERACY_TOL = 1e-12
 
 
-def first_form(j: SurfaceJet, require_spacelike: bool = False,
-               tol: float = DEGENERACY_TOL) -> FirstForm:
+def first_form(j: SurfaceJet, require_spacelike: bool = False) -> FirstForm:
     g11 = minkowski_dot(j.Xu, j.Xu)
     g12 = minkowski_dot(j.Xu, j.Xv)
     g22 = minkowski_dot(j.Xv, j.Xv)
-    return finalize_first_form(g11, g12, g22, None, require_spacelike, tol)
+    return finalize_first_form(g11, g12, g22, None, require_spacelike)
 
 
-def finalize_first_form(g11, g12, g22, W=None, require_spacelike=False,
-                        tol=DEGENERACY_TOL) -> FirstForm:
+def finalize_first_form(g11, g12, g22, W=None, require_spacelike=False) -> FirstForm:
     """Shared validation: non-finite and degenerate forms are excluded, W < 0
     optionally too."""
     if W is None:
@@ -167,7 +163,7 @@ def finalize_first_form(g11, g12, g22, W=None, require_spacelike=False,
     scale = abs(g11 * g22) + g12 * g12
     # x * 0.0 is 0.0 exactly when x is finite
     nonfinite = (abs(W) + scale) * 0.0 != 0.0
-    degenerate = (abs(W) <= tol * scale) | (scale == 0.0)
+    degenerate = (abs(W) <= DEGENERACY_TOL * scale) | (scale == 0.0)
     timelike = (W < 0.0) & require_spacelike
     ff = FirstForm(g11, g12, g22, W)
     bad = nonfinite | degenerate | timelike
@@ -233,9 +229,9 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
 # ---------------------------------------------------------------------------
 # curvature
 
-def classify_mean_curvature(Hvec: Vec4, H1: float, H2: float,
-                            band: float = 1e-8) -> tuple[bool, CausalClass]:
+def classify_mean_curvature(Hvec: Vec4, H1: float, H2: float) -> tuple[bool, CausalClass]:
     """Minimal / causal classification with explicit tolerance bands."""
+    band = 1e-8
     scale = sup(abs(H1), abs(H2), 1.0)
     minimal = sup(*map(abs, Hvec)) < band * scale
     hsq = minkowski_dot(Hvec, Hvec)

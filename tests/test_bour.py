@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
                         choose_vbar_sign, gauge_complete, gauss_residual,
                         isometry_residual, minimal_pair_identity_residual,
                         natural_gauge, pair_report, parallel_curve_residual,
-                        same_gauss_pair_I, same_gauss_pair_II, scale_gauge,
-                        vbar, vbar_map)
+                        same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
 from bour4.errors import (EvalDomainError, InfeasibleGaugeError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse
-from bour4.families import (SurfaceKind, expr_profile, helicoid_jet,
+from bour4.families import (SurfaceKind, expr_profile, helicoid_jet, helicoid_to_json,
                             is_constant_profile, make_helicoid, rotational_jet)
 from bour4.grids import grid_for
+from bour4.quadrature import Antiderivative
 from bour4.surfaces import curvature_report
 
 EX1 = dict(lam=1.0, c3=0.5, domain=(1.1, math.pi))
@@ -39,21 +41,33 @@ FAILING_I = make_helicoid("I", 1.0, {"x": "u + 0*sqrt(2.6 - u)", "z": "0*sqrt(2.
 B_ONE_I = BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("1"))
 
 
+def count_tables(monkeypatch) -> list:
+    """The quadrature tables built from here on, by any module."""
+    built, init = [], Antiderivative.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Antiderivative, "__init__", counted)
+    return built
+
+
 class TestVbar:
     def test_kind_I_constant_w_is_identity(self):
         spec = spec_I(w="3")
-        assert vbar(spec, 2.0, 0.7) == 0.7
+        assert spec.vbar(2.0, 0.7) == 0.7
 
     def test_kind_III_closed_form(self):
         spec = make_helicoid("III", 1.0, {"x": "u", "z": "0", "w": "u"},
                              (0.75, 3.0))
-        assert vbar(spec, 2.0, 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert spec.vbar(2.0, 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_kind_I_quadrature_vs_closed_antiderivative(self):
         # the first bundled pair has d(shift)/du = -1/(u sqrt(u^4 - 1)),
         # so the tabulated shift must match its quadrature everywhere
         h, _ = same_gauss_pair_I("u", **EX1)
-        vb = vbar_map(h)
+        vb = h.vbar
         from bour4.quadrature import integrate
         f = lambda t: -1.0 / (t * np.sqrt(t ** 4 - 1.0))
         for u in (1.3, 1.9, 2.5, 3.0):
@@ -63,24 +77,45 @@ class TestVbar:
 
     def test_zero_pitch_shift_vanishes(self):
         spec = make_helicoid("I", 0.0, {"x": "u", "z": "0", "w": "u"}, (1.5, 3.0))
-        assert vbar(spec, 2.5, 1.2) == 1.2
+        assert spec.vbar(2.5, 1.2) == 1.2
 
     def test_sign_probe_builds_no_table(self, monkeypatch):
-        # the example-2 pair tabulates its shift once; probing the other
-        # orientation reads the same table
-        bour_mod._vbar_cached.cache_clear()
+        # the example-2 pair tabulates its shift once, in its construction;
+        # probing the other orientation and the report read the same table
+        built = count_tables(monkeypatch)
         h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
                                   v_domain=(0.0, math.pi / 4.0))
-        built = []
-
-        class CountedAntiderivative(bour_mod.Antiderivative):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(bour_mod, "Antiderivative", CountedAntiderivative)
         choose_vbar_sign(h, r)
-        assert built == []
+        pair_report(h, r, grid_for(h, nu=5, nv=5))
+        assert len(built) == 1
+
+    def test_equal_specs_build_their_own_tables(self, monkeypatch):
+        built = count_tables(monkeypatch)
+        first, second = (same_gauss_pair_I("u", **EX1)[0] for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert len(built) == 2
+        assert first.vbar is not second.vbar
+        assert first.vbar._table._us == second.vbar._table._us
+
+    def test_a_built_map_leaves_equality_and_json_alone(self):
+        fresh, built = (make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
+                        for _ in range(2))
+        built.vbar(2.0, 0.0)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert helicoid_to_json(built) == helicoid_to_json(fresh)
+        assert repr(built) == repr(fresh)
+
+    def test_table_keeps_the_tolerance_of_its_first_use(self, monkeypatch):
+        def spec():
+            return make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
+
+        default = len(spec().vbar._table._us)
+        monkeypatch.setenv("LB_QUAD_TOL", "1e-6")
+        loose = spec()
+        panels = len(loose.vbar._table._us)
+        monkeypatch.delenv("LB_QUAD_TOL")
+        assert panels < default
+        assert len(loose.vbar._table._us) == panels
 
     @pytest.mark.parametrize("pair,panels", [
         # example 1; verify --theorem 3.3 --x u --lambda 1 --c3 0.5 builds the same table
@@ -96,15 +131,38 @@ class TestVbar:
         # the adaptive refinement chooses these panels; a change of refinement
         # order or batching must not move them
         h, _ = pair()
-        assert len(vbar_map(h)._table._us) - 1 == panels
+        assert len(h.vbar._table._us) - 1 == panels
 
-    def test_opposite_sign_reads_the_same_shift(self):
-        h, _ = same_gauss_pair_I("u", **EX1)
-        plus, minus = vbar_map(h), vbar_map(h, -1)
-        for u in (1.2, 1.9, 2.5, 3.0):
-            for v in (-0.4, 0.0, 1.3):
-                assert minus(u, v) == v - plus(u, 0.0)
-            assert minus.du(u) == -plus.du(u)
+    def test_opposite_sign_reads_the_same_shift(self, monkeypatch):
+        # the pair sweep reads the partner at v - shift(u) with k = -du(u)
+        # for sign -1, from the one table the construction built
+        h, r = same_gauss_pair_I("u", **EX1)
+        built = count_tables(monkeypatch)
+        grid = grid_for(h, nu=5, nv=3)
+        seen = []
+        for sign in (1, -1):
+            blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, g, hj, rj: (k, *rj.X))
+            seen.append(np.concatenate([b.out for b in blocks]))
+        assert built == []
+        for (u, v), plus, minus in zip(((u, v) for u in grid.us() for v in grid.vs()), *seen):
+            assert minus[0] == -plus[0] == pytest.approx(-h.vbar.du(u), abs=1e-15)
+            for sign, out in ((1, plus), (-1, minus)):
+                want = rotational_jet(r, u, v + sign * h.vbar.shift(u)).X
+                assert tuple(out[1:]) == pytest.approx(tuple(want), abs=1e-12)
+
+
+def test_no_cache_decorator_in_the_package():
+    # derived data such as a vbar table belongs to the object it derives
+    # from, not to a module-level memo keyed on its arguments
+    found = []
+    for path in sorted(Path(bour_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for dec in getattr(node, "decorator_list", []):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{dec.lineno}")
+    assert found == []
 
 
 class TestGaugeComplete:
@@ -429,7 +487,7 @@ class TestGaussResidual:
         h = make_helicoid("III", 1.0, {"x": "u", "z": "c", "w": "u"},
                           (0.75, math.pi), constants={"c": 0.0})
         r = bour_partner(h, gauge_complete(h, "a", "1"))
-        vb = vbar_map(h)
+        vb = h.vbar
         pts = [(u, v) for u in (0.9, 1.6, 2.8) for v in (-1.0, 0.2, 1.7)]
         shifts = []
         for u, v in pts:
@@ -504,7 +562,7 @@ class TestMeanCurvatureRelation:
         spec = spec_I()
         gauge = gauge_complete(spec, "a", "0")
         r = bour_partner(spec, gauge)
-        vb = vbar_map(spec)
+        vb = spec.vbar
         lam = 1.0
         for u in (1.7, 2.0, 2.6):
             x, xp = u, 1.0
@@ -520,7 +578,7 @@ class TestMeanCurvatureRelation:
         # both closed forms vanish along the shared-Gauss-map construction,
         # so their stated proportionality holds there
         h, r = same_gauss_pair_I("u", **EX1)
-        vb = vbar_map(h)
+        vb = h.vbar
         for u in (1.5, 2.0, 2.8):
             hj = curvature_report(helicoid_jet(h, u, 0.7))
             rj = curvature_report(rotational_jet(r, u, vb(u, 0.7)))
@@ -532,7 +590,7 @@ class TestMeanCurvatureRelation:
         # identity for general hyperplanar pairs
         spec = spec_I()
         r = bour_partner(spec, gauge_complete(spec, "a", "0"))
-        vb = vbar_map(spec)
+        vb = spec.vbar
         u = 2.0
         hj = curvature_report(helicoid_jet(spec, u, 0.3))
         rj = curvature_report(rotational_jet(r, u, vb(u, 0.3)))

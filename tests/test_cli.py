@@ -574,6 +574,16 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["domain", "v_domain"])
+    @pytest.mark.parametrize("command", [
+        ["report"], ["export"], ["verify", "--theorem", "3.1", "--gauge-a", "0"]])
+    def test_domain_whose_width_overflows_exits_2(self, tmp_path, field, command):
+        # finite ends whose difference overflows would give NaN grid points
+        spec = write_json(tmp_path / "s.json", {**COR34, field: [-1e308, 1e308]})
+        out = str(tmp_path / "out")
+        assert run_cli([*command, "--spec", spec, "--grid", "3x3", "--out", out]) == (
+            2, f"error: {field} [-1e+308, 1e+308] is too wide: its width overflows\n")
+
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(pair=pair_mutations())
     def test_pair_file_mutations_keep_the_exit_code_contract(self, tmp_path_factory, pair):
