@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -55,7 +56,13 @@ def _unwritable(path, exc: OSError) -> ValidationError:
 def _write_out(path: str | None, write) -> None:
     """Call ``write`` on the file at ``path``, or on stdout for None or "-"."""
     if path is None or path == "-":
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader is gone; what is still buffered goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(path, "w") as f:

@@ -616,13 +616,6 @@ def rotational_jet(spec: RotationalSpec, u: float, v: float) -> SurfaceJet:
     return surface_jet(spec, surface_profile(spec, u), v)
 
 
-def rotational_from_profile(spec: HelicoidSpec) -> RotationalSpec:
-    """The pitch-0 surface with the same profile curve (n, s, r) <- (x, z|y, w)."""
-    exprs, consts = spec.exprs, spec.consts
-    n, s, r = (expr_profile(exprs[name], consts) for name in FAMILIES[spec.kind].names)
-    return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
-
-
 # ---------------------------------------------------------------------------
 # JSON spec format (the on-disk format used by the command line)
 

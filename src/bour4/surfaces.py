@@ -83,14 +83,6 @@ class CurvatureReport:
         return classify_mean_curvature(self.Hvec, self.H1, self.H2)[0]
 
     @property
-    def Hclass(self) -> CausalClass:
-        return classify_mean_curvature(self.Hvec, self.H1, self.H2)[1]
-
-    @property
-    def marginally_trapped(self) -> bool:
-        return where(self.minimal, False, self.Hclass == CausalClass.LIGHTLIKE)
-
-    @property
     def H_sup(self) -> float:
         return sup(*map(abs, self.Hvec))
 
@@ -179,15 +171,13 @@ DEFAULT_SEEDS: tuple[Vec4, ...] = (E3, E4, E1, E2)
 _NAN4 = Vec4(math.nan, math.nan, math.nan, math.nan)
 
 
-def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
-                      align_to: Frame | None = None) -> Frame:
+def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS) -> Frame:
     """Tangent frame from the standard formulas plus a seeded Gram-Schmidt normal pair.
 
     e1 = Xu/sqrt(g11), e2 = (g11 Xv - g12 Xu)/sqrt(W g11).  Candidate seeds are
     projected onto the normal plane in turn; the first two projections with
     non-negligible causal norm give the normal pair, relabeled so N1 is
-    spacelike and N2 timelike.  Pass ``align_to`` to fix both normal signs
-    against a reference frame (normal planes must agree).
+    spacelike and N2 timelike.
     """
     ff = first_form(j, require_spacelike=True)
     bad = flag(ff.g11 <= 0.0, FrameFailureError,
@@ -218,10 +208,6 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS,
     bad = bad | flag(ea + eb != 0, FrameFailureError,
                      "normal plane does not have signature (+,-)")
     N1, N2 = where(ea > 0, (na, nb), (nb, na))
-    if align_to is not None:
-        N1 = where(minkowski_dot(N1, align_to.N1) < 0.0, -N1, N1)
-        # timelike pair: aligned means dot < 0
-        N2 = where(minkowski_dot(N2, align_to.N2) > 0.0, -N2, N2)
     N1, N2 = where(bad, math.nan, (N1, N2))
     return Frame(e1, e2, N1, N2)
 
@@ -270,17 +256,3 @@ def gauss_map(j: SurfaceJet) -> Bivector6:
     """Unit 2-vector (Xu ^ Xv)/sqrt(W) representing the oriented tangent plane."""
     ff = first_form(j, require_spacelike=True)
     return wedge(j.Xu, j.Xv) * (1.0 / xp(ff.W).sqrt(ff.W))
-
-
-def normal_plane_residual(f1: Frame, f2: Frame) -> float:
-    """How far apart two frames' normal planes are (0 when they coincide).
-
-    Each normal of f1 is projected onto the normal plane of f2; the residual
-    is the largest euclidean norm of what is left over.
-    """
-    worst = 0.0
-    for n in (f1.N1, f1.N2):
-        proj = (f2.N1 * minkowski_dot(n, f2.N1) * f2.eps1
-                + f2.N2 * minkowski_dot(n, f2.N2) * f2.eps2)
-        worst = max(worst, math.sqrt((n - proj).euclid_sq()))
-    return worst

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -618,6 +621,23 @@ class TestInputValidation:
                             + [path, "--grid", "3x3"])
         assert code == 2
         assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+
+    def test_reader_closing_stdout_exits_2_with_one_line(self, tmp_path):
+        # a mesh far larger than a pipe's buffer, whose reader stops early,
+        # as in `bour4 export ... --out - | head -c 100`
+        spec = write_json(tmp_path / "s.json", COR34)
+        env = dict(os.environ, PYTHONPATH=str(Path(bour4.cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bour4.cli", "export", "--spec", spec, "--grid", "100x100",
+             "--format", "csv", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert head.startswith(b"u,v,x1,x2,x3,x4,K,H1,H2,W\n")
+        assert err == "error: cannot write to stdout: Broken pipe\n"
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
     @pytest.mark.parametrize("projection, message", [

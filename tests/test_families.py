@@ -5,15 +5,14 @@ import pytest
 
 from bour4.errors import (FrameFailureError, NotSpacelikeError,
                           ValidationError)
-from bour4.families import (HelicoidSpec, closed_form_curvatures,
+from bour4.families import (RotationalSpec, SurfaceKind, closed_form_curvatures,
                             closed_form_frame, closed_form_gauss,
-                            closed_form_metric, helicoid_from_json,
+                            closed_form_metric, expr_profile, helicoid_from_json,
                             helicoid_jet, helicoid_to_json,
                             is_constant_profile, make_helicoid, profile_jets,
-                            rotational_from_profile, rotational_jet)
+                            rotational_jet)
 from bour4.lorentz import minkowski_dot, standard_to_pseudo
-from bour4.surfaces import (curvature_report, first_form, gauss_map,
-                            normal_plane_residual, orthonormal_frame)
+from bour4.surfaces import curvature_report, first_form, gauss_map
 
 RNG = random.Random(777)
 
@@ -136,30 +135,6 @@ class TestClosedFormFrame:
                     got = minkowski_dot(getattr(f, pa), getattr(f, pb))
                     assert got == pytest.approx(want, abs=1e-9)
 
-    def test_normal_plane_matches_generic(self):
-        for spec in SPECS.values():
-            for u, v in sample_points(spec, 10):
-                cf = closed_form_frame(spec, u, v)
-                gen = orthonormal_frame(helicoid_jet(spec, u, v))
-                assert normal_plane_residual(cf, gen) < 1e-9
-
-    def test_aligned_generic_frame_fixes_normal_signs(self):
-        # alignment fixes the sign conventions against the family frame;
-        # the bases may still differ by a boost within the normal plane
-        # (which is why only the assembled H vector is compared across
-        # routes, never the split H1/H2)
-        for spec in SPECS.values():
-            for u, v in sample_points(spec, 8):
-                jet = helicoid_jet(spec, u, v)
-                cf = closed_form_frame(spec, u, v)
-                gen = orthonormal_frame(jet, align_to=cf)
-                assert minkowski_dot(gen.N1, cf.N1) > 0.0
-                assert minkowski_dot(gen.N2, cf.N2) < 0.0
-                a = curvature_report(jet, gen)
-                b = closed_form_curvatures(spec, u, v)
-                for x, y in zip(a.Hvec, b.Hvec):
-                    assert x == pytest.approx(y, abs=1e-8)
-
     def test_kind_II_precondition(self):
         # w'^2 - y'^2 <= 0 at a spacelike point must fail the explicit frame
         spec = make_helicoid("II", 1.0, {"x": "3*u", "y": "2*u", "w": "u"},
@@ -207,21 +182,14 @@ class TestClosedFormGauss:
                 assert (display - generic).sup_norm() < 1e-9
 
 
-class TestRotational:
-    def test_zero_pitch_equals_rotational_surface(self):
-        for kind in ("I", "II", "III"):
-            spec = SPECS[kind]
-            flat = HelicoidSpec(spec.kind, 0.0, spec.profile, spec.domain,
-                                spec.constants, spec.v_domain)
-            rot = rotational_from_profile(flat)
-            for u, v in sample_points(spec, 8):
-                a = helicoid_jet(flat, u, v)
-                b = rotational_jet(rot, u, v)
-                for va, vb in zip(a, b):
-                    assert tuple(va) == pytest.approx(tuple(vb), abs=1e-12)
+def rotational(kind: str, profile: tuple[str, str, str], domain) -> RotationalSpec:
+    """The rotational surface of kind with profile curve (n, s, r)."""
+    return RotationalSpec(SurfaceKind(kind), *map(expr_profile, profile), domain)
 
+
+class TestRotational:
     def test_kind_II_fixed_u_curve_is_hyperbola(self):
-        rot = rotational_from_profile(SPECS["II"])
+        rot = rotational("II", ("2*u + 0.2*u^2", "0.25*u", "0.8 + u"), (0.6, 1.8))
         u0 = 1.0
         wv = profile_jets(SPECS["II"], u0)["w"].v
         for v in [-0.8 + 0.16 * k for k in range(11)]:
@@ -229,8 +197,7 @@ class TestRotational:
             assert p.x4 ** 2 - p.x3 ** 2 == pytest.approx(wv ** 2, abs=1e-9)
 
     def test_angular_offset_rotates_kind_I(self):
-        rot = rotational_from_profile(
-            make_helicoid("I", 0.0, {"x": "u", "z": "0", "w": "0"}, (1.5, 3.0)))
+        rot = rotational("I", ("u", "0", "0"), (1.5, 3.0))
         shifted = type(rot)(rot.kind, rot.n, rot.s, rot.r, rot.domain,
                             v_offset=math.pi / 2.0)
         p = rotational_jet(rot, 2.0, 0.0).X

@@ -168,24 +168,65 @@ class TestWriters:
         assert (fields[negative_zero] == "-0.0").all()
         assert (fields[(csv_table == 0.0) & ~negative_zero] == "0.0").all()
 
+    @pytest.mark.parametrize("nu, nv", [(3, 1), (1, 3)])
+    def test_a_grid_one_sample_wide_has_no_faces(self, nu, nv):
+        table = np.linspace(0.1, 2.7, nu * nv * 9).reshape(nu * nv, 9)
+        mesh = MeshGrid(Grid(0.0, 1.0, 0.0, 1.0, nu, nv), table[:, :4],
+                        {name: table[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)})
+        obj = io.StringIO()
+        write_obj(mesh, obj, "drop-4")
+        lines = obj.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("v ")] == [
+            "v " + " ".join(map(repr, row[:3])) for row in table.tolist()]
+        assert not any(line.startswith("f ") for line in lines)
+
     @pytest.mark.parametrize("writer", ["csv", "obj"])
-    def test_each_distinct_float_of_a_row_is_formatted_once(self, monkeypatch, writer):
+    def test_only_fallback_values_reach_repr(self, monkeypatch, writer):
+        # zeros, subnormals, inf, nan and a tie between two shortest digit
+        # strings go through repr; the kernel formats every other value
+        fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.0**50 + 0.25]
+        spec = KINDS["I"]
+        mesh = sample_mesh(spec, grid_for(spec, 9, 7))
+        mesh.channels["K"][:len(fallback)] = fallback
+        mesh.vertices[20:20 + len(fallback), 1] = fallback
         calls = []
         monkeypatch.setattr(bour4.meshes, "repr", lambda x: calls.append(x) or repr(x),
                             raising=False)
-        spec = KINDS["I"]
-        mesh = sample_mesh(spec, grid_for(spec, 9, 7))
-        names = ("K", "H1", "H2", "W") if writer == "csv" else CHANNEL_NAMES
-        table = np.column_stack([mesh.vertices] + [mesh.channels[name] for name in names])
-        rows = table.view(np.int64).reshape(mesh.nu, -1)
-        distinct = sum(len(set(row.tolist())) for row in rows)
+        text = io.StringIO()
         if writer == "csv":
-            write_csv(mesh, io.StringIO())
-            assert len(calls) == distinct + mesh.nu + mesh.nv
+            write_csv(mesh, text)
         else:
-            write_obj(mesh, io.StringIO(), "drop-4")
-            assert len(calls) == distinct
-        assert distinct < table.size  # rows repeat values: the axis column depends on u only
+            write_obj(mesh, text, "drop-4")
+        monkeypatch.undo()
+        want_obj, want_csv = per_value_writers(mesh, drop=3)
+        assert text.getvalue() == (want_csv if writer == "csv" else want_obj)
+        # one write, and each distinct value (told apart by its bits) once
+        assert sorted(np.array(calls).view(np.int64)) == sorted(np.array(fallback).view(np.int64))
+
+
+def formatted(values: np.ndarray, chunk: int = 2**16) -> list[str]:
+    """The writers' text of each float, one line per value."""
+    lines = bour4.meshes._Lines("%s\n", chunk)
+    return "".join(lines.text(part, np.arange(len(part))[:, None])
+                   for part in np.split(values, range(chunk, len(values), chunk))).splitlines()
+
+
+class TestFloatText:
+    def test_random_bit_patterns_print_as_their_repr(self):
+        bits = np.random.default_rng(20201114).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                        endpoint=False)
+        values = bits.view(np.float64)
+        assert formatted(values) == list(map(repr, values.tolist()))
+
+    def test_boundaries_print_as_their_repr(self):
+        switches = [1e-5, 1e-4, 1e15, 1e16, 2.0**-1022, 2.0**53, 1.7976931348623157e308]
+        near = [math.nextafter(x, d) for x in switches for d in (0.0, math.inf)]
+        values = np.array([*[2.0**e for e in range(-1074, 1024)],
+                           *[float(f"1e{e}") for e in range(-323, 309)],
+                           *switches, *near, 5e-324, 0.1 + 0.2, 0.1, 123.0, 2.0**53 + 2,
+                           9007199254740993.0, 2.0**50 + 0.25, 0.0])
+        values = np.concatenate([values, -values])
+        assert formatted(values) == list(map(repr, values.tolist()))
 
 
 def per_value_writers(mesh: MeshGrid, drop: int) -> tuple[str, str]:

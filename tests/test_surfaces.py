@@ -185,7 +185,6 @@ class TestCurvatureReport:
         assert rep.H2 == pytest.approx(0.0, abs=1e-12)
         assert rep.K == pytest.approx(0.0, abs=1e-12)
         assert rep.minimal
-        assert rep.Hclass is CausalClass.SPACELIKE
 
     def test_right_helicoid_minimal_with_positive_K(self):
         spec = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
