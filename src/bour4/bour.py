@@ -75,9 +75,9 @@ class BourGauge:
 
 
 def _scan_sup(domain: tuple[float, float], n: int, f: Callable) -> float:
-    """The largest value of f on a domain scan, and at least 0; like max()
-    over the samples, it passes over a NaN that raised no error."""
-    return float(np.fmax.reduce(scan(domain, n, f)[1], initial=0.0))
+    """The largest value of f on a domain scan, and at least 0; a sample
+    whose value is not finite raises (``grids.scan``)."""
+    return float(np.max(scan(domain, n, f)[1], initial=0.0))
 
 
 def _require_positive(domain: tuple[float, float], f: Callable, error: type,

@@ -181,18 +181,18 @@ def _pair_data(h: HelicoidSpec, r: RotationalSpec, grid: Grid, expect: list[str]
     return data, EXIT_PASS if not failures else EXIT_VERDICT
 
 
-def _example3_pair(lam: float = 1.0,
-                   c: float = 0.0) -> tuple[HelicoidSpec, RotationalSpec]:
-    """The bundled kind-III pair: profile (u, c, u), constant-third-slot gauge.
+def _example3_pair() -> tuple[HelicoidSpec, RotationalSpec]:
+    """The bundled kind-III pair: pitch 1, profile (u, c, u) with c = 0,
+    constant-third-slot gauge.
 
     The partner is isometric but its Gauss map differs from the helicoid's,
     which is what this scenario asserts.
     """
-    h = make_helicoid(SurfaceKind.III, lam, {"x": "u", "z": "c", "w": "u"},
-                      (0.75, math.pi), constants={"c": c},
+    h = make_helicoid(SurfaceKind.III, 1.0, {"x": "u", "z": "c", "w": "u"},
+                      (0.75, math.pi), constants={"c": 0.0},
                       v_domain=(-math.pi, math.pi))
     gauge = gauge_complete(h, "b", "0")
-    return h, bour_partner(h, gauge, constants=(0.0, c))
+    return h, bour_partner(h, gauge, constants=(0.0, 0.0))
 
 
 def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, dict]:

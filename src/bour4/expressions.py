@@ -3,7 +3,8 @@
 Closed-form curve components are given as text in one variable ``u`` plus
 named constants, e.g. ``"asinh(sqrt((u^2-1)/2))"``.  Parsing produces a small
 AST; evaluation propagates second-order jets so every use site gets exact
-first and second derivatives.
+first and second derivatives.  An exponent is evaluated as a jet like every
+other sub-expression, so it obeys the same domain rules.
 
 Grammar (binding tightens downward; ``+ - * /`` associate left, ``^`` right):
 
@@ -18,8 +19,8 @@ Functions: sin cos sinh cosh tan atan asinh asin sqrt exp log.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 import numpy as np
@@ -60,6 +61,10 @@ class Bin:
     left: "Expr"
     right: "Expr"
     span: Span = field(default=_NOSPAN, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.op == "^" and _mentions_var(self.right):
+            raise ExprSyntaxError("exponent must be a constant expression", self.right.span[0])
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,6 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.unary()
-            if _mentions_var(exponent):
-                raise ExprSyntaxError("exponent must be a constant expression",
-                                      exponent.span[0])
             return Bin("^", base, exponent, (base.span[0], exponent.span[1]))
         return base
 
@@ -212,28 +214,23 @@ class _Parser:
         if kind == "op" and text == "(":
             e = self.expr()
             close = self.expect_op(")")
-            return _respan(e, (off, close[2] + 1))
+            return replace(e, span=(off, close[2] + 1))
         if kind == "end":
             raise ExprSyntaxError("unexpected end of input", off)
         raise ExprSyntaxError(f"unexpected '{text}'", off)
 
 
-def _respan(e: Expr, span: Span) -> Expr:
-    cls = type(e)
-    kwargs = {f: getattr(e, f) for f in e.__dataclass_fields__ if f != "span"}
-    return cls(span=span, **kwargs)
+#: The fields of each node type that hold sub-expressions.
+_CHILD_FIELDS = {Neg: ("arg",), Call: ("arg",), Bin: ("left", "right")}
+
+
+def _children(e: Expr) -> dict:
+    """The direct sub-expressions of e, by field name."""
+    return {name: getattr(e, name) for name in _CHILD_FIELDS.get(type(e), ())}
 
 
 def _mentions_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return _mentions_var(e.arg)
-    if isinstance(e, Bin):
-        return _mentions_var(e.left) or _mentions_var(e.right)
-    if isinstance(e, Call):
-        return _mentions_var(e.arg)
-    return False
+    return isinstance(e, Var) or any(map(_mentions_var, _children(e).values()))
 
 
 def parse(src: str) -> Expr:
@@ -247,42 +244,6 @@ def parse(src: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def eval_const(e: Expr, consts: Mapping[str, float]) -> float:
-    """Evaluate a constant subtree (no u) to a plain float."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        try:
-            return float(consts[e.name])
-        except KeyError:
-            raise UnknownIdentifierError(e.name, e.span[0]) from None
-    if isinstance(e, Neg):
-        return -eval_const(e.arg, consts)
-    if isinstance(e, Bin):
-        a = eval_const(e.left, consts)
-        b = eval_const(e.right, consts)
-        if e.op == "^":
-            p = a ** b
-            if isinstance(p, complex):
-                raise EvalDomainError(f"fractional power of negative value {a!r}", to_source(e))
-            return p
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero", to_source(e))
-        return a / b
-    if isinstance(e, Call):
-        try:
-            return getattr(math, e.fn)(eval_const(e.arg, consts))
-        except ValueError:
-            raise EvalDomainError("out-of-domain argument", to_source(e)) from None
-    raise UnknownIdentifierError("u", e.span[0])
-
 
 def eval_jet(e: Expr, u, consts: Mapping[str, float] | None = None) -> Jet2:
     """Evaluate e and its first two u-derivatives at u, a float or an array.
@@ -316,41 +277,27 @@ def _eval(e: Expr, uj: Jet2, consts) -> Jet2:
     if isinstance(e, Neg):
         return -_eval(e.arg, uj, consts)
     if isinstance(e, Bin):
-        left = _eval(e.left, uj, consts)
-        try:
-            if e.op == "^":
-                return left ** eval_const(e.right, consts)
-            right = _eval(e.right, uj, consts)
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
-            return left / right
-        except EvalDomainError as exc:
-            raise _with_context(exc, e) from None
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(_FLOAT_FAILURES[type(exc)], to_source(e)) from None
-    if isinstance(e, Call):
-        arg = _eval(e.arg, uj, consts)
-        try:
-            return getattr(arg, e.fn)()
-        except EvalDomainError as exc:
-            raise _with_context(exc, e) from None
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(_FLOAT_FAILURES[type(exc)], to_source(e)) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+        op, args = _BINARY[e.op], (_eval(e.left, uj, consts), _eval(e.right, uj, consts))
+    elif isinstance(e, Call):
+        op, args = getattr(Jet2, e.fn), (_eval(e.arg, uj, consts),)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    try:
+        return op(*args)
+    except EvalDomainError as exc:  # a jet check, which cannot name the node
+        raise EvalDomainError(str(exc), to_source(e)) from None
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalDomainError(_FLOAT_FAILURES[type(exc)], to_source(e)) from None
+
+
+#: The jet operation of each binary operator; an exponent is free of u, so
+#: its value alone is the power.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": lambda base, exponent: base ** exponent.v}
 
 
 #: Float arithmetic errors: an overflow, and a divisor that underflowed to 0.
 _FLOAT_FAILURES = {OverflowError: "value overflows", ZeroDivisionError: "division by zero"}
-
-
-def _with_context(exc: EvalDomainError, node: Expr) -> EvalDomainError:
-    if exc.subexpr is None:
-        return EvalDomainError(str(exc), to_source(node))
-    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +335,7 @@ def _print(e: Expr, parent_prec: int) -> str:
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
     """Replace named constants by whole subtrees (used to build derived profiles)."""
-    if isinstance(e, Const) and e.name in replacements:
-        return replacements[e.name]
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, replacements), e.span)
-    if isinstance(e, Bin):
-        return Bin(e.op, substitute(e.left, replacements),
-                   substitute(e.right, replacements), e.span)
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, replacements), e.span)
-    return e
+    if isinstance(e, Const):
+        return replacements.get(e.name, e)
+    return replace(e, **{name: substitute(child, replacements)
+                         for name, child in _children(e).items()})

@@ -5,7 +5,7 @@ function of u over samples of a domain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -30,11 +30,13 @@ class Grid:
     nv: int = 33
 
     def us(self) -> list[float]:
-        step = (self.u1 - self.u0) / (self.nu - 1)
+        """The u samples, from u0 to u1; a single sample is u0."""
+        step = (self.u1 - self.u0) / max(self.nu - 1, 1)
         return [self.u0 + step * i for i in range(self.nu)]
 
     def vs(self) -> list[float]:
-        step = (self.v1 - self.v0) / (self.nv - 1)
+        """The v samples, from v0 to v1; a single sample is v0."""
+        step = (self.v1 - self.v0) / max(self.nv - 1, 1)
         return [self.v0 + step * j for j in range(self.nv)]
 
     def describe(self) -> dict:
@@ -146,10 +148,10 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
     ``f`` is written once over floats and arrays, as for ``sweep``, and a
     check that fails leaves NaN.  Samples whose value is not finite are
     re-run on floats in ascending u, so the first one that raises raises its
-    own error, as a loop over the samples would; one that raises only an
-    overflow or a math domain error is a NonFiniteError naming the sample.
-    When the array call itself raises (a failure free of u), the first
-    sample is re-run on floats.
+    own error, as a loop over the samples would; one that raises nothing, or
+    only an overflow or a math domain error, is a NonFiniteError naming the
+    sample.  When the array call itself raises (a failure free of u), the
+    first sample is re-run on floats the same way.
     """
     a, b = domain
     with np.errstate(all="ignore"):
@@ -158,16 +160,17 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
             values = np.broadcast_to(np.asarray(f(us), dtype=float), us.shape)
         except Exception:
             _rescan(f, float(us[0]))
-            raise
     for u in us[~np.isfinite(values)].tolist():
         _rescan(f, u)
     return us, values
 
 
-def _rescan(f: Callable, u: float) -> None:
-    """Run f at one sample on floats for its error."""
+def _rescan(f: Callable, u: float) -> NoReturn:
+    """Run f at one sample on floats and raise its error, or a NonFiniteError
+    naming the sample when f raises nothing or only an overflow or a math
+    domain error."""
     try:
         f(u)
     except (ArithmeticError, ValueError):
-        raise NonFiniteError(
-            f"non-finite value at u = {u!r}: a value overflows or is undefined") from None
+        pass
+    raise NonFiniteError(f"non-finite value at u = {u!r}: a value overflows or is undefined")

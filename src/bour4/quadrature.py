@@ -121,7 +121,7 @@ def _not_finite(f, lo, hi, nodes, fx, full):
 
 
 def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float | None,
-            max_depth: int, max_panels: int):
+            max_panels: int):
     """Adaptive Gauss-Kronrod panels of [edges[0], edges[-1]], breadth first.
 
     A panel is split while its Kronrod error exceeds max(budget, tol*|K15|),
@@ -134,7 +134,7 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
     budgets = np.full(lo.size, budget)
     done = []
     accepted = 0
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         if accepted + lo.size > max_panels:
             raise QuadratureError("antiderivative table exceeded panel budget")
         parts = [_gk15_nodes(lo, hi), lo[:, None], hi[:, None]]
@@ -158,7 +158,7 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
         accepted += int(keep.sum())
         if not split.any():
             break
-        if depth == max_depth:
+        if depth == MAX_DEPTH:
             first = int(np.argmax(split))
             raise QuadratureError(f"no convergence on [{lo[first]:.6g}, {hi[first]:.6g}] "
                                   f"(error {err[first]:.3g})")
@@ -182,7 +182,7 @@ def integrate(f: Callable, a: float, b: float, tol: float | None = None) -> floa
     if a > b:
         return -integrate(f, b, a, tol)
     with np.errstate(all="ignore"):
-        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, MAX_DEPTH, math.inf)
+        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, math.inf)
     return sum(values.tolist())
 
 
@@ -222,8 +222,7 @@ class Antiderivative:
         edges = [u0 + (u1 - u0) * i / INITIAL_PANELS for i in range(INITIAL_PANELS + 1)]
         with np.errstate(all="ignore"):
             _, hi, increments, f_lo, f_hi = _refine(
-                f, edges, self.tol / INITIAL_PANELS, self.tol, table_tol,
-                MAX_DEPTH, MAX_PANELS)
+                f, edges, self.tol / INITIAL_PANELS, self.tol, table_tol, MAX_PANELS)
         self._us = [u0] + hi.tolist()
         self._Fs = [0.0, *accumulate(increments.tolist())]
         self._fs = f_lo[:1].tolist() + f_hi.tolist()

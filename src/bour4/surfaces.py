@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 from .errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                      NotSpacelikeError)
@@ -55,8 +55,8 @@ class Frame:
     e2: Vec4
     N1: Vec4
     N2: Vec4
-    eps1: int = 1
-    eps2: int = -1
+    eps1: ClassVar[int] = 1
+    eps2: ClassVar[int] = -1
 
 
 class SecondForm(NamedTuple):

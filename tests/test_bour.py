@@ -8,11 +8,11 @@ import pytest
 import bour4.bour as bour_mod
 import bour4.grids
 from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
-                        choose_vbar_sign, gauge_complete, gauss_residual,
+                        choose_vbar_sign, constraint_rhs, gauge_complete, gauss_residual,
                         isometry_residual, minimal_pair_identity_residual,
                         natural_gauge, pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
-from bour4.errors import (EvalDomainError, InfeasibleGaugeError,
+from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse
 from bour4.families import (SurfaceKind, expr_profile, helicoid_jet, helicoid_to_json,
@@ -645,3 +645,14 @@ class TestDomainScans:
             check()
         assert str(got.value) == str(want.value)
         assert got.value.subexpr == root
+
+    def test_a_non_finite_sample_that_raises_nothing_is_named(self):
+        # products like x^2 z'^2 overflow to inf on floats without an error,
+        # and the constraint's right-hand side is NaN at every sample
+        spec = make_helicoid("I", 1.0, {"x": "1e200*u", "z": "2e200*u", "w": "0"}, (1.0, 2.0))
+        assert math.isnan(constraint_rhs(spec)(1.5).v)
+        u = samples(spec.domain, 64)[0]
+        with pytest.raises(NonFiniteError) as info:
+            BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("0")).residual(spec)
+        assert str(info.value) == (
+            f"non-finite value at u = {u!r}: a value overflows or is undefined")

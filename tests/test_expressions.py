@@ -105,6 +105,11 @@ class TestParse:
             parse("u^(u+1)")
         parse("u^(1+2)")  # constant subtree is fine
 
+    def test_substitute_keeps_u_out_of_exponents(self):
+        with pytest.raises(ExprSyntaxError):
+            substitute(parse("u^c"), {"c": Var()})
+        assert substitute(parse("u^c"), {"c": parse("1/2")}) == parse("u^(1/2)")
+
     def test_structural_equality_ignores_spans(self):
         assert parse("u + 1") == parse("  u+1 ")
 
@@ -207,6 +212,26 @@ class TestEvalJet:
             eval_jet(parse(src), u, consts)
         assert info.value.subexpr == sub
         assert str(info.value) == f"fractional power of negative value {base} in '{sub}'"
+
+    @pytest.mark.parametrize("u", [2.0, np.linspace(1.0, 3.0, 5)], ids=["float", "array"])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("sub", ["sqrt(c)", "log(c)", "asin(c)", "c^0.5", "1/c"])
+    def test_an_exponent_obeys_the_domain_rules_of_any_sub_expression(self, u, c, sub):
+        def outcome(src):
+            try:
+                eval_jet(parse(src), u, {"c": c})
+            except EvalDomainError as exc:
+                return str(exc)
+            return "value"
+        assert outcome(f"u^({sub})") == outcome(f"u + {sub}")
+
+    @pytest.mark.parametrize("src, p", [("u^(2^0.5)", 2.0 ** 0.5), ("u^(c/3)", 2.0 / 3.0),
+                                        ("u^-(1/2)", -(1.0 / 2.0))])
+    def test_constant_exponent_is_float_arithmetic(self, src, p):
+        for u in (0.5, 1.7, 3.25):
+            j = eval_jet(parse(src), u, {"c": 2.0})
+            assert (j.v, j.d1, j.d2) == (u ** p, p * u ** (p - 1.0),
+                                         p * (p - 1.0) * u ** (p - 2.0))
 
     def test_deriv_shifts_the_orders_and_leaves_the_third_unknown(self):
         d = eval_jet(parse("u^3"), 2.0).deriv()

@@ -173,12 +173,21 @@ class TestWriters:
         table = np.linspace(0.1, 2.7, nu * nv * 9).reshape(nu * nv, 9)
         mesh = MeshGrid(Grid(0.0, 1.0, 0.0, 1.0, nu, nv), table[:, :4],
                         {name: table[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)})
-        obj = io.StringIO()
+        obj, csv = io.StringIO(), io.StringIO()
         write_obj(mesh, obj, "drop-4")
         lines = obj.getvalue().splitlines()
         assert [line for line in lines if line.startswith("v ")] == [
             "v " + " ".join(map(repr, row[:3])) for row in table.tolist()]
         assert not any(line.startswith("f ") for line in lines)
+        # a single sample in a direction is its start value
+        assert write_csv(mesh, csv) == nu * nv
+        uv = [line.split(",")[:2] for line in csv.getvalue().splitlines()[1:]]
+        assert uv == [[repr(u), repr(v)] for u in mesh.grid.us() for v in mesh.grid.vs()]
+        assert (mesh.grid.us() if nu == 1 else mesh.grid.vs()) == [0.0]
+        spec = KINDS["I"]
+        sampled = sample_mesh(spec, grid_for(spec, nu, nv))
+        assert sampled.vertices.shape == (nu * nv, 4)
+        assert np.isfinite(sampled.vertices).all()
 
     @pytest.mark.parametrize("writer", ["csv", "obj"])
     def test_only_fallback_values_reach_repr(self, monkeypatch, writer):
