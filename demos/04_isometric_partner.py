@@ -6,9 +6,9 @@ constraint yields a rotational surface that the map (u, v) -> (u, vbar)
 carries isometrically onto the helicoid.  Helices (u = const curves) land
 on parallel circles of radius sqrt(x^2 - lambda^2).
 """
-from bour4 import (bour_partner, gauge_complete, grid_for, isometry_residual,
-                   make_helicoid, pair_report, parallel_curve_residual,
-                   rotational_jet, scale_gauge)
+from bour4 import (bour_partner, gauge_complete, grid_for, helicoid_jet,
+                   isometry_residual, make_helicoid, pair_report,
+                   parallel_curve_residual, scale_gauge)
 
 h = make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
 
@@ -32,7 +32,7 @@ print("residual with b scaled by 1.1:", isometry_residual(h, bad, grid))
 # radius sqrt(2^2 - 1) with the last two coordinates frozen
 vs = [k * 0.06 for k in range(100)]
 print("circle residual at u0 = 2:", parallel_curve_residual(h, partner, 2.0, vs))
-p = rotational_jet(partner, 2.0, 0.7).X
+p = helicoid_jet(partner, 2.0, 0.7).X
 print("sample partner point:", tuple(round(c, 6) for c in p))
 
 rep = pair_report(h, partner, grid)

@@ -23,7 +23,7 @@ from .families import (HelicoidSpec, ProfileFn, RotationalSpec, SurfaceKind,
                        closed_form_gauss, closed_form_metric, const_profile,
                        expr_profile, helicoid_from_json, helicoid_jet,
                        helicoid_to_json, is_constant_profile, make_helicoid,
-                       profile_jets, rotational_jet)
+                       profile_jets)
 from .grids import Grid, grid_for
 from .jets import Jet2
 from .lorentz import (BIVECTOR_SIGNATURE, Bivector6, CausalClass, Vec4,

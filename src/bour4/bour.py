@@ -30,9 +30,8 @@ from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
                        SurfaceKind, _number, const_profile, expr_profile,
-                       helicoid_jet_from_profile, is_constant_profile,
-                       make_helicoid, profile_jets, rotational_jet,
-                       surface_jet, surface_profile)
+                       helicoid_jet, is_constant_profile, make_helicoid,
+                       profile_jets)
 from .families import VbarMap  # noqa: F401  (re-exported)
 from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
@@ -228,7 +227,7 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
     parts = [quad_a, quad_b]
     parts.insert(fam.radial_slot, rho)
     n, s, r = parts
-    return RotationalSpec(spec.kind, n, s, r, spec.domain, v_domain=spec.v_domain)
+    return RotationalSpec(spec.kind, n, s, r, spec.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +245,9 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
     vb = h.vbar
 
     def f(u, v):
-        pj = profile_jets(h, u)
         k = sign * vb.du(u)
-        g = first_form(helicoid_jet_from_profile(h.kind, h.pitch, pj, 0.0))
-        return point(k, g, helicoid_jet_from_profile(h.kind, h.pitch, pj, v),
-                     surface_jet(r, surface_profile(r, u), v + sign * vb.shift(u)))
+        g = first_form(helicoid_jet(h, u, 0.0))
+        return point(k, g, helicoid_jet(h, u, v), helicoid_jet(r, u, v + sign * vb.shift(u)))
 
     return sweep(grid, f)
 
@@ -363,7 +360,7 @@ def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
     """
     fam = FAMILIES[h.kind]
     jets = fam.profile(profile_jets(h, u0))
-    pts = [rotational_jet(r, u0, v).X for v in vs]
+    pts = [helicoid_jet(r, u0, v).X for v in vs]
     return max([0.0, *(d for defects in fam.parallel(h.pitch, *jets, pts) for d in defects)])
 
 
@@ -463,7 +460,7 @@ def same_gauss_pair_I(x: "Expr | str", lam: float, c3: float,
     j_true = math.atan2(-lam / (b0 * xj.v), wj.d1 / (b0 * xj.d1))
     offset = -j_true - h.vbar(u0, 0.0)
     partner = RotationalSpec(SurfaceKind.I, n_fn, const_profile(c2), r_fn,
-                             domain, v_offset=offset, v_domain=v_domain)
+                             domain, v_offset=offset)
     return h, partner
 
 
@@ -516,7 +513,7 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
     n_fn = expr_profile(_build_from_template(_N_TEMPLATE_II, w_expr, sign_n, c4), consts)
     r_fn = expr_profile(_build_from_template(_R_TEMPLATE_II, w_expr), consts)
     partner = RotationalSpec(SurfaceKind.II, n_fn, const_profile(c2), r_fn,
-                             domain, v_offset=offset, v_domain=v_domain)
+                             domain, v_offset=offset)
     return h, partner
 
 

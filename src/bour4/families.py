@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 from .errors import FrameFailureError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
@@ -315,6 +315,7 @@ class HelicoidSpec:
     domain: tuple[float, float]
     constants: tuple[tuple[str, float], ...] = ()
     v_domain: tuple[float, float] | None = None
+    v_offset: ClassVar[float] = 0.0  # helicoid_jet adds it to v, as for a RotationalSpec
 
     @property
     def exprs(self) -> dict[str, Expr]:
@@ -393,9 +394,14 @@ def make_helicoid(kind, pitch: float, profile: Mapping[str, "str | Expr"],
     return HelicoidSpec(kind, pitch, exprs, (a, b), consts, vd)
 
 
-def profile_jets(spec: HelicoidSpec, u: float) -> dict[str, Jet2]:
-    consts = spec.consts
-    return {name: eval_jet(e, u, consts) for name, e in spec.profile}
+def profile_jets(surface: "HelicoidSpec | RotationalSpec", u) -> dict[str, Jet2]:
+    """The profile jets of either surface at u (a float or an array), under
+    the kind's profile names."""
+    if isinstance(surface, RotationalSpec):
+        return dict(zip(FAMILIES[surface.kind].names,
+                        (surface.n(u), surface.s(u), surface.r(u))))
+    consts = surface.consts
+    return {name: eval_jet(e, u, consts) for name, e in surface.profile}
 
 
 class _Varies(Exception):
@@ -464,8 +470,12 @@ def helicoid_jet_from_profile(kind: SurfaceKind, lam: float,
     return fam.jet(lam, *fam.profile(pj), v)
 
 
-def helicoid_jet(spec: HelicoidSpec, u: float, v: float) -> SurfaceJet:
-    return helicoid_jet_from_profile(spec.kind, spec.pitch, profile_jets(spec, u), v)
+def helicoid_jet(surface: "HelicoidSpec | RotationalSpec", u, v) -> SurfaceJet:
+    """The exact surface jet of either surface at (u, v), floats or arrays
+    that broadcast; a rotational surface is the pitch-0 helicoid at angle
+    v + v_offset."""
+    return helicoid_jet_from_profile(surface.kind, surface.pitch, profile_jets(surface, u),
+                                     v + surface.v_offset)
 
 
 def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
@@ -583,37 +593,11 @@ class RotationalSpec:
     r: ProfileFn = field(compare=False)
     domain: tuple[float, float]
     v_offset: float = 0.0
-    v_domain: tuple[float, float] | None = None
-
-    @property
-    def v_range(self) -> tuple[float, float]:
-        return self.v_domain if self.v_domain is not None else FAMILIES[self.kind].v_domain
+    pitch: ClassVar[float] = 0.0  # helicoid_jet reads it as the pitch-0 helicoid
 
     def component_sources(self) -> dict[str, str]:
         return {name: getattr(getattr(self, name), "source", "<numeric>")
                 for name in ("n", "s", "r")}
-
-
-def surface_profile(surface: "HelicoidSpec | RotationalSpec", u: float) -> dict[str, Jet2]:
-    """The profile jets of either surface at u, under the kind's profile names."""
-    if isinstance(surface, RotationalSpec):
-        return dict(zip(FAMILIES[surface.kind].names,
-                        (surface.n(u), surface.s(u), surface.r(u))))
-    return profile_jets(surface, u)
-
-
-def surface_jet(surface: "HelicoidSpec | RotationalSpec", pj: Mapping[str, Jet2],
-                v: float) -> SurfaceJet:
-    """The surface jet at (u, v) from the profile jets at u; a rotational
-    surface is the pitch-0 helicoid at angle v + v_offset."""
-    if isinstance(surface, RotationalSpec):
-        return helicoid_jet_from_profile(surface.kind, 0.0, pj, v + surface.v_offset)
-    return helicoid_jet_from_profile(surface.kind, surface.pitch, pj, v)
-
-
-def rotational_jet(spec: RotationalSpec, u: float, v: float) -> SurfaceJet:
-    """The pitch-0 helicoid jet of the profile (n, s, r) at angle v + v_offset."""
-    return surface_jet(spec, surface_profile(spec, u), v)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,7 @@ def _sweep_block(us: list[float], vs: list[float], f: Callable,
         with np.errstate(all="ignore"):
             values = f(np.array(us)[:, None], np.array(vs)[None, :])
     except Exception:
-        _rerun(f, us[0], vs[0], ())
-        raise
+        _rerun(f, us[0], vs[0], ())  # raises: nothing is tolerated
     out = np.empty((nu * nv, len(values)))
     for k, x in enumerate(values):
         out[:, k] = np.broadcast_to(x, (nu, nv)).reshape(-1)

@@ -24,10 +24,9 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
-from .families import HelicoidSpec, RotationalSpec, surface_jet, surface_profile
+from .families import HelicoidSpec, RotationalSpec, helicoid_jet
 from .grids import Grid, sweep
-from .lorentz import Vec4
-from .surfaces import SurfaceJet, curvature_report
+from .surfaces import curvature_report
 
 CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 
@@ -61,24 +60,14 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     """Evaluate a surface over the grid; curvature channels are nan off the
     spacelike locus.
 
-    The profile is evaluated once per u and the geometry on blocks of rows.
-    A callable (u, v) -> SurfaceJet is accepted in place of a spec; its jets
-    are evaluated one point at a time, and a point where it raises is left
-    NaN, so that the sweep re-runs it for its error.
+    The surface is read through ``helicoid_jet``, its profile once per u and
+    the geometry on blocks of rows.  A callable (u, v) -> SurfaceJet is
+    accepted in place of a spec and called the same way, on a block's u
+    column and v row; one that takes floats only fails at the block's first
+    point with the sweep's NonFiniteError.
     """
-    if isinstance(surface, (HelicoidSpec, RotationalSpec)):
-        def jet(u, v):
-            return surface_jet(surface, surface_profile(surface, u), v)
-    else:
-        def jet(u, v):
-            if not isinstance(u, np.ndarray):
-                return surface(u, v)
-            cells = [[_jet_or_nan(surface, a, b) for b in v[0].tolist()]
-                     for a in u[:, 0].tolist()]
-            return SurfaceJet(*(Vec4(*c) for c in np.array(cells).transpose(2, 3, 0, 1)))
-
     def f(u, v):
-        j = jet(u, v)
+        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v)
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
@@ -91,13 +80,6 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
         start += len(block.out)
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
     return MeshGrid(grid, data[:, :4], channels)
-
-
-def _jet_or_nan(surface, u: float, v: float) -> SurfaceJet:
-    try:
-        return surface(u, v)
-    except Exception:
-        return SurfaceJet(*[Vec4(*[math.nan] * 4)] * 6)
 
 
 def resolve_projection(mesh: MeshGrid, mode: str) -> int:

@@ -159,9 +159,9 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
         if not split.any():
             break
         if depth == MAX_DEPTH:
-            first = int(np.argmax(split))
-            raise QuadratureError(f"no convergence on [{lo[first]:.6g}, {hi[first]:.6g}] "
-                                  f"(error {err[first]:.3g})")
+            first = int(np.argmax(split))  # a panel this narrow needs every digit
+            raise QuadratureError(f"no convergence on [{lo[first].item()!r}, "
+                                  f"{hi[first].item()!r}] (error {err[first]:.3g})")
         lo, mid, hi = lo[split], mid[split], hi[split]
         lo, hi = np.stack([lo, mid], axis=1).reshape(-1), np.stack([mid, hi], axis=1).reshape(-1)
         budgets = np.repeat(0.5 * budgets[split], 2)

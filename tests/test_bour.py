@@ -16,7 +16,7 @@ from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse
 from bour4.families import (SurfaceKind, expr_profile, helicoid_jet, helicoid_to_json,
-                            is_constant_profile, make_helicoid, rotational_jet)
+                            is_constant_profile, make_helicoid)
 from bour4.grids import grid_for
 from bour4.quadrature import Antiderivative
 from bour4.surfaces import curvature_report
@@ -147,7 +147,7 @@ class TestVbar:
         for (u, v), plus, minus in zip(((u, v) for u in grid.us() for v in grid.vs()), *seen):
             assert minus[0] == -plus[0] == pytest.approx(-h.vbar.du(u), abs=1e-15)
             for sign, out in ((1, plus), (-1, minus)):
-                want = rotational_jet(r, u, v + sign * h.vbar.shift(u)).X
+                want = helicoid_jet(r, u, v + sign * h.vbar.shift(u)).X
                 assert tuple(out[1:]) == pytest.approx(tuple(want), abs=1e-12)
 
 
@@ -251,7 +251,7 @@ class TestBourPartner:
                          constants=(math.sin(1.5) / 4.0, 0.5))
         for u, v in [(1.7, 0.4), (2.4, 1.3), (2.95, 2.0)]:
             a = helicoid_jet(spec, u, v)
-            b = rotational_jet(r, u, v)
+            b = helicoid_jet(r, u, v)
             for va, vb in zip(a, b):
                 assert tuple(va) == pytest.approx(tuple(vb), abs=1e-9)
 
@@ -407,6 +407,17 @@ class TestSameGaussPairs:
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             build("u", 1.0, c3, **{name: value})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: same_gauss_pair_I("u", 1.0, 0.5, constants={"lam": 2.0}),
+         "constant name 'lam' is reserved here"),
+        (lambda: same_gauss_pair_II("u", 1.0, -0.5, sign_n=-1, domain=(0.2, 0.9)),
+         "no angular alignment exists for this sign of the partner's first component"),
+    ], ids=["reserved-constant", "kind-II-sign-n"])
+    def test_refused_pair_names_its_reason(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_kind_I_parameter_range(self):
         with pytest.raises(ValidationError):
             same_gauss_pair_I("u", 1.0, 2.0)
@@ -491,7 +502,7 @@ class TestGaussResidual:
         pts = [(u, v) for u in (0.9, 1.6, 2.8) for v in (-1.0, 0.2, 1.7)]
         shifts = []
         for u, v in pts:
-            d = rotational_jet(r, u, vb(u, v)).X - helicoid_jet(h, u, v).X
+            d = helicoid_jet(r, u, vb(u, v)).X - helicoid_jet(h, u, v).X
             shifts.append(tuple(d))
         first = shifts[0]
         for s in shifts[1:]:
@@ -571,7 +582,7 @@ class TestMeanCurvatureRelation:
             den = (2.0 * (1.0 - b.v ** 2) ** 1.5 * x * xp
                    * math.sqrt(x * x - lam * lam))
             expected = num / den
-            rep = curvature_report(rotational_jet(r, u, vb(u, 0.3)))
+            rep = curvature_report(helicoid_jet(r, u, vb(u, 0.3)))
             assert abs(rep.H2) == pytest.approx(abs(expected), abs=1e-9)
 
     def test_proportionality_on_minimal_pair(self):
@@ -581,7 +592,7 @@ class TestMeanCurvatureRelation:
         vb = h.vbar
         for u in (1.5, 2.0, 2.8):
             hj = curvature_report(helicoid_jet(h, u, 0.7))
-            rj = curvature_report(rotational_jet(r, u, vb(u, 0.7)))
+            rj = curvature_report(helicoid_jet(r, u, vb(u, 0.7)))
             x, wp = u, eval_jet(dict(h.profile)["w"], u, h.consts).d1
             assert abs(rj.H2 - x * x * wp * hj.H2) < 1e-8
 
@@ -593,7 +604,7 @@ class TestMeanCurvatureRelation:
         vb = spec.vbar
         u = 2.0
         hj = curvature_report(helicoid_jet(spec, u, 0.3))
-        rj = curvature_report(rotational_jet(r, u, vb(u, 0.3)))
+        rj = curvature_report(helicoid_jet(r, u, vb(u, 0.3)))
         assert abs(abs(rj.H2) - abs(u * u * 0.5 * hj.H2)) > 1e-3
 
 

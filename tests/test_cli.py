@@ -207,6 +207,14 @@ class TestReport:
         err = capsys.readouterr().err
         assert "w'^2 - y'^2" in err and "at u" in err
 
+    def test_no_spacelike_point_exits_3(self, tmp_path, capsys):
+        data = {"kind": "II", "lambda": 1.0, "profile": {"x": "0", "y": "0", "w": "u"},
+                "domain": [0.5, 2.0]}
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["report", "--spec", spec, "--grid", "5x5"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: no spacelike points on the whole grid\n")
+
     def test_partially_timelike_domain_is_reported(self, tmp_path):
         data = {"kind": "I", "lambda": 1.0,
                 "profile": {"x": "u", "z": "0", "w": "0.9*u"},
@@ -436,8 +444,10 @@ class TestVerify:
          "error: c1 must be finite, got inf\n"),
         (["--theorem", "3.6", "--w", "u", "--lambda", "1", "--c3", "-0.5", "--c2", "nan"],
          "error: c2 must be finite, got nan\n"),
+        (["--theorem", "3.6", "--lambda", "1", "--c3", "-0.5"],
+         "error: --theorem 3.6 needs --w, --lambda and --c3\n"),
     ], ids=["huge-pitch", "tiny-pitch", "constant-x", "underflow", "overflowing-domain",
-            "infinite-c1", "nan-c2"])
+            "infinite-c1", "nan-c2", "missing-w"])
     def test_degenerate_pair_inputs_exit_2_or_3(self, capsys, args, err):
         code = main(["verify", *args, "--grid", "3x3"])
         assert code == (2 if err.startswith("error: ") else 3)

@@ -9,8 +9,7 @@ from bour4.families import (RotationalSpec, SurfaceKind, closed_form_curvatures,
                             closed_form_frame, closed_form_gauss,
                             closed_form_metric, expr_profile, helicoid_from_json,
                             helicoid_jet, helicoid_to_json,
-                            is_constant_profile, make_helicoid, profile_jets,
-                            rotational_jet)
+                            is_constant_profile, make_helicoid, profile_jets)
 from bour4.lorentz import minkowski_dot, standard_to_pseudo
 from bour4.surfaces import curvature_report, first_form, gauss_map
 
@@ -193,15 +192,15 @@ class TestRotational:
         u0 = 1.0
         wv = profile_jets(SPECS["II"], u0)["w"].v
         for v in [-0.8 + 0.16 * k for k in range(11)]:
-            p = rotational_jet(rot, u0, v).X
+            p = helicoid_jet(rot, u0, v).X
             assert p.x4 ** 2 - p.x3 ** 2 == pytest.approx(wv ** 2, abs=1e-9)
 
     def test_angular_offset_rotates_kind_I(self):
         rot = rotational("I", ("u", "0", "0"), (1.5, 3.0))
         shifted = type(rot)(rot.kind, rot.n, rot.s, rot.r, rot.domain,
                             v_offset=math.pi / 2.0)
-        p = rotational_jet(rot, 2.0, 0.0).X
-        q = rotational_jet(shifted, 2.0, -math.pi / 2.0).X
+        p = helicoid_jet(rot, 2.0, 0.0).X
+        q = helicoid_jet(shifted, 2.0, -math.pi / 2.0).X
         assert tuple(p) == pytest.approx(tuple(q), abs=1e-12)
 
 

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import bour4.bour
 import bour4.grids
 import bour4.meshes
-from bour4.bour import bour_partner, gauge_complete
+from bour4.bour import bour_partner, gauge_complete, pair_report
 from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeError,
                           ValidationError)
-from bour4.families import (helicoid_jet, make_helicoid, rotational_jet, surface_jet,
-                            surface_profile)
+from bour4.families import helicoid_jet, make_helicoid
 from bour4.grids import Grid, grid_for, sweep
 from bour4.meshes import (CHANNEL_NAMES, MeshGrid, resolve_projection, sample_mesh,
                           write_csv, write_obj)
@@ -50,15 +50,13 @@ class TestSampleMesh:
         if name == "partner":
             spec = KINDS["I"]
             surface = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
-            jet_at = lambda u, v: rotational_jet(surface, u, v)  # noqa: E731
         else:
             surface = KINDS[name]
-            jet_at = lambda u, v: helicoid_jet(surface, u, v)  # noqa: E731
         grid = grid_for(KINDS["I" if name == "partner" else name], 7, 5)
         mesh = sample_mesh(surface, grid)
         points = [(u, v) for u in grid.us() for v in grid.vs()]
         for idx, (u, v) in enumerate(points):
-            jet = jet_at(u, v)
+            jet = helicoid_jet(surface, u, v)
             rep = curvature_report(jet)
             want = (*jet.X, rep.K, rep.H1, rep.H2, rep.first.W)
             got = (*mesh.vertices[idx], *(mesh.channels[c][idx] for c in ("K", "H1", "H2", "W")))
@@ -93,6 +91,39 @@ class TestSampleMesh:
         for name in CHANNEL_NAMES:
             assert np.array_equal(np.isnan(mesh.channels[name]), nan)
         assert np.isfinite(mesh.vertices).all()
+
+
+class TestOneJetEntry:
+    """Helicoids and their partners are both read through ``helicoid_jet``,
+    the module bindings a tracer replaces, once per block on arrays."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(surface, u, v):
+            seen.append((type(surface).__name__, np.shape(u), np.shape(v)))
+            return helicoid_jet(surface, u, v)
+
+        monkeypatch.setattr(bour4.meshes, "helicoid_jet", counting)
+        monkeypatch.setattr(bour4.bour, "helicoid_jet", counting)
+        return seen
+
+    def test_sample_mesh_reads_both_surfaces_on_arrays(self, calls):
+        spec = KINDS["I"]
+        partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
+        sample_mesh(spec, grid_for(spec, 7, 5))
+        sample_mesh(partner, grid_for(spec, 7, 5))
+        assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (1, 5))]
+
+    def test_pair_report_reads_both_surfaces_on_arrays(self, calls):
+        spec = KINDS["I"]
+        partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
+        pair_report(spec, partner, grid_for(spec, 7, 5))
+        # the helicoid metric at v = 0, the helicoid, and the partner at its
+        # shifted angles
+        assert calls == [("HelicoidSpec", (7, 1), ()), ("HelicoidSpec", (7, 1), (1, 5)),
+                         ("RotationalSpec", (7, 1), (7, 5))]
 
 
 class TestProjection:
@@ -264,7 +295,7 @@ def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
     """OBJ (drop-4) and CSV text as the writers made it from the sweep's
     concatenated blocks and a faces array, chunk vertices at a time."""
     def f(u, v):
-        j = surface_jet(spec, surface_profile(spec, u), v)
+        j = helicoid_jet(spec, u, v)
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,10 @@ class TestIntegrate:
     def test_non_finite_integrand_fails(self):
         with pytest.raises(QuadratureError):
             integrate(lambda x: np.divide(1.0, x), -1.0, 1.0)
+
+    def test_finite_values_whose_panel_sum_overflows_fail(self):
+        with pytest.raises(QuadratureError, match=r"^integrand not finite on \[0, 1\]$"):
+            integrate(lambda x: np.full_like(x, 1.7e308), 0.0, 1.0)
 
     def test_non_integrable_singularity_fails(self):
         with pytest.raises(QuadratureError):
@@ -200,6 +205,17 @@ class TestBreadthFirstBuild:
             with pytest.raises(QuadratureError, match=r"not finite on \[0, 0\.125\]"):
                 Antiderivative(lambda u: np.where(u == node, np.nan, np.cos(u)), 0.0, 1.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    @pytest.mark.parametrize("build", [integrate, Antiderivative])
+    def test_no_convergence_names_two_distinct_ends(self, build):
+        # a step never converges: after MAX_DEPTH bisections the open panel
+        # straddling it is a few ulps wide, and its two ends print apart
+        with pytest.raises(QuadratureError) as info:
+            build(lambda x: np.where(x < 0.3, 0.0, 1.0), 0.0, 1.0)
+        ends = re.match(r"no convergence on \[(\S+), (\S+)\] \(error ", str(info.value))
+        lo, hi = map(float, ends.groups())
+        assert lo < 0.3 < hi
 
 
 class TestEnvironmentOverride:

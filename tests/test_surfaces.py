@@ -12,9 +12,8 @@ from bour4.bour import bour_partner, gauge_complete
 from bour4.cli import main
 from bour4.errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                           NotSpacelikeError)
-from bour4.families import (HelicoidSpec, closed_form_curvatures, closed_form_gauss,
-                            make_helicoid, helicoid_jet, helicoid_position,
-                            rotational_jet, surface_jet, surface_profile)
+from bour4.families import (closed_form_curvatures, closed_form_gauss, make_helicoid,
+                            helicoid_jet, helicoid_position, profile_jets)
 import bour4.grids
 import bour4.surfaces
 from bour4.grids import Grid, sweep
@@ -262,14 +261,8 @@ def sweep_surface(name):
     return bour_partner(spec, gauge_complete(spec, "a", "1/2"))
 
 
-def scalar_jet(surface, u, v):
-    if isinstance(surface, HelicoidSpec):
-        return helicoid_jet(surface, u, v)
-    return rotational_jet(surface, u, v)
-
-
 def swept(surface, grid, point):
-    blocks = list(sweep(grid, lambda u, v: point(u, surface_profile(surface, u), v)))
+    blocks = list(sweep(grid, lambda u, v: point(u, profile_jets(surface, u), v)))
     return np.concatenate([b.out for b in blocks])
 
 
@@ -294,10 +287,10 @@ class TestSweep:
             rep = curvature_report(jet)
             return (*jet.X, rep.K, rep.H1, rep.H2, rep.first.W, *gauss_map(jet))
 
-        out = swept(surface, grid, lambda u, pj, v: outputs(surface_jet(surface, pj, v)))
+        out = swept(surface, grid, lambda u, pj, v: outputs(helicoid_jet(surface, u, v)))
         points = [(u, v) for u in grid.us() for v in grid.vs()]
         for row, (u, v) in zip(out, points):
-            assert_matches(row, outputs(scalar_jet(surface, u, v)))
+            assert_matches(row, outputs(helicoid_jet(surface, u, v)))
 
     @pytest.mark.parametrize("name", ["I", "II", "III"])
     def test_closed_form_route_matches_scalar_calls(self, name):
@@ -317,7 +310,7 @@ class TestSweep:
         surface, grid = sweep_surface("II"), GRID_7x5["II"]
 
         def point(u, pj, v):
-            jet = surface_jet(surface, pj, v)
+            jet = helicoid_jet(surface, u, v)
             return (*jet.X, curvature_report(jet).K)
 
         whole = swept(surface, grid, point)
