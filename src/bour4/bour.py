@@ -37,7 +37,7 @@ from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
 from .lorentz import flag, sup, where
 from .quadrature import Antiderivative
-from .surfaces import FirstForm, curvature_report, first_form, gauss_map
+from .surfaces import curvature_report, first_form, gauss_map
 
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
@@ -235,19 +235,17 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
 
 def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
                 point: Callable) -> Iterator[Block]:
-    """Sweep ``point(k, g, hj, rj)`` over the grid: k = d(vbar)/du, the
-    helicoid metric g and both surface jets.
+    """Sweep ``point(k, hj, rj)`` over the grid: k = d(vbar)/du and both
+    surface jets.
 
-    The helicoid metric does not depend on v; it is taken once per u, at
-    v = 0.  The partner jet is read at (u, v + sign shift(u)): ``sign = -1``
-    probes the other orientation of the helicoid's one angular map.
+    The partner jet is read at (u, v + sign shift(u)): ``sign = -1`` probes
+    the other orientation of the helicoid's one angular map.
     """
     vb = h.vbar
 
     def f(u, v):
         k = sign * vb.du(u)
-        g = first_form(helicoid_jet(h, u, 0.0))
-        return point(k, g, helicoid_jet(h, u, v), helicoid_jet(r, u, v + sign * vb.shift(u)))
+        return point(k, helicoid_jet(h, u, v), helicoid_jet(r, u, v + sign * vb.shift(u)))
 
     return sweep(grid, f)
 
@@ -257,8 +255,10 @@ def _sweep_sup(blocks: Iterator[Block]) -> float:
     return max(0.0, *(float(b.out.max()) for b in blocks))
 
 
-def _isometry_defect(g: FirstForm, G: FirstForm, k: float) -> float:
-    """The defect of the partner metric G pulled back by k against g."""
+def _isometry_defect(hj, rj, k: float) -> float:
+    """The defect of the partner metric pulled back by k against the
+    helicoid metric."""
+    g, G = first_form(hj), first_form(rj)
     p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
     p12 = G.g12 + G.g22 * k
     pW = p11 * G.g22 - p12 * p12
@@ -279,14 +279,14 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     """
     return _sweep_sup(_pair_sweep(
         h, r, grid, sign,
-        lambda k, g, hj, rj: (_isometry_defect(g, first_form(rj), k),)))
+        lambda k, hj, rj: (_isometry_defect(hj, rj, k),)))
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                    sign: int = 1) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
     return _sweep_sup(_pair_sweep(h, r, grid, sign,
-                                  lambda k, g, hj, rj: (_gauss_defect(hj, rj),)))
+                                  lambda k, hj, rj: (_gauss_defect(hj, rj),)))
 
 
 def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec) -> tuple[int, dict]:
@@ -562,8 +562,8 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     tols = PairTolerances()
 
-    def point(k, g, hj, rj):
-        return (_isometry_defect(g, first_form(rj), k), _gauss_defect(hj, rj),
+    def point(k, hj, rj):
+        return (_isometry_defect(hj, rj, k), _gauss_defect(hj, rj),
                 curvature_report(hj).H_sup, curvature_report(rj).H_sup, *hj.X, *rj.X)
 
     # the residual maxima fold per block; both surfaces' positions go into

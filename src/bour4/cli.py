@@ -129,7 +129,7 @@ def cmd_report(args) -> int:
     kept, violations, first = 0, 0, None
     for block in sweep(grid, f, tolerated):
         if block.tolerated and first is None:
-            u, v = block.uv(block.tolerated[0])
+            u, v = block.point(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}
         violations += len(block.tolerated)
         out = np.delete(block.out, block.tolerated, axis=0)

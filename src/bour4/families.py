@@ -501,14 +501,14 @@ def closed_form_metric(spec: HelicoidSpec, u: float) -> FirstForm:
 # ---------------------------------------------------------------------------
 # closed-form frames, second fundamental forms and curvature
 
-def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
-                      pj: Mapping[str, Jet2]) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
+def _closed_form_pass(spec: HelicoidSpec, u: float,
+                      v: float) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
     """Metric, explicit frame and second forms from the profile jets at u.
 
     The kind's frame precondition is checked before g11 > 0, so a profile
     that leaves the family's frame convention is named as such.
     """
-    lam = spec.pitch
+    lam, pj = spec.pitch, profile_jets(spec, u)
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
     sqrt = xp(ff.W).sqrt
@@ -524,26 +524,22 @@ def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
 
 def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
     """The families' explicit orthonormal frames (N1 spacelike, N2 timelike)."""
-    return _closed_form_pass(spec, u, v, profile_jets(spec, u))[1]
+    return _closed_form_pass(spec, u, v)[1]
 
 
-def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
-                           pj: Mapping[str, Jet2] | None = None) -> CurvatureReport:
+def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float) -> CurvatureReport:
     """Mean curvature components, mean curvature vector, and Gauss curvature.
 
     Built from the families' explicit frames and second-form coefficients,
     assembled through the standard component formulas; this route never
-    touches the generic Gram-Schmidt machinery.  ``pj`` passes the profile
-    jets at u when they are already evaluated.
+    touches the generic Gram-Schmidt machinery.
     """
-    pj = profile_jets(spec, u) if pj is None else pj
-    return assemble_report(*_closed_form_pass(spec, u, v, pj))
+    return assemble_report(*_closed_form_pass(spec, u, v))
 
 
-def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
-                      pj: Mapping[str, Jet2] | None = None) -> Bivector6:
+def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:
     """The families' explicit Gauss-map component patterns (unit 2-vector)."""
-    pj = profile_jets(spec, u) if pj is None else pj
+    pj = profile_jets(spec, u)
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
     c = 1.0 / xp(ff.W).sqrt(ff.W)

@@ -1,11 +1,15 @@
-"""Uniform parameter grids, the row-block sweep that evaluates a surface
-over one for residual checks, reports and meshes, and the scan of a
-function of u over samples of a domain."""
+"""Uniform parameter grids and one block evaluator over them.
+
+A function written once over floats and arrays is called once on the open
+mesh of a block's coordinate axes: rows of a (u, v) grid for residual
+checks, reports and meshes (``sweep``), or the midpoints of a u-domain for
+domain checks (``scan``).  Its non-finite points are re-run on floats for
+their own errors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -56,27 +60,29 @@ def grid_for(spec: HelicoidSpec, nu: int = 33, nv: int = 33) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# row-block sweeps
+# block evaluation: row-block sweeps and domain scans
 
 @dataclass
 class Block:
-    """The outputs of one block of grid rows.
+    """The outputs of one block of points.
 
-    ``out`` has one row per grid point (row-major: u outer, v inner) and one
-    column per output of the swept function.  ``tolerated`` lists the
-    points, as indices into ``out``, whose scalar re-run raised a tolerated
-    error; ``reason`` is the message of the first of them.
+    ``axes`` are the block's coordinate samples, ``(us,)`` for a scan or
+    ``(us, vs)`` for a sweep.  ``out`` has one row per point (row-major:
+    u outer, v inner) and one column per output of the evaluated function.
+    ``tolerated`` lists the points, as indices into ``out``, whose float
+    re-run raised a tolerated error; ``reason`` is the message of the first
+    of them.
     """
 
-    us: list[float]
-    vs: list[float]
+    axes: tuple[list[float], ...]
     out: np.ndarray
     tolerated: list[int]
     reason: str | None
 
-    def uv(self, index: int) -> tuple[float, float]:
-        i, j = divmod(index, len(self.vs))
-        return self.us[i], self.vs[j]
+    def point(self, index: int) -> tuple[float, ...]:
+        """The coordinates of the point at ``index`` of ``out``."""
+        shape = tuple(map(len, self.axes))
+        return tuple(axis[i] for axis, i in zip(self.axes, np.unravel_index(index, shape)))
 
 
 def sweep(grid: Grid, f: Callable,
@@ -87,58 +93,15 @@ def sweep(grid: Grid, f: Callable,
     outputs.  Each block calls it once, with u as a column of the block's
     rows and v as a row of the grid's columns, so whatever depends on u
     alone (a profile) is evaluated once per u and broadcast against v.
-    Points with a non-finite output (a failed check leaves NaN, and so does
-    a non-finite profile, jet or metric) are re-run one at a time on floats,
-    in row-major order, so that they raise the scalar code's own error: a
-    ``tolerated`` one is recorded in the block, any other propagates, and a
-    point that raises none, or only an overflow, is a NonFiniteError naming
-    it.  When the array call itself raises (a failure free of u and v does
-    on arrays too), the block's first point is re-run on floats the same
-    way, tolerating nothing.
+    Points with a non-finite output are re-run one at a time on floats, in
+    row-major order, for their own error: a ``tolerated`` one is recorded
+    in the block, and any other propagates.
     """
     us, vs = grid.us(), grid.vs()
     step = max(1, BLOCK_POINTS // len(vs))  # rows per block
     for start in range(0, len(us), step):
-        yield _sweep_block(us[start:start + step], vs, f, tolerated)
+        yield _evaluate((us[start:start + step], vs), f, tolerated)
 
-
-def _sweep_block(us: list[float], vs: list[float], f: Callable,
-                 tolerated: tuple[type[Exception], ...]) -> Block:
-    nu, nv = len(us), len(vs)
-    try:
-        with np.errstate(all="ignore"):
-            values = f(np.array(us)[:, None], np.array(vs)[None, :])
-    except Exception:
-        _rerun(f, us[0], vs[0], ())  # raises: nothing is tolerated
-    out = np.empty((nu * nv, len(values)))
-    for k, x in enumerate(values):
-        out[:, k] = np.broadcast_to(x, (nu, nv)).reshape(-1)
-    found, reason = [], None
-    for index in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
-        i, j = divmod(index, nv)
-        exc = _rerun(f, us[i], vs[j], tolerated)
-        found.append(index)
-        reason = str(exc) if reason is None else reason
-    return Block(us, vs, out, found, reason)
-
-
-def _rerun(f: Callable, u: float, v: float,
-           tolerated: tuple[type[Exception], ...]) -> Exception:
-    """Run f at one point on floats for its error: return a tolerated one,
-    raise any other, and raise a NonFiniteError naming the point when f
-    raises nothing or only an overflow."""
-    try:
-        f(u, v)
-    except tolerated as exc:
-        return exc
-    except (ArithmeticError, ValueError, NonFiniteError):
-        pass
-    raise NonFiniteError(f"non-finite value at u = {u!r}, v = {v!r}: "
-                         "a profile value, surface jet or metric overflows or is undefined")
-
-
-# ---------------------------------------------------------------------------
-# domain scans
 
 def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
     """The midpoints u_i = a + (b - a) (i + 0.5) / n of n equal cells of the
@@ -146,30 +109,55 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
 
     ``f`` is written once over floats and arrays, as for ``sweep``, and a
     check that fails leaves NaN.  Samples whose value is not finite are
-    re-run on floats in ascending u, so the first one that raises raises its
-    own error, as a loop over the samples would; one that raises nothing, or
-    only an overflow or a math domain error, is a NonFiniteError naming the
-    sample.  When the array call itself raises (a failure free of u), the
-    first sample is re-run on floats the same way.
+    re-run on floats in ascending u, tolerating nothing, so the first one
+    raises its own error as a loop over the samples would.
     """
     a, b = domain
     with np.errstate(all="ignore"):
         us = a + (b - a) * (np.arange(n) + 0.5) / n
-        try:
-            values = np.broadcast_to(np.asarray(f(us), dtype=float), us.shape)
-        except Exception:
-            _rescan(f, float(us[0]))
-    for u in us[~np.isfinite(values)].tolist():
-        _rescan(f, u)
-    return us, values
+    return us, _evaluate((us.tolist(),), lambda u: (f(u),), ()).out[:, 0]
 
 
-def _rescan(f: Callable, u: float) -> NoReturn:
-    """Run f at one sample on floats and raise its error, or a NonFiniteError
-    naming the sample when f raises nothing or only an overflow or a math
-    domain error."""
+def _evaluate(axes: tuple[list[float], ...], f: Callable,
+              tolerated: tuple[type[Exception], ...]) -> Block:
+    """Call f once on the open mesh of the axes, and re-run on floats, in
+    row-major order, each point with a non-finite output (a failed check
+    leaves NaN, and so does a non-finite profile, jet or metric), so that
+    it raises the float code's own error (``_rerun``).  When the array call
+    itself raises (a failure free of u and v does on arrays too), the first
+    point is re-run the same way, tolerating nothing."""
     try:
-        f(u)
-    except (ArithmeticError, ValueError):
+        with np.errstate(all="ignore"):
+            values = f(*np.ix_(*axes))
+    except Exception as exc:
+        _rerun(f, tuple(axis[0] for axis in axes), (), exc)
+    shape = tuple(map(len, axes))
+    out = np.empty((*shape, len(values)))
+    for k, x in enumerate(values):
+        out[..., k] = x
+    block = Block(axes, out.reshape(-1, len(values)), [], None)
+    for index in np.flatnonzero(~np.isfinite(block.out).all(axis=1)).tolist():
+        exc = _rerun(f, block.point(index), tolerated, None)
+        block.tolerated.append(index)
+        block.reason = str(exc) if block.reason is None else block.reason
+    return block
+
+
+def _rerun(f: Callable, point: tuple[float, ...], tolerated: tuple[type[Exception], ...],
+           raised: Exception | None) -> Exception:
+    """Run f at one point on floats for its error: return a tolerated one and
+    raise any other.  When f raises nothing, re-raise ``raised``, the array
+    call's own error, if there is one; when f raises only an overflow or a
+    math domain error, or nothing where its arrays were not finite, raise a
+    NonFiniteError naming the point."""
+    try:
+        f(*point)
+    except tolerated as exc:
+        return exc
+    except (ArithmeticError, ValueError, NonFiniteError):
         pass
-    raise NonFiniteError(f"non-finite value at u = {u!r}: a value overflows or is undefined")
+    else:
+        if raised is not None:
+            raise raised
+    at = ", ".join(f"{name} = {x!r}" for name, x in zip("uv", point))
+    raise NonFiniteError(f"non-finite value at {at}: a value overflows or is undefined")

@@ -63,8 +63,8 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     The surface is read through ``helicoid_jet``, its profile once per u and
     the geometry on blocks of rows.  A callable (u, v) -> SurfaceJet is
     accepted in place of a spec and called the same way, on a block's u
-    column and v row; one that takes floats only fails at the block's first
-    point with the sweep's NonFiniteError.
+    column and v row; one that takes floats only raises its own error on
+    the arrays.
     """
     def f(u, v):
         j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v)

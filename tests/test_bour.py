@@ -141,7 +141,7 @@ class TestVbar:
         grid = grid_for(h, nu=5, nv=3)
         seen = []
         for sign in (1, -1):
-            blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, g, hj, rj: (k, *rj.X))
+            blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, hj, rj: (k, *rj.X))
             seen.append(np.concatenate([b.out for b in blocks]))
         assert built == []
         for (u, v), plus, minus in zip(((u, v) for u in grid.us() for v in grid.vs()), *seen):
@@ -351,7 +351,7 @@ class TestPairSweep:
             h = spec_I()
             r = bour_partner(h, gauge_complete(h, "a", "1/2"))
         grid = grid_for(h, nu=9, nv=7)
-        blocks = bour_mod._pair_sweep(h, r, grid, 1, lambda k, g, hj, rj: (*hj.X, *rj.X))
+        blocks = bour_mod._pair_sweep(h, r, grid, 1, lambda k, hj, rj: (*hj.X, *rj.X))
         pos = np.concatenate([block.out for block in blocks])
         want = tuple(float(np.min(np.var(np.ascontiguousarray(pos[:, c:c + 4]), axis=0)))
                      for c in (0, 4))

@@ -296,7 +296,8 @@ class TestReport:
         assert main([*command, "--spec", spec, "--grid", "5x5",
                      "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"numerical failure: non-finite value at u = {u!r}, v = ")
+        assert err == (f"numerical failure: non-finite value at u = {u!r}, "
+                       "v = 0.12566370614359174: a value overflows or is undefined\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, x, constants, sub, base", [

@@ -120,10 +120,9 @@ class TestOneJetEntry:
         spec = KINDS["I"]
         partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
         pair_report(spec, partner, grid_for(spec, 7, 5))
-        # the helicoid metric at v = 0, the helicoid, and the partner at its
-        # shifted angles
-        assert calls == [("HelicoidSpec", (7, 1), ()), ("HelicoidSpec", (7, 1), (1, 5)),
-                         ("RotationalSpec", (7, 1), (7, 5))]
+        # the helicoid, whose jet also gives its metric, and the partner at
+        # its shifted angles
+        assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (7, 5))]
 
 
 class TestProjection:

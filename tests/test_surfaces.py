@@ -13,12 +13,13 @@ from bour4.cli import main
 from bour4.errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                           NotSpacelikeError)
 from bour4.families import (closed_form_curvatures, closed_form_gauss, make_helicoid,
-                            helicoid_jet, helicoid_position, profile_jets)
+                            helicoid_jet, helicoid_position)
 import bour4.grids
 import bour4.surfaces
-from bour4.grids import Grid, sweep
+from bour4.grids import Grid, scan, sweep
 from bour4.lorentz import (E1, E2, E3, E4, CausalClass, Vec4, bivector_dot,
                            minkowski_dot, wedge)
+from bour4.meshes import sample_mesh
 from bour4.surfaces import (SurfaceJet, curvature_report, first_form,
                             gauss_map, numeric_jet, orthonormal_frame)
 
@@ -261,9 +262,8 @@ def sweep_surface(name):
     return bour_partner(spec, gauge_complete(spec, "a", "1/2"))
 
 
-def swept(surface, grid, point):
-    blocks = list(sweep(grid, lambda u, v: point(u, profile_jets(surface, u), v)))
-    return np.concatenate([b.out for b in blocks])
+def swept(grid, point):
+    return np.concatenate([b.out for b in sweep(grid, point)])
 
 
 def assert_matches(got, want):
@@ -287,7 +287,7 @@ class TestSweep:
             rep = curvature_report(jet)
             return (*jet.X, rep.K, rep.H1, rep.H2, rep.first.W, *gauss_map(jet))
 
-        out = swept(surface, grid, lambda u, pj, v: outputs(helicoid_jet(surface, u, v)))
+        out = swept(grid, lambda u, v: outputs(helicoid_jet(surface, u, v)))
         points = [(u, v) for u in grid.us() for v in grid.vs()]
         for row, (u, v) in zip(out, points):
             assert_matches(row, outputs(helicoid_jet(surface, u, v)))
@@ -296,12 +296,12 @@ class TestSweep:
     def test_closed_form_route_matches_scalar_calls(self, name):
         spec, grid = SWEEP_SPECS[name], GRID_7x5[name]
 
-        def outputs(u, v, pj=None):
-            rep = closed_form_curvatures(spec, u, v, pj)
+        def outputs(u, v):
+            rep = closed_form_curvatures(spec, u, v)
             return (rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W,
-                    *closed_form_gauss(spec, u, v, pj))
+                    *closed_form_gauss(spec, u, v))
 
-        out = swept(spec, grid, lambda u, pj, v: outputs(u, v, pj))
+        out = swept(grid, outputs)
         points = [(u, v) for u in grid.us() for v in grid.vs()]
         for row, (u, v) in zip(out, points):
             assert_matches(row, outputs(u, v))
@@ -309,13 +309,13 @@ class TestSweep:
     def test_row_blocks_are_stitched_in_order(self, monkeypatch):
         surface, grid = sweep_surface("II"), GRID_7x5["II"]
 
-        def point(u, pj, v):
+        def point(u, v):
             jet = helicoid_jet(surface, u, v)
             return (*jet.X, curvature_report(jet).K)
 
-        whole = swept(surface, grid, point)
+        whole = swept(grid, point)
         monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 2 * grid.nv + 1)  # 2 rows
-        assert np.array_equal(swept(surface, grid, point), whole)
+        assert np.array_equal(swept(grid, point), whole)
 
     def test_first_error_in_row_major_order_is_raised(self):
         # kind II with w'^2 - y'^2 reaching zero at u = 1: the array path
@@ -323,13 +323,25 @@ class TestSweep:
         spec = make_helicoid("II", 1.0, {"x": "3*u", "y": "u^2/2", "w": "u"}, (0.5, 1.5))
         grid = Grid(0.6, 1.4, -0.5, 0.5, 9, 4)
 
-        def point(u, pj, v):
-            rep = closed_form_curvatures(spec, u, v, pj)
+        def point(u, v):
+            rep = closed_form_curvatures(spec, u, v)
             return rep.H1, rep.H2
 
         with pytest.raises(FrameFailureError) as info:
-            swept(spec, grid, point)
+            swept(grid, point)
         assert str(info.value) == "w'^2 - y'^2 = 0.0 <= 0 at u = 1.0"
+
+    @pytest.mark.parametrize("evaluate", ["scan", "sample_mesh"])
+    def test_a_float_only_function_raises_its_own_error(self, evaluate):
+        # the array call raises a TypeError and the float run at the first
+        # point raises nothing: the TypeError propagates, not a NonFiniteError
+        # that blames a value that is finite
+        spec = SWEEP_SPECS["I"]
+        with pytest.raises(TypeError):
+            if evaluate == "scan":
+                scan((1.0, 2.0), 8, lambda u: math.sqrt(u))
+            else:
+                sample_mesh(lambda u, v: helicoid_jet(spec, float(u), float(v)), GRID_7x5["I"])
 
     def test_one_array_call_per_block_and_one_float_call_per_bad_point(self, monkeypatch):
         # kind II, timelike on part of the grid: those points are re-run
