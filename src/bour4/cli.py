@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 all requested verdicts pass, 1 a verdict fails, 2 invalid
 input, 3 numerical failure.  The environment variable LB_QUAD_TOL overrides
-the quadrature tolerance.
+the quadrature tolerance; a value that is not a number in (0, 1) is invalid
+input.  Unless OPENBLAS_NUM_THREADS is set, numpy's BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# bour4 makes no BLAS call, and each idle OpenBLAS worker spins at start-up
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

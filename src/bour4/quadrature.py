@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, ValidationError
 from .lorentz import BLOCK_POINTS
 
 DEFAULT_TOL = 1e-11
@@ -39,16 +39,16 @@ _ENV_TOL = "LB_QUAD_TOL"
 
 
 def default_tolerance() -> float:
-    """Quadrature tolerance, overridable through the LB_QUAD_TOL env var."""
+    """Quadrature tolerance, overridable through LB_QUAD_TOL with a number in (0, 1)."""
     raw = os.environ.get(_ENV_TOL)
     if raw is None:
         return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
-        raise QuadratureError(f"bad {_ENV_TOL} value {raw!r}") from None
+        raise ValidationError(f"bad {_ENV_TOL} value {raw!r}") from None
     if not (0.0 < tol < 1.0):
-        raise QuadratureError(f"{_ENV_TOL} must be in (0, 1), got {tol}")
+        raise ValidationError(f"{_ENV_TOL} must be in (0, 1), got {tol}")
     return tol
 
 

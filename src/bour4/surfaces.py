@@ -179,7 +179,10 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS) -> F
     non-negligible causal norm give the normal pair, relabeled so N1 is
     spacelike and N2 timelike.
     """
-    ff = first_form(j, require_spacelike=True)
+    return _frame(j, first_form(j, require_spacelike=True), seeds)
+
+
+def _frame(j: SurfaceJet, ff: FirstForm, seeds: Sequence[Vec4]) -> Frame:
     bad = flag(ff.g11 <= 0.0, FrameFailureError,
                "g11 = {!r} <= 0 on a spacelike surface", ff.g11)
     sqrt = xp(ff.W).sqrt
@@ -240,9 +243,9 @@ def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
 
 
 def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureReport:
-    if frame is None:
-        frame = orthonormal_frame(j)
     ff = first_form(j, require_spacelike=True)
+    if frame is None:
+        frame = _frame(j, ff, DEFAULT_SEEDS)
     b1 = SecondForm(minkowski_dot(j.Xuu, frame.N1),
                     minkowski_dot(j.Xuv, frame.N1),
                     minkowski_dot(j.Xvv, frame.N1))

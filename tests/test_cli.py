@@ -671,6 +671,18 @@ class TestInputValidation:
         else:
             assert out.read_bytes() == existing
 
+    @pytest.mark.parametrize("value, read", [
+        ("abc", None), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"),
+        ("2.0", "2.0")], ids=["abc", "nan", "-1", "0", "inf", "2.0"])
+    def test_bad_quadrature_tolerance_exits_2(self, tmp_path, monkeypatch, value, read):
+        monkeypatch.setenv("LB_QUAD_TOL", value)
+        spec = write_json(tmp_path / "s.json", COR34)
+        code, err = run_cli(["report", "--spec", spec, "--grid", "3x3",
+                             "--out", str(tmp_path / "r.json")])
+        message = (f"bad LB_QUAD_TOL value {value!r}" if read is None
+                   else f"LB_QUAD_TOL must be in (0, 1), got {read}")
+        assert (code, err) == (2, f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--theorem", "3.6", "--w", "u", "--lambda", "-inf", "--c3", "-0.5"],
          "bour4 verify: error: argument --lambda: expected one argument"),

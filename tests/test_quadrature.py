@@ -8,7 +8,7 @@ import pytest
 import bour4.bour
 import bour4.quadrature
 from bour4.bour import VbarMap, bour_partner, gauge_complete, same_gauss_pair_I
-from bour4.errors import EvalDomainError, QuadratureError
+from bour4.errors import EvalDomainError, QuadratureError, ValidationError
 from bour4.expressions import eval_jet, parse
 from bour4.families import make_helicoid
 from bour4.quadrature import (TABLE_TOL, _WG, _WGK, _XGK, Antiderivative,
@@ -229,10 +229,10 @@ class TestEnvironmentOverride:
 
     def test_bad_value(self, monkeypatch):
         monkeypatch.setenv("LB_QUAD_TOL", "banana")
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValidationError):
             default_tolerance()
 
     def test_out_of_range(self, monkeypatch):
         monkeypatch.setenv("LB_QUAD_TOL", "2.0")
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValidationError):
             default_tolerance()
