@@ -11,11 +11,14 @@ Exit codes: 0 all requested verdicts pass, 1 a verdict fails, 2 invalid
 input, 3 numerical failure.  The environment variable LB_QUAD_TOL overrides
 the quadrature tolerance; a value that is not a number in (0, 1) is invalid
 input.  Unless OPENBLAS_NUM_THREADS is set, numpy's BLAS runs on one thread.
+The first call of ``main`` in a process freezes the start-up heap (gc.freeze),
+so interpreter exit does not collect and tear down the imports' objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -51,6 +54,12 @@ PAIR_THEOREMS = ("3.3", "3.6")
 SAME_GAUSS_CLAIMS = ("isometric", "same_gauss", "minimal", "hyperplanar")
 #: Most samples per grid direction: larger grids are refused before any work.
 MAX_GRID = 2000
+#: verify's scenario options by namespace name: a scenario refuses each one
+#: given that it does not read.
+VERIFY_OPTIONS = {"theorem": "--theorem", "spec": "--spec", "gauge_a": "--gauge-a",
+                  "gauge_b": "--gauge-b", "x": "--x", "w": "--w", "lam": "--lambda",
+                  "c1": "--c1", "c2": "--c2", "c3": "--c3", "c4": "--c4",
+                  "sign_w": "--sign-w", "example": "--example", "domain": "--domain"}
 
 
 def _unwritable(path, exc: OSError) -> ValidationError:
@@ -199,10 +208,25 @@ def _example3_pair() -> tuple[HelicoidSpec, RotationalSpec]:
     return h, bour_partner(h, gauge, constants=(0.0, 0.0))
 
 
+def _refuse_unread(args, scenario: str, reads: str) -> None:
+    """Refuse the first verify option given that ``scenario`` does not read;
+    ``reads`` names the ones it does."""
+    for name, flag in VERIFY_OPTIONS.items():
+        if getattr(args, name) is not None and name not in reads.split():
+            raise ValidationError(f"{scenario} does not read {flag}")
+
+
+def _constants(args) -> dict:
+    """--c1, --c2 and --c4, each 0 unless given."""
+    return {name: 0.0 if getattr(args, name) is None else getattr(args, name)
+            for name in ("c1", "c2", "c4")}
+
+
 def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, dict]:
     """The pair a verify call checks, its expected claims, its scenario name,
     and the keyword options of its report."""
-    if args.pair_file:
+    if args.pair_file is not None:
+        _refuse_unread(args, "--pair-file", "")
         try:
             raw = json.loads(Path(args.pair_file).read_text())
             h = helicoid_from_json(raw["helicoid"])
@@ -225,16 +249,18 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
         raise ValidationError("verify needs --pair-file or --theorem")
 
     if args.theorem == "3.3":
+        _refuse_unread(args, "--theorem 3.3", "theorem x lam c1 c2 c3 c4 sign_w domain")
         if args.x is None or args.lam is None or args.c3 is None:
             raise ValidationError("--theorem 3.3 needs --x, --lambda and --c3")
         sign_w = -1 if args.sign_w == "-" else 1
         domain = tuple(args.domain) if args.domain else (1.1 * args.lam, math.pi * args.lam)
         h, r = same_gauss_pair_I(args.x, args.lam, args.c3, sign_w=sign_w,
-                                 c1=args.c1, c2=args.c2, c4=args.c4, domain=domain)
+                                 **_constants(args), domain=domain)
         return (h, r, list(SAME_GAUSS_CLAIMS), "3.3",
                 {"sign_choices": {"w": sign_w, "vbar": 1}})
 
     if args.theorem == "3.6":
+        _refuse_unread(args, "--theorem 3.6", "theorem w lam c1 c2 c3 c4 domain")
         if args.w is None or args.lam is None or args.c3 is None:
             raise ValidationError("--theorem 3.6 needs --w, --lambda and --c3")
         bound = pitch_bound(args.lam)
@@ -245,15 +271,19 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
                 raise ValidationError(f"c3 = {args.c3!r} outside (-1/lambda^2, 0)")
             wmax = math.sqrt(-1.0 / args.c3 - args.lam ** 2)
             domain = (0.25 * wmax, 0.9 * wmax)
-        h, r = same_gauss_pair_II(args.w, args.lam, args.c3,
-                                  c1=args.c1, c2=args.c2, c4=args.c4, domain=domain)
+        h, r = same_gauss_pair_II(args.w, args.lam, args.c3, **_constants(args),
+                                  domain=domain)
         return h, r, list(SAME_GAUSS_CLAIMS), "3.6", {"probe_sign": True}
 
-    if args.theorem == "3.7" and args.example == 3:
+    if args.theorem == "3.7" and args.example is not None:
+        if args.example != 3:
+            raise ValidationError(f"--theorem 3.7 bundles --example 3 only, not {args.example}")
+        _refuse_unread(args, "--theorem 3.7 --example 3", "theorem example")
         h, r = _example3_pair()
         return h, r, ["isometric", "gauss_differ"], "3.7/example-3", {}
 
     if args.theorem in THEOREM_KINDS:
+        _refuse_unread(args, f"--theorem {args.theorem}", "theorem spec gauge_a gauge_b")
         if args.spec is None or (args.gauge_a is None and args.gauge_b is None):
             raise ValidationError(
                 f"--theorem {args.theorem} needs --spec and --gauge-a or --gauge-b")
@@ -366,16 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--pair-file", help="JSON file with helicoid spec + gauge")
     ver.add_argument("--theorem", help="built-in scenario: 3.1, 3.3, 3.5, 3.6 or 3.7")
     ver.add_argument("--spec", help="helicoid spec JSON (scenarios 3.1/3.5/3.7)")
-    ver.add_argument("--gauge-a", help="gauge function a(u) (expression)")
-    ver.add_argument("--gauge-b", help="gauge function b(u) (expression)")
+    gauge = ver.add_mutually_exclusive_group()
+    gauge.add_argument("--gauge-a", help="gauge function a(u) (expression)")
+    gauge.add_argument("--gauge-b", help="gauge function b(u) (expression)")
     ver.add_argument("--x", help="profile component x(u) (scenario 3.3)")
     ver.add_argument("--w", help="profile component w(u) (scenario 3.6)")
     ver.add_argument("--lambda", dest="lam", type=float, help="pitch")
-    ver.add_argument("--c1", type=float, default=0.0)
-    ver.add_argument("--c2", type=float, default=0.0)
+    ver.add_argument("--c1", type=float, help="default 0")
+    ver.add_argument("--c2", type=float, help="default 0")
     ver.add_argument("--c3", type=float)
-    ver.add_argument("--c4", type=float, default=0.0)
-    ver.add_argument("--sign-w", choices=["+", "-"], default="+")
+    ver.add_argument("--c4", type=float, help="default 0")
+    ver.add_argument("--sign-w", choices=["+", "-"], help="default +")
     ver.add_argument("--example", type=int, help="bundled example number (with --theorem 3.7)")
     ver.add_argument("--domain", type=float, nargs=2, metavar=("A", "B"))
     ver.add_argument("--grid", help="samples as NUxNV (default 33x33)")
@@ -400,6 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not gc.get_freeze_count():
+        # the imports' objects live until exit; frozen, exit skips collecting them
+        gc.freeze()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -462,6 +462,29 @@ class TestVerify:
         pf = write_json(tmp_path / "pair.json", pair)
         assert main(["verify", "--pair-file", pf]) == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--theorem", "3.1", "--spec", "SPEC", "--gauge-a", "0.3", "--domain", "0.5", "0.6"],
+         "--domain"),
+        (["--theorem", "3.1", "--spec", "SPEC", "--gauge-a", "0.3", "--gauge-b", "0"],
+         "--gauge-b"),
+        (["--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5", "--example", "3"],
+         "--example"),
+        (["--pair-file", "PAIR", "--theorem", "3.3"], "--theorem"),
+        (["--pair-file", "", "--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5"],
+         "--theorem"),
+        (["--theorem", "3.7", "--example", "4"], "--example"),
+    ], ids=["3.1-domain", "gauge-a-and-b", "3.3-example", "pair-file-theorem",
+            "empty-pair-file-theorem", "3.7-example-4"])
+    def test_unread_option_exits_2(self, tmp_path, capsys, args, flag):
+        files = {"SPEC": write_json(tmp_path / "s.json", COR34),
+                 "PAIR": write_json(tmp_path / "pair.json", FLOW_PAIR)}
+        out = tmp_path / "v.json"
+        argv = ["verify", *(files.get(a, a) for a in args), "--grid", "3x3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: " in err and flag in err, err
+        assert not out.exists()
+
     def test_missing_arguments_exit_2(self):
         assert main(["verify"]) == 2
         assert main(["verify", "--theorem", "3.3"]) == 2

@@ -1,4 +1,5 @@
-"""Package start-up: lazy public names, and the CLI's one BLAS thread.
+"""Package start-up and exit: lazy public names, the CLI's one BLAS thread
+and its frozen start-up heap.
 
 The start-up tests run a fresh interpreter with OPENBLAS_NUM_THREADS removed
 from its environment, since this process may already have set it by
@@ -91,6 +92,44 @@ class TestLazyPackage:
         assert namespace["curvature_report"] is bour4.surfaces.curvature_report
         with pytest.raises(AttributeError, match="has no attribute 'numpy'"):
             bour4.numpy
+
+
+FREEZE_STATE = """
+import gc, json, os, bour4.cli
+# held, so that none of them dies (and leaves the frozen set) before the count
+imported = gc.get_objects()
+argv = ["verify", "--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5",
+        "--grid", "3x3", "--out", os.devnull]
+rc = [bour4.cli.main(argv)]
+frozen = gc.get_freeze_count()
+rc.append(bour4.cli.main(argv))
+print(json.dumps({"tracked": len(imported), "frozen": frozen, "again": gc.get_freeze_count(),
+                  "rc": rc}))
+"""
+
+#: A kind-I spec for the exit tests.
+EXIT_SPEC = {"kind": "I", "lambda": 1.0, "profile": {"x": "u", "z": "0", "w": "u/2"},
+             "domain": [1.5, 3.0]}
+
+
+class TestFrozenExit:
+    def test_heap_frozen_once_per_process(self):
+        state = fresh(FREEZE_STATE)
+        assert state["rc"] == [0, 0]
+        assert state["frozen"] >= state["tracked"]
+        assert state["again"] == state["frozen"]
+
+    def test_piped_stdout_complete(self, tmp_path):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(EXIT_SPEC))
+        mesh = tmp_path / "mesh.csv"
+        argv = [sys.executable, "-m", "bour4.cli", "export", "--spec", str(spec),
+                "--grid", "100x100", "--format", "csv", "--out"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([*argv, str(mesh)], env=env, timeout=120, check=True)
+        piped = subprocess.run([*argv, "-"], stdout=subprocess.PIPE, env=env, timeout=120)
+        assert piped.returncode == 0
+        assert piped.stdout == mesh.read_bytes()
 
 
 def blas_uses(path: Path) -> list[str]:
