@@ -35,9 +35,9 @@ from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
 from .families import VbarMap  # noqa: F401  (re-exported)
 from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
-from .lorentz import flag, sup, where
+from .lorentz import Bivector6, flag, sup, where
 from .quadrature import Antiderivative
-from .surfaces import curvature_report, first_form, gauss_map
+from .surfaces import FirstForm, curvature_report, first_form, gauss_map, spacelike
 
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
@@ -243,11 +243,15 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
     """
     vb = h.vbar
 
-    def f(u, v):
-        k = sign * vb.du(u)
-        return point(k, helicoid_jet(h, u, v), helicoid_jet(r, u, v + sign * vb.shift(u)))
+    def once(u):
+        return sign * vb.du(u), profile_jets(h, u), sign * vb.shift(u), profile_jets(r, u)
 
-    return sweep(grid, f)
+    def f(u, v, pre=None):  # a float re-run passes no pre: a point's own order
+        k, hp, shift, rp = pre or (sign * vb.du(u), None, None, None)
+        hj = helicoid_jet(h, u, v, hp)
+        return point(k, hj, helicoid_jet(r, u, v + (shift if pre else sign * vb.shift(u)), rp))
+
+    return sweep(grid, f, once=once)
 
 
 def _sweep_sup(blocks: Iterator[Block]) -> float:
@@ -255,18 +259,17 @@ def _sweep_sup(blocks: Iterator[Block]) -> float:
     return max(0.0, *(float(b.out.max()) for b in blocks))
 
 
-def _isometry_defect(hj, rj, k: float) -> float:
-    """The defect of the partner metric pulled back by k against the
-    helicoid metric."""
-    g, G = first_form(hj), first_form(rj)
+def _isometry_defect(g: FirstForm, G: FirstForm, k: float) -> float:
+    """The defect of the partner metric G pulled back by k against the
+    helicoid metric g."""
     p11 = G.g11 + 2.0 * G.g12 * k + G.g22 * k * k
     p12 = G.g12 + G.g22 * k
     pW = p11 * G.g22 - p12 * p12
     return sup(abs(p11 - g.g11), abs(p12 - g.g12), abs(G.g22 - g.g22), abs(pW - g.W))
 
 
-def _gauss_defect(hj, rj) -> float:
-    return (gauss_map(hj) - gauss_map(rj)).sup_norm()
+def _gauss_defect(nu: Bivector6, mu: Bivector6) -> float:
+    return (nu - mu).sup_norm()
 
 
 def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
@@ -278,15 +281,14 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     the residual is zero exactly when the gauge constraint holds.
     """
     return _sweep_sup(_pair_sweep(
-        h, r, grid, sign,
-        lambda k, hj, rj: (_isometry_defect(hj, rj, k),)))
+        h, r, grid, sign, lambda k, hj, rj: (_isometry_defect(first_form(hj), first_form(rj), k),)))
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                    sign: int = 1) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
-    return _sweep_sup(_pair_sweep(h, r, grid, sign,
-                                  lambda k, hj, rj: (_gauss_defect(hj, rj),)))
+    return _sweep_sup(_pair_sweep(
+        h, r, grid, sign, lambda k, hj, rj: (_gauss_defect(gauss_map(hj), gauss_map(rj)),)))
 
 
 def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec) -> tuple[int, dict]:
@@ -562,9 +564,12 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     tols = PairTolerances()
 
-    def point(k, hj, rj):
-        return (_isometry_defect(hj, rj, k), _gauss_defect(hj, rj),
-                curvature_report(hj).H_sup, curvature_report(rj).H_sup, *hj.X, *rj.X)
+    def point(k, hj, rj):  # one first form per surface; both built before either is checked
+        g, G = first_form(hj), first_form(rj)
+        iso, g, G = _isometry_defect(g, G, k), spacelike(g), spacelike(G)
+        return (iso, _gauss_defect(gauss_map(hj, g), gauss_map(rj, G)),
+                curvature_report(hj, first=g).H_sup, curvature_report(rj, first=G).H_sup,
+                *hj.X, *rj.X)
 
     # the residual maxima fold per block; both surfaces' positions go into
     # one array, whose variances are then taken in place

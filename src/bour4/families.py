@@ -463,19 +463,13 @@ class VbarMap:
 # ---------------------------------------------------------------------------
 # parametric jets
 
-def helicoid_jet_from_profile(kind: SurfaceKind, lam: float,
-                              pj: Mapping[str, Jet2], v: float) -> SurfaceJet:
-    """Assemble the exact surface jet at (u, v) from profile jets at u."""
-    fam = FAMILIES[kind]
-    return fam.jet(lam, *fam.profile(pj), v)
-
-
-def helicoid_jet(surface: "HelicoidSpec | RotationalSpec", u, v) -> SurfaceJet:
+def helicoid_jet(surface: "HelicoidSpec | RotationalSpec", u, v,
+                 profile: Mapping[str, Jet2] | None = None) -> SurfaceJet:
     """The exact surface jet of either surface at (u, v), floats or arrays
-    that broadcast; a rotational surface is the pitch-0 helicoid at angle
-    v + v_offset."""
-    return helicoid_jet_from_profile(surface.kind, surface.pitch, profile_jets(surface, u),
-                                     v + surface.v_offset)
+    that broadcast, from its ``profile_jets`` at u unless ``profile`` gives
+    them; a rotational surface is the pitch-0 helicoid at angle v + v_offset."""
+    pj, fam = profile_jets(surface, u) if profile is None else profile, FAMILIES[surface.kind]
+    return fam.jet(surface.pitch, *fam.profile(pj), v + surface.v_offset)
 
 
 def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
@@ -515,7 +509,7 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
     bad, b1, b2, N1, N2 = fam.frame(lam, *fam.profile(pj), v, u, ff.W, sqrt(ff.W))
     bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
                      ff.g11, u)
-    jet = helicoid_jet_from_profile(spec.kind, lam, pj, v)
+    jet = fam.jet(lam, *fam.profile(pj), v)
     e1 = jet.Xu * (1.0 / sqrt(ff.g11))
     e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
     b1, b2, N1, N2 = where(bad, math.nan, (b1, b2, N1, N2))

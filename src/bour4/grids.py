@@ -8,12 +8,14 @@ their own errors."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .errors import NonFiniteError
+from .jets import Jet2
 from .lorentz import BLOCK_POINTS
 
 if TYPE_CHECKING:
@@ -85,22 +87,40 @@ class Block:
         return tuple(axis[i] for axis, i in zip(self.axes, np.unravel_index(index, shape)))
 
 
-def sweep(grid: Grid, f: Callable,
-          tolerated: tuple[type[Exception], ...] = ()) -> Iterator[Block]:
+def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = (),
+          once: Callable | None = None) -> Iterator[Block]:
     """Evaluate ``f(u, v)`` over the grid, one block of rows at a time.
 
     ``f`` is written once over floats and arrays and returns a tuple of
     outputs.  Each block calls it once, with u as a column of the block's
-    rows and v as a row of the grid's columns, so whatever depends on u
-    alone (a profile) is evaluated once per u and broadcast against v.
-    Points with a non-finite output are re-run one at a time on floats, in
-    row-major order, for their own error: a ``tolerated`` one is recorded
-    in the block, and any other propagates.
+    rows and v as a row of the grid's columns.  What depends on u alone runs
+    once per sweep: ``once(u)``, if given, is called on the grid's whole u
+    column, and each block calls ``f(u, v, pre)`` with ``pre`` its rows of
+    the result (or ``f(u, v)``, should ``once`` raise).  Points with a
+    non-finite output are re-run one at a time on floats, in row-major
+    order, as ``f(u, v)``, for their own error: a ``tolerated`` one is
+    recorded in the block, and any other propagates.
     """
     us, vs = grid.us(), grid.vs()
     step = max(1, BLOCK_POINTS // len(vs))  # rows per block
+    column = None  # when once raises, the blocks raise it as they would without it
+    with contextlib.suppress(Exception), np.errstate(all="ignore"):
+        column = once and once(np.array(us)[:, None])
     for start in range(0, len(us), step):
-        yield _evaluate((us[start:start + step], vs), f, tolerated)
+        rows = slice(start, start + step)
+        pre = () if column is None else (_rows(column, rows),)
+        yield _evaluate((us[rows], vs), f, tolerated, pre)
+
+
+def _rows(x, rows: slice):
+    """The rows of a once-per-sweep result: of each array, in jets, tuples and dicts."""
+    if isinstance(x, np.ndarray):
+        return x[rows] if x.ndim and len(x) > 1 else x
+    if isinstance(x, Jet2):
+        return Jet2(_rows(x.v, rows), _rows(x.d1, rows), _rows(x.d2, rows))
+    if isinstance(x, dict):
+        return {key: _rows(y, rows) for key, y in x.items()}
+    return tuple(_rows(y, rows) for y in x) if isinstance(x, tuple) else x
 
 
 def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:
@@ -119,16 +139,17 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
 
 
 def _evaluate(axes: tuple[list[float], ...], f: Callable,
-              tolerated: tuple[type[Exception], ...]) -> Block:
-    """Call f once on the open mesh of the axes, and re-run on floats, in
-    row-major order, each point with a non-finite output (a failed check
-    leaves NaN, and so does a non-finite profile, jet or metric), so that
-    it raises the float code's own error (``_rerun``).  When the array call
-    itself raises (a failure free of u and v does on arrays too), the first
-    point is re-run the same way, tolerating nothing."""
+              tolerated: tuple[type[Exception], ...], pre: tuple = ()) -> Block:
+    """Call f once on the open mesh of the axes, followed by ``pre``, and
+    re-run on floats, without ``pre``, in row-major order, each point with
+    a non-finite output (a failed check leaves NaN, and so does a
+    non-finite profile, jet or metric), so that it raises the float code's
+    own error (``_rerun``).  When the array call itself raises (a failure
+    free of u and v does on arrays too), the first point is re-run the
+    same way, tolerating nothing."""
     try:
         with np.errstate(all="ignore"):
-            values = f(*np.ix_(*axes))
+            values = f(*np.ix_(*axes), *pre)
     except Exception as exc:
         _rerun(f, tuple(axis[0] for axis in axes), (), exc)
     shape = tuple(map(len, axes))

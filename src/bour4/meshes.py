@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
-from .families import HelicoidSpec, RotationalSpec, helicoid_jet
+from .families import HelicoidSpec, RotationalSpec, helicoid_jet, profile_jets
 from .grids import Grid, sweep
 from .surfaces import curvature_report
 
@@ -60,21 +60,22 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     """Evaluate a surface over the grid; curvature channels are nan off the
     spacelike locus.
 
-    The surface is read through ``helicoid_jet``, its profile once per u and
-    the geometry on blocks of rows.  A callable (u, v) -> SurfaceJet is
-    accepted in place of a spec and called the same way, on a block's u
+    The surface is read through ``helicoid_jet``, its profile once per
+    sweep and the geometry on blocks of rows.  A callable (u, v) ->
+    SurfaceJet is accepted in place of a spec and called on each block's u
     column and v row; one that takes floats only raises its own error on
     the arrays.
     """
-    def f(u, v):
-        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v)
+    def f(u, v, profile=None):
+        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
+    once = None if callable(surface) else (lambda u: profile_jets(surface, u))
     # every block is written into the one array the mesh keeps
     data = np.empty((grid.nu * grid.nv, 4 + len(CHANNEL_NAMES)))
     start = 0
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError), once):
         block.out[block.tolerated, 4:] = math.nan
         data[start:start + len(block.out)] = block.out
         start += len(block.out)

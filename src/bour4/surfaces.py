@@ -156,15 +156,19 @@ def finalize_first_form(g11, g12, g22, W=None, require_spacelike=False) -> First
     # x * 0.0 is 0.0 exactly when x is finite
     nonfinite = (abs(W) + scale) * 0.0 != 0.0
     degenerate = (abs(W) <= DEGENERACY_TOL * scale) | (scale == 0.0)
-    timelike = (W < 0.0) & require_spacelike
     ff = FirstForm(g11, g12, g22, W)
-    bad = nonfinite | degenerate | timelike
-    if bad is False:  # one point, every check passed
-        return ff
-    flag(nonfinite, NonFiniteError, "first fundamental form is not finite: W = {!r}", W)
-    flag(degenerate, DegenerateSurfaceError, "first fundamental form degenerate: W = {!r}", W)
-    flag(timelike, NotSpacelikeError, "W = {!r} < 0: surface is timelike here", W)
-    return where(bad, math.nan, ff)
+    bad = nonfinite | degenerate
+    if bad is not False:  # not one point that passed both checks
+        flag(nonfinite, NonFiniteError, "first fundamental form is not finite: W = {!r}", W)
+        flag(degenerate, DegenerateSurfaceError, "first fundamental form degenerate: W = {!r}", W)
+        ff = where(bad, math.nan, ff)
+    return spacelike(ff) if require_spacelike else ff
+
+
+def spacelike(ff: FirstForm) -> FirstForm:
+    """ff with its timelike points (W < 0) failed, as ``first_form(j, True)`` checks them."""
+    return where(flag(ff.W < 0.0, NotSpacelikeError, "W = {!r} < 0: surface is timelike here",
+                      ff.W), math.nan, ff)
 
 
 DEFAULT_SEEDS: tuple[Vec4, ...] = (E3, E4, E1, E2)
@@ -182,6 +186,14 @@ def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS) -> F
     return _frame(j, first_form(j, require_spacelike=True), seeds)
 
 
+def _seed_dot(seed: Vec4, x: Vec4):
+    """<seed, x>; for a seed on one axis, its one signed term.  For finite x
+    the dropped terms are +-0, which can change only the sign of a zero dot,
+    and that changes no component of seed - x <seed, x>."""
+    terms = [(k, c if k < 3 else -c) for k, c in enumerate(seed) if c != 0.0]
+    return x[terms[0][0]] * terms[0][1] if len(terms) == 1 else minkowski_dot(seed, x)
+
+
 def _frame(j: SurfaceJet, ff: FirstForm, seeds: Sequence[Vec4]) -> Frame:
     bad = flag(ff.g11 <= 0.0, FrameFailureError,
                "g11 = {!r} <= 0 on a spacelike surface", ff.g11)
@@ -192,21 +204,24 @@ def _frame(j: SurfaceJet, ff: FirstForm, seeds: Sequence[Vec4]) -> Frame:
     # the first two usable seeds of each point go to (na, ea), then (nb, eb)
     na = nb = _NAN4
     ea = eb = 0
-    found = bad * 0  # seeds taken so far: 0, or zeros over a block
+    found = 0  # seeds taken: by every point, until points differ over a block
     for seed in seeds:
-        n = seed - e1 * minkowski_dot(seed, e1) - e2 * minkowski_dot(seed, e2)
+        n = seed - e1 * _seed_dot(seed, e1) - e2 * _seed_dot(seed, e2)
         if na is not _NAN4:  # some point has taken its first seed
             n = where(found == 1, n - na * (ea * minkowski_dot(n, na)), n)
         q = minkowski_dot(n, n)
         usable = (abs(q) > 1e-10 * (1.0 + n.euclid_sq())) & (found < 2)
         if any_(usable):
+            if usable is True or usable.all():
+                usable = True  # every point takes this seed: merge without masks
             unit = (n * (1.0 / sqrt(abs(q))), (q > 0.0) * 2 - 1)
             na, ea = where(usable & (found == 0), unit, (na, ea))
             nb, eb = where(usable & (found == 1), unit, (nb, eb))
             found = found + usable
             if not any_(found < 2):
                 break
-    bad = bad | flag(found < 2, FrameFailureError,
+    # bad | keeps this a mask on a block whose points all took the same seeds
+    bad = bad | flag(bad | (found < 2), FrameFailureError,
                      "no usable normal seeds: normal plane is numerically null")
     bad = bad | flag(ea + eb != 0, FrameFailureError,
                      "normal plane does not have signature (+,-)")
@@ -242,8 +257,11 @@ def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
     return CurvatureReport(ff, b1, b2, H1, H2, Hvec, K)
 
 
-def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureReport:
-    ff = first_form(j, require_spacelike=True)
+def curvature_report(j: SurfaceJet, frame: Frame | None = None,
+                     first: FirstForm | None = None) -> CurvatureReport:
+    """Curvature by the generic route; ``frame``, ``orthonormal_frame(j)``, and
+    ``first``, j's checked ``first_form(j, True)``, are built when not given."""
+    ff = first_form(j, require_spacelike=True) if first is None else first
     if frame is None:
         frame = _frame(j, ff, DEFAULT_SEEDS)
     b1 = SecondForm(minkowski_dot(j.Xuu, frame.N1),
@@ -255,7 +273,8 @@ def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureRepo
     return assemble_report(ff, frame, b1, b2)
 
 
-def gauss_map(j: SurfaceJet) -> Bivector6:
-    """Unit 2-vector (Xu ^ Xv)/sqrt(W) representing the oriented tangent plane."""
-    ff = first_form(j, require_spacelike=True)
+def gauss_map(j: SurfaceJet, first: FirstForm | None = None) -> Bivector6:
+    """Unit 2-vector (Xu ^ Xv)/sqrt(W) representing the oriented tangent plane;
+    ``first``, j's checked ``first_form(j, True)``, is built when not given."""
+    ff = first_form(j, require_spacelike=True) if first is None else first
     return wedge(j.Xu, j.Xv) * (1.0 / xp(ff.W).sqrt(ff.W))

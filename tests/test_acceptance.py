@@ -21,8 +21,7 @@ from bour4.errors import ExprSyntaxError, UnknownIdentifierError
 from bour4.expressions import eval_jet, parse
 from bour4.families import (closed_form_curvatures, closed_form_frame,
                             closed_form_gauss, closed_form_metric_from_profile,
-                            helicoid_jet, helicoid_jet_from_profile,
-                            make_helicoid, profile_jets)
+                            helicoid_jet, make_helicoid, profile_jets)
 from bour4.grids import grid_for
 from bour4.lorentz import (BIVECTOR_SIGNATURE, bivector_dot, minkowski_dot,
                            wedge)
@@ -102,12 +101,11 @@ def test_criterion_1_oracle_equivalence():
             for u in grid.us():
                 pj = profile_jets(spec, u)
                 ffc = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
-                ffg = first_form(helicoid_jet_from_profile(
-                    spec.kind, spec.pitch, pj, grid.vs()[0]))
+                ffg = first_form(helicoid_jet(spec, u, grid.vs()[0], pj))
                 worst["metric"] = max(worst["metric"],
                                       max(abs(a - b) for a, b in zip(ffc, ffg)))
                 for v in grid.vs():
-                    jet = helicoid_jet_from_profile(spec.kind, spec.pitch, pj, v)
+                    jet = helicoid_jet(spec, u, v, pj)
                     gen = curvature_report(jet)
                     cf = closed_form_curvatures(spec, u, v)
                     worst["K"] = max(worst["K"], abs(gen.K - cf.K))

@@ -7,6 +7,7 @@ import pytest
 import bour4.bour
 import bour4.grids
 import bour4.meshes
+import bour4.surfaces
 from bour4.bour import bour_partner, gauge_complete, pair_report
 from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeError,
                           ValidationError)
@@ -101,9 +102,9 @@ class TestOneJetEntry:
     def calls(self, monkeypatch):
         seen = []
 
-        def counting(surface, u, v):
+        def counting(surface, u, v, profile=None):
             seen.append((type(surface).__name__, np.shape(u), np.shape(v)))
-            return helicoid_jet(surface, u, v)
+            return helicoid_jet(surface, u, v, profile)
 
         monkeypatch.setattr(bour4.meshes, "helicoid_jet", counting)
         monkeypatch.setattr(bour4.bour, "helicoid_jet", counting)
@@ -123,6 +124,53 @@ class TestOneJetEntry:
         # the helicoid, whose jet also gives its metric, and the partner at
         # its shifted angles
         assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (7, 5))]
+
+
+class TestOnePassPerSweep:
+    """A pair sweep builds one first form per surface per block, and every
+    sweep evaluates each surface's profile once, on the grid's whole u
+    column, however many blocks it takes."""
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        spec = KINDS["I"]
+        partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
+        spec.vbar  # the angular map's table is built before anything is counted
+        grid = grid_for(spec, 7, 5)
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 2 * grid.nv)  # 2 rows a block: 4
+        return spec, partner, grid
+
+    @staticmethod
+    def counted(monkeypatch, name, modules, record):
+        calls, original = [], getattr(modules[0], name)
+
+        def counting(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting, raising=False)
+        return calls
+
+    def test_one_first_form_per_surface_per_block(self, pair, monkeypatch):
+        calls = self.counted(monkeypatch, "first_form", (bour4.surfaces, bour4.bour),
+                             lambda j, *args, **kwargs: np.shape(j.X.x1))
+        pair_report(*pair)
+        assert calls == [(2, 5)] * 2 * 3 + [(1, 5)] * 2  # 7 rows: blocks of 2, 2, 2 and 1
+
+    def test_profiles_once_per_sweep(self, pair, monkeypatch):
+        spec, partner, grid = pair
+        calls = self.counted(monkeypatch, "profile_jets",
+                             (bour4.families, bour4.bour, bour4.meshes),
+                             lambda surface, u: (type(surface).__name__, np.shape(u)))
+        pair_report(*pair)
+        # the helicoid's profile is also read by the angular map's rate and the
+        # partner's gauge, each once per sweep too
+        assert {shape for _, shape in calls} == {(grid.nu, 1)}
+        assert ("RotationalSpec", (grid.nu, 1)) in calls
+        calls.clear()
+        sample_mesh(spec, grid)
+        assert calls == [("HelicoidSpec", (grid.nu, 1))]
 
 
 class TestProjection:

@@ -177,6 +177,28 @@ class TestOrthonormalFrame:
                 seen_difference = True
         assert seen_difference
 
+    def test_a_block_that_mixes_seeds_matches_float_calls_bit_for_bit(self):
+        # x' = w' = 0 at u = 2 makes Xu = e3 there: the first seed, e3, is
+        # tangent on that row of the block and usable on the others
+        spec = make_helicoid("I", 0.5, {"x": "2 + (u - 2)^2", "z": "u", "w": "0"}, (1.5, 2.5))
+        grid = Grid(1.5, 2.5, 0.3, 5.0, 3, 4)
+        points = [(u, v) for u in grid.us() for v in grid.vs()]
+        jets = [helicoid_jet(spec, u, v) for u, v in points]
+        with pytest.raises(FrameFailureError):
+            orthonormal_frame(jets[grid.nv], seeds=(E3, E4))
+        orthonormal_frame(jets[0], seeds=(E3, E4))
+        block = SurfaceJet(*(Vec4(*(np.array([j[f][c] for j in jets]) for c in range(4)))
+                             for f in range(6)))
+
+        def outputs(jet):
+            frame, rep = orthonormal_frame(jet), curvature_report(jet)
+            return [*frame.N1, *frame.N2, rep.K, rep.H1, rep.H2]
+
+        want = np.array([outputs(j) for j in jets])
+        with np.errstate(all="ignore"):  # as in a sweep: e3's null projection divides by 0
+            got = np.column_stack([np.broadcast_to(x, len(jets)) for x in outputs(block)])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCurvatureReport:
     def test_flat_plane(self):
