@@ -1,15 +1,10 @@
 """Constructing and checking isometric helicoidal/rotational partners.
 
 Each spacelike helicoidal surface is isometric to a rotational surface of the
-same kind.  With the reparametrized angle
-
-    kind I    vbar = v - int lam w'/(x^2 - lam^2) du
-    kind II   vbar = v + int lam x'/(lam^2 + w^2) du
-    kind III  vbar = v + lam/(2 w(u)),
-
-the map (u, v) -> (u, vbar) pulls the rotational metric back onto the
-helicoidal one whenever the free gauge functions a(u), b(u) satisfy the
-kind's compatibility constraint.  On top of the generic construction this
+same kind.  With Bour's reparametrized angle vbar = v + int g12/g22 du (for
+kind III, v + lam/(2 w(u))), the map (u, v) -> (u, vbar) pulls the
+rotational metric back onto the helicoidal one whenever the free gauge
+functions a(u), b(u) satisfy the kind's compatibility constraint.  On top of the generic construction this
 module builds the special pitch/gauge choices for which the two surfaces
 also share their Gauss map (then both are hyperplanar and minimal), and it
 provides residual checkers for every claim: isometry, Gauss-map equality or
@@ -29,13 +24,13 @@ from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
-                       SurfaceKind, _number, const_profile, expr_profile,
-                       helicoid_jet, is_constant_profile, make_helicoid,
-                       profile_jets)
+                       SurfaceKind, _number, angular_rate, const_profile,
+                       expr_profile, helicoid_jet, is_constant_profile,
+                       make_helicoid, profile_jets)
 from .families import VbarMap  # noqa: F401  (re-exported)
 from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
-from .lorentz import Bivector6, flag, sup, where
+from .lorentz import Bivector6, flag, minkowski_dot, sup, where
 from .quadrature import Antiderivative
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map, spacelike
 
@@ -244,7 +239,8 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
     vb = h.vbar
 
     def once(u):
-        return sign * vb.du(u), profile_jets(h, u), sign * vb.shift(u), profile_jets(r, u)
+        hp = profile_jets(h, u)
+        return sign * angular_rate(h, hp, u), hp, sign * vb.shift(u), profile_jets(r, u)
 
     def f(u, v, pre=None):  # a float re-run passes no pre: a point's own order
         k, hp, shift, rp = pre or (sign * vb.du(u), None, None, None)
@@ -352,18 +348,18 @@ def minimal_pair_identity_residual(spec: HelicoidSpec) -> float:
 
 def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
                             vs: Sequence[float]) -> float:
-    """How far the partner's u = u0 curve is from its expected shape.
-
-    kind I: a circle of radius sqrt(x(u0)^2 - lam^2) in the first two
-    coordinates with the last two frozen; kind II: a hyperbola branch with
-    x4^2 - x3^2 = lam^2 + w(u0)^2 and the first two coordinates frozen;
-    kind III: a null-plane parabola (in the null-pair basis, the third
-    coordinate is quadratic in the second with frozen first and fourth).
+    """The largest change of an orbit invariant along the partner's u = u0
+    curve, at the angles vs: a pitch-0 orbit of the kind's group keeps <X, X>
+    and <X, k> for each k in the kernel of A, and its <AX, AX> is g22, here
+    the helicoid's at u0 (from the closed-form metric, not from the partner).
     """
     fam = FAMILIES[h.kind]
-    jets = fam.profile(profile_jets(h, u0))
-    pts = [helicoid_jet(r, u0, v).X for v in vs]
-    return max([0.0, *(d for defects in fam.parallel(h.pitch, *jets, pts) for d in defects)])
+    A = fam.generator
+    g22 = fam.metric(h.pitch, *fam.profile(profile_jets(h, u0)))[2]
+    got = [(minkowski_dot(X, X), *(minkowski_dot(X, k) for k in fam.kernel),
+            minkowski_dot(A(X), A(X))) for X in (helicoid_jet(r, u0, v).X for v in vs)]
+    want = (*got[0][:-1], g22)
+    return max(abs(a - b) for point in got for a, b in zip(point, want))
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,24 @@
 """The three spacelike helicoidal families and their rotational counterparts.
 
-A helicoidal surface is the orbit of a planar profile curve under a
-one-parameter rotation group composed with a proportional translation
-(pitch lam >= 0; lam = 0 gives the plain rotational surface):
+A helicoidal surface is the orbit of a profile curve gamma(u) under a
+one-parameter group of Lorentz isometries exp(vA) = I + f1(v) A + f2(v) A^2,
+plus the translation lam v t along the group's axis t (A t = 0), with pitch
+lam >= 0 (lam = 0 gives the plain rotational surface):
 
-    kind I    X(u,v) = (x cos v, x sin v, z, w + lam v)          (rotation fixes the e3/e4 plane)
-    kind II   X(u,v) = (x + lam v, y, w sinh v, w cosh v)        (rotation fixes the e1/e2 plane)
-    kind III  X(u,v) = x e1 + sqrt2 v w e2
-                       + (z + v^2 w + lam v) xi3 + w xi4          (rotation fixes a null plane)
+    kind I    rotation in e1/e2, t = e4   X = (x cos v, x sin v, z, w + lam v)
+    kind II   boost in e3/e4, t = e1      X = (x + lam v, y, w sinh v, w cosh v)
+    kind III  null rotation, t = xi3      X = x e1 + sqrt2 v w e2 + (z + v^2 w + lam v) xi3 + w xi4
 
+with (f1, f2) = (sin v, 1 - cos v), (sinh v, cosh v - 1) and (v, v^2/2),
 where x, z (or y), w are functions of u.  What a kind is lives in one
 record, ``FAMILIES[kind]``: its profile names and default v-domain, its
-exact parametric jets, closed-form metric, frames, second fundamental forms
-and Gauss maps (which the generic engine cross-checks), and the data of its
-Bour construction (gauge constraint, angular shift, radial component,
-natural gauge, minimality ODE, shared-Gauss-map identity, parallel curves),
-which ``bour`` reads.  Profile jets may hold floats (one u) or arrays (a
-block of u rows), and v a float or an array that broadcasts against them.
+group, from which ``orbit_jet`` builds the exact parametric jets of every
+kind, its closed-form metric, frames, second fundamental forms and Gauss
+maps (which the generic engine cross-checks), and the data of its Bour
+construction (gauge constraint, radial component, natural gauge, minimality
+ODE, shared-Gauss-map identity), which ``bour`` reads.  Profile jets may
+hold floats (one u) or arrays (a block of u rows), and v a float or an
+array that broadcasts against them.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, ClassVar, Mapping
 
-from .errors import FrameFailureError, ValidationError
+from .errors import FrameFailureError, NotSpacelikeError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
 from .grids import scan
 from .jets import Jet2
-from .lorentz import (Bivector6, Vec4, bivector_from_pseudo, flag,
-                      pseudo_to_standard, standard_to_pseudo, where, xp)
+from .lorentz import (E1, E2, E3, E4, XI3, Bivector6, Vec4, bivector_from_pseudo, flag,
+                      pseudo_to_standard, where, xp)
 from .quadrature import Antiderivative
 from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
                        assemble_report, finalize_first_form)
@@ -54,8 +56,10 @@ class Family:
 
     names: tuple[str, str, str]
     v_domain: tuple[float, float]
-    jet: Callable  # (lam, *jets, v) -> the exact SurfaceJet at angle v
-    metric: Callable  # (lam, *jets) -> (g11, g12, g22, W)
+    group: Callable  # v -> M: M(p, q, r) is exp(vA) of the profile point with components p, q, r
+    generator: Callable  # A: Vec4 -> Vec4
+    kernel: tuple[Vec4, Vec4]  # the kernel of A; its first vector is the axis t
+    metric: Callable  # (lam, *jets) -> (g11, g12, g22, W); d(vbar)/du is g12/g22
     frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
     gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
     constraint: tuple[float, bool]  # (s, squared): a^2 + s h(b) = rhs, h(b) = b^2 or b
@@ -65,9 +69,7 @@ class Family:
     radial: tuple[str, float | None, str]
     radial_slot: int  # the slot of rho in the partner's (n, s, r)
     natural: tuple[tuple[str, str], ...]  # the natural gauge (a, b) as ratios p'/q' (p, q)
-    parallel: Callable  # (lam, *jets at u0, partner points on u = u0) -> their defects
-    shift_rate: Callable | None = None  # (lam, *jets) -> d(vbar)/du, for quadrature
-    closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u
+    closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u; no table
     ode_sign: float | None = None  # the sign of lam^2 in the squared gauge's minimality ODE
     identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
 
@@ -77,18 +79,11 @@ class Family:
 
 
 # ---------------------------------------------------------------------------
-# kind I: (x cos v, x sin v, z, w + lam v)
+# kind I: rotation in the e1/e2 plane, (x cos v, x sin v, z, w + lam v)
 
-def _jet_I(lam, x, z, w, v):
+def _rotation(v):
     cv, sv = xp(v).cos(v), xp(v).sin(v)
-    return SurfaceJet(
-        Vec4(x.v * cv, x.v * sv, z.v, w.v + lam * v),
-        Vec4(x.d1 * cv, x.d1 * sv, z.d1, w.d1),
-        Vec4(-x.v * sv, x.v * cv, 0.0, lam),
-        Vec4(x.d2 * cv, x.d2 * sv, z.d2, w.d2),
-        Vec4(-x.d1 * sv, x.d1 * cv, 0.0, 0.0),
-        Vec4(-x.v * cv, -x.v * sv, 0.0, 0.0),
-    )
+    return lambda x, z, w: Vec4(x * cv, x * sv, z, w)
 
 
 def _metric_I(lam, x, z, w):
@@ -141,26 +136,12 @@ def _identity_I(lam, x, z, w):
                           + x.v * (x.d2 * w.d1 - x.d1 * w.d2)))
 
 
-def _parallel_I(lam, x, z, w, pts):
-    rad2 = x.v ** 2 - lam ** 2
-    p0 = pts[0]
-    return [(abs(math.hypot(p.x1, p.x2) - math.sqrt(rad2)),
-             abs(p.x3 - p0.x3), abs(p.x4 - p0.x4)) for p in pts]
-
-
 # ---------------------------------------------------------------------------
-# kind II: (x + lam v, y, w sinh v, w cosh v)
+# kind II: boost in the e3/e4 plane, (x + lam v, y, w sinh v, w cosh v)
 
-def _jet_II(lam, x, y, w, v):
+def _boost(v):
     ch, sh = xp(v).cosh(v), xp(v).sinh(v)
-    return SurfaceJet(
-        Vec4(x.v + lam * v, y.v, w.v * sh, w.v * ch),
-        Vec4(x.d1, y.d1, w.d1 * sh, w.d1 * ch),
-        Vec4(lam, 0.0, w.v * ch, w.v * sh),
-        Vec4(x.d2, y.d2, w.d2 * sh, w.d2 * ch),
-        Vec4(0.0, 0.0, w.d1 * ch, w.d1 * sh),
-        Vec4(0.0, 0.0, w.v * sh, w.v * ch),
-    )
+    return lambda x, y, w: Vec4(x, y, w * sh, w * ch)
 
 
 def _metric_II(lam, x, y, w):
@@ -213,25 +194,13 @@ def _identity_II(lam, x, y, w):
                   + w.v * (lam ** 2 + w.v ** 2) * (x.d2 * w.d1 - x.d1 * w.d2))
 
 
-def _parallel_II(lam, x, y, w, pts):
-    c = lam ** 2 + w.v ** 2
-    p0 = pts[0]
-    return [(abs((p.x4 ** 2 - p.x3 ** 2) - c),
-             abs(p.x1 - p0.x1), abs(p.x2 - p0.x2)) for p in pts]
-
-
 # ---------------------------------------------------------------------------
-# kind III: x e1 + sqrt2 v w e2 + (z + v^2 w + lam v) xi3 + w xi4
+# kind III: null rotation, x e1 + sqrt2 v w e2 + (z + v^2 w + lam v) xi3 + w xi4
 
-def _jet_III(lam, x, z, w, v):
-    return SurfaceJet(
-        pseudo_to_standard(x.v, SQRT2 * v * w.v, z.v + v * v * w.v + lam * v, w.v),
-        pseudo_to_standard(x.d1, SQRT2 * v * w.d1, z.d1 + v * v * w.d1, w.d1),
-        pseudo_to_standard(0.0, SQRT2 * w.v, 2.0 * v * w.v + lam, 0.0),
-        pseudo_to_standard(x.d2, SQRT2 * v * w.d2, z.d2 + v * v * w.d2, w.d2),
-        pseudo_to_standard(0.0, SQRT2 * w.d1, 2.0 * v * w.d1, 0.0),
-        pseudo_to_standard(0.0, 0.0, 2.0 * w.v, 0.0),
-    )
+def _null_rotation(v):
+    vv = v * v
+    return lambda x, z, w: Vec4(x, SQRT2 * v * w, (w - (z + vv * w)) / SQRT2,
+                                (z + vv * w + w) / SQRT2)
 
 
 def _metric_III(lam, x, z, w):
@@ -272,35 +241,25 @@ def _rhs_III(lam2, x, z, w):
     return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * w * w)
 
 
-def _parallel_III(lam, x, z, w, pts):
-    qs = [standard_to_pseudo(p) for p in pts]
-    q0 = qs[0]
-    s0 = q0[2] - q0[1] ** 2 / (2.0 * q0[3])
-    return [(abs(q[0] - q0[0]), abs(q[3] - q0[3]),
-             abs(q[2] - s0 - q[1] ** 2 / (2.0 * q[3]))) for q in qs]
-
-
 FAMILIES = {
     SurfaceKind.I: Family(
-        ("x", "z", "w"), (0.0, 2.0 * math.pi), _jet_I, _metric_I, _frame_I, _gauss_I,
+        ("x", "z", "w"), (0.0, 2.0 * math.pi), _rotation,
+        lambda p: Vec4(-p.x2, p.x1, 0.0, 0.0), (E4, E3), _metric_I, _frame_I, _gauss_I,
         constraint=(-1.0, True), constraint_rhs=_rhs_I,
         radial=("x", -1.0, "x x'/sqrt(x^2-lam^2)"), radial_slot=0,
-        natural=(("z", "x"), ("w", "x")), parallel=_parallel_I,
-        shift_rate=lambda lam, x, z, w: -lam * w.d1 / (x.v ** 2 - lam ** 2),
-        ode_sign=-1.0, identity=_identity_I),
+        natural=(("z", "x"), ("w", "x")), ode_sign=-1.0, identity=_identity_I),
     SurfaceKind.II: Family(
-        ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _jet_II, _metric_II, _frame_II,
-        _gauss_II, constraint=(1.0, True), constraint_rhs=_rhs_II,
+        ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _boost,
+        lambda p: Vec4(0.0, 0.0, p.x4, p.x3), (E1, E2), _metric_II, _frame_II, _gauss_II,
+        constraint=(1.0, True), constraint_rhs=_rhs_II,
         radial=("w", 1.0, "w w'/sqrt(lam^2+w^2)"), radial_slot=2,
-        natural=(("x", "w"), ("y", "w")), parallel=_parallel_II,
-        shift_rate=lambda lam, x, y, w: lam * x.d1 / (lam ** 2 + w.v ** 2),
-        ode_sign=1.0, identity=_identity_II),
+        natural=(("x", "w"), ("y", "w")), ode_sign=1.0, identity=_identity_II),
     SurfaceKind.III: Family(
-        ("x", "z", "w"), (-math.pi, math.pi), _jet_III, _metric_III, _frame_III, _gauss_III,
-        constraint=(-2.0, False), constraint_rhs=_rhs_III,
+        ("x", "z", "w"), (-math.pi, math.pi), _null_rotation,
+        lambda p: Vec4(0.0, p.x3 + p.x4, -p.x2, p.x2), (XI3, E1), _metric_III, _frame_III,
+        _gauss_III, constraint=(-2.0, False), constraint_rhs=_rhs_III,
         radial=("w", None, "w'"), radial_slot=2,
-        natural=(("x", "w"), ("z", "w")), parallel=_parallel_III,
-        closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
+        natural=(("x", "w"), ("z", "w")), closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
 }
 
 
@@ -431,30 +390,37 @@ def is_constant_profile(spec: HelicoidSpec, name: str) -> bool:
 # ---------------------------------------------------------------------------
 # the reparametrized angle
 
+def angular_rate(spec: HelicoidSpec, pj: Mapping[str, Jet2], u):
+    """d(vbar)/du = g12/g22 of the kind's closed-form metric, from the
+    profile jets pj at u (floats or arrays): Bour's change of angle, the same
+    for every kind.  g22 <= 0 fails (``lorentz.flag``): NaN on arrays, a
+    NotSpacelikeError naming u on floats."""
+    fam = FAMILIES[spec.kind]
+    _, g12, g22, _ = fam.metric(spec.pitch, *fam.profile(pj))
+    bad = flag(g22 <= 0.0, NotSpacelikeError,
+               "g22 = {!r} <= 0 at u = {!r}: the v-curves are not spacelike", g22, u)
+    return where(bad, math.nan, g12 / g22)
+
+
 class VbarMap:
     """The angular correspondence (u, v) -> vbar = v + shift(u) of one helicoid.
 
-    The shift is tabulated when the map is built (adaptive quadrature for
-    kinds I and II, whose integrand takes a float or an array of u); ``du(u)``
-    is its exact derivative, from the integrand.
+    ``du(u)`` is the exact derivative of the shift, ``angular_rate``.  The
+    shift is kind III's closed antiderivative, 0 at pitch 0, or else a table
+    built with the map by adaptive quadrature of ``du`` (which takes a float
+    or an array of u).
     """
 
     def __init__(self, spec: HelicoidSpec):
-        lam = spec.pitch
-        fam = FAMILIES[spec.kind]
+        lam, fam = spec.pitch, FAMILIES[spec.kind]
+        self.du = lambda u: angular_rate(spec, profile_jets(spec, u), u)
         self._table = None
         if fam.closed_shift is not None:
-            def shift_jet(u: float) -> Jet2:
-                return fam.closed_shift(lam, *fam.profile(profile_jets(spec, u)))
-            self.shift = lambda u: shift_jet(u).v
-            self.du = lambda u: shift_jet(u).d1
+            self.shift = lambda u: fam.closed_shift(lam, *fam.profile(profile_jets(spec, u))).v
         elif lam == 0.0:
-            self.shift = self.du = lambda u: 0.0
+            self.shift = lambda u: 0.0
         else:
-            def integrand(u: float) -> float:
-                return fam.shift_rate(lam, *fam.profile(profile_jets(spec, u)))
-            self._table = self.shift = Antiderivative(integrand, *spec.domain)
-            self.du = integrand
+            self._table = self.shift = Antiderivative(self.du, *spec.domain)
 
     def __call__(self, u: float, v: float) -> float:
         return v + self.shift(u)
@@ -463,13 +429,32 @@ class VbarMap:
 # ---------------------------------------------------------------------------
 # parametric jets
 
+def _along(p: Vec4, c, t: Vec4) -> Vec4:
+    """p + c t, added only in the nonzero slots of t, so that the others keep a -0.0."""
+    (p1, p2, p3, p4), (t1, t2, t3, t4) = p, t
+    return Vec4(p1 + c * t1 if t1 else p1, p2 + c * t2 if t2 else p2,
+                p3 + c * t3 if t3 else p3, p4 + c * t4 if t4 else p4)
+
+
+def orbit_jet(fam: Family, lam: float, pj: Mapping[str, Jet2], v) -> SurfaceJet:
+    """The exact jet of X = M gamma + lam v t at angle v, with M = exp(vA)
+    and gamma the profile of the jets pj: Xu = M gamma', Xv = A M gamma +
+    lam t, Xuu = M gamma'', Xuv = A M gamma', Xvv = A^2 M gamma."""
+    M, A, t = fam.group(v), fam.generator, fam.kernel[0]
+    p, q, r = fam.profile(pj)
+    X, Xu = M(p.v, q.v, r.v), M(p.d1, q.d1, r.d1)
+    AX = A(X)
+    return SurfaceJet(_along(X, lam * v, t), Xu, _along(AX, lam, t),
+                      M(p.d2, q.d2, r.d2), A(Xu), A(AX))
+
+
 def helicoid_jet(surface: "HelicoidSpec | RotationalSpec", u, v,
                  profile: Mapping[str, Jet2] | None = None) -> SurfaceJet:
     """The exact surface jet of either surface at (u, v), floats or arrays
     that broadcast, from its ``profile_jets`` at u unless ``profile`` gives
     them; a rotational surface is the pitch-0 helicoid at angle v + v_offset."""
-    pj, fam = profile_jets(surface, u) if profile is None else profile, FAMILIES[surface.kind]
-    return fam.jet(surface.pitch, *fam.profile(pj), v + surface.v_offset)
+    pj = profile_jets(surface, u) if profile is None else profile
+    return orbit_jet(FAMILIES[surface.kind], surface.pitch, pj, v + surface.v_offset)
 
 
 def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
@@ -509,7 +494,7 @@ def _closed_form_pass(spec: HelicoidSpec, u: float,
     bad, b1, b2, N1, N2 = fam.frame(lam, *fam.profile(pj), v, u, ff.W, sqrt(ff.W))
     bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
                      ff.g11, u)
-    jet = fam.jet(lam, *fam.profile(pj), v)
+    jet = orbit_jet(fam, lam, pj, v)
     e1 = jet.Xu * (1.0 / sqrt(ff.g11))
     e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
     b1, b2, N1, N2 = where(bad, math.nan, (b1, b2, N1, N2))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -15,8 +16,9 @@ from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
 from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse
-from bour4.families import (SurfaceKind, expr_profile, helicoid_jet, helicoid_to_json,
-                            is_constant_profile, make_helicoid)
+from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, expr_profile,
+                            helicoid_jet, helicoid_to_json, is_constant_profile,
+                            make_helicoid, profile_jets)
 from bour4.grids import grid_for
 from bour4.quadrature import Antiderivative
 from bour4.surfaces import curvature_report
@@ -74,6 +76,38 @@ class TestVbar:
             expected = integrate(f, h.domain[0], u)
             assert vb(u, 0.0) == pytest.approx(expected, abs=1e-8)
             assert vb.du(u) == pytest.approx(f(u), abs=1e-12)
+
+    def test_rate_is_g12_over_g22_for_every_kind(self):
+        # Bour's change of angle; kind III's closed shift is its antiderivative
+        specs = [spec_I(), make_helicoid("II", 1.0, {"x": "2*u", "y": "u/4", "w": "0.8 + u"},
+                                         (0.6, 1.8)),
+                 make_helicoid("III", 1.0, {"x": "u", "z": "u/10", "w": "0.9 + u"}, (0.7, 2.0))]
+        for spec in specs:
+            fam = FAMILIES[spec.kind]
+            for u in samples(spec.domain, 7):
+                _, g12, g22, _ = fam.metric(spec.pitch, *fam.profile(profile_jets(spec, u)))
+                assert spec.vbar.du(u) == g12 / g22
+        h = specs[2]
+        for u in samples(h.domain, 7):
+            step = 1e-5
+            slope = (h.vbar.shift(u + step) - h.vbar.shift(u - step)) / (2 * step)
+            assert h.vbar.du(u) == pytest.approx(slope, abs=1e-9)
+
+    # x = u crosses lambda = 1 inside the domain, where g22 = x^2 - lambda^2 vanishes
+    CROSSING = dict(kind="I", pitch=1.0, profile={"x": "u", "z": "0.5", "w": "0.4*u"},
+                    domain=(0.5, 2.0))
+
+    def test_rate_names_a_non_spacelike_orbit(self):
+        h = make_helicoid(**self.CROSSING)
+        with pytest.raises(NotSpacelikeError, match=r"g22 = .* <= 0 at u = 0\.5"):
+            h.vbar
+
+    def test_pair_report_names_a_non_spacelike_orbit(self):
+        h = make_helicoid(**self.CROSSING)
+        r = RotationalSpec(SurfaceKind.I, expr_profile("1 + u"), expr_profile("0"),
+                           expr_profile("u"), h.domain)
+        with pytest.raises(NotSpacelikeError, match="g22"):
+            pair_report(h, r, grid_for(h, nu=5, nv=5))
 
     def test_zero_pitch_shift_vanishes(self):
         spec = make_helicoid("I", 0.0, {"x": "u", "z": "0", "w": "u"}, (1.5, 3.0))
@@ -557,6 +591,25 @@ class TestParallelCurves:
         r = bour_partner(h, gauge_complete(h, "b", "0"))
         vs = [-1.0 + k * 0.02 for k in range(100)]
         assert parallel_curve_residual(h, r, 2.0, vs) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    def test_detects_a_scaled_radius(self, kind):
+        # the orbit check reads g22 from the helicoid's metric, not from the
+        # partner, so a partner whose radial profile is off by 1e-6 fails it
+        h, r, u0, vs = self.pairs()[kind]
+        slot = ("n", "s", "r")[FAMILIES[h.kind].radial_slot]
+        radial = getattr(r, slot)
+        wrong = dataclasses.replace(r, **{slot: lambda u: radial(u) * (1.0 + 1e-6)})
+        assert parallel_curve_residual(h, r, u0, vs) < 1e-9
+        assert parallel_curve_residual(h, wrong, u0, vs) > 1e-7
+
+    def pairs(self):
+        h3 = make_helicoid("III", 1.0, {"x": "u", "z": "c", "w": "u"},
+                           (0.75, math.pi), constants={"c": 0.0})
+        return {"I": (*same_gauss_pair_I("u", **EX1), 2.0, self.VS),
+                "II": (*same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9)), 0.5, self.VS),
+                "III": (h3, bour_partner(h3, gauge_complete(h3, "b", "0")), 2.0,
+                        [-1.0 + k * 0.02 for k in range(100)])}
 
     def test_detects_wrong_radius(self):
         h, r = same_gauss_pair_I("u", **EX1)

@@ -1,17 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bour4.errors import (FrameFailureError, NotSpacelikeError,
                           ValidationError)
-from bour4.families import (RotationalSpec, SurfaceKind, closed_form_curvatures,
+from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, closed_form_curvatures,
                             closed_form_frame, closed_form_gauss,
                             closed_form_metric, expr_profile, helicoid_from_json,
                             helicoid_jet, helicoid_to_json,
-                            is_constant_profile, make_helicoid, profile_jets)
-from bour4.lorentz import minkowski_dot, standard_to_pseudo
-from bour4.surfaces import curvature_report, first_form, gauss_map
+                            is_constant_profile, make_helicoid, orbit_jet,
+                            profile_jets)
+from bour4.lorentz import (Vec4, minkowski_dot, pseudo_to_standard,
+                           standard_to_pseudo, xp)
+from bour4.surfaces import SurfaceJet, curvature_report, first_form, gauss_map
 
 RNG = random.Random(777)
 
@@ -90,6 +93,93 @@ class TestPositions:
                 ej = helicoid_jet(spec, u, v)
                 for a, b in zip(nj, ej):
                     assert a == pytest.approx(tuple(b), abs=1e-7)
+
+
+# Reference jets: each kind's parametrization differentiated by hand.
+
+def _jet_I(lam, x, z, w, v):
+    cv, sv = xp(v).cos(v), xp(v).sin(v)
+    return SurfaceJet(
+        Vec4(x.v * cv, x.v * sv, z.v, w.v + lam * v),
+        Vec4(x.d1 * cv, x.d1 * sv, z.d1, w.d1),
+        Vec4(-x.v * sv, x.v * cv, 0.0, lam),
+        Vec4(x.d2 * cv, x.d2 * sv, z.d2, w.d2),
+        Vec4(-x.d1 * sv, x.d1 * cv, 0.0, 0.0),
+        Vec4(-x.v * cv, -x.v * sv, 0.0, 0.0),
+    )
+
+
+def _jet_II(lam, x, y, w, v):
+    ch, sh = xp(v).cosh(v), xp(v).sinh(v)
+    return SurfaceJet(
+        Vec4(x.v + lam * v, y.v, w.v * sh, w.v * ch),
+        Vec4(x.d1, y.d1, w.d1 * sh, w.d1 * ch),
+        Vec4(lam, 0.0, w.v * ch, w.v * sh),
+        Vec4(x.d2, y.d2, w.d2 * sh, w.d2 * ch),
+        Vec4(0.0, 0.0, w.d1 * ch, w.d1 * sh),
+        Vec4(0.0, 0.0, w.v * sh, w.v * ch),
+    )
+
+
+def _jet_III(lam, x, z, w, v):
+    sqrt2 = math.sqrt(2.0)
+    return SurfaceJet(
+        pseudo_to_standard(x.v, sqrt2 * v * w.v, z.v + v * v * w.v + lam * v, w.v),
+        pseudo_to_standard(x.d1, sqrt2 * v * w.d1, z.d1 + v * v * w.d1, w.d1),
+        pseudo_to_standard(0.0, sqrt2 * w.v, 2.0 * v * w.v + lam, 0.0),
+        pseudo_to_standard(x.d2, sqrt2 * v * w.d2, z.d2 + v * v * w.d2, w.d2),
+        pseudo_to_standard(0.0, sqrt2 * w.d1, 2.0 * v * w.d1, 0.0),
+        pseudo_to_standard(0.0, 0.0, 2.0 * w.v, 0.0),
+    )
+
+
+REFERENCE_JETS = {"I": _jet_I, "II": _jet_II, "III": _jet_III}
+FLOAT_ANGLES = (0.0, -0.0, 0.3, -2.0)
+
+
+def both_jets(spec, u, v):
+    """The orbit jet of the spec at (u, v) and its reference, at v itself
+    (``helicoid_jet`` adds the offset 0.0, which turns -0.0 into 0.0)."""
+    pj, fam = profile_jets(spec, u), FAMILIES[spec.kind]
+    return (orbit_jet(fam, spec.pitch, pj, v),
+            REFERENCE_JETS[spec.kind.value](spec.pitch, *fam.profile(pj), v))
+
+
+def bits(x):
+    """The shape and bytes of a float or an array: equal bits, -0.0 included."""
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
+class TestOrbitJet:
+    """The one orbit formula against each kind's hand-differentiated jet."""
+
+    BLOCK = (np.linspace(0.0, 1.0, 50)[:, None], np.linspace(-1.5, 1.5, 61)[None, :])
+
+    def cases(self, spec):
+        a, b = spec.domain
+        for u in (a, 0.5 * (a + b), b):
+            for v in FLOAT_ANGLES:
+                yield u, v
+        du, v = self.BLOCK
+        yield a + (b - a) * du, v
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_kinds_I_and_II_bit_identical(self, kind):
+        spec = SPECS[kind]
+        for u, v in self.cases(spec):
+            got, want = both_jets(spec, u, v)
+            for g, w in zip(got, want):
+                assert list(map(bits, g)) == list(map(bits, w)), (u, v)
+
+    def test_kind_III_within_last_bits(self):
+        spec = SPECS["III"]
+        for u, v in self.cases(spec):
+            got, want = both_jets(spec, u, v)
+            for g, w in zip(got, want):
+                for a, b in zip(g, w):
+                    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+                    assert np.all(np.abs(a - b) <= 2e-15 * np.maximum(1.0, np.abs(b)))
 
 
 class TestClosedFormMetric:
