@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
-from .families import (FAMILIES, HelicoidSpec, ProfileFn, RotationalSpec,
+from .families import (FAMILIES, Family, HelicoidSpec, ProfileFn, RotationalSpec,
                        SurfaceKind, _number, angular_rate, const_profile,
                        expr_profile, helicoid_jet, is_constant_profile,
                        make_helicoid, profile_jets)
@@ -35,20 +35,50 @@ from .quadrature import Antiderivative
 from .surfaces import FirstForm, curvature_report, first_form, gauss_map, spacelike
 
 # ---------------------------------------------------------------------------
+# Bour's construction, read off each kind's group and first form
+
+class BourData(NamedTuple):
+    """Bour's construction of one kind, read off its group.  Profile slot i
+    spans e_i, exp(0 A) of the i-th unit point, and A annihilates each e_i
+    but the radial one, e_r.  The pitch-0 orbit of rho e_r + p e_a + q e_b
+    has g22 = c rho^2 and g11 = rho'^2 Q(p'/rho', q'/rho'), Q the Gram form
+    of e_r + a e_a + b e_b.  Bour's change of angle gives the helicoid the
+    metric (W/g22) du^2 + g22 dvbar^2, so the partner matches it where
+    c rho^2 = g22 and Q(a, b) = W/(g22 rho'^2) = 4 c W/g22'^2."""
+
+    radial: int  # r, the slot of rho in the partner's (n, s, r)
+    free: tuple[int, int]  # the slots of a and b, in order
+    c: float  # <A e_r, A e_r>
+    k: float  # <t, t>/c for the axis t: rho^2 = q^2 + k lam^2, q the radial profile
+    rr: float  # <e_r, e_r>: Q(a, b) = rr + a^2 + s h(b)
+    constraint: tuple[float, bool]  # (s, squared): h(b) = b^2, or b where e_b is null
+
+
+def _bour_data(fam: Family) -> BourData:
+    M, A, t = fam.group(0.0), fam.generator, fam.kernel[0]
+    e = [M(*(float(i == j) for j in range(3))) for i in range(3)]
+    r = next(i for i in range(3) if any(A(e[i])))
+    a, b = (i for i in range(3) if i != r)
+    # a Lorentz basis has integer Gram entries; the floats miss them by an ulp
+    c, tt, rr, rb, bb = (float(round(minkowski_dot(p, q))) for p, q in (
+        (A(e[r]), A(e[r])), (t, t), (e[r], e[r]), (e[r], e[b]), (e[b], e[b])))
+    return BourData(r, (a, b), c, tt / c, rr, (bb, True) if bb else (2.0 * rb, False))
+
+
+#: Each kind's Bour construction, derived from its ``Family``.
+BOUR = {kind: _bour_data(fam) for kind, fam in FAMILIES.items()}
+
+
+# ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
 
 @dataclass(frozen=True)
 class BourGauge:
     """The free pair a(u), b(u) of the partner construction.
 
-    Feasible gauges satisfy, on the whole domain,
-
-        kind I    a^2 - b^2 = (x^2 (z'^2 - w'^2) - lam^2 (x'^2 + z'^2)) / (x^2 x'^2)
-        kind II   a^2 + b^2 = (w^2 (x'^2 + y'^2) + lam^2 (y'^2 - w'^2)) / (w^2 w'^2)
-        kind III  a^2 - 2b  = (x'^2 - 2 w' z') / w'^2 - lam^2 / (2 w^2)
-
-    that is a^2 + s h(b) = rhs, with s = -1, 1, -2 and h(b) = b^2, b^2, b
-    (``Family.constraint``).  Each of a and b is a profile function of u,
+    Feasible gauges satisfy a^2 + s h(b) = ``constraint_rhs`` on the whole
+    domain: a^2 - b^2, a^2 + b^2 and a^2 - 2b for kinds I, II and III
+    (``BourData.constraint``).  Each of a and b is a profile function of u,
     and like the integrands built from it takes a float or an array of u (a
     level of quadrature nodes); ``expr_profile`` makes one from an expression.
     """
@@ -60,7 +90,7 @@ class BourGauge:
     def residual(self, spec: HelicoidSpec) -> float:
         """Max violation of the compatibility constraint over 64 domain samples."""
         rhs = constraint_rhs(spec)
-        s, squared = FAMILIES[self.kind].constraint
+        s, squared = BOUR[self.kind].constraint
 
         def violation(u):
             a, b = self.a(u).v, self.b(u).v
@@ -86,13 +116,16 @@ def _require_positive(domain: tuple[float, float], f: Callable, error: type,
 
 
 def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
-    """Right-hand side of the gauge constraint as a function of u, exact to
-    first order (its second order reads the profile's unknown third)."""
-    lam2 = spec.pitch ** 2
-    fam = FAMILIES[spec.kind]
+    """The gauge constraint's right-hand side 4 c W/g22'^2 - <e_r, e_r>
+    (``BourData``) as a function of u, exact to first order: the closed-form
+    metric runs on jets in u, a profile's value as its jet, its d1 as deriv()."""
+    fam, bd = FAMILIES[spec.kind], BOUR[spec.kind]
 
     def rhs(u: float) -> Jet2:
-        return fam.constraint_rhs(lam2, *fam.profile(profile_jets(spec, u)))
+        _, _, g22, W = fam.metric(spec.pitch, *(Jet2(p, p.deriv())
+                                               for p in fam.profile(profile_jets(spec, u))))
+        dg22 = g22.deriv()
+        return 4.0 * bd.c * W / (dg22 * dg22) - bd.rr
 
     return rhs
 
@@ -107,7 +140,7 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str") -> BourGa
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
     g = expr_profile(expr, spec.consts)
     rhs = constraint_rhs(spec)
-    s, squared = FAMILIES[spec.kind].constraint
+    s, squared = BOUR[spec.kind].constraint
 
     if given == "a":
         def solved(u: float) -> Jet2:  # h(b) = (rhs - a^2) / s
@@ -137,10 +170,9 @@ def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str") -> BourGa
 def natural_gauge(spec: HelicoidSpec) -> BourGauge:
     """The gauge for which the pitch-0 partner is the original surface itself.
 
-    kind I: (a, b) = (z'/x', w'/x'); kind II: (x'/w', y'/w'); kind III:
-    (x'/w', z'/w') (``Family.natural``).  The first quadrature channel
-    always rebuilds the first profile component; swapping the channels
-    would break the pitch-0 reduction, which pins the pairing down.
+    Each free component's derivative over the radial one's (``BourData``):
+    (z'/x', w'/x'), (x'/w', y'/w') and (x'/w', z'/w') for kinds I, II and
+    III.  Swapping a and b would break the pitch-0 reduction.
     """
     def ratio(num_name: str, den_name: str) -> ProfileFn:
         def fn(u: float) -> Jet2:
@@ -148,7 +180,8 @@ def natural_gauge(spec: HelicoidSpec) -> BourGauge:
             return pj[num_name].deriv() / pj[den_name].deriv()
         return fn
 
-    return BourGauge(spec.kind, *(ratio(*pair) for pair in FAMILIES[spec.kind].natural))
+    names, bd = FAMILIES[spec.kind].names, BOUR[spec.kind]
+    return BourGauge(spec.kind, *(ratio(names[i], names[bd.radial]) for i in bd.free))
 
 
 def scale_gauge(gauge: BourGauge, a_factor: float = 1.0, b_factor: float = 1.0) -> BourGauge:
@@ -180,49 +213,39 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
                  constants: tuple[float, float] = (0.0, 0.0)) -> RotationalSpec:
     """The rotational surface isometric to the helicoid under (u,v) -> (u, vbar).
 
-    Each kind has a radial component rho: sqrt(x^2 - lam^2) for kind I,
-    sqrt(w^2 + lam^2) for kind II and w for kind III.  The other two
-    components integrate the gauge times rho': one integrates a rho', the
-    next b rho'.  Kind I puts rho in slot n, the integrals in s and r;
-    kinds II and III put the integrals in n and s, rho in slot r.  The
-    integrals are anchored to 0 at the left end of the domain; ``constants``
-    adds the free additive constants.  For kind I, x^2 - lam^2 must stay
-    positive.
+    The radial slot (``BourData``) holds rho: sqrt(x^2 - lam^2) for kind I
+    (slot n), sqrt(w^2 + lam^2) for kind II and w for kind III (slot r).
+    The free slots integrate a rho' and b rho', anchored to 0 at the left
+    end of the domain; ``constants`` adds the free additive constants.  For
+    kind I, x^2 - lam^2 must stay positive.
     """
     if gauge.kind is not spec.kind:
         raise ValidationError("gauge kind does not match the surface kind")
-    lam = spec.pitch
-    consts = spec.consts
-    fam = FAMILIES[spec.kind]
-    q_name, pm, drho_label = fam.radial
+    lam, consts, bd = spec.pitch, spec.consts, BOUR[spec.kind]
+    q_name = FAMILIES[spec.kind].names[bd.radial]
     q_expr = spec.exprs[q_name]
 
-    if pm == -1.0:  # sqrt(q^2 - lam^2) is real only where q^2 > lam^2
+    if bd.k < 0.0:  # sqrt(q^2 - lam^2) is real only where q^2 > lam^2
         _require_positive(spec.domain, lambda u: eval_jet(q_expr, u, consts).v ** 2 - lam ** 2,
                           NotSpacelikeError,
                           q_name + "^2 - lambda^2 <= 0 at u = {:.6g}: no radial component")
 
-    if pm is None:
-        def rho(u: float) -> Jet2:
-            return eval_jet(q_expr, u, consts)
-        rho.source = to_source(q_expr)  # type: ignore[attr-defined]
+    if bd.k == 0.0:
+        rho, drho_label = expr_profile(q_expr, consts), q_name + "'"
     else:
-        c = pm * lam ** 2
+        c = bd.k * lam ** 2
 
         def rho(u: float) -> Jet2:
             q = eval_jet(q_expr, u, consts)
             return (q * q + c).sqrt()
-        op = "-" if pm < 0 else "+"
+        op = "-" if bd.k < 0 else "+"
         rho.source = f"sqrt(({to_source(q_expr)})^2 {op} {lam!r}^2)"  # type: ignore[attr-defined]
+        drho_label = f"{q_name} {q_name}'/sqrt({q_name}^2{op}lam^2)"
 
-    quad_a = _quad_profile(gauge.a, rho, spec.domain, constants[0],
-                           f"<quadrature a {drho_label}>")
-    quad_b = _quad_profile(gauge.b, rho, spec.domain, constants[1],
-                           f"<quadrature b {drho_label}>")
-    parts = [quad_a, quad_b]
-    parts.insert(fam.radial_slot, rho)
-    n, s, r = parts
-    return RotationalSpec(spec.kind, n, s, r, spec.domain)
+    parts = [_quad_profile(g, rho, spec.domain, c0, f"<quadrature {name} {drho_label}>")
+             for name, g, c0 in zip("ab", (gauge.a, gauge.b), constants)]
+    parts.insert(bd.radial, rho)
+    return RotationalSpec(spec.kind, *parts, spec.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +376,8 @@ def parallel_curve_residual(h: HelicoidSpec, r: RotationalSpec, u0: float,
     and <X, k> for each k in the kernel of A, and its <AX, AX> is g22, here
     the helicoid's at u0 (from the closed-form metric, not from the partner).
     """
+    if len(vs) == 0:
+        raise ValidationError("the orbit check needs at least one angle")
     fam = FAMILIES[h.kind]
     A = fam.generator
     g22 = fam.metric(h.pitch, *fam.profile(profile_jets(h, u0)))[2]

@@ -14,9 +14,9 @@ where x, z (or y), w are functions of u.  What a kind is lives in one
 record, ``FAMILIES[kind]``: its profile names and default v-domain, its
 group, from which ``orbit_jet`` builds the exact parametric jets of every
 kind, its closed-form metric, frames, second fundamental forms and Gauss
-maps (which the generic engine cross-checks), and the data of its Bour
-construction (gauge constraint, radial component, natural gauge, minimality
-ODE, shared-Gauss-map identity), which ``bour`` reads.  Profile jets may
+maps (which the generic engine cross-checks), and the data of its
+shared-Gauss-map pairs (minimality ODE, identity).  ``bour`` derives Bour's
+construction from the group and the closed-form metric.  Profile jets may
 hold floats (one u) or arrays (a block of u rows), and v a float or an
 array that broadcasts against them.
 """
@@ -50,9 +50,9 @@ class SurfaceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Family:
-    """What one kind is.  Each formula takes the pitch lam (lam^2 for
-    ``constraint_rhs``), then the profile jets in ``names`` order, floats or
-    arrays alike.  A formula or datum the kind lacks is None."""
+    """What one kind is.  Each formula takes the pitch lam, then the profile
+    jets in ``names`` order, floats or arrays alike.  A formula or datum the
+    kind lacks is None."""
 
     names: tuple[str, str, str]
     v_domain: tuple[float, float]
@@ -62,13 +62,6 @@ class Family:
     metric: Callable  # (lam, *jets) -> (g11, g12, g22, W); d(vbar)/du is g12/g22
     frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
     gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
-    constraint: tuple[float, bool]  # (s, squared): a^2 + s h(b) = rhs, h(b) = b^2 or b
-    constraint_rhs: Callable  # (lam^2, *jets) -> rhs, a Jet2 in u exact to first order
-    # (q, s, label): the partner's radial component rho is sqrt(q^2 + s lam^2),
-    # or q itself for s None, and label is the source of rho'
-    radial: tuple[str, float | None, str]
-    radial_slot: int  # the slot of rho in the partner's (n, s, r)
-    natural: tuple[tuple[str, str], ...]  # the natural gauge (a, b) as ratios p'/q' (p, q)
     closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u; no table
     ode_sign: float | None = None  # the sign of lam^2 in the squared gauge's minimality ODE
     identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
@@ -86,9 +79,11 @@ def _rotation(v):
     return lambda x, z, w: Vec4(x * cv, x * sv, z, w)
 
 
+# squares are products: a float's ** 2 raises OverflowError where x * x is inf
 def _metric_I(lam, x, z, w):
-    return (x.d1 ** 2 + z.d1 ** 2 - w.d1 ** 2, -lam * w.d1, x.v ** 2 - lam ** 2,
-            (x.v ** 2 - lam ** 2) * (x.d1 ** 2 + z.d1 ** 2) - x.v ** 2 * w.d1 ** 2)
+    xx, P, ww = x.v * x.v, x.d1 * x.d1 + z.d1 * z.d1, w.d1 * w.d1
+    g22 = xx - lam * lam
+    return P - ww, -lam * w.d1, g22, g22 * P - xx * ww
 
 
 def _frame_I(lam, x, z, w, v, u, W, rW):
@@ -124,12 +119,6 @@ def _gauss_I(lam, x, z, w, v, c):
         lam * z.d1 * c)
 
 
-def _rhs_I(lam2, x, z, w):
-    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
-    return ((x * x * (dz * dz - dw * dw) - lam2 * (dx * dx + dz * dz))
-            / (x * x * dx * dx))
-
-
 def _identity_I(lam, x, z, w):
     return (lam ** 2 * (x.v * x.d1 * w.d2 + w.d1 * (2 * x.d1 ** 2 - x.v * x.d2))
             + x.v ** 2 * (w.d1 * (w.d1 ** 2 - x.d1 ** 2)
@@ -145,8 +134,8 @@ def _boost(v):
 
 
 def _metric_II(lam, x, y, w):
-    return (x.d1 ** 2 + y.d1 ** 2 - w.d1 ** 2, lam * x.d1, w.v ** 2 + lam ** 2,
-            (w.v ** 2 + lam ** 2) * (y.d1 ** 2 - w.d1 ** 2) + x.d1 ** 2 * w.v ** 2)
+    xx, yy, ww, g22 = x.d1 * x.d1, y.d1 * y.d1, w.d1 * w.d1, w.v * w.v + lam * lam
+    return xx + yy - ww, lam * x.d1, g22, g22 * (yy - ww) + xx * (w.v * w.v)
 
 
 def _frame_II(lam, x, y, w, v, u, W, rW):
@@ -182,12 +171,6 @@ def _gauss_II(lam, x, y, w, v, c):
         -w.v * w.d1 * c)
 
 
-def _rhs_II(lam2, x, y, w):
-    dx, dy, dw = x.deriv(), y.deriv(), w.deriv()
-    return ((w * w * (dx * dx + dy * dy) + lam2 * (dy * dy - dw * dw))
-            / (w * w * dw * dw))
-
-
 def _identity_II(lam, x, y, w):
     return lam * (x.d1 * w.d1 ** 2 * (2 * lam ** 2 + w.v ** 2)
                   - w.v ** 2 * x.d1 ** 3
@@ -204,8 +187,8 @@ def _null_rotation(v):
 
 
 def _metric_III(lam, x, z, w):
-    return (x.d1 ** 2 - 2.0 * w.d1 * z.d1, -lam * w.d1, 2.0 * w.v ** 2,
-            2.0 * w.v ** 2 * (x.d1 ** 2 - 2.0 * w.d1 * z.d1) - lam ** 2 * w.d1 ** 2)
+    g11, g22 = x.d1 * x.d1 - 2.0 * w.d1 * z.d1, 2.0 * w.v * w.v
+    return g11, -lam * w.d1, g22, g22 * g11 - lam * lam * (w.d1 * w.d1)
 
 
 def _frame_III(lam, x, z, w, v, u, W, rW):
@@ -236,30 +219,19 @@ def _gauss_III(lam, x, z, w, v, c):
         -w.d1 * (lam + 2.0 * v * w.v) * c)
 
 
-def _rhs_III(lam2, x, z, w):
-    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
-    return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * w * w)
-
-
 FAMILIES = {
     SurfaceKind.I: Family(
         ("x", "z", "w"), (0.0, 2.0 * math.pi), _rotation,
         lambda p: Vec4(-p.x2, p.x1, 0.0, 0.0), (E4, E3), _metric_I, _frame_I, _gauss_I,
-        constraint=(-1.0, True), constraint_rhs=_rhs_I,
-        radial=("x", -1.0, "x x'/sqrt(x^2-lam^2)"), radial_slot=0,
-        natural=(("z", "x"), ("w", "x")), ode_sign=-1.0, identity=_identity_I),
+        ode_sign=-1.0, identity=_identity_I),
     SurfaceKind.II: Family(
         ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _boost,
         lambda p: Vec4(0.0, 0.0, p.x4, p.x3), (E1, E2), _metric_II, _frame_II, _gauss_II,
-        constraint=(1.0, True), constraint_rhs=_rhs_II,
-        radial=("w", 1.0, "w w'/sqrt(lam^2+w^2)"), radial_slot=2,
-        natural=(("x", "w"), ("y", "w")), ode_sign=1.0, identity=_identity_II),
+        ode_sign=1.0, identity=_identity_II),
     SurfaceKind.III: Family(
         ("x", "z", "w"), (-math.pi, math.pi), _null_rotation,
         lambda p: Vec4(0.0, p.x3 + p.x4, -p.x2, p.x2), (XI3, E1), _metric_III, _frame_III,
-        _gauss_III, constraint=(-2.0, False), constraint_rhs=_rhs_III,
-        radial=("w", None, "w'"), radial_slot=2,
-        natural=(("x", "w"), ("z", "w")), closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
+        _gauss_III, closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
 }
 
 

@@ -8,14 +8,14 @@ import pytest
 
 import bour4.bour as bour_mod
 import bour4.grids
-from bour4.bour import (BourGauge, bernoulli_residual, bour_partner,
+from bour4.bour import (BOUR, BourGauge, bernoulli_residual, bour_partner,
                         choose_vbar_sign, constraint_rhs, gauge_complete, gauss_residual,
                         isometry_residual, minimal_pair_identity_residual,
                         natural_gauge, pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
 from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
                           NotSpacelikeError, ValidationError)
-from bour4.expressions import eval_jet, parse
+from bour4.expressions import eval_jet, parse, to_source
 from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, expr_profile,
                             helicoid_jet, helicoid_to_json, is_constant_profile,
                             make_helicoid, profile_jets)
@@ -276,13 +276,17 @@ class TestBourPartner:
         with pytest.raises(NotSpacelikeError):
             bour_partner(spec, gauge)  # x^2 < lambda^2 near u = 1.5
 
-    def test_zero_pitch_natural_gauge_reproduces_surface(self):
-        spec = make_helicoid("I", 0.0, {"x": "u", "z": "sin(u)/4", "w": "u/3"},
-                             (1.5, 3.0))
+    @pytest.mark.parametrize("kind,profile,free", [
+        ("I", {"x": "u", "z": "sin(u)/4", "w": "u/3"}, ("z", "w")),
+        ("II", {"x": "2*u + sin(u)/4", "y": "u/4", "w": "0.8 + u"}, ("x", "y")),
+        ("III", {"x": "u + sin(u)/4", "z": "u/8", "w": "u + u^2/10"}, ("x", "z")),
+    ], ids=["I", "II", "III"])
+    def test_zero_pitch_natural_gauge_reproduces_surface(self, kind, profile, free):
+        spec = make_helicoid(kind, 0.0, profile, (1.5, 3.0))
         gauge = natural_gauge(spec)
         assert gauge.residual(spec) < 1e-12
-        r = bour_partner(spec, gauge,
-                         constants=(math.sin(1.5) / 4.0, 0.5))
+        start = profile_jets(spec, 1.5)
+        r = bour_partner(spec, gauge, constants=tuple(start[name].v for name in free))
         for u, v in [(1.7, 0.4), (2.4, 1.3), (2.95, 2.0)]:
             a = helicoid_jet(spec, u, v)
             b = helicoid_jet(r, u, v)
@@ -597,7 +601,7 @@ class TestParallelCurves:
         # the orbit check reads g22 from the helicoid's metric, not from the
         # partner, so a partner whose radial profile is off by 1e-6 fails it
         h, r, u0, vs = self.pairs()[kind]
-        slot = ("n", "s", "r")[FAMILIES[h.kind].radial_slot]
+        slot = ("n", "s", "r")[BOUR[h.kind].radial]
         radial = getattr(r, slot)
         wrong = dataclasses.replace(r, **{slot: lambda u: radial(u) * (1.0 + 1e-6)})
         assert parallel_curve_residual(h, r, u0, vs) < 1e-9
@@ -610,6 +614,11 @@ class TestParallelCurves:
                 "II": (*same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9)), 0.5, self.VS),
                 "III": (h3, bour_partner(h3, gauge_complete(h3, "b", "0")), 2.0,
                         [-1.0 + k * 0.02 for k in range(100)])}
+
+    def test_needs_an_angle(self):
+        h, r = same_gauss_pair_I("u", **EX1)
+        with pytest.raises(ValidationError, match="at least one angle"):
+            parallel_curve_residual(h, r, 2.0, [])
 
     def test_detects_wrong_radius(self):
         h, r = same_gauss_pair_I("u", **EX1)
@@ -720,3 +729,81 @@ class TestDomainScans:
             BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("0")).residual(spec)
         assert str(info.value) == (
             f"non-finite value at u = {u!r}: a value overflows or is undefined")
+
+
+# ---------------------------------------------------------------------------
+# the hand-written per-kind Bour data that BourData derives, as the reference
+
+def _rhs_I(lam2, x, z, w):
+    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
+    return ((x * x * (dz * dz - dw * dw) - lam2 * (dx * dx + dz * dz))
+            / (x * x * dx * dx))
+
+
+def _rhs_II(lam2, x, y, w):
+    dx, dy, dw = x.deriv(), y.deriv(), w.deriv()
+    return ((w * w * (dx * dx + dy * dy) + lam2 * (dy * dy - dw * dw))
+            / (w * w * dw * dw))
+
+
+def _rhs_III(lam2, x, z, w):
+    dx, dz, dw = x.deriv(), z.deriv(), w.deriv()
+    return (dx * dx - 2.0 * dw * dz) / (dw * dw) - lam2 / (2.0 * w * w)
+
+
+#: kind: (rhs, (s, squared), (q, sign of lam^2 in rho^2 or None for rho = q),
+#: radial slot, natural gauge as ratios p'/q' (p, q))
+REFERENCE = {
+    "I": (_rhs_I, (-1.0, True), ("x", -1.0), 0, (("z", "x"), ("w", "x"))),
+    "II": (_rhs_II, (1.0, True), ("w", 1.0), 2, (("x", "w"), ("y", "w"))),
+    "III": (_rhs_III, (-2.0, False), ("w", None), 2, (("x", "w"), ("z", "w"))),
+}
+
+REFERENCE_SPECS = {
+    "I": spec_I(w="u/2 + sin(u)/8", z="sin(u)/4"),
+    "II": make_helicoid("II", 0.7, {"x": "2*u + u^2/5", "y": "u/4", "w": "0.8 + u"},
+                        (0.8, 2.0)),
+    "III": make_helicoid("III", 1.3, {"x": "u + sin(u)/5", "z": "u/8", "w": "u + u^2/10"},
+                         (1.2, 2.5)),
+}
+
+
+@pytest.mark.parametrize("kind", ["I", "II", "III"])
+class TestDerivedBourData:
+    """BourData, read off each kind's group and closed-form metric, against
+    the hand-written per-kind data it replaced."""
+
+    def test_tables(self, kind):
+        _, constraint, (q, sign), slot, natural = REFERENCE[kind]
+        bd, names = BOUR[SurfaceKind(kind)], FAMILIES[SurfaceKind(kind)].names
+        assert bd.constraint == constraint
+        assert bd.radial == slot and names[bd.radial] == q
+        assert bd.k == (0.0 if sign is None else sign)
+        assert tuple((names[i], names[bd.radial]) for i in bd.free) == natural
+
+    @pytest.mark.parametrize("block", [False, True], ids=["floats", "block"])
+    def test_rhs_matches_the_hand_written_one(self, kind, block):
+        spec = REFERENCE_SPECS[kind]
+        fam, ref = FAMILIES[spec.kind], REFERENCE[kind][0]
+        us = samples(spec.domain, 50)
+        rhs = constraint_rhs(spec)
+        for u in [np.array(us)] if block else us:
+            g, w = rhs(u), ref(spec.pitch ** 2, *fam.profile(profile_jets(spec, u)))
+            for field in ("v", "d1"):
+                a, b = np.asarray(getattr(g, field)), np.asarray(getattr(w, field))
+                assert np.all(np.abs(a - b) <= 4e-15 * np.maximum(1.0, np.abs(b)))
+
+    def test_partner_radial_profile_is_bit_identical(self, kind):
+        spec = REFERENCE_SPECS[kind]
+        _, _, (q, sign), slot, _ = REFERENCE[kind]
+        expr, consts, lam = spec.exprs[q], spec.consts, spec.pitch
+        r = bour_partner(spec, natural_gauge(spec))
+        radial = getattr(r, ("n", "s", "r")[slot])
+        op = "-" if sign == -1.0 else "+"
+        assert radial.source == (to_source(expr) if sign is None
+                                 else f"sqrt(({to_source(expr)})^2 {op} {lam!r}^2)")
+        for u in samples(spec.domain, 50):
+            qj = eval_jet(expr, u, consts)
+            want = qj if sign is None else (qj * qj + sign * lam ** 2).sqrt()
+            got = radial(u)
+            assert (got.v, got.d1, got.d2) == (want.v, want.d1, want.d2)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from bour4.errors import (FrameFailureError, NotSpacelikeError,
+from bour4.errors import (FrameFailureError, NonFiniteError, NotSpacelikeError,
                           ValidationError)
 from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, closed_form_curvatures,
                             closed_form_frame, closed_form_gauss,
@@ -195,6 +195,20 @@ class TestClosedFormMetric:
         spec = make_helicoid("II", 1.0, {"x": "0", "y": "0", "w": "u"}, (0.5, 2.0))
         with pytest.raises(NotSpacelikeError):
             closed_form_metric(spec, 1.0)
+
+    @pytest.mark.parametrize("kind,pitch,profile", [
+        ("I", 1.0, {"x": "1e200*u", "z": "2e200*u", "w": "0.5*u"}),
+        ("I", 1e200, {"x": "u", "z": "0", "w": "0.5*u"}),
+        ("II", 1.0, {"x": "1e200*u", "y": "0", "w": "u"}),
+        ("III", 1.0, {"x": "1e200*u", "z": "0", "w": "u"}),
+    ], ids=["I-profile", "I-pitch", "II", "III"])
+    def test_an_overflowing_square_is_named(self, kind, pitch, profile):
+        # a float's ** 2 raises OverflowError where the product is inf
+        spec = make_helicoid(kind, pitch, profile, (1.0, 2.0))
+        with pytest.raises(NonFiniteError):
+            closed_form_metric(spec, 1.5)
+        with pytest.raises(NonFiniteError):
+            closed_form_curvatures(spec, 1.5, 0.3)
 
     def test_matches_generic_first_form(self):
         for spec in SPECS.values():
