@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (InfeasibleGaugeError, NotSpacelikeError, ValidationError)
+from .errors import InfeasibleGaugeError, NonFiniteError, NotSpacelikeError, ValidationError
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, Family, HelicoidSpec, ProfileFn, RotationalSpec,
@@ -32,7 +32,7 @@ from .grids import Block, Grid, grid_for, scan, shrunk, sweep
 from .jets import Jet2
 from .lorentz import Bivector6, flag, minkowski_dot, sup, where
 from .quadrature import Antiderivative
-from .surfaces import FirstForm, curvature_report, first_form, gauss_map, spacelike
+from .surfaces import FirstForm, first_form, gauss_map, mean_curvature_vector, spacelike
 
 # ---------------------------------------------------------------------------
 # Bour's construction, read off each kind's group and first form
@@ -224,17 +224,19 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
     lam, consts, bd = spec.pitch, spec.consts, BOUR[spec.kind]
     q_name = FAMILIES[spec.kind].names[bd.radial]
     q_expr = spec.exprs[q_name]
+    try:  # rho^2 = q^2 + c; kind III's rho is q itself, whatever the pitch
+        c = bd.k * lam ** 2 if bd.k else 0.0
+    except OverflowError:
+        raise NonFiniteError(f"pitch lambda = {lam!r} overflows lambda^2") from None
 
     if bd.k < 0.0:  # sqrt(q^2 - lam^2) is real only where q^2 > lam^2
-        _require_positive(spec.domain, lambda u: eval_jet(q_expr, u, consts).v ** 2 - lam ** 2,
+        _require_positive(spec.domain, lambda u: eval_jet(q_expr, u, consts).v ** 2 + c,
                           NotSpacelikeError,
                           q_name + "^2 - lambda^2 <= 0 at u = {:.6g}: no radial component")
 
     if bd.k == 0.0:
         rho, drho_label = expr_profile(q_expr, consts), q_name + "'"
     else:
-        c = bd.k * lam ** 2
-
         def rho(u: float) -> Jet2:
             q = eval_jet(q_expr, u, consts)
             return (q * q + c).sqrt()
@@ -589,8 +591,8 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
         g, G = first_form(hj), first_form(rj)
         iso, g, G = _isometry_defect(g, G, k), spacelike(g), spacelike(G)
         return (iso, _gauss_defect(gauss_map(hj, g), gauss_map(rj, G)),
-                curvature_report(hj, first=g).H_sup, curvature_report(rj, first=G).H_sup,
-                *hj.X, *rj.X)
+                sup(*map(abs, mean_curvature_vector(hj, g))),
+                sup(*map(abs, mean_curvature_vector(rj, G))), *hj.X, *rj.X)
 
     # the residual maxima fold per block; both surfaces' positions go into
     # one array, whose variances are then taken in place

@@ -36,7 +36,7 @@ from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
-                       helicoid_to_json, make_helicoid)
+                       helicoid_to_json, make_helicoid, profile_jets)
 from .grids import Grid, grid_for, sweep
 from .meshes import CHANNEL_NAMES, resolve_projection, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
@@ -128,9 +128,9 @@ def cmd_report(args) -> int:
     grid = grid_for(spec, *size)
     tolerated = (NotSpacelikeError, DegenerateSurfaceError)
 
-    def f(u, v):
+    def f(u, v, profile=None):  # the profile once per sweep; a float re-run passes none
         try:
-            rep = closed_form_curvatures(spec, u, v)
+            rep = closed_form_curvatures(spec, u, v, profile)
         except tolerated:
             raise
         except NumericalError as exc:
@@ -140,7 +140,7 @@ def cmd_report(args) -> int:
     # one contiguous row per channel; tolerated points are dropped on arrival
     values = np.empty((len(CHANNEL_NAMES), grid.nu * grid.nv))
     kept, violations, first = 0, 0, None
-    for block in sweep(grid, f, tolerated):
+    for block in sweep(grid, f, tolerated, lambda u: profile_jets(spec, u)):
         if block.tolerated and first is None:
             u, v = block.point(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}

@@ -452,23 +452,27 @@ def closed_form_metric(spec: HelicoidSpec, u: float) -> FirstForm:
 # ---------------------------------------------------------------------------
 # closed-form frames, second fundamental forms and curvature
 
-def _closed_form_pass(spec: HelicoidSpec, u: float,
-                      v: float) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
-    """Metric, explicit frame and second forms from the profile jets at u.
+def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
+                      profile=None) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
+    """Metric, explicit frame and second forms from the profile jets at u
+    (``profile`` when given), and Xu and Xv as ``orbit_jet`` builds them.
 
     The kind's frame precondition is checked before g11 > 0, so a profile
     that leaves the family's frame convention is named as such.
     """
-    lam, pj = spec.pitch, profile_jets(spec, u)
+    lam, pj = spec.pitch, profile_jets(spec, u) if profile is None else profile
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
     sqrt = xp(ff.W).sqrt
-    bad, b1, b2, N1, N2 = fam.frame(lam, *fam.profile(pj), v, u, ff.W, sqrt(ff.W))
+    p, q, r = fam.profile(pj)
+    bad, b1, b2, N1, N2 = fam.frame(lam, p, q, r, v, u, ff.W, sqrt(ff.W))
     bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
                      ff.g11, u)
-    jet = orbit_jet(fam, lam, pj, v)
-    e1 = jet.Xu * (1.0 / sqrt(ff.g11))
-    e2 = (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
+    M = fam.group(v)
+    Xu = M(p.d1, q.d1, r.d1)
+    Xv = _along(fam.generator(M(p.v, q.v, r.v)), lam, fam.kernel[0])
+    e1 = Xu * (1.0 / sqrt(ff.g11))
+    e2 = (Xv * ff.g11 - Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
     b1, b2, N1, N2 = where(bad, math.nan, (b1, b2, N1, N2))
     return ff, Frame(e1, e2, N1, N2), b1, b2
 
@@ -478,14 +482,16 @@ def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
     return _closed_form_pass(spec, u, v)[1]
 
 
-def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float) -> CurvatureReport:
-    """Mean curvature components, mean curvature vector, and Gauss curvature.
+def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
+                           profile: Mapping[str, Jet2] | None = None) -> CurvatureReport:
+    """Mean curvature components, mean curvature vector, and Gauss curvature,
+    from the profile jets at u (``profile`` when given).
 
     Built from the families' explicit frames and second-form coefficients,
     assembled through the standard component formulas; this route never
     touches the generic Gram-Schmidt machinery.
     """
-    return assemble_report(*_closed_form_pass(spec, u, v))
+    return assemble_report(*_closed_form_pass(spec, u, v, profile))
 
 
 def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:

@@ -7,7 +7,7 @@ against which closed-form family formulas are checked:
     g11 = <Xu,Xu>   g12 = <Xu,Xv>   g22 = <Xv,Xv>     W = det g
     b^i_jk = <X_jk, N_i>
     H_i = (b^i_11 g22 - 2 b^i_12 g12 + b^i_22 g11) / (2W)
-    H   = eps1 H1 N1 + eps2 H2 N2
+    H   = eps1 H1 N1 + eps2 H2 N2 = L^perp / (2W),  L = g22 Xuu - 2 g12 Xuv + g11 Xvv
     K   = (eps1 (b^1_11 b^1_22 - b^1_12^2) + eps2 (b^2_11 b^2_22 - b^2_12^2)) / W
     nu  = (Xu ^ Xv) / sqrt(W)
 
@@ -257,11 +257,10 @@ def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
     return CurvatureReport(ff, b1, b2, H1, H2, Hvec, K)
 
 
-def curvature_report(j: SurfaceJet, frame: Frame | None = None,
-                     first: FirstForm | None = None) -> CurvatureReport:
-    """Curvature by the generic route; ``frame``, ``orthonormal_frame(j)``, and
-    ``first``, j's checked ``first_form(j, True)``, are built when not given."""
-    ff = first_form(j, require_spacelike=True) if first is None else first
+def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureReport:
+    """Curvature by the generic route; ``frame`` is ``orthonormal_frame(j)``
+    when not given."""
+    ff = first_form(j, require_spacelike=True)
     if frame is None:
         frame = _frame(j, ff, DEFAULT_SEEDS)
     b1 = SecondForm(minkowski_dot(j.Xuu, frame.N1),
@@ -271,6 +270,18 @@ def curvature_report(j: SurfaceJet, frame: Frame | None = None,
                     minkowski_dot(j.Xuv, frame.N2),
                     minkowski_dot(j.Xvv, frame.N2))
     return assemble_report(ff, frame, b1, b2)
+
+
+def mean_curvature_vector(j: SurfaceJet, first: FirstForm | None = None) -> Vec4:
+    """H = L^perp / (2W), half the trace of the second fundamental form,
+    without a normal frame: L's tangential part a Xu + b Xv solves the first
+    form against <L,Xu> and <L,Xv>.  ``first``, j's checked
+    ``first_form(j, True)``, is built when not given."""
+    g11, g12, g22, W = first_form(j, require_spacelike=True) if first is None else first
+    L = j.Xuu * g22 - j.Xuv * (2.0 * g12) + j.Xvv * g11
+    p, q = minkowski_dot(L, j.Xu), minkowski_dot(L, j.Xv)
+    a, b = (g22 * p - g12 * q) / W, (g11 * q - g12 * p) / W
+    return (L - j.Xu * a - j.Xv * b) * (0.5 / W)
 
 
 def gauss_map(j: SurfaceJet, first: FirstForm | None = None) -> Bivector6:

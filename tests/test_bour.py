@@ -8,11 +8,13 @@ import pytest
 
 import bour4.bour as bour_mod
 import bour4.grids
+import bour4.surfaces
 from bour4.bour import (BOUR, BourGauge, bernoulli_residual, bour_partner,
                         choose_vbar_sign, constraint_rhs, gauge_complete, gauss_residual,
                         isometry_residual, minimal_pair_identity_residual,
                         natural_gauge, pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
+from bour4.cli import _example3_pair
 from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
                           NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse, to_source
@@ -292,6 +294,15 @@ class TestBourPartner:
             b = helicoid_jet(r, u, v)
             for va, vb in zip(a, b):
                 assert tuple(va) == pytest.approx(tuple(vb), abs=1e-9)
+
+    @pytest.mark.parametrize("kind,profile", [
+        ("I", {"x": "u", "z": "0", "w": "u"}),
+        ("II", {"x": "u", "y": "0", "w": "u"}),
+    ], ids=["I", "II"])
+    def test_huge_pitch_names_its_overflowing_square(self, kind, profile):
+        spec = make_helicoid(kind, 1e200, profile, (1.0, 2.0))
+        with pytest.raises(NonFiniteError, match=r"pitch lambda = 1e\+200 overflows"):
+            bour_partner(spec, natural_gauge(spec))
 
     def test_gauge_kind_checked(self):
         gauge = BourGauge(SurfaceKind.II, expr_profile("0"), expr_profile("1"))
@@ -625,6 +636,46 @@ class TestParallelCurves:
         other = make_helicoid("I", 1.0, {"x": "u + 1/2", "z": "0", "w": "0"},
                               h.domain)
         assert parallel_curve_residual(other, r, 2.0, self.VS) > 1e-2
+
+
+def paper_pair(name):
+    """A bundled pair of the CLI, with the vbar orientation its report uses."""
+    if name == "example-3":
+        return (*_example3_pair(), 1)
+    if name in ("example-1", "theorem-3.3"):
+        v_domain = (0.0, 2.0 * math.pi) if name == "example-1" else None
+        return (*same_gauss_pair_I("u", **EX1, c4=0.0, v_domain=v_domain), 1)
+    if name == "example-2":
+        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
+                                  v_domain=(0.0, math.pi / 4.0))
+    else:  # theorem 3.6 with --w u --lambda 1 --c3 -0.5
+        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.25, 0.9))
+    return h, r, choose_vbar_sign(h, r)[0]
+
+
+class TestPairMinimality:
+    """pair_report reads sup |H| from the frame-free mean curvature vector."""
+
+    @pytest.mark.parametrize("name", ["example-1", "example-2", "example-3"])
+    def test_pair_report_builds_no_normal_frame(self, name, monkeypatch):
+        h, r, sign = paper_pair(name)
+
+        def no_frame(*args):
+            raise AssertionError("pair_report built a normal frame")
+        monkeypatch.setattr(bour4.surfaces, "_frame", no_frame)
+        pair_report(h, r, grid_for(h, 33, 33), sign=sign)
+
+    @pytest.mark.parametrize("name", ["example-1", "example-2", "example-3",
+                                      "theorem-3.3", "theorem-3.6"])
+    def test_minimality_matches_the_frame_route(self, name):
+        h, r, sign = paper_pair(name)
+        grid = grid_for(h, 33, 33)
+        blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, hj, rj: (
+            curvature_report(hj).H_sup, curvature_report(rj).H_sup))
+        want = np.max(np.concatenate([block.out for block in blocks]), axis=0)
+        got = pair_report(h, r, grid, sign=sign).max_mean_curvature
+        for a, b in zip(got, want.tolist()):
+            assert a == pytest.approx(b, rel=0.0, abs=1e-9 * max(1.0, abs(b)))
 
 
 class TestMeanCurvatureRelation:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import bour4.bour
 import bour4.cli
+import bour4.families
 import bour4.grids
 import bour4.meshes
 from bour4.cli import main
@@ -266,6 +267,24 @@ class TestReport:
             want = {"min": min(vals), "max": max(vals), "mean": math.fsum(vals) / len(vals)}
             for key, w in want.items():
                 assert stats[name][key] == pytest.approx(w, rel=1e-12, abs=1e-15)
+
+    def test_profile_once_per_sweep(self, tmp_path, monkeypatch):
+        # the closed forms read the sweep's profile, on every block of rows
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
+        data = {"kind": "III", "lambda": 1.0,
+                "profile": {"x": "u", "z": "0.1*u", "w": "1 + u + u^2/12"},
+                "domain": [0.6, 2.0], "v_domain": [-1.5, 1.5]}
+        calls, original = [], bour4.families.profile_jets
+
+        def counting(surface, u):
+            calls.append(np.shape(u))
+            return original(surface, u)
+
+        for module in (bour4.families, bour4.cli):
+            monkeypatch.setattr(module, "profile_jets", counting)
+        assert main(["report", "--spec", write_json(tmp_path / "s.json", data),
+                     "--grid", "9x7", "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == [(9, 1)]
 
     def test_stats_equal_the_concatenated_blocks(self, tmp_path, monkeypatch):
         # rows of 7 points do not divide blocks of 16: two rows a block

@@ -238,6 +238,23 @@ class TestClosedFormFrame:
                     got = minkowski_dot(getattr(f, pa), getattr(f, pb))
                     assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    def test_tangent_pair_reads_the_orbit_jet_bit_for_bit(self, kind):
+        spec = SPECS[kind]
+        for u, v in sample_points(spec, 10):
+            f, ff = closed_form_frame(spec, u, v), closed_form_metric(spec, u)
+            jet = helicoid_jet(spec, u, v)
+            assert f.e1 == jet.Xu * (1.0 / math.sqrt(ff.g11))
+            assert f.e2 == (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / math.sqrt(ff.W * ff.g11))
+
+    def test_curvatures_read_a_given_profile(self):
+        for spec in SPECS.values():
+            u, v = np.linspace(*spec.domain, 7)[:, None], np.linspace(-1.0, 1.0, 5)
+            got = closed_form_curvatures(spec, u, v, profile_jets(spec, u))
+            want = closed_form_curvatures(spec, u, v)
+            for a, b in zip((*got.Hvec, got.K), (*want.Hvec, want.K)):
+                assert np.array_equal(a, b)
+
     def test_kind_II_precondition(self):
         # w'^2 - y'^2 <= 0 at a spacelike point must fail the explicit frame
         spec = make_helicoid("II", 1.0, {"x": "3*u", "y": "2*u", "w": "u"},

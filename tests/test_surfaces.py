@@ -2,13 +2,14 @@ import ast
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from bour4.bour import bour_partner, gauge_complete
+from bour4.bour import bour_partner, gauge_complete, same_gauss_pair_I
 from bour4.cli import main
 from bour4.errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                           NotSpacelikeError)
@@ -20,8 +21,8 @@ from bour4.grids import Grid, scan, sweep
 from bour4.lorentz import (E1, E2, E3, E4, CausalClass, Vec4, bivector_dot,
                            minkowski_dot, wedge)
 from bour4.meshes import sample_mesh
-from bour4.surfaces import (SurfaceJet, curvature_report, first_form,
-                            gauss_map, numeric_jet, orthonormal_frame)
+from bour4.surfaces import (SurfaceJet, curvature_report, first_form, gauss_map,
+                            mean_curvature_vector, numeric_jet, orthonormal_frame)
 
 RNG = random.Random(424242)
 
@@ -234,6 +235,58 @@ class TestCurvatureReport:
             assembled = f.N1 * (f.eps1 * rep.H1) + f.N2 * (f.eps2 * rep.H2)
             for a, b in zip(rep.Hvec, assembled):
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestMeanCurvatureVector:
+    """H by normal projection of L = g22 Xuu - 2 g12 Xuv + g11 Xvv, no frame."""
+
+    @staticmethod
+    def exact(j):
+        """H of the jet's float data in rational arithmetic, by the same formula."""
+        Xu, Xv, Xuu, Xuv, Xvv = ([Fraction(c) for c in x] for x in j[1:])
+
+        def dot(x, y):
+            return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3]
+        g11, g12, g22 = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+        W = g11 * g22 - g12 * g12
+        L = [g22 * a - 2 * g12 * b + g11 * c for a, b, c in zip(Xuu, Xuv, Xvv)]
+        p, q = dot(L, Xu), dot(L, Xv)
+        a, b = (g22 * p - g12 * q) / W, (g11 * q - g12 * p) / W
+        return [float((x - a * y - b * z) / (2 * W)) for x, y, z in zip(L, Xu, Xv)]
+
+    def test_matches_the_frame_assembled_Hvec(self):
+        # on these jets |H| reaches ~6e3 and the frame's own rounding ~6e-10,
+        # so the two routes are compared at the scale of H; the projection
+        # stays within 1e-12 of H's value in rational arithmetic
+        for _ in range(200):
+            j = random_spacelike_jet()
+            H, exact = mean_curvature_vector(j), self.exact(j)
+            scale = max(1.0, *map(abs, exact))
+            for a, b, c in zip(H, curvature_report(j).Hvec, exact):
+                assert a == pytest.approx(c, abs=1e-12 * scale)
+                assert a == pytest.approx(b, abs=1e-10 * scale)
+
+    def test_reads_a_given_first_form(self):
+        j = random_spacelike_jet()
+        assert mean_curvature_vector(j, first_form(j, True)) == mean_curvature_vector(j)
+
+    def test_array_run_matches_float_runs_elementwise(self):
+        jets = [random_spacelike_jet() for _ in range(64)]
+        block = SurfaceJet(*(Vec4(*(np.array([j[f][c] for j in jets]) for c in range(4)))
+                             for f in range(6)))
+        want = np.array([mean_curvature_vector(j) for j in jets])
+        assert np.column_stack(mean_curvature_vector(block)).tobytes() == want.tobytes()
+
+    def test_vanishes_on_the_example_1_helicoid(self):
+        h, _ = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0, domain=(1.1, math.pi))
+        for u in (1.2, 2.0, 3.0):
+            for v in (0.0, 1.3, 4.0):
+                assert max(map(abs, mean_curvature_vector(helicoid_jet(h, u, v)))) < 1e-12
+
+    def test_rejects_timelike(self):
+        spec = make_helicoid("II", 1.0, {"x": "0", "y": "0", "w": "u"}, (0.5, 2.0))
+        with pytest.raises(NotSpacelikeError):
+            mean_curvature_vector(helicoid_jet(spec, 1.0, 0.0))
 
 
 class TestGaussMap:
