@@ -339,10 +339,10 @@ def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str"
     sq_gauge supplies b^2 (resp. a^2), as a profile function or an
     expression; the positive root is differentiated by jet arithmetic.
     """
-    fam = FAMILIES.get(kind)
-    if fam is None or fam.ode_sign is None:
+    bd = BOUR.get(kind)
+    if bd is None or not bd.k:  # kind III's rho is its profile w alone
         raise ValidationError("the gauge ODE exists for kinds I and II only")
-    sign = fam.ode_sign
+    sign = bd.k  # rho^2 = q^2 + k lam^2
     consts = dict(consts or {})
     sq = sq_gauge if callable(sq_gauge) else expr_profile(sq_gauge, consts)
     p = parse(profile) if isinstance(profile, str) else profile

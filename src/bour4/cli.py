@@ -430,10 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: Whether ``main`` has frozen the heap, or found it frozen, in this process.
+_frozen = False
+
+
 def main(argv=None) -> int:
-    if not gc.get_freeze_count():
-        # the imports' objects live until exit; frozen, exit skips collecting them
-        gc.freeze()
+    global _frozen
+    # the imports' objects live until exit; frozen, exit skips collecting
+    # them.  The count walks the frozen set, so it is read once per process.
+    if not _frozen:
+        _frozen = True
+        if not gc.get_freeze_count():
+            gc.freeze()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -63,7 +63,6 @@ class Family:
     frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
     gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
     closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u; no table
-    ode_sign: float | None = None  # the sign of lam^2 in the squared gauge's minimality ODE
     identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
 
     def profile(self, pj: Mapping[str, Jet2]) -> list[Jet2]:
@@ -223,11 +222,11 @@ FAMILIES = {
     SurfaceKind.I: Family(
         ("x", "z", "w"), (0.0, 2.0 * math.pi), _rotation,
         lambda p: Vec4(-p.x2, p.x1, 0.0, 0.0), (E4, E3), _metric_I, _frame_I, _gauss_I,
-        ode_sign=-1.0, identity=_identity_I),
+        identity=_identity_I),
     SurfaceKind.II: Family(
         ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _boost,
         lambda p: Vec4(0.0, 0.0, p.x4, p.x3), (E1, E2), _metric_II, _frame_II, _gauss_II,
-        ode_sign=1.0, identity=_identity_II),
+        identity=_identity_II),
     SurfaceKind.III: Family(
         ("x", "z", "w"), (-math.pi, math.pi), _null_rotation,
         lambda p: Vec4(0.0, p.x3 + p.x4, -p.x2, p.x2), (XI3, E1), _metric_III, _frame_III,

@@ -2,11 +2,13 @@
 
 ``integrate`` is a standard 15-point Kronrod / 7-point Gauss pair with
 adaptive bisection.  ``Antiderivative`` builds F(u) = int_{u0}^{u} f once on
-a refined panel table and answers queries, at a float or an array of u, by
-cubic Hermite interpolation (panel endpoint values plus the exact integrand
-as slope), so grid sweeps do not re-integrate.  Panels are split until both
-the Kronrod error estimate and the interpolation error estimate at the panel
-midpoint clear the requested tolerance.
+a refined panel table and answers queries, at a float or an array of u, from
+each panel's degree-14 polynomial through its 15 Kronrod node values,
+integrated exactly in the Chebyshev basis (Trefethen, *Approximation Theory
+and Approximation Practice*, ch. 19), so grid sweeps do not re-integrate.
+Panels are split until both the Kronrod error estimate and the polynomial's
+integrals over the panel and its left half, against their Kronrod values,
+clear the requested tolerance.
 
 Both refine breadth first: the nodes of every open panel of a refinement
 level are evaluated together, in calls of at most BLOCK_POINTS nodes, so an
@@ -95,6 +97,46 @@ def _gk15_sum(lo, hi, fx):
     return kron, np.abs(kron - gauss)
 
 
+#: ``_poly_matrices``' result, built on the first table build.
+_POLY = None
+
+
+def _poly_matrices():
+    """The 16 x 15 matrix INT and the 2 x 15 matrix W of a panel's
+    polynomial: with P the degree-14 polynomial through values f_j at the
+    Kronrod nodes t_j of [-1, 1] (in _gk15_nodes' order),
+    int_{-1}^{t} P = sum_k (INT f)_k T_k(t) for k = 0..15, and P's integrals
+    over [-1, 0] and [-1, 1] are the rows of W f.  Built with elementwise
+    numpy only."""
+    global _POLY
+    if _POLY is None:
+        x = np.array(_XGK[:7])
+        t = np.concatenate([-x, x, [0.0]])
+        n = t.size
+        # the Lagrange basis at n Chebyshev points y_m = cos(theta_m) ...
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        others = ~np.eye(n, dtype=bool)
+        num = np.where(others, np.cos(theta)[:, None, None] - t, 1.0).prod(axis=2)
+        den = np.where(others, t[:, None] - t, 1.0).prod(axis=1)
+        basis = num / den  # [m, j] = l_j(y_m)
+        # ... gives each basis polynomial's Chebyshev coefficients exactly,
+        # by the discrete orthogonality of T_0..T_{n-1} on those points
+        cos = np.cos(np.arange(n)[:, None] * theta)  # [k, m] = T_k(y_m)
+        cheb = (cos[:, :, None] * basis).sum(axis=1) * (2.0 / n)
+        cheb[0] *= 0.5
+        # int T_0 = T_1, int T_1 = T_2 / 4, int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
+        padded = np.concatenate([cheb, np.zeros((2, n))])
+        k = np.arange(1, n + 1)[:, None]
+        integral = np.zeros((n + 1, n))
+        integral[1:] = (padded[:n] - padded[2:]) / (2.0 * k)
+        integral[1] += 0.5 * padded[0]  # int T_0 is all of T_1, not half
+        integral[0] = -(integral[1:] * (-1.0) ** k).sum(axis=0)  # 0 at t = -1
+        ends = np.array([[(1.0, 0.0, -1.0, 0.0)[i % 4] for i in range(n + 1)],  # T_k(0)
+                         [1.0] * (n + 1)])  # T_k(1)
+        _POLY = integral, (ends[:, :, None] * integral).sum(axis=1)
+    return _POLY
+
+
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
     """f at every node, in calls of at most BLOCK_POINTS nodes."""
     flat = nodes.reshape(-1)
@@ -126,9 +168,12 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
 
     A panel is split while its Kronrod error exceeds max(budget, tol*|K15|),
     the budget halving with each split.  With a ``table_tol`` it is also
-    split while the cubic Hermite prediction of its left half's integral
-    misses the Kronrod value by more than table_tol.  Returns the accepted
-    panels' (lo, hi, integral, f(lo), f(hi)) as arrays in ascending order.
+    split while the integral of the polynomial through its node values, over
+    the panel or its left half, misses the Kronrod value by more than
+    table_tol.  The first level also evaluates the edges; every later panel
+    end is a centre node of the level before, so f is finite at each end.
+    Returns the accepted panels' (lo, hi, integral, node values) as arrays in
+    ascending order.
     """
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     budgets = np.full(lo.size, budget)
@@ -137,24 +182,27 @@ def _refine(f, edges: list[float], budget: float, tol: float, table_tol: float |
     for depth in range(MAX_DEPTH + 1):
         if accepted + lo.size > max_panels:
             raise QuadratureError("antiderivative table exceeded panel budget")
-        parts = [_gk15_nodes(lo, hi), lo[:, None], hi[:, None]]
+        parts = [_gk15_nodes(lo, hi)]
         mid = 0.5 * (lo + hi)
         if table_tol is not None:
             parts.append(_gk15_nodes(lo, mid))
+        if depth == 0:
+            parts += [lo[:, None], hi[:, None]]
         nodes = np.concatenate(parts, axis=1)
         fx = _evaluate(f, nodes)
         full, err = _gk15_sum(lo, hi, fx[:, :15])
         if not (np.isfinite(fx).all() and np.isfinite(full).all()):
             raise _not_finite(f, lo, hi, nodes, fx, full)
-        f_lo, f_hi = fx[:, 15], fx[:, 16]
         split = err > np.maximum(budgets, tol * np.abs(full))
         if table_tol is not None:
-            left_half, _ = _gk15_sum(lo, mid, fx[:, 17:])
-            # cubic Hermite prediction of F(mid) - F(lo) from panel data
-            hermite_mid = 0.5 * full + 0.125 * (hi - lo) * (f_lo - f_hi)
-            split |= np.abs(hermite_mid - left_half) > table_tol
+            left_half, _ = _gk15_sum(lo, mid, fx[:, 15:30])
+            # the polynomial's integrals over the left half and the whole panel
+            half = 0.5 * (hi - lo)
+            poly = (fx[:, None, :15] * _poly_matrices()[1]).sum(axis=2) * half[:, None]
+            split |= np.abs(poly[:, 0] - left_half) > table_tol
+            split |= np.abs(poly[:, 1] - full) > table_tol
         keep = ~split
-        done.append((lo[keep], hi[keep], full[keep], f_lo[keep], f_hi[keep]))
+        done.append((lo[keep], hi[keep], full[keep], fx[keep, :15]))
         accepted += int(keep.sum())
         if not split.any():
             break
@@ -182,32 +230,29 @@ def integrate(f: Callable, a: float, b: float, tol: float | None = None) -> floa
     if a > b:
         return -integrate(f, b, a, tol)
     with np.errstate(all="ignore"):
-        _, _, values, _, _ = _refine(f, [a, b], tol, tol, None, math.inf)
+        _, _, values, _ = _refine(f, [a, b], tol, tol, None, math.inf)
     return sum(values.tolist())
 
 
-def _hermite(u, i, us, Fs, fs):
-    """F at u in panel i of a table with knots us, values Fs and slopes fs."""
-    a, b = us[i], us[i + 1]
-    h = b - a
-    t = (u - a) / h
-    fa, fb = fs[i], fs[i + 1]
-    dF = Fs[i + 1] - Fs[i]
-    # Hermite cubic in integrated form: exact for f cubic on the panel
-    t2 = t * t
-    h00 = 2.0 * t2 * t - 3.0 * t2 + 1.0
-    h10 = t2 * t - 2.0 * t2 + t
-    h01 = 1.0 - h00
-    h11 = t2 * t - t2
-    return (h00 * 0.0 + h01 * dF + h * (h10 * fa + h11 * fb)) + Fs[i]
+def _clenshaw(t, coefs):
+    """sum_k coefs[k] T_k(t), for a float t and float coefficients or for
+    arrays, with the same arithmetic."""
+    b1 = b2 = 0.0
+    t2 = t + t
+    for a in coefs[:0:-1]:
+        b1, b2 = a + t2 * b1 - b2, b1
+    return coefs[0] + t * b1 - b2
 
 
 class Antiderivative:
     """F(u) = int_{u0}^{u} f du on [u0, u1], tabulated once, then interpolated.
 
-    f must be smooth on the closed interval and take a float or an array of
-    u; so does a query.  Queries slightly outside the build interval (within
-    one panel width) fall back to direct quadrature.
+    Each panel holds the antiderivative of the degree-14 polynomial through
+    f at its 15 Kronrod nodes, as Chebyshev coefficients scaled to the
+    panel; a query adds its Clenshaw sum to F at the panel's left end.  f
+    must be smooth on the closed interval and take a float or an array of u;
+    so does a query.  Queries outside the build interval fall back to direct
+    quadrature.
     """
 
     def __init__(self, f: Callable, u0: float, u1: float):
@@ -215,18 +260,20 @@ class Antiderivative:
             raise QuadratureError("antiderivative needs an increasing interval")
         self.f = f
         self.tol = default_tolerance()
-        # the midpoint Hermite check is an estimate of the panel's worst
-        # interpolation error; the safety factor keeps the true maximum at
-        # or below the advertised table tolerance
+        # the half-panel check samples the polynomial's integral error at
+        # the panel's midpoint only; the factor 0.5 leaves room for it
+        # elsewhere in the panel
         table_tol = 0.5 * max(self.tol * 10.0, TABLE_TOL)
         edges = [u0 + (u1 - u0) * i / INITIAL_PANELS for i in range(INITIAL_PANELS + 1)]
         with np.errstate(all="ignore"):
-            _, hi, increments, f_lo, f_hi = _refine(
+            lo, hi, increments, fx = _refine(
                 f, edges, self.tol / INITIAL_PANELS, self.tol, table_tol, MAX_PANELS)
         self._us = [u0] + hi.tolist()
         self._Fs = [0.0, *accumulate(increments.tolist())]
-        self._fs = f_lo[:1].tolist() + f_hi.tolist()
-        self._arrays = np.array([self._us, self._Fs, self._fs])  # for array queries
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coefs = (fx[:, None, :] * _poly_matrices()[0]).sum(axis=2) * half[:, None]
+        self._panels = [mid.tolist(), half.tolist(), coefs.tolist()]  # for float queries
+        self._arrays = np.array(self._us), mid, half, np.array(self._Fs), coefs.T.copy()
 
     def __call__(self, u):
         """F at u, a float or an array of u; NaN at a NaN.  An array is
@@ -238,8 +285,10 @@ class Antiderivative:
             out = np.empty(u.shape)
             inside = (u > us[0]) & (u < us[-1])
             out[~inside] = [self(x) for x in u[~inside].tolist()]
-            x, table = u[inside], self._arrays
-            out[inside] = _hermite(x, np.searchsorted(table[0], x, side="right") - 1, *table)
+            x = u[inside]
+            knots, mid, half, Fs, coefs = self._arrays
+            i = np.searchsorted(knots, x, side="right") - 1
+            out[inside] = Fs[i] + _clenshaw((x - mid[i]) / half[i], coefs[:, i])
             return out
         if u <= us[0]:
             return 0.0 if u == us[0] else -integrate(self.f, u, us[0], self.tol)
@@ -248,7 +297,9 @@ class Antiderivative:
                 self._Fs[-1] + integrate(self.f, us[-1], u, self.tol))
         if math.isnan(u):  # bisect would put it past the last knot
             return math.nan
-        return _hermite(u, bisect.bisect_right(us, u) - 1, us, self._Fs, self._fs)
+        i = bisect.bisect_right(us, u) - 1
+        mid, half, coefs = self._panels
+        return self._Fs[i] + _clenshaw((u - mid[i]) / half[i], coefs[i])
 
     @property
     def total(self) -> float:

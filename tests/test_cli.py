@@ -366,6 +366,18 @@ class TestVerify:
         assert main(["verify", "--theorem", "3.6", "--w", "u", "--lambda", "1",
                      "--c3", "-0.5", "--grid", "9x9", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "3.3", "--x", "u", "--lambda", "1", "--c3", "0.5"],
+        ["--theorem", "3.6", "--w", "u", "--lambda", "1", "--c3", "-0.5"],
+    ], ids=["3.3", "3.6"])
+    def test_shared_gauss_map_agrees_to_rounding(self, tmp_path, argv):
+        # the partner reads the helicoid's shift table, which is accurate to
+        # rounding, so the two Gauss maps agree far inside their tolerance
+        out = tmp_path / "v.json"
+        assert main(["verify", *argv, "--grid", "33x33", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["failures"] == [] and rep["residuals"]["gauss"] < 1e-12
+
     def test_theorem_37_example_3(self, tmp_path):
         out = tmp_path / "v.json"
         assert main(["verify", "--theorem", "3.7", "--example", "3",

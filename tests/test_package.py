@@ -149,6 +149,15 @@ def blas_uses(path: Path) -> list[str]:
     return found
 
 
+def test_import_builds_no_quadrature_matrix():
+    # the polynomial tables' constant matrices are built by the first table
+    state = fresh("import json, bour4.cli, bour4.quadrature as q\n"
+                  "built = [q._POLY is not None]\n"
+                  "q.Antiderivative(q.np.cos, 0.0, 1.0)\n"
+                  "print(json.dumps(built + [q._POLY is not None]))")
+    assert state == [False, True]
+
+
 def test_package_makes_no_blas_call():
     found = [use for path in sorted((SRC / "bour4").glob("*.py")) for use in blas_uses(path)]
     assert not found, ("bour4.cli runs numpy's BLAS on one thread because the package "

@@ -7,12 +7,12 @@ import pytest
 
 import bour4.bour
 import bour4.quadrature
-from bour4.bour import VbarMap, bour_partner, gauge_complete, same_gauss_pair_I
+from bour4.bour import bour_partner, gauge_complete, same_gauss_pair_I
 from bour4.errors import EvalDomainError, QuadratureError, ValidationError
 from bour4.expressions import eval_jet, parse
-from bour4.families import make_helicoid
-from bour4.quadrature import (TABLE_TOL, _WG, _WGK, _XGK, Antiderivative,
-                              default_tolerance, integrate)
+from bour4.families import VbarMap, make_helicoid
+from bour4.quadrature import (INITIAL_PANELS, TABLE_TOL, _WG, _WGK, _XGK, Antiderivative,
+                              _poly_matrices, default_tolerance, integrate)
 
 
 class TestIntegrate:
@@ -46,6 +46,15 @@ class TestIntegrate:
             integrate(lambda x: np.divide(1.0, (x - 0.3) ** 2), 0.0, 1.0)
 
 
+#: Integrands with closed-form antiderivatives: (f, a, b, F).
+CLOSED_FORMS = [
+    (np.cos, 0.0, 6.0, np.sin),
+    (lambda x: np.exp(x) * np.cos(3 * x), 0.0, 2.0,
+     lambda x: np.exp(x) * (np.cos(3 * x) + 3 * np.sin(3 * x)) / 10.0),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, lambda x: np.arctan(5.0 * x) / 5.0),
+]
+
+
 class TestAntiderivative:
     def test_matches_closed_form(self):
         F = Antiderivative(np.cos, 0.0, 6.0)
@@ -72,6 +81,21 @@ class TestAntiderivative:
     def test_decreasing_interval_rejected(self):
         with pytest.raises(QuadratureError):
             Antiderivative(np.sin, 2.0, 1.0)
+
+    @pytest.mark.parametrize("f,a,b,exact", CLOSED_FORMS)
+    def test_error_against_closed_forms(self, f, a, b, exact):
+        F = Antiderivative(f, a, b)
+        u = np.linspace(a, b, 4001)
+        assert np.abs(F(u) - (exact(u) - exact(a))).max() <= 1e-13
+
+    @pytest.mark.parametrize("f,a,b,exact", CLOSED_FORMS)
+    def test_continuous_at_interior_knots(self, f, a, b, exact):
+        # just below a knot is the end of the panel before it
+        F = Antiderivative(f, a, b)
+        knots = np.array(F._us[1:-1])
+        assert knots.size >= INITIAL_PANELS - 1
+        below, at = F(np.nextafter(knots, -np.inf)), F(knots)
+        assert np.all(np.abs(below - at) <= 1e-14 * np.maximum(1.0, np.abs(at)))
 
 
 def _partner_tables(monkeypatch):
@@ -124,26 +148,30 @@ def _depth_first_table(f, u0, u1, tol, initial_panels=8):
     """Reference: the panel table built by recursive bisection, one scalar
     integrand call per node."""
     def gk15(a, b):
+        """The panel's Kronrod integral and error, and its node values."""
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        fc = f(mid)
-        kron, gauss = _WGK[7] * fc, _WG[3] * fc
+        dxs = [half * x for x in _XGK[:7]]
+        fx = [f(mid - dx) for dx in dxs] + [f(mid + dx) for dx in dxs] + [f(mid)]
+        kron, gauss = _WGK[7] * fx[14], _WG[3] * fx[14]
         for i in range(7):
-            dx = half * _XGK[i]
-            pair = f(mid - dx) + f(mid + dx)
+            pair = fx[i] + fx[7 + i]
             kron += _WGK[i] * pair
             if i % 2 == 1:
                 gauss += _WG[i // 2] * pair
-        return kron * half, abs(kron * half - gauss * half)
+        return kron * half, abs(kron * half - gauss * half), fx
 
+    weights = _poly_matrices()[1]
     table_tol = 0.5 * max(tol * 10.0, TABLE_TOL)
     nodes, increments = [u0], [0.0]
 
     def refine(lo, hi, budget):
-        full, err = gk15(lo, hi)
-        mid = 0.5 * (lo + hi)
-        left_half, _ = gk15(lo, mid)
-        hermite_mid = 0.5 * full + 0.125 * (hi - lo) * (f(lo) - f(hi))
-        if err > max(budget, tol * abs(full)) or abs(hermite_mid - left_half) > table_tol:
+        full, err, fx = gk15(lo, hi)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        left_half, _, _ = gk15(lo, mid)
+        # the polynomial's integrals over the left half and the whole panel
+        poly_left, poly_full = ((np.array(fx) * weights).sum(axis=1) * half).tolist()
+        if (err > max(budget, tol * abs(full)) or abs(poly_left - left_half) > table_tol
+                or abs(poly_full - full) > table_tol):
             refine(lo, mid, budget * 0.5)
             refine(mid, hi, budget * 0.5)
         else:
@@ -184,8 +212,8 @@ class TestBreadthFirstBuild:
         calls.clear()
         small = Antiderivative(f, 0.0, 2.0)
         assert len(calls) > levels and max(shape[0] for shape in calls) <= 40
-        assert (small._us, small._Fs, small._fs) == (whole._us, whole._Fs, whole._fs)
-        assert all(type(x) is float for x in whole._us + whole._Fs + whole._fs)
+        assert (small._us, small._Fs, small._panels) == (whole._us, whole._Fs, whole._panels)
+        assert all(type(x) is float for x in whole._us + whole._Fs)
 
     def test_domain_error_is_the_scalar_one(self):
         e = parse("sqrt(u - 0.5)")
