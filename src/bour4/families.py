@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 from .errors import FrameFailureError, NotSpacelikeError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
@@ -36,8 +36,7 @@ from .jets import Jet2
 from .lorentz import (E1, E2, E3, E4, XI3, Bivector6, Vec4, bivector_from_pseudo, flag,
                       pseudo_to_standard, where, xp)
 from .quadrature import Antiderivative
-from .surfaces import (CurvatureReport, FirstForm, Frame, SecondForm, SurfaceJet,
-                       assemble_report, finalize_first_form)
+from .surfaces import CurvatureReport, FirstForm, Frame, SurfaceJet, finalize_first_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,6 +45,14 @@ class SurfaceKind(str, Enum):
     I = "I"
     II = "II"
     III = "III"
+
+
+class SecondForm(NamedTuple):
+    """Second-form coefficients b_jk = <X_jk, N> on one normal N."""
+
+    b11: float
+    b12: float
+    b22: float
 
 
 @dataclass(frozen=True)
@@ -488,14 +495,22 @@ def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
 
     Built from the families' explicit frames and second-form coefficients,
     assembled through the standard component formulas; this route never
-    touches the generic Gram-Schmidt machinery.
+    touches the generic normal projection.
     """
-    return assemble_report(*_closed_form_pass(spec, u, v, profile))
+    ff, frame, b1, b2 = _closed_form_pass(spec, u, v, profile)
+    H1 = (b1.b11 * ff.g22 - 2.0 * b1.b12 * ff.g12 + b1.b22 * ff.g11) / (2.0 * ff.W)
+    H2 = (b2.b11 * ff.g22 - 2.0 * b2.b12 * ff.g12 + b2.b22 * ff.g11) / (2.0 * ff.W)
+    Hvec = frame.N1 * (frame.eps1 * H1) + frame.N2 * (frame.eps2 * H2)
+    K = (frame.eps1 * (b1.b11 * b1.b22 - b1.b12 ** 2)
+         + frame.eps2 * (b2.b11 * b2.b22 - b2.b12 ** 2)) / ff.W
+    return CurvatureReport(ff, H1, H2, Hvec, K)
 
 
-def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:
-    """The families' explicit Gauss-map component patterns (unit 2-vector)."""
-    pj = profile_jets(spec, u)
+def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
+                      profile: Mapping[str, Jet2] | None = None) -> Bivector6:
+    """The families' explicit Gauss-map component patterns (unit 2-vector),
+    from the profile jets at u (``profile`` when given)."""
+    pj = profile_jets(spec, u) if profile is None else profile
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
     c = 1.0 / xp(ff.W).sqrt(ff.W)

@@ -5,11 +5,16 @@ standard definitions of the fundamental forms, so it serves as the oracle
 against which closed-form family formulas are checked:
 
     g11 = <Xu,Xu>   g12 = <Xu,Xv>   g22 = <Xv,Xv>     W = det g
-    b^i_jk = <X_jk, N_i>
-    H_i = (b^i_11 g22 - 2 b^i_12 g12 + b^i_22 g11) / (2W)
-    H   = eps1 H1 N1 + eps2 H2 N2 = L^perp / (2W),  L = g22 Xuu - 2 g12 Xuv + g11 Xvv
-    K   = (eps1 (b^1_11 b^1_22 - b^1_12^2) + eps2 (b^2_11 b^2_22 - b^2_12^2)) / W
+    Y^perp = Y - a Xu - b Xv,  where g (a, b) = (<Y,Xu>, <Y,Xv>)
+    h_jk = X_jk^perp
+    H   = L^perp / (2W),  L = g22 Xuu - 2 g12 Xuv + g11 Xvv
+    K   = (<h11,h22> - <h12,h12>) / W
+    H_i = <H, N_i>,  so H = H1 N1 - H2 N2
     nu  = (Xu ^ Xv) / sqrt(W)
+
+H and K need no normal frame.  H1 and H2 are read in the least-boosted one:
+N2 is the unit normal part of e4 (timelike), and N1 the unit normal with no
+e4 component.
 
 The surface is required to be spacelike (W > 0) wherever frames, curvatures,
 or the Gauss map are requested.  Jets may carry floats (one point) or arrays
@@ -21,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple
 
 from .errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                      NotSpacelikeError)
-from .lorentz import (E1, E2, E3, E4, Bivector6, CausalClass, Vec4, any_, flag,
-                      minkowski_dot, sup, wedge, where, xp)
+from .lorentz import (E4, Bivector6, CausalClass, Vec4, flag, minkowski_dot, sup, wedge,
+                      where, xp)
 
 
 class SurfaceJet(NamedTuple):
@@ -59,20 +64,13 @@ class Frame:
     eps2: ClassVar[int] = -1
 
 
-class SecondForm(NamedTuple):
-    b11: float
-    b12: float
-    b22: float
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Curvature at one point (or a block of points); the minimal flag and
-    the causal class of Hvec are derived on access."""
+    """Curvature at one point (or a block of points).  H1 and H2 are Hvec's
+    components in a normal frame, Hvec = H1 N1 - H2 N2; the minimal flag and
+    H_sup = sup |Hvec| are derived on access."""
 
     first: FirstForm
-    b1: SecondForm
-    b2: SecondForm
     H1: float
     H2: float
     Hvec: Vec4
@@ -80,7 +78,7 @@ class CurvatureReport:
 
     @property
     def minimal(self) -> bool:
-        return classify_mean_curvature(self.Hvec, self.H1, self.H2)[0]
+        return classify_mean_curvature(self.Hvec)[0]
 
     @property
     def H_sup(self) -> float:
@@ -171,61 +169,31 @@ def spacelike(ff: FirstForm) -> FirstForm:
                       ff.W), math.nan, ff)
 
 
-DEFAULT_SEEDS: tuple[Vec4, ...] = (E3, E4, E1, E2)
-_NAN4 = Vec4(math.nan, math.nan, math.nan, math.nan)
+def orthonormal_frame(j: SurfaceJet) -> Frame:
+    """Tangent frame from the standard formulas plus the least-boosted normal pair.
 
-
-def orthonormal_frame(j: SurfaceJet, seeds: Sequence[Vec4] = DEFAULT_SEEDS) -> Frame:
-    """Tangent frame from the standard formulas plus a seeded Gram-Schmidt normal pair.
-
-    e1 = Xu/sqrt(g11), e2 = (g11 Xv - g12 Xu)/sqrt(W g11).  Candidate seeds are
-    projected onto the normal plane in turn; the first two projections with
-    non-negligible causal norm give the normal pair, relabeled so N1 is
-    spacelike and N2 timelike.
+    e1 = Xu/sqrt(g11), e2 = (g11 Xv - g12 Xu)/sqrt(W g11).  N2 is the unit
+    normal part n = e4 - e4^T of e4: of the unit timelike normals it has the
+    smallest e4 component, and n is never null, since <n,n> = -1 -
+    <e4^T,e4^T> <= -1.  N1 = *(e1 ^ e2 ^ N2) is the unit normal orthogonal
+    to N2; N2 differs from e4/|n| by a tangent vector, so N1 is a spatial
+    cross product of e1 and e2, with e4 component 0.
     """
-    return _frame(j, first_form(j, require_spacelike=True), seeds)
+    return _frame(j, first_form(j, require_spacelike=True))
 
 
-def _seed_dot(seed: Vec4, x: Vec4):
-    """<seed, x>; for a seed on one axis, its one signed term.  For finite x
-    the dropped terms are +-0, which can change only the sign of a zero dot,
-    and that changes no component of seed - x <seed, x>."""
-    terms = [(k, c if k < 3 else -c) for k, c in enumerate(seed) if c != 0.0]
-    return x[terms[0][0]] * terms[0][1] if len(terms) == 1 else minkowski_dot(seed, x)
-
-
-def _frame(j: SurfaceJet, ff: FirstForm, seeds: Sequence[Vec4]) -> Frame:
+def _frame(j: SurfaceJet, ff: FirstForm) -> Frame:
     bad = flag(ff.g11 <= 0.0, FrameFailureError,
                "g11 = {!r} <= 0 on a spacelike surface", ff.g11)
     sqrt = xp(ff.W).sqrt
     e1 = j.Xu * (1.0 / sqrt(ff.g11))
     e2 = (j.Xv * ff.g11 - j.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
-
-    # the first two usable seeds of each point go to (na, ea), then (nb, eb)
-    na = nb = _NAN4
-    ea = eb = 0
-    found = 0  # seeds taken: by every point, until points differ over a block
-    for seed in seeds:
-        n = seed - e1 * _seed_dot(seed, e1) - e2 * _seed_dot(seed, e2)
-        if na is not _NAN4:  # some point has taken its first seed
-            n = where(found == 1, n - na * (ea * minkowski_dot(n, na)), n)
-        q = minkowski_dot(n, n)
-        usable = (abs(q) > 1e-10 * (1.0 + n.euclid_sq())) & (found < 2)
-        if any_(usable):
-            if usable is True or usable.all():
-                usable = True  # every point takes this seed: merge without masks
-            unit = (n * (1.0 / sqrt(abs(q))), (q > 0.0) * 2 - 1)
-            na, ea = where(usable & (found == 0), unit, (na, ea))
-            nb, eb = where(usable & (found == 1), unit, (nb, eb))
-            found = found + usable
-            if not any_(found < 2):
-                break
-    # bad | keeps this a mask on a block whose points all took the same seeds
-    bad = bad | flag(bad | (found < 2), FrameFailureError,
-                     "no usable normal seeds: normal plane is numerically null")
-    bad = bad | flag(ea + eb != 0, FrameFailureError,
-                     "normal plane does not have signature (+,-)")
-    N1, N2 = where(ea > 0, (na, nb), (nb, na))
+    # <e4, e_k> = -e_k.x4, so e4's normal part is e4 + e1 e1.x4 + e2 e2.x4
+    N2 = (E4 + e1 * e1.x4 + e2 * e2.x4) * (1.0 / sqrt(1.0 + e1.x4 ** 2 + e2.x4 ** 2))
+    # N1 is the spatial e2 x e1 = (c23, -c13, c12): det(e1, e2, N1, N2) < 0,
+    # as in the closed-form frames
+    c = wedge(e2, e1)
+    N1 = Vec4(c.b23, -c.b13, c.b12, 0.0) * (1.0 / sqrt(c.b12 ** 2 + c.b13 ** 2 + c.b23 ** 2))
     N1, N2 = where(bad, math.nan, (N1, N2))
     return Frame(e1, e2, N1, N2)
 
@@ -233,55 +201,50 @@ def _frame(j: SurfaceJet, ff: FirstForm, seeds: Sequence[Vec4]) -> Frame:
 # ---------------------------------------------------------------------------
 # curvature
 
-def classify_mean_curvature(Hvec: Vec4, H1: float, H2: float) -> tuple[bool, CausalClass]:
-    """Minimal / causal classification with explicit tolerance bands."""
+def classify_mean_curvature(Hvec: Vec4) -> tuple[bool, CausalClass]:
+    """Minimal / causal classification with frame-free tolerance bands:
+    minimal where sup |Hvec| < 1e-8, lightlike where |<H,H>| < 1e-8 max(1, |H|^2)
+    (Euclidean |H|)."""
     band = 1e-8
-    scale = sup(abs(H1), abs(H2), 1.0)
-    minimal = sup(*map(abs, Hvec)) < band * scale
+    minimal = sup(*map(abs, Hvec)) < band
     hsq = minkowski_dot(Hvec, Hvec)
     # the zero vector counts as spacelike
     hclass = where(minimal, CausalClass.SPACELIKE,
-                   where(abs(hsq) < band * scale * scale, CausalClass.LIGHTLIKE,
+                   where(abs(hsq) < band * sup(Hvec.euclid_sq(), 1.0), CausalClass.LIGHTLIKE,
                          where(hsq > 0, CausalClass.SPACELIKE, CausalClass.TIMELIKE)))
     return minimal, hclass
 
 
-def assemble_report(ff: FirstForm, frame: Frame, b1: SecondForm,
-                    b2: SecondForm) -> CurvatureReport:
-    """Mean/Gauss curvature from fundamental-form data (shared with closed forms)."""
-    H1 = (b1.b11 * ff.g22 - 2.0 * b1.b12 * ff.g12 + b1.b22 * ff.g11) / (2.0 * ff.W)
-    H2 = (b2.b11 * ff.g22 - 2.0 * b2.b12 * ff.g12 + b2.b22 * ff.g11) / (2.0 * ff.W)
-    Hvec = frame.N1 * (frame.eps1 * H1) + frame.N2 * (frame.eps2 * H2)
-    K = (frame.eps1 * (b1.b11 * b1.b22 - b1.b12 ** 2)
-         + frame.eps2 * (b2.b11 * b2.b22 - b2.b12 ** 2)) / ff.W
-    return CurvatureReport(ff, b1, b2, H1, H2, Hvec, K)
-
-
-def curvature_report(j: SurfaceJet, frame: Frame | None = None) -> CurvatureReport:
-    """Curvature by the generic route; ``frame`` is ``orthonormal_frame(j)``
-    when not given."""
+def curvature_report(j: SurfaceJet) -> CurvatureReport:
+    """Curvature by the generic route: Hvec is ``mean_curvature_vector``, K
+    comes from the Gauss equation on the normal parts h_jk of the second
+    derivatives, and H1, H2 are <Hvec, N1>, <Hvec, N2> in
+    ``orthonormal_frame(j)``."""
     ff = first_form(j, require_spacelike=True)
-    if frame is None:
-        frame = _frame(j, ff, DEFAULT_SEEDS)
-    b1 = SecondForm(minkowski_dot(j.Xuu, frame.N1),
-                    minkowski_dot(j.Xuv, frame.N1),
-                    minkowski_dot(j.Xvv, frame.N1))
-    b2 = SecondForm(minkowski_dot(j.Xuu, frame.N2),
-                    minkowski_dot(j.Xuv, frame.N2),
-                    minkowski_dot(j.Xvv, frame.N2))
-    return assemble_report(ff, frame, b1, b2)
+    frame = _frame(j, ff)
+    h11, h12, h22 = (_normal_part(x, j, ff) for x in (j.Xuu, j.Xuv, j.Xvv))
+    K = (minkowski_dot(h11, h22) - minkowski_dot(h12, h12)) / ff.W
+    Hvec = mean_curvature_vector(j, ff)
+    return CurvatureReport(ff, minkowski_dot(Hvec, frame.N1), minkowski_dot(Hvec, frame.N2),
+                           Hvec, K)
+
+
+def _normal_part(x: Vec4, j: SurfaceJet, ff: FirstForm) -> Vec4:
+    """x less its tangential part a Xu + b Xv, which solves the first form
+    against <x,Xu> and <x,Xv>."""
+    g11, g12, g22, W = ff
+    p, q = minkowski_dot(x, j.Xu), minkowski_dot(x, j.Xv)
+    a, b = (g22 * p - g12 * q) / W, (g11 * q - g12 * p) / W
+    return x - j.Xu * a - j.Xv * b
 
 
 def mean_curvature_vector(j: SurfaceJet, first: FirstForm | None = None) -> Vec4:
     """H = L^perp / (2W), half the trace of the second fundamental form,
-    without a normal frame: L's tangential part a Xu + b Xv solves the first
-    form against <L,Xu> and <L,Xv>.  ``first``, j's checked
-    ``first_form(j, True)``, is built when not given."""
-    g11, g12, g22, W = first_form(j, require_spacelike=True) if first is None else first
-    L = j.Xuu * g22 - j.Xuv * (2.0 * g12) + j.Xvv * g11
-    p, q = minkowski_dot(L, j.Xu), minkowski_dot(L, j.Xv)
-    a, b = (g22 * p - g12 * q) / W, (g11 * q - g12 * p) / W
-    return (L - j.Xu * a - j.Xv * b) * (0.5 / W)
+    without a normal frame.  ``first``, j's checked ``first_form(j, True)``,
+    is built when not given."""
+    ff = first_form(j, require_spacelike=True) if first is None else first
+    L = j.Xuu * ff.g22 - j.Xuv * (2.0 * ff.g12) + j.Xvv * ff.g11
+    return _normal_part(L, j, ff) * (0.5 / ff.W)
 
 
 def gauss_map(j: SurfaceJet, first: FirstForm | None = None) -> Bivector6:
