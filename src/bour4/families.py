@@ -506,11 +506,9 @@ def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
     return CurvatureReport(ff, H1, H2, Hvec, K)
 
 
-def closed_form_gauss(spec: HelicoidSpec, u: float, v: float,
-                      profile: Mapping[str, Jet2] | None = None) -> Bivector6:
-    """The families' explicit Gauss-map component patterns (unit 2-vector),
-    from the profile jets at u (``profile`` when given)."""
-    pj = profile_jets(spec, u) if profile is None else profile
+def closed_form_gauss(spec: HelicoidSpec, u: float, v: float) -> Bivector6:
+    """The families' explicit Gauss-map component patterns (unit 2-vector)."""
+    pj = profile_jets(spec, u)
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, spec.pitch, pj)
     c = 1.0 / xp(ff.W).sqrt(ff.W)

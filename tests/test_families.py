@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-import bour4.families
 from bour4.errors import (FrameFailureError, NonFiniteError, NotSpacelikeError,
                           ValidationError)
 from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, closed_form_curvatures,
@@ -254,19 +253,6 @@ class TestClosedFormFrame:
             got = closed_form_curvatures(spec, u, v, profile_jets(spec, u))
             want = closed_form_curvatures(spec, u, v)
             for a, b in zip((*got.Hvec, got.K), (*want.Hvec, want.K)):
-                assert np.array_equal(a, b)
-
-    def test_gauss_map_reads_a_given_profile_without_evaluating_one(self, monkeypatch):
-        cases = []
-        for spec in SPECS.values():
-            u, v = np.linspace(*spec.domain, 7)[:, None], np.linspace(-1.0, 1.0, 5)
-            cases.append((spec, u, v, profile_jets(spec, u), closed_form_gauss(spec, u, v)))
-
-        def no_profile(*args):
-            raise AssertionError("closed_form_gauss evaluated the profile")
-        monkeypatch.setattr(bour4.families, "profile_jets", no_profile)
-        for spec, u, v, pj, want in cases:
-            for a, b in zip(closed_form_gauss(spec, u, v, pj), want):
                 assert np.array_equal(a, b)
 
     def test_kind_II_precondition(self):
