@@ -22,7 +22,9 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 # bour4 makes no BLAS call, and each idle OpenBLAS worker spins at start-up
@@ -38,7 +40,7 @@ from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
                        helicoid_to_json, make_helicoid, profile_jets)
 from .grids import Grid, grid_for, sweep
-from .meshes import CHANNEL_NAMES, resolve_projection, sample_mesh, write_csv, write_obj
+from .meshes import CHANNEL_NAMES, MeshStream, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
 
 EXIT_PASS = 0
@@ -67,7 +69,10 @@ def _unwritable(path, exc: OSError) -> ValidationError:
 
 
 def _write_out(path: str | None, write) -> None:
-    """Call ``write`` on the file at ``path``, or on stdout for None or "-"."""
+    """Call ``write`` on stdout for None or "-", on a pipe or a device as it
+    is, and on a regular file through a temporary sibling that replaces the
+    file only once ``write`` returns: a failure leaves no file, or the one
+    that was there with its bytes."""
     if path is None or path == "-":
         try:
             write(sys.stdout)
@@ -78,8 +83,30 @@ def _write_out(path: str | None, write) -> None:
             raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
-        with open(path, "w") as f:
-            write(f)
+        target = os.path.realpath(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w") as f:
+                write(f)
+            return
+        if mode is None:  # the mode open(path, "w") would give it
+            mask = os.umask(0)
+            os.umask(mask)
+            mode = 0o666 & ~mask
+        else:  # refused as open(path, "w") would refuse it
+            os.close(os.open(target, os.O_WRONLY))
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".bour4-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                write(f)
+            os.chmod(temp, stat.S_IMODE(mode))
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
     except OSError as exc:
         raise _unwritable(path, exc) from None
 
@@ -316,8 +343,7 @@ def cmd_verify(args) -> int:
 
 def _write_meshes(out_dir: Path, stem: str, surface, grid: Grid, projection: str) -> None:
     mesh = sample_mesh(surface, grid)
-    drop = f"drop-{resolve_projection(mesh, projection) + 1}"  # before the file is opened
-    _write_out(str(out_dir / f"{stem}.obj"), lambda f: write_obj(mesh, f, drop))
+    _write_out(str(out_dir / f"{stem}.obj"), lambda f: write_obj(mesh, f, projection))
     _write_out(str(out_dir / f"{stem}.csv"), lambda f: write_csv(mesh, f))
 
 
@@ -360,10 +386,9 @@ def cmd_example(args) -> int:
 def cmd_export(args) -> int:
     size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
-    mesh = sample_mesh(spec, grid_for(spec, *size))
+    mesh = MeshStream(spec, grid_for(spec, *size))
     if args.format == "obj":
-        drop = f"drop-{resolve_projection(mesh, args.projection) + 1}"  # before --out is opened
-        _write_out(args.out, lambda f: write_obj(mesh, f, drop))
+        _write_out(args.out, lambda f: write_obj(mesh, f, args.projection))
     else:
         _write_out(args.out, lambda f: write_csv(mesh, f))
     return EXIT_PASS

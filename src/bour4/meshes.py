@@ -5,13 +5,18 @@ needs a 3D projection of the 4D vertices: either drop one coordinate
 explicitly (``drop-k``) or drop the one that is constant across the mesh
 (``drop-constant``, available exactly for hyperplanar surfaces).  The
 dropped coordinate and the per-vertex scalar channels ride along in comment
-lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.  Both
-writers write one grid row per write, or a group of rows of at most
-BLOCK_VALUES values.  Their text is that of one repr per value, made by
-integer array operations: Schubfach's shortest digits, laid out by repr's
-rules; zeros, subnormals, inf, nan and ties go through repr itself.  Each
-distinct float of a write (told apart by its bits: -0.0 is not 0.0) is
-formatted once.
+lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.
+
+A mesh is sampled one sweep block of rows at a time.  ``sample_mesh``
+collects the blocks into one array (``MeshGrid``); ``MeshStream`` hands
+each block to the writers as they reach its rows and keeps no other, so a
+streamed export holds one block and one group of written rows at any grid
+size.  Both writers read rows in ascending order from either, and write one
+grid row per write, or a group of rows of at most BLOCK_VALUES values.
+Their text is that of one repr per value, made by integer array operations:
+Schubfach's shortest digits, laid out by repr's rules; zeros, subnormals,
+inf, nan and ties go through repr itself.  Each distinct float of a write
+(told apart by its bits: -0.0 is not 0.0) is formatted once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -29,6 +34,8 @@ from .grids import Grid, sweep
 from .surfaces import curvature_report
 
 CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
+#: Columns of a row of samples: x1..x4, then the channels.
+COLUMNS = 4 + len(CHANNEL_NAMES)
 
 
 @dataclass
@@ -55,6 +62,33 @@ class MeshGrid:
         corner = (np.arange(self.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
         return np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
 
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """The samples of grid rows i..j-1, one row per point: x1..x4, then
+        the channels."""
+        rows = slice(i * self.nv, j * self.nv)
+        return np.column_stack([self.vertices[rows]]
+                               + [self.channels[name][rows] for name in CHANNEL_NAMES])
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each coordinate's least and greatest value over the mesh."""
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+
+def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
+    """The samples of each sweep block of rows, in row order: x1..x4 and,
+    with ``channels``, the scalar channels, nan off the spacelike locus."""
+    def f(u, v, profile=None):
+        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
+        if not channels:
+            return j.X
+        rep = curvature_report(j)
+        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
+
+    once = None if callable(surface) else (lambda u: profile_jets(surface, u))
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError), once):
+        block.out[block.tolerated, 4:] = math.nan
+        yield block.out
+
 
 def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     """Evaluate a surface over the grid; curvature channels are nan off the
@@ -66,24 +100,56 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
     column and v row; one that takes floats only raises its own error on
     the arrays.
     """
-    def f(u, v, profile=None):
-        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
-        rep = curvature_report(j)
-        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
-
-    once = None if callable(surface) else (lambda u: profile_jets(surface, u))
     # every block is written into the one array the mesh keeps
-    data = np.empty((grid.nu * grid.nv, 4 + len(CHANNEL_NAMES)))
+    data = np.empty((grid.nu * grid.nv, COLUMNS))
     start = 0
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError), once):
-        block.out[block.tolerated, 4:] = math.nan
-        data[start:start + len(block.out)] = block.out
-        start += len(block.out)
+    for block in _blocks(surface, grid):
+        data[start:start + len(block)] = block
+        start += len(block)
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
     return MeshGrid(grid, data[:, :4], channels)
 
 
-def resolve_projection(mesh: MeshGrid, mode: str) -> int:
+class MeshStream:
+    """A surface's mesh over a grid, sampled as the writers read it.
+
+    The surface is that of ``sample_mesh``, and so are the samples, bit for
+    bit.  Each pass over the rows, from row 0 in ascending order, sweeps the
+    surface afresh and holds only the block that the rows asked for end in.
+    """
+
+    def __init__(self, surface: HelicoidSpec | RotationalSpec, grid: Grid):
+        self.surface, self.grid = surface, grid
+        self._blocks: Iterator[np.ndarray] = iter(())
+        self._held, self._first = np.empty((0, COLUMNS)), 0  # a block, its first grid row
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """The samples of grid rows i..j-1, as ``MeshGrid.rows`` gives them;
+        i = 0 starts a pass, and otherwise i is no less than the last j."""
+        nv = self.grid.nv
+        if i == 0:
+            self._blocks = _blocks(self.surface, self.grid)
+            self._held, self._first = np.empty((0, COLUMNS)), 0
+        parts = []
+        while j > (end := self._first + len(self._held) // nv):
+            if i < end:  # a copy, so that the block goes before the next is swept
+                parts.append(self._held[(i - self._first) * nv:].copy())
+                i = end
+            self._held = None
+            self._held, self._first = next(self._blocks), end
+        parts.append(self._held[(i - self._first) * nv:(j - self._first) * nv])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each coordinate's least and greatest value, from a sweep of the
+        positions alone (the floats of the full sweep's x1..x4)."""
+        ends = [(x.min(axis=0), x.max(axis=0))
+                for x in _blocks(self.surface, self.grid, channels=False)]
+        lo, hi = zip(*ends)
+        return np.min(lo, axis=0), np.max(hi, axis=0)
+
+
+def resolve_projection(mesh: MeshGrid | MeshStream, mode: str) -> int:
     """Index (0..3) of the coordinate to drop for a 3D projection.
 
     ``drop-k`` for k in 1..4 drops that coordinate; ``drop-constant`` finds
@@ -95,7 +161,7 @@ def resolve_projection(mesh: MeshGrid, mode: str) -> int:
     if mode != "drop-constant":
         raise ValidationError(
             f"unknown projection {mode!r} (use drop-constant or drop-1..drop-4)")
-    hi, lo = mesh.vertices.max(axis=0), mesh.vertices.min(axis=0)
+    lo, hi = mesh.bounds()
     spread, scale = hi - lo, np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))  # max |x|
     flat = np.flatnonzero(spread <= 1e-9 * scale)
     if flat.size == 0:
@@ -325,32 +391,26 @@ def _write_rows(out: TextIO, fmt: str, rows: int, points: int, table) -> None:
         out.write(lines.text(*table(i, min(i + group, rows))))
 
 
-def _distinct(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct floats of a table, told apart by their bits (-0.0 is not
     0.0), and the index of each entry's float."""
-    table = np.column_stack(columns)
     bits, pick = np.unique(table.view(np.uint64), return_inverse=True)
     return bits.view(np.float64), pick.reshape(table.shape)
 
 
-def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") -> int:
+def write_obj(mesh: MeshGrid | MeshStream, out: TextIO, projection: str = "drop-constant") -> int:
     """Write a quad OBJ; returns the index of the dropped coordinate.
 
     Each vertex line is followed by a comment carrying the dropped
     coordinate and the scalar channels."""
     drop = resolve_projection(mesh, projection)
-    columns = [k for k in range(4) if k != drop] + [drop]
-    out.write(f"# parametric surface mesh, {mesh.nu} x {mesh.nv} samples\n"
+    columns = [k for k in range(4) if k != drop] + [drop, *range(4, COLUMNS)]
+    nu, nv = mesh.grid.nu, mesh.grid.nv
+    out.write(f"# parametric surface mesh, {nu} x {nv} samples\n"
               f"# projection: dropped coordinate x{drop + 1}\n"
               f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
-    nu, nv = mesh.nu, mesh.nv
-
-    def vertices(i, j):
-        rows = slice(i * nv, j * nv)
-        return _distinct([mesh.vertices[rows, columns]]
-                         + [mesh.channels[name][rows] for name in CHANNEL_NAMES])
-
-    _write_rows(out, "v %s %s %s\n# vd %s %s %s %s %s %s\n", nu, nv, vertices)
+    _write_rows(out, "v %s %s %s\n# vd %s %s %s %s %s %s\n", nu, nv,
+                lambda i, j: _distinct(mesh.rows(i, j)[:, columns]))
     corners = (np.arange(nv - 1)[:, None] + [0, 1, nv + 1, nv]).reshape(-1)  # faces below row 0
 
     def faces(i, j):  # the cells below rows i..j-1 pick from the 1-based indices of rows i..j
@@ -361,18 +421,20 @@ def write_obj(mesh: MeshGrid, out: TextIO, projection: str = "drop-constant") ->
     return drop
 
 
-def write_csv(mesh: MeshGrid, out: TextIO) -> int:
+#: The CSV's columns of a row of samples: x1..x4, K, H1, H2, W.
+_CSV_COLUMNS = [0, 1, 2, 3, 4, 5, 6, 8]
+
+
+def write_csv(mesh: MeshGrid | MeshStream, out: TextIO) -> int:
     """Write one row per sample: u,v,x1,x2,x3,x4,K,H1,H2,W.  Returns row count."""
     out.write("u,v,x1,x2,x3,x4,K,H1,H2,W\n")
-    nv = mesh.nv
+    nu, nv = mesh.grid.nu, mesh.grid.nv
     grid = np.array(mesh.grid.us() + mesh.grid.vs())
-    u, v = np.split(_Lines("%s", len(grid))._fields(grid), [mesh.nu])  # formatted once
+    u, v = np.split(_Lines("%s", len(grid))._fields(grid), [nu])  # formatted once
 
     def table(i, j):
-        rows = slice(i * nv, j * nv)
-        values, pick = _distinct([mesh.vertices[rows]]
-                                 + [mesh.channels[name][rows] for name in ("K", "H1", "H2", "W")])
+        values, pick = _distinct(mesh.rows(i, j)[:, _CSV_COLUMNS])
         return values, pick, (u[i:j].repeat(nv, axis=0), np.tile(v, (j - i, 1)))
 
-    _write_rows(out, "%s," * 9 + "%s\n", mesh.nu, nv, table)
-    return len(mesh.vertices)
+    _write_rows(out, "%s," * 9 + "%s\n", nu, nv, table)
+    return nu * nv

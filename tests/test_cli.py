@@ -38,6 +38,10 @@ PARTLY_TIMELIKE = {"kind": "II", "lambda": 1.0,
 OVERFLOWING = {"kind": "I", "lambda": 0.5,
                "profile": {"x": "exp(u)", "z": "0", "w": "0"},
                "domain": [700, 720]}
+#: x^6 overflows past u = 118.3: on a 9-row grid only the last row, u = 119.6, fails.
+LATE_OVERFLOW = {"kind": "I", "lambda": 1.0,
+                 "profile": {"x": "exp(u)", "z": "0", "w": "0"},
+                 "domain": [100.0, 120.0]}
 
 
 #: The valid pair of TestVerify.test_pair_file_flow.
@@ -622,6 +626,61 @@ class TestExport:
         spec = write_json(tmp_path / "s.json", COR34)
         assert main(["export", "--spec", spec, "--projection", "drop-9",
                      "--out", str(tmp_path / "m.obj")]) == 2
+
+    @pytest.mark.parametrize("block_values", [150, 4096])  # groups of 2 rows; the whole grid
+    @pytest.mark.parametrize("fmt, projection", [
+        ("csv", None), ("obj", "drop-constant"), ("obj", "drop-2")])
+    def test_streamed_export_equals_the_writers_of_the_sampled_mesh(
+            self, tmp_path, monkeypatch, fmt, projection, block_values):
+        # sweep blocks of 3 rows of 7 points, so writer groups straddle them
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 21)
+        monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", block_values)
+        data = {"kind": "I", "lambda": 1.0, "domain": [0.3, 1.8],
+                "profile": {"x": "2 + u + 0.1*sin(u)", "z": "0.3", "w": "0.2*cos(u)"}}
+        out = tmp_path / f"m.{fmt}"
+        argv = ["export", "--spec", write_json(tmp_path / "s.json", data), "--grid", "11x7",
+                "--format", fmt, "--out", str(out)]
+        assert main(argv + (["--projection", projection] if projection else [])) == 0
+        spec = helicoid_from_json(data)
+        mesh = bour4.meshes.sample_mesh(spec, grid_for(spec, 11, 7))
+        want = io.StringIO()
+        if fmt == "obj":
+            bour4.meshes.write_obj(mesh, want, projection)
+        else:
+            bour4.meshes.write_csv(mesh, want)
+        assert out.read_text() == want.getvalue()
+
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("fmt", ["csv", "obj"])
+    def test_failure_in_a_late_block_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                          fmt, existing):
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 10)  # 2 rows of 5 a block
+        spec = write_json(tmp_path / "s.json", LATE_OVERFLOW)
+        out = tmp_path / f"m.{fmt}"
+        if existing is not None:
+            out.write_bytes(existing)
+        # drop-constant (z = 0) reads the positions, all finite, before the sweep fails
+        assert main(["export", "--spec", spec, "--grid", "9x5", "--format", fmt,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite value at u = 119.6, v = ")
+        assert err.count("\n") == 1
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["s.json"] + [out.name] * (existing is not None))  # no temporary file is left
+
+    def test_failure_in_a_late_block_keeps_the_rows_written_before_it(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", 100)  # 2 rows of CSV a write
+        spec = write_json(tmp_path / "s.json", LATE_OVERFLOW)
+        assert main(["export", "--spec", spec, "--grid", "9x5", "--format", "csv"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "u,v,x1,x2,x3,x4,K,H1,H2,W"
+        assert len(lines) == 1 + 8 * 5  # the rows before the failing one
 
 
 class TestInputValidation:

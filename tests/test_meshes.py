@@ -13,8 +13,8 @@ from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeE
                           ValidationError)
 from bour4.families import helicoid_jet, make_helicoid
 from bour4.grids import Grid, grid_for, sweep
-from bour4.meshes import (CHANNEL_NAMES, MeshGrid, resolve_projection, sample_mesh,
-                          write_csv, write_obj)
+from bour4.meshes import (CHANNEL_NAMES, MeshGrid, MeshStream, resolve_projection,
+                          sample_mesh, write_csv, write_obj)
 from bour4.surfaces import curvature_report
 
 SPEC = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
@@ -171,6 +171,24 @@ class TestOnePassPerSweep:
         calls.clear()
         sample_mesh(spec, grid)
         assert calls == [("HelicoidSpec", (grid.nu, 1))]
+
+
+class TestMeshStream:
+    @pytest.mark.parametrize("name", [*KINDS, "timelike"])
+    def test_rows_and_bounds_are_the_sampled_mesh_bit_for_bit(self, monkeypatch, name):
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 21)  # blocks of 3 rows of 7
+        spec = KINDS[name] if name in KINDS else make_helicoid(
+            "II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5), v_domain=(-0.5, 0.5))
+        grid = grid_for(spec, 11, 7)
+        mesh, stream = sample_mesh(spec, grid), MeshStream(spec, grid)
+        # passes of one, two and eleven rows a read; each pass starts at row 0
+        for step in (1, 2, 11):
+            for i in range(0, 11, step):
+                want, got = mesh.rows(i, min(i + step, 11)), stream.rows(i, min(i + step, 11))
+                assert got.shape == want.shape == (7 * (min(i + step, 11) - i), 9)
+                assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        for got, want in zip(stream.bounds(), mesh.bounds()):
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestProjection:

@@ -5,11 +5,15 @@ whole-grid copy of what it keeps, plus one block.  A block's cost is the
 traced peak of the same call on a grid one block high; it is allowed twice,
 because the loop still holds the last block's outputs while the sweep
 computes the next one, and numpy keeps small caches.  Blocks are patched to
-two rows, so that the whole-grid copies dominate the bound.
+two rows, so that the whole-grid copies dominate the bound.  A streamed
+``export`` keeps no whole-grid copy at all: its peak stays within the
+block's allowance alone.
 """
 
 import json
 import tracemalloc
+
+import pytest
 
 import bour4.grids
 from bour4.bour import bour_partner, gauge_complete, pair_report
@@ -76,3 +80,15 @@ def test_pair_report_keeps_the_positions_once(monkeypatch):
     partner = bour_partner(SPEC, gauge_complete(SPEC, "a", "1/2"))
     assert_one_copy(lambda nu: pair_report(SPEC, partner, grid_for(SPEC, nu, N)),
                     8 * 8, monkeypatch)  # both surfaces' x1..x4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_export_keeps_no_whole_grid_copy(tmp_path, monkeypatch, fmt):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC_JSON))
+
+    def run(nu):
+        assert main(["export", "--spec", str(spec), "--grid", f"{nu}x{N}", "--format", fmt,
+                     "--projection", "drop-4", "--out", str(tmp_path / f"mesh.{fmt}")]) == 0
+
+    assert_one_copy(run, 0, monkeypatch)
