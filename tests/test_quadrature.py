@@ -26,6 +26,14 @@ class TestIntegrate:
     def test_known_integrals(self, f, a, b, exact):
         assert integrate(f, a, b) == pytest.approx(exact, abs=1e-10)
 
+    def test_full_precision_weights(self):
+        # QUADPACK's qk15 constants: both rules' float weights sum to exactly 2,
+        # and K15 integrates 1 and x^22 (its highest exact degree) to their last bits
+        assert math.fsum([_WGK[7], *_WGK[:7], *_WGK[:7]]) == 2.0
+        assert math.fsum([_WG[3], *_WG[:3], *_WG[:3]]) == 2.0
+        for f, exact in ((np.ones_like, 1.0), (lambda x: x ** 22, 1.0 / 23.0)):
+            assert abs(integrate(f, 0.0, 1.0) - exact) <= 2 * math.ulp(exact)
+
     def test_empty_interval(self):
         assert integrate(np.sin, 1.0, 1.0) == 0.0
 
