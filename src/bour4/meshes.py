@@ -115,30 +115,25 @@ class MeshStream:
 
     The surface is that of ``sample_mesh``, and so are the samples, bit for
     bit.  Each pass over the rows, from row 0 in ascending order, sweeps the
-    surface afresh and holds only the block that the rows asked for end in.
+    surface afresh and holds only the rows of its last block not yet read.
     """
 
     def __init__(self, surface: HelicoidSpec | RotationalSpec, grid: Grid):
         self.surface, self.grid = surface, grid
-        self._blocks: Iterator[np.ndarray] = iter(())
-        self._held, self._first = np.empty((0, COLUMNS)), 0  # a block, its first grid row
+        self._blocks, self._held = iter(()), np.empty((0, COLUMNS))  # rows not yet read
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """The samples of grid rows i..j-1, as ``MeshGrid.rows`` gives them;
-        i = 0 starts a pass, and otherwise i is no less than the last j."""
-        nv = self.grid.nv
+        i = 0 starts a pass, and any other i is the last call's j."""
         if i == 0:
-            self._blocks = _blocks(self.surface, self.grid)
-            self._held, self._first = np.empty((0, COLUMNS)), 0
-        parts = []
-        while j > (end := self._first + len(self._held) // nv):
-            if i < end:  # a copy, so that the block goes before the next is swept
-                parts.append(self._held[(i - self._first) * nv:].copy())
-                i = end
-            self._held = None
-            self._held, self._first = next(self._blocks), end
-        parts.append(self._held[(i - self._first) * nv:(j - self._first) * nv])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self._blocks, self._held = _blocks(self.surface, self.grid), np.empty((0, COLUMNS))
+        n = (j - i) * self.grid.nv
+        while len(self._held) < n:
+            rest, self._held = self._held.copy(), None  # the block goes before the next is swept
+            block = next(self._blocks)
+            self._held = np.concatenate([rest, block]) if len(rest) else block
+        out, self._held = self._held[:n], self._held[n:]
+        return out
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each coordinate's least and greatest value, from a sweep of the

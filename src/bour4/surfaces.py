@@ -30,8 +30,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 from .errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                      NotSpacelikeError)
-from .lorentz import (E4, Bivector6, CausalClass, Vec4, flag, minkowski_dot, sup, wedge,
-                      where, xp)
+from .lorentz import E4, Bivector6, Vec4, flag, minkowski_dot, sup, wedge, where, xp
 
 
 class SurfaceJet(NamedTuple):
@@ -78,7 +77,7 @@ class CurvatureReport:
 
     @property
     def minimal(self) -> bool:
-        return classify_mean_curvature(self.Hvec)[0]
+        return classify_mean_curvature(self.Hvec)
 
     @property
     def H_sup(self) -> float:
@@ -201,18 +200,9 @@ def _frame(j: SurfaceJet, ff: FirstForm) -> Frame:
 # ---------------------------------------------------------------------------
 # curvature
 
-def classify_mean_curvature(Hvec: Vec4) -> tuple[bool, CausalClass]:
-    """Minimal / causal classification with frame-free tolerance bands:
-    minimal where sup |Hvec| < 1e-8, lightlike where |<H,H>| < 1e-8 max(1, |H|^2)
-    (Euclidean |H|)."""
-    band = 1e-8
-    minimal = sup(*map(abs, Hvec)) < band
-    hsq = minkowski_dot(Hvec, Hvec)
-    # the zero vector counts as spacelike
-    hclass = where(minimal, CausalClass.SPACELIKE,
-                   where(abs(hsq) < band * sup(Hvec.euclid_sq(), 1.0), CausalClass.LIGHTLIKE,
-                         where(hsq > 0, CausalClass.SPACELIKE, CausalClass.TIMELIKE)))
-    return minimal, hclass
+def classify_mean_curvature(Hvec: Vec4) -> bool:
+    """The minimal flag: sup |Hvec| < 1e-8."""
+    return sup(*map(abs, Hvec)) < 1e-8
 
 
 def curvature_report(j: SurfaceJet) -> CurvatureReport:

@@ -18,8 +18,7 @@ from bour4.families import (closed_form_curvatures, closed_form_gauss, helicoid_
 import bour4.grids
 import bour4.surfaces
 from bour4.grids import Grid, scan, sweep
-from bour4.lorentz import (E3, E4, CausalClass, Vec4, bivector_dot,
-                           minkowski_dot, wedge)
+from bour4.lorentz import E3, E4, Vec4, bivector_dot, minkowski_dot, wedge
 from bour4.meshes import sample_mesh
 from bour4.surfaces import (SurfaceJet, curvature_report, first_form, gauss_map,
                             mean_curvature_vector, numeric_jet, orthonormal_frame)
@@ -361,15 +360,11 @@ class TestGaussMap:
             gauss_map(helicoid_jet(spec, 1.0, 0.0))
 
 
-class TestCausalBands:
-    def test_marginally_trapped_flag(self):
+class TestMinimalFlag:
+    def test_minimal_band(self):
         from bour4.surfaces import classify_mean_curvature
-        minimal, cls = classify_mean_curvature(Vec4(0, 0, 1, 1))
-        assert not minimal and cls is CausalClass.LIGHTLIKE
-        minimal, cls = classify_mean_curvature(Vec4(1e-12, 0, 0, 0))
-        assert minimal
-        minimal, cls = classify_mean_curvature(Vec4(0, 0, 0, 1))
-        assert cls is CausalClass.TIMELIKE
+        assert not classify_mean_curvature(Vec4(0, 0, 1, 1))
+        assert classify_mean_curvature(Vec4(1e-12, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
