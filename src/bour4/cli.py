@@ -83,15 +83,15 @@ def _write_out(path: str | None, write) -> None:
             raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     try:
-        target = os.path.realpath(path)
         try:
-            mode = os.stat(target).st_mode
+            mode = os.stat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
             with open(path, "w") as f:
                 write(f)
             return
+        target = os.path.realpath(path)
         if mode is None:  # the mode open(path, "w") would give it
             mask = os.umask(0)
             os.umask(mask)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -671,6 +672,30 @@ class TestExport:
             assert out.read_bytes() == existing
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["s.json"] + [out.name] * (existing is not None))  # no temporary file is left
+
+    def test_out_keeps_its_mode_and_its_symlink(self, tmp_path):
+        spec = write_json(tmp_path / "s.json", COR34)
+        target, link = tmp_path / "m.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n")
+        target.chmod(0o640)
+        link.symlink_to("m.csv")
+        assert main(["export", "--spec", spec, "--grid", "3x3", "--format", "csv",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("u,v,x1,")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_a_fifo_out_is_written_as_it_is(self, tmp_path):
+        spec = write_json(tmp_path / "s.json", COR34)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            assert main(["export", "--spec", spec, "--grid", "3x3", "--format", "csv",
+                         "--out", str(fifo)]) == 0
+            text = reader.communicate(timeout=60)[0].decode()
+        finally:
+            reader.kill()
+        assert fifo.is_fifo() and len(text.splitlines()) == 1 + 9
 
     def test_failure_in_a_late_block_keeps_the_rows_written_before_it(
             self, tmp_path, monkeypatch, capsys):
