@@ -12,8 +12,8 @@ from importlib import import_module as _import_module
 #: Submodule -> its public names; each loads on first use, so `import bour4` loads no numpy.
 _EXPORTS = {
     "bour": ("BourGauge", "PairReport", "PairTolerances", "bernoulli_residual", "bour_partner",
-             "choose_vbar_sign", "constraint_rhs", "gauge_complete", "gauss_residual",
-             "isometry_residual", "minimal_pair_identity_residual", "natural_gauge", "pair_report",
+             "constraint_rhs", "gauge_complete", "gauss_residual", "isometry_residual",
+             "minimal_pair_identity_residual", "natural_gauge", "pair_report",
              "parallel_curve_residual", "same_gauss_pair_I", "same_gauss_pair_II", "scale_gauge"),
     "errors": ("Bour4Error", "DegenerateSurfaceError", "EvalDomainError", "ExprSyntaxError",
                "FrameFailureError", "InfeasibleGaugeError", "NonFiniteError", "NotSpacelikeError",

@@ -4,7 +4,10 @@ Each spacelike helicoidal surface is isometric to a rotational surface of the
 same kind.  With Bour's reparametrized angle vbar = v + int g12/g22 du (for
 kind III, v + lam/(2 w(u))), the map (u, v) -> (u, vbar) pulls the
 rotational metric back onto the helicoidal one whenever the free gauge
-functions a(u), b(u) satisfy the kind's compatibility constraint.  On top of the generic construction this
+functions a(u), b(u) satisfy the kind's compatibility constraint.  That
+orientation is the only one: every checker reads the partner at (u, vbar),
+so a construction with the wrong orientation fails its verdicts rather than
+being matched by a flipped angle.  On top of the generic construction this
 module builds the special pitch/gauge choices for which the two surfaces
 also share their Gauss map (then both are hyperplanar and minimal), and it
 provides residual checkers for every claim: isometry, Gauss-map equality or
@@ -20,7 +23,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleGaugeError, NonFiniteError, NotSpacelikeError, ValidationError
+from .errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError, NotSpacelikeError,
+                     ValidationError)
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, Family, HelicoidSpec, ProfileFn, RotationalSpec,
@@ -28,7 +32,7 @@ from .families import (FAMILIES, Family, HelicoidSpec, ProfileFn, RotationalSpec
                        expr_profile, helicoid_jet, is_constant_profile,
                        make_helicoid, profile_jets)
 from .families import VbarMap  # noqa: F401  (re-exported)
-from .grids import Block, Grid, grid_for, scan, shrunk, sweep
+from .grids import Block, Grid, scan, shrunk, sweep
 from .jets import Jet2
 from .lorentz import Bivector6, flag, minkowski_dot, sup, where
 from .quadrature import Antiderivative
@@ -118,14 +122,20 @@ def _require_positive(domain: tuple[float, float], f: Callable, error: type,
 def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
     """The gauge constraint's right-hand side 4 c W/g22'^2 - <e_r, e_r>
     (``BourData``) as a function of u, exact to first order: the closed-form
-    metric runs on jets in u, a profile's value as its jet, its d1 as deriv()."""
+    metric runs on jets in u, a profile's value as its jet, its d1 as deriv().
+    It is singular where g22' = 0 (``lorentz.flag``): NaN on arrays, an
+    EvalDomainError naming u on floats."""
     fam, bd = FAMILIES[spec.kind], BOUR[spec.kind]
 
     def rhs(u: float) -> Jet2:
         _, _, g22, W = fam.metric(spec.pitch, *(Jet2(p, p.deriv())
                                                for p in fam.profile(profile_jets(spec, u))))
         dg22 = g22.deriv()
-        return 4.0 * bd.c * W / (dg22 * dg22) - bd.rr
+        sq = dg22 * dg22
+        # on arrays the division leaves NaN wherever this flag holds
+        flag(sq.v == 0.0, EvalDomainError,
+             "g22' = {!r} at u = {!r}: the gauge constraint 4cW/g22'^2 is singular", dg22.v, u)
+        return 4.0 * bd.c * W / sq - bd.rr
 
     return rhs
 
@@ -253,24 +263,20 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
 # ---------------------------------------------------------------------------
 # residual checkers
 
-def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int,
+def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                 point: Callable) -> Iterator[Block]:
     """Sweep ``point(k, hj, rj)`` over the grid: k = d(vbar)/du and both
-    surface jets.
-
-    The partner jet is read at (u, v + sign shift(u)): ``sign = -1`` probes
-    the other orientation of the helicoid's one angular map.
-    """
+    surface jets, the partner's read at (u, vbar) = (u, v + shift(u))."""
     vb = h.vbar
 
     def once(u):
         hp = profile_jets(h, u)
-        return sign * angular_rate(h, hp, u), hp, sign * vb.shift(u), profile_jets(r, u)
+        return angular_rate(h, hp, u), hp, vb.shift(u), profile_jets(r, u)
 
     def f(u, v, pre=None):  # a float re-run passes no pre: a point's own order
-        k, hp, shift, rp = pre or (sign * vb.du(u), None, None, None)
+        k, hp, shift, rp = pre or (vb.du(u), None, None, None)
         hj = helicoid_jet(h, u, v, hp)
-        return point(k, hj, helicoid_jet(r, u, v + (shift if pre else sign * vb.shift(u)), rp))
+        return point(k, hj, helicoid_jet(r, u, v + (shift if pre else vb.shift(u)), rp))
 
     return sweep(grid, f, once=once)
 
@@ -293,8 +299,7 @@ def _gauss_defect(nu: Bivector6, mu: Bivector6) -> float:
     return (nu - mu).sup_norm()
 
 
-def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                      sign: int = 1) -> float:
+def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> float:
     """Sup difference between the helicoid metric and the pulled-back partner metric.
 
     The pullback of the partner's first form under (u, v) -> (u, vbar(u, v))
@@ -302,28 +307,13 @@ def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
     the residual is zero exactly when the gauge constraint holds.
     """
     return _sweep_sup(_pair_sweep(
-        h, r, grid, sign, lambda k, hj, rj: (_isometry_defect(first_form(hj), first_form(rj), k),)))
+        h, r, grid, lambda k, hj, rj: (_isometry_defect(first_form(hj), first_form(rj), k),)))
 
 
-def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                   sign: int = 1) -> float:
+def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
     return _sweep_sup(_pair_sweep(
-        h, r, grid, sign, lambda k, hj, rj: (_gauss_defect(gauss_map(hj), gauss_map(rj)),)))
-
-
-def choose_vbar_sign(h: HelicoidSpec, r: RotationalSpec) -> tuple[int, dict]:
-    """Pick the orientation of the angular shift empirically.
-
-    Some sources disagree on the sign of the accumulated shift for kind II;
-    both orientations are probed on a coarse 5x5 grid and the one with the
-    smaller Gauss residual wins.  Returns the sign and the probe residuals.
-    """
-    probe = grid_for(h, nu=5, nv=5)
-    plus = gauss_residual(h, r, probe, sign=1)
-    minus = gauss_residual(h, r, probe, sign=-1)
-    sign = 1 if plus <= minus else -1
-    return sign, {"plus": plus, "minus": minus}
+        h, r, grid, lambda k, hj, rj: (_gauss_defect(gauss_map(hj), gauss_map(rj)),)))
 
 
 def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str",
@@ -565,7 +555,6 @@ class PairReport:
     hyperplanarity_defect: tuple[float, float]
     verdicts: dict
     tolerances: PairTolerances
-    sign_choices: dict
 
     def to_json(self) -> dict:
         return {
@@ -578,12 +567,10 @@ class PairReport:
             },
             "verdicts": self.verdicts,
             "tolerances": self.tolerances.to_json(),
-            "sign_choices": self.sign_choices,
         }
 
 
-def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
-                sign_choices: Mapping[str, int] | None = None) -> PairReport:
+def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> PairReport:
     """Sweep the grid once and aggregate every pairwise claim into verdicts."""
     tols = PairTolerances()
 
@@ -598,7 +585,7 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
     # one array, whose variances are then taken in place
     n = grid.nu * grid.nv
     worst, positions, start = np.zeros(4), np.empty((2, n, 4)), 0
-    for block in _pair_sweep(h, r, grid, sign, point):
+    for block in _pair_sweep(h, r, grid, point):
         worst = np.maximum(worst, block.out[:, :4].max(axis=0))
         stop = start + len(block.out)
         positions[:, start:stop] = block.out[:, 4:].reshape(-1, 2, 4).transpose(1, 0, 2)
@@ -618,5 +605,4 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid, sign: int = 1,
         "minimal": max(h_sup) < tols.mean_curvature,
         "hyperplanar": max(defects) < tols.hyperplanarity,
     }
-    return PairReport(grid, iso, gauss, (h_sup[0], h_sup[1]), defects,
-                      verdicts, tols, dict(sign_choices or {"vbar": sign}))
+    return PairReport(grid, iso, gauss, (h_sup[0], h_sup[1]), defects, verdicts, tols)

@@ -32,8 +32,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .bour import (bour_partner, choose_vbar_sign, gauge_complete, pair_report,
-                   pitch_bound, same_gauss_pair_I, same_gauss_pair_II)
+from .bour import (bour_partner, gauge_complete, pair_report, pitch_bound,
+                   same_gauss_pair_I, same_gauss_pair_II)
 from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
 from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
@@ -198,21 +198,21 @@ def cmd_report(args) -> int:
 # verify
 
 def _pair_data(h: HelicoidSpec, r: RotationalSpec, grid: Grid, expect: list[str],
-               scenario: str, probe_sign: bool = False,
-               sign_choices: dict | None = None) -> tuple[dict, int]:
+               scenario: str, sign_choices: dict | None = None) -> tuple[dict, int]:
     """The pair report JSON with its verdicts, expectations and failures.
 
-    With ``probe_sign`` the orientation of the angular shift is probed
-    first and the report uses the winner.  The ``gauss_differ`` verdict
-    (Gauss residual above 0.1) is added only when it is expected.
+    The partner is read at Bour's angle vbar = v + shift(u), the one
+    orientation the helicoid's group gives.  ``sign_choices``, the
+    scenario's own branch choices, is written when given.  The
+    ``gauss_differ`` verdict (Gauss residual above 0.1) is added only when
+    it is expected.
     """
-    sign, probe = choose_vbar_sign(h, r) if probe_sign else (1, None)
-    rep = pair_report(h, r, grid, sign=sign, sign_choices=sign_choices)
+    rep = pair_report(h, r, grid)
     data = rep.to_json()
     data["quadrature_tolerance"] = default_tolerance()
     data["scenario"] = scenario
-    if probe is not None:
-        data["vbar_sign_probe"] = probe
+    if sign_choices is not None:
+        data["sign_choices"] = sign_choices
     if "gauss_differ" in expect:
         data["verdicts"]["gauss_differ"] = rep.gauss_residual > 0.1
     failures = [name for name in expect if not data["verdicts"].get(name, False)]
@@ -249,9 +249,9 @@ def _constants(args) -> dict:
             for name in ("c1", "c2", "c4")}
 
 
-def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, dict]:
+def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, dict | None]:
     """The pair a verify call checks, its expected claims, its scenario name,
-    and the keyword options of its report."""
+    and the scenario's sign choices, if it makes any."""
     if args.pair_file is not None:
         _refuse_unread(args, "--pair-file", "")
         try:
@@ -270,7 +270,7 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"bad pair file: {exc}") from None
         r = bour_partner(h, gauge_complete(h, given, expr), constants=constants)
-        return h, r, expect, "pair-file", {}
+        return h, r, expect, "pair-file", None
 
     if not args.theorem:
         raise ValidationError("verify needs --pair-file or --theorem")
@@ -283,8 +283,7 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
         domain = tuple(args.domain) if args.domain else (1.1 * args.lam, math.pi * args.lam)
         h, r = same_gauss_pair_I(args.x, args.lam, args.c3, sign_w=sign_w,
                                  **_constants(args), domain=domain)
-        return (h, r, list(SAME_GAUSS_CLAIMS), "3.3",
-                {"sign_choices": {"w": sign_w, "vbar": 1}})
+        return h, r, list(SAME_GAUSS_CLAIMS), "3.3", {"w": sign_w}
 
     if args.theorem == "3.6":
         _refuse_unread(args, "--theorem 3.6", "theorem w lam c1 c2 c3 c4 domain")
@@ -300,14 +299,14 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
             domain = (0.25 * wmax, 0.9 * wmax)
         h, r = same_gauss_pair_II(args.w, args.lam, args.c3, **_constants(args),
                                   domain=domain)
-        return h, r, list(SAME_GAUSS_CLAIMS), "3.6", {"probe_sign": True}
+        return h, r, list(SAME_GAUSS_CLAIMS), "3.6", None
 
     if args.theorem == "3.7" and args.example is not None:
         if args.example != 3:
             raise ValidationError(f"--theorem 3.7 bundles --example 3 only, not {args.example}")
         _refuse_unread(args, "--theorem 3.7 --example 3", "theorem example")
         h, r = _example3_pair()
-        return h, r, ["isometric", "gauss_differ"], "3.7/example-3", {}
+        return h, r, ["isometric", "gauss_differ"], "3.7/example-3", None
 
     if args.theorem in THEOREM_KINDS:
         _refuse_unread(args, f"--theorem {args.theorem}", "theorem spec gauge_a gauge_b")
@@ -322,7 +321,7 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
                 f"spec is kind {h.kind.value}")
         given, expr = ("a", args.gauge_a) if args.gauge_a is not None else ("b", args.gauge_b)
         r = bour_partner(h, gauge_complete(h, given, expr))
-        return h, r, ["isometric"], args.theorem, {}
+        return h, r, ["isometric"], args.theorem, None
 
     raise ValidationError(
         f"unknown --theorem {args.theorem!r} "
@@ -331,9 +330,9 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
 
 def cmd_verify(args) -> int:
     size = _grid_size(args.grid)
-    h, r, expect, scenario, options = _verify_pair(args)
+    h, r, expect, scenario, sign_choices = _verify_pair(args)
     grid = grid_for(h, *size)
-    data, code = _pair_data(h, r, grid, expect, scenario, **options)
+    data, code = _pair_data(h, r, grid, expect, scenario, sign_choices)
     _dump_json(data, args.out)
     return code
 
@@ -371,7 +370,7 @@ def cmd_example(args) -> int:
         raise ValidationError(f"example number must be 1, 2 or 3, not {n!r}")
 
     grid = grid_for(h, *size)
-    data, code = _pair_data(h, r, grid, expect, f"example-{n}", probe_sign=(n == 2))
+    data, code = _pair_data(h, r, grid, expect, f"example-{n}")
     data["partner_components"] = r.component_sources()
     _dump_json(helicoid_to_json(h), str(out_dir / "helicoid.json"))
     _dump_json(data, str(out_dir / "pair_report.json"))

@@ -168,7 +168,7 @@ def spacelike(ff: FirstForm) -> FirstForm:
                       ff.W), math.nan, ff)
 
 
-def orthonormal_frame(j: SurfaceJet) -> Frame:
+def orthonormal_frame(j: SurfaceJet, first: FirstForm | None = None) -> Frame:
     """Tangent frame from the standard formulas plus the least-boosted normal pair.
 
     e1 = Xu/sqrt(g11), e2 = (g11 Xv - g12 Xu)/sqrt(W g11).  N2 is the unit
@@ -176,12 +176,10 @@ def orthonormal_frame(j: SurfaceJet) -> Frame:
     smallest e4 component, and n is never null, since <n,n> = -1 -
     <e4^T,e4^T> <= -1.  N1 = *(e1 ^ e2 ^ N2) is the unit normal orthogonal
     to N2; N2 differs from e4/|n| by a tangent vector, so N1 is a spatial
-    cross product of e1 and e2, with e4 component 0.
+    cross product of e1 and e2, with e4 component 0.  ``first``, j's
+    checked ``first_form(j, True)``, is built when not given.
     """
-    return _frame(j, first_form(j, require_spacelike=True))
-
-
-def _frame(j: SurfaceJet, ff: FirstForm) -> Frame:
+    ff = first_form(j, require_spacelike=True) if first is None else first
     bad = flag(ff.g11 <= 0.0, FrameFailureError,
                "g11 = {!r} <= 0 on a spacelike surface", ff.g11)
     sqrt = xp(ff.W).sqrt
@@ -211,7 +209,7 @@ def curvature_report(j: SurfaceJet) -> CurvatureReport:
     derivatives, and H1, H2 are <Hvec, N1>, <Hvec, N2> in
     ``orthonormal_frame(j)``."""
     ff = first_form(j, require_spacelike=True)
-    frame = _frame(j, ff)
+    frame = orthonormal_frame(j, ff)
     h11, h12, h22 = (_normal_part(x, j, ff) for x in (j.Xuu, j.Xuv, j.Xvv))
     K = (minkowski_dot(h11, h22) - minkowski_dot(h12, h12)) / ff.W
     Hvec = mean_curvature_vector(j, ff)

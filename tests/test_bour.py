@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,13 @@ import bour4.bour as bour_mod
 import bour4.grids
 import bour4.surfaces
 from bour4.bour import (BOUR, BourGauge, bernoulli_residual, bour_partner,
-                        choose_vbar_sign, constraint_rhs, gauge_complete, gauss_residual,
+                        constraint_rhs, gauge_complete, gauss_residual,
                         isometry_residual, minimal_pair_identity_residual,
                         natural_gauge, pair_report, parallel_curve_residual,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
 from bour4.cli import _example3_pair
-from bour4.errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError,
-                          NotSpacelikeError, ValidationError)
+from bour4.errors import (Bour4Error, EvalDomainError, InfeasibleGaugeError,
+                          NonFiniteError, NotSpacelikeError, ValidationError)
 from bour4.expressions import eval_jet, parse, to_source
 from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, expr_profile,
                             helicoid_jet, helicoid_to_json, is_constant_profile,
@@ -115,13 +116,12 @@ class TestVbar:
         spec = make_helicoid("I", 0.0, {"x": "u", "z": "0", "w": "u"}, (1.5, 3.0))
         assert spec.vbar(2.5, 1.2) == 1.2
 
-    def test_sign_probe_builds_no_table(self, monkeypatch):
+    def test_report_builds_no_table(self, monkeypatch):
         # the example-2 pair tabulates its shift once, in its construction;
-        # probing the other orientation and the report read the same table
+        # the report reads that table
         built = count_tables(monkeypatch)
         h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
                                   v_domain=(0.0, math.pi / 4.0))
-        choose_vbar_sign(h, r)
         pair_report(h, r, grid_for(h, nu=5, nv=5))
         assert len(built) == 1
 
@@ -172,22 +172,19 @@ class TestVbar:
         h, _ = pair()
         assert len(h.vbar._table._us) - 1 == panels
 
-    def test_opposite_sign_reads_the_same_shift(self, monkeypatch):
-        # the pair sweep reads the partner at v - shift(u) with k = -du(u)
-        # for sign -1, from the one table the construction built
+    def test_sweep_reads_the_one_shift(self, monkeypatch):
+        # the pair sweep reads the partner at v + shift(u) with k = du(u),
+        # from the one table the construction built
         h, r = same_gauss_pair_I("u", **EX1)
         built = count_tables(monkeypatch)
         grid = grid_for(h, nu=5, nv=3)
-        seen = []
-        for sign in (1, -1):
-            blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, hj, rj: (k, *rj.X))
-            seen.append(np.concatenate([b.out for b in blocks]))
+        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (k, *rj.X))
+        seen = np.concatenate([b.out for b in blocks])
         assert built == []
-        for (u, v), plus, minus in zip(((u, v) for u in grid.us() for v in grid.vs()), *seen):
-            assert minus[0] == -plus[0] == pytest.approx(-h.vbar.du(u), abs=1e-15)
-            for sign, out in ((1, plus), (-1, minus)):
-                want = helicoid_jet(r, u, v + sign * h.vbar.shift(u)).X
-                assert tuple(out[1:]) == pytest.approx(tuple(want), abs=1e-12)
+        for (u, v), out in zip(((u, v) for u in grid.us() for v in grid.vs()), seen):
+            assert out[0] == pytest.approx(h.vbar.du(u), abs=1e-15)
+            want = helicoid_jet(r, u, v + h.vbar.shift(u)).X
+            assert tuple(out[1:]) == pytest.approx(tuple(want), abs=1e-12)
 
 
 def test_no_cache_decorator_in_the_package():
@@ -403,7 +400,7 @@ class TestPairSweep:
             h = spec_I()
             r = bour_partner(h, gauge_complete(h, "a", "1/2"))
         grid = grid_for(h, nu=9, nv=7)
-        blocks = bour_mod._pair_sweep(h, r, grid, 1, lambda k, hj, rj: (*hj.X, *rj.X))
+        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (*hj.X, *rj.X))
         pos = np.concatenate([block.out for block in blocks])
         # pair_report's steps: each surface's first point moved to the
         # origin, then the population variance of each coordinate
@@ -420,7 +417,51 @@ class TestPairSweep:
         assert isometry_residual(spec, bad, grid) > 1e-3
 
 
+def _draw_pair_I(rng: random.Random):
+    """A 3.3 pair across the admitted ranges: 0 < c3 <= 1/lam^2 (a fifth of
+    the draws at the bound, the right helicoid), both sign branches, and
+    domains that may leave x^2 > lam^2, which the construction refuses."""
+    lam = rng.uniform(0.2, 3.0)
+    c3 = 1.0 / lam ** 2 * (1.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.0))
+    x = f"{rng.uniform(0.3, 2.0)!r}*u + {rng.uniform(-0.5, 0.5)!r}*u^2/4"
+    a = lam * rng.uniform(1.05, 2.5)
+    return same_gauss_pair_I(
+        x, lam, c3, sign_w=rng.choice((1, -1)), sign_r=rng.choice((1, -1)),
+        c1=rng.uniform(-1.0, 1.0), c2=rng.uniform(-1.0, 1.0), c4=rng.uniform(-1.0, 1.0),
+        domain=(a, a + lam * rng.uniform(0.2, 2.5)))
+
+
+def _draw_pair_II(rng: random.Random):
+    """A 3.6 pair across the admitted ranges: -1/lam^2 < c3 < 0, both
+    branches of x, sign_n derived or given, and domains that may leave
+    1 + c3 (lam^2 + w^2) > 0, which the construction refuses."""
+    lam = rng.uniform(0.2, 3.0)
+    c3 = -rng.uniform(0.02, 0.98) / lam ** 2
+    wmax = math.sqrt(-1.0 / c3 - lam ** 2)
+    w = f"{rng.uniform(0.3, 2.0)!r}*u + {rng.uniform(-0.5, 0.5)!r}*u^2/4"
+    a = wmax * rng.uniform(0.05, 0.6)
+    return same_gauss_pair_II(
+        w, lam, c3, sign_x=rng.choice((1, -1)), sign_n=rng.choice((None, 1, -1)),
+        c1=rng.uniform(-1.0, 1.0), c2=rng.uniform(-1.0, 1.0), c4=rng.uniform(-1.0, 1.0),
+        domain=(a, a + wmax * rng.uniform(0.1, 0.35)))
+
+
 class TestSameGaussPairs:
+    @pytest.mark.parametrize("draw", [_draw_pair_I, _draw_pair_II], ids=["3.3", "3.6"])
+    def test_drawn_pairs_match_at_the_one_orientation(self, draw):
+        # every pair the construction admits is isometric and shares its
+        # Gauss map at vbar = v + shift(u); a flipped shift fails both
+        rng, built = random.Random(20211), 0
+        for _ in range(24):
+            try:
+                h, r = draw(rng)
+            except Bour4Error:  # a draw outside the construction's domain
+                continue
+            rep = pair_report(h, r, grid_for(h, 9, 9))
+            assert rep.verdicts["isometric"] and rep.verdicts["same_gauss"], (h, rep)
+            built += 1
+        assert built >= 12
+
     def test_kind_I_example_parameters(self):
         h, r = same_gauss_pair_I("u", **EX1)
         grid = grid_for(h, nu=17, nv=17)
@@ -487,11 +528,6 @@ class TestSameGaussPairs:
         rep = pair_report(h, r, grid)
         assert rep.verdicts == {"isometric": True, "same_gauss": True,
                                 "minimal": True, "hyperplanar": True}
-
-    def test_kind_II_wrong_orientation_fails(self):
-        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9))
-        grid = grid_for(h, nu=7, nv=7)
-        assert gauss_residual(h, r, grid, sign=-1) > 1e-3
 
     def test_kind_II_right_helicoid_rejected(self):
         with pytest.raises(ValidationError):
@@ -650,18 +686,17 @@ class TestParallelCurves:
 
 
 def paper_pair(name):
-    """A bundled pair of the CLI, with the vbar orientation its report uses."""
+    """A bundled pair of the CLI."""
     if name == "example-3":
-        return (*_example3_pair(), 1)
+        return _example3_pair()
     if name in ("example-1", "theorem-3.3"):
         v_domain = (0.0, 2.0 * math.pi) if name == "example-1" else None
-        return (*same_gauss_pair_I("u", **EX1, c4=0.0, v_domain=v_domain), 1)
+        return same_gauss_pair_I("u", **EX1, c4=0.0, v_domain=v_domain)
     if name == "example-2":
-        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
+        return same_gauss_pair_II("u", 1.0, -0.5, domain=(0.2, 0.9),
                                   v_domain=(0.0, math.pi / 4.0))
-    else:  # theorem 3.6 with --w u --lambda 1 --c3 -0.5
-        h, r = same_gauss_pair_II("u", 1.0, -0.5, domain=(0.25, 0.9))
-    return h, r, choose_vbar_sign(h, r)[0]
+    # theorem 3.6 with --w u --lambda 1 --c3 -0.5
+    return same_gauss_pair_II("u", 1.0, -0.5, domain=(0.25, 0.9))
 
 
 class TestPairMinimality:
@@ -669,22 +704,22 @@ class TestPairMinimality:
 
     @pytest.mark.parametrize("name", ["example-1", "example-2", "example-3"])
     def test_pair_report_builds_no_normal_frame(self, name, monkeypatch):
-        h, r, sign = paper_pair(name)
+        h, r = paper_pair(name)
 
         def no_frame(*args):
             raise AssertionError("pair_report built a normal frame")
-        monkeypatch.setattr(bour4.surfaces, "_frame", no_frame)
-        pair_report(h, r, grid_for(h, 33, 33), sign=sign)
+        monkeypatch.setattr(bour4.surfaces, "orthonormal_frame", no_frame)
+        pair_report(h, r, grid_for(h, 33, 33))
 
     @pytest.mark.parametrize("name", ["example-1", "example-2", "example-3",
                                       "theorem-3.3", "theorem-3.6"])
     def test_minimality_matches_the_frame_route(self, name):
-        h, r, sign = paper_pair(name)
+        h, r = paper_pair(name)
         grid = grid_for(h, 33, 33)
-        blocks = bour_mod._pair_sweep(h, r, grid, sign, lambda k, hj, rj: (
+        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (
             curvature_report(hj).H_sup, curvature_report(rj).H_sup))
         want = np.max(np.concatenate([block.out for block in blocks]), axis=0)
-        got = pair_report(h, r, grid, sign=sign).max_mean_curvature
+        got = pair_report(h, r, grid).max_mean_curvature
         for a, b in zip(got, want.tolist()):
             assert a == pytest.approx(b, rel=0.0, abs=1e-9 * max(1.0, abs(b)))
 

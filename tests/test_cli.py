@@ -490,6 +490,19 @@ class TestVerify:
         assert code == (2 if err.startswith("error: ") else 3)
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("gauge", ["--gauge-a", "--gauge-b"])
+    def test_singular_gauge_constraint_names_g22_prime(self, tmp_path, capsys, gauge):
+        # a constant w gives g22' = 0: the constraint's 4cW/g22'^2 is undefined
+        spec = write_json(tmp_path / "spec.json", {
+            "kind": "III", "lambda": 1.0, "profile": {"x": "u", "z": "0", "w": "0*u"},
+            "domain": [0.6, 2.0]})
+        assert main(["verify", "--theorem", "3.7", "--spec", spec, gauge, "0",
+                     "--grid", "5x5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: g22' = 0.0 at u = 0.6")
+        assert err.endswith(": the gauge constraint 4cW/g22'^2 is singular\n")
+        assert err.count("\n") == 1
+
     def test_infeasible_gauge_exits_2(self, tmp_path):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "3*u", "w": "0"},

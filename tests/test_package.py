@@ -28,7 +28,7 @@ PUBLIC = [
     "NumericalError", "PairReport", "PairTolerances", "ProfileFn", "QuadratureError",
     "RotationalSpec", "SurfaceJet", "SurfaceKind", "UnknownIdentifierError",
     "ValidationError", "Vec4", "bernoulli_residual", "bivector_dot", "bour", "bour_partner",
-    "causal_character", "choose_vbar_sign", "closed_form_curvatures", "closed_form_frame",
+    "causal_character", "closed_form_curvatures", "closed_form_frame",
     "closed_form_gauss", "closed_form_metric", "const_profile", "constraint_rhs",
     "curvature_report", "errors", "eval_jet", "expr_profile", "expressions", "families",
     "first_form", "gauge_complete", "gauss_map", "gauss_residual", "grid_for", "grids",
