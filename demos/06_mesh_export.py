@@ -12,8 +12,9 @@ from bour4.meshes import resolve_projection, write_csv, write_obj
 
 spec = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
                      (1.5, 3.0), constants={"c1": 0.5})
-mesh = sample_mesh(spec, grid_for(spec, nu=9, nv=17))
-print("vertices:", len(mesh.vertices), " faces:", len(mesh.faces))
+grid = grid_for(spec, nu=9, nv=17)
+mesh = sample_mesh(spec, grid)  # sampled block by block as the writers read it
+print("vertices:", grid.nu * grid.nv, " faces:", (grid.nu - 1) * (grid.nv - 1))
 print("drop-constant picks coordinate index", resolve_projection(mesh, "drop-constant"),
       "(the frozen z)")
 

@@ -29,7 +29,7 @@ _EXPORTS = {
     "lorentz": ("BIVECTOR_SIGNATURE", "Bivector6", "CausalClass", "Vec4", "bivector_dot",
                 "causal_character", "minkowski_dot", "pseudo_to_standard", "standard_to_pseudo",
                 "wedge"),
-    "meshes": ("MeshGrid", "sample_mesh", "write_csv", "write_obj"),
+    "meshes": ("sample_mesh", "write_csv", "write_obj"),
     "quadrature": ("Antiderivative", "integrate"),
     "surfaces": ("CurvatureReport", "FirstForm", "Frame", "SurfaceJet", "curvature_report",
                  "first_form", "gauss_map", "numeric_jet", "orthonormal_frame"),

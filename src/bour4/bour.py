@@ -119,35 +119,66 @@ def _require_positive(domain: tuple[float, float], f: Callable, error: type,
     scan(domain, 64, check)
 
 
-def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
-    """The gauge constraint's right-hand side 4 c W/g22'^2 - <e_r, e_r>
-    (``BourData``) as a function of u, exact to first order: the closed-form
-    metric runs on jets in u, a profile's value as its jet, its d1 as deriv().
-    It is singular where g22' = 0 (``lorentz.flag``): NaN on arrays, an
-    EvalDomainError naming u on floats."""
-    fam, bd = FAMILIES[spec.kind], BOUR[spec.kind]
+_SINGULAR = "g22' = {!r} at u = {!r}: the gauge constraint 4cW/g22'^2 is singular"
 
-    def rhs(u: float) -> Jet2:
+
+def _g22_rate(spec: HelicoidSpec) -> Callable:
+    """u -> (g22', W) of the helicoid, as jets in u: the closed-form metric
+    runs on jets in u, a profile's value as its jet, its d1 as deriv()."""
+    fam = FAMILIES[spec.kind]
+
+    def rate(u):
         _, _, g22, W = fam.metric(spec.pitch, *(Jet2(p, p.deriv())
                                                for p in fam.profile(profile_jets(spec, u))))
-        dg22 = g22.deriv()
+        return g22.deriv(), W
+
+    return rate
+
+
+def constraint_rhs(spec: HelicoidSpec) -> ProfileFn:
+    """The gauge constraint's right-hand side 4 c W/g22'^2 - <e_r, e_r>
+    (``BourData``) as a function of u, exact to first order (``_g22_rate``).
+    It is singular where g22' = 0 (``lorentz.flag``): NaN on arrays, an
+    EvalDomainError naming u on floats."""
+    bd, rate = BOUR[spec.kind], _g22_rate(spec)
+
+    def rhs(u: float) -> Jet2:
+        dg22, W = rate(u)
         sq = dg22 * dg22
         # on arrays the division leaves NaN wherever this flag holds
-        flag(sq.v == 0.0, EvalDomainError,
-             "g22' = {!r} at u = {!r}: the gauge constraint 4cW/g22'^2 is singular", dg22.v, u)
+        flag(sq.v == 0.0, EvalDomainError, _SINGULAR, dg22.v, u)
         return 4.0 * bd.c * W / sq - bd.rr
 
     return rhs
 
 
+def _require_no_g22_root(spec: HelicoidSpec) -> None:
+    """Raise the constraint's singularity where g22' changes sign between
+    two of 96 domain samples, at the root bisected on floats."""
+    rate = _g22_rate(spec)
+    us, d = scan(spec.domain, 96, lambda u: rate(u)[0].v)
+    turns = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+    if turns.size:
+        (lo, hi), negative = us[turns[0]:turns[0] + 2].tolist(), d[turns[0]] < 0.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (rate(mid)[0].v < 0.0) == negative:
+                lo = mid
+            else:
+                hi = mid
+        u = min((lo, hi), key=lambda x: abs(rate(x)[0].v))
+        raise EvalDomainError(_SINGULAR.format(rate(u)[0].v, u))
+
+
 def gauge_complete(spec: HelicoidSpec, given: str, expr: "Expr | str") -> BourGauge:
     """Fill in the missing gauge function from the constraint, nonnegative branch.
 
-    Raises InfeasibleGaugeError (with the offending u-interval) when the
-    induced square goes negative at one of 96 domain samples.
+    Raises EvalDomainError where g22' vanishes between domain samples, and
+    InfeasibleGaugeError (with the offending u-interval) when the induced
+    square goes negative at one of 96 domain samples.
     """
     if given not in ("a", "b"):
         raise ValidationError(f"given must be 'a' or 'b', not {given!r}")
+    _require_no_g22_root(spec)
     g = expr_profile(expr, spec.consts)
     rhs = constraint_rhs(spec)
     s, squared = BOUR[spec.kind].constraint

@@ -40,7 +40,7 @@ from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
                        closed_form_curvatures, helicoid_from_json,
                        helicoid_to_json, make_helicoid, profile_jets)
 from .grids import Grid, grid_for, sweep
-from .meshes import CHANNEL_NAMES, MeshStream, sample_mesh, write_csv, write_obj
+from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
 
 EXIT_PASS = 0
@@ -385,7 +385,7 @@ def cmd_example(args) -> int:
 def cmd_export(args) -> int:
     size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
-    mesh = MeshStream(spec, grid_for(spec, *size))
+    mesh = sample_mesh(spec, grid_for(spec, *size))
     if args.format == "obj":
         _write_out(args.out, lambda f: write_obj(mesh, f, args.projection))
     else:

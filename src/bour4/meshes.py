@@ -1,4 +1,4 @@
-"""Sampled surface grids and OBJ/CSV export.
+"""Sampled surface meshes and OBJ/CSV export.
 
 Plots are out of scope; meshes carry the geometry to external viewers.  OBJ
 needs a 3D projection of the 4D vertices: either drop one coordinate
@@ -7,22 +7,20 @@ explicitly (``drop-k``) or drop the one that is constant across the mesh
 dropped coordinate and the per-vertex scalar channels ride along in comment
 lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.
 
-A mesh is sampled one sweep block of rows at a time.  ``sample_mesh``
-collects the blocks into one array (``MeshGrid``); ``MeshStream`` hands
-each block to the writers as they reach its rows and keeps no other, so a
-streamed export holds one block and one group of written rows at any grid
-size.  Both writers read rows in ascending order from either, and write one
-grid row per write, or a group of rows of at most BLOCK_VALUES values.
-Their text is that of one repr per value, made by integer array operations:
-Schubfach's shortest digits, laid out by repr's rules; zeros, subnormals,
-inf, nan and ties go through repr itself.  Each distinct float of a write
-(told apart by its bits: -0.0 is not 0.0) is formatted once.
+A mesh (``sample_mesh``'s ``MeshStream``) is sampled one sweep block of rows
+at a time, as the writers read it, and keeps no other block: a write holds
+one block and one group of written rows at any grid size.  Each writer
+reads the rows once, in ascending order, and writes one grid row, or a
+group of rows of at most BLOCK_VALUES values, per write.  Their text is one
+repr per value, from integer array operations: Schubfach's shortest digits,
+laid out by repr's rules; zeros, subnormals, inf, nan and ties go through
+repr itself.  Each distinct float of a write (told apart by its bits: -0.0
+is not 0.0) is formatted once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, TextIO
 
@@ -36,42 +34,6 @@ from .surfaces import curvature_report
 CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 #: Columns of a row of samples: x1..x4, then the channels.
 COLUMNS = 4 + len(CHANNEL_NAMES)
-
-
-@dataclass
-class MeshGrid:
-    """Float64 vertices (nu*nv x 4, row-major) and one float64 array per
-    scalar channel; the quad faces follow from the grid."""
-
-    grid: Grid
-    vertices: np.ndarray
-    channels: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def nu(self) -> int:
-        return self.grid.nu
-
-    @property
-    def nv(self) -> int:
-        return self.grid.nv
-
-    @property
-    def faces(self) -> np.ndarray:
-        """Quad faces as vertex-index quadruples, (nu-1)*(nv-1) x 4, row-major."""
-        nv = self.nv
-        corner = (np.arange(self.nu - 1)[:, None] * nv + np.arange(nv - 1)[None, :]).reshape(-1)
-        return np.stack([corner, corner + 1, corner + nv + 1, corner + nv], axis=1)
-
-    def rows(self, i: int, j: int) -> np.ndarray:
-        """The samples of grid rows i..j-1, one row per point: x1..x4, then
-        the channels."""
-        rows = slice(i * self.nv, j * self.nv)
-        return np.column_stack([self.vertices[rows]]
-                               + [self.channels[name][rows] for name in CHANNEL_NAMES])
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each coordinate's least and greatest value over the mesh."""
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
 
 def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
@@ -90,43 +52,28 @@ def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
         yield block.out
 
 
-def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshGrid:
-    """Evaluate a surface over the grid; curvature channels are nan off the
-    spacelike locus.
-
-    The surface is read through ``helicoid_jet``, its profile once per
-    sweep and the geometry on blocks of rows.  A callable (u, v) ->
-    SurfaceJet is accepted in place of a spec and called on each block's u
-    column and v row; one that takes floats only raises its own error on
-    the arrays.
-    """
-    # every block is written into the one array the mesh keeps
-    data = np.empty((grid.nu * grid.nv, COLUMNS))
-    start = 0
-    for block in _blocks(surface, grid):
-        data[start:start + len(block)] = block
-        start += len(block)
-    channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
-    return MeshGrid(grid, data[:, :4], channels)
-
-
 class MeshStream:
     """A surface's mesh over a grid, sampled as the writers read it.
 
-    The surface is that of ``sample_mesh``, and so are the samples, bit for
-    bit.  Each pass over the rows, from row 0 in ascending order, sweeps the
+    Each pass over the rows, from row 0 in ascending order, sweeps the
     surface afresh and holds only the rows of its last block not yet read.
     """
 
     def __init__(self, surface: HelicoidSpec | RotationalSpec, grid: Grid):
         self.surface, self.grid = surface, grid
         self._blocks, self._held = iter(()), np.empty((0, COLUMNS))  # rows not yet read
+        self._next = None  # the row the pass reads next
 
     def rows(self, i: int, j: int) -> np.ndarray:
-        """The samples of grid rows i..j-1, as ``MeshGrid.rows`` gives them;
-        i = 0 starts a pass, and any other i is the last call's j."""
+        """The samples of grid rows i..j-1, one row per point: x1..x4, then
+        the channels.  i = 0 starts a pass; any other i must be the last
+        call's j."""
         if i == 0:
             self._blocks, self._held = _blocks(self.surface, self.grid), np.empty((0, COLUMNS))
+        elif i != self._next:
+            raise ValueError(f"mesh rows {i}..{j - 1} read out of order: "
+                             f"the pass is at row {self._next}")
+        self._next = j
         n = (j - i) * self.grid.nv
         while len(self._held) < n:
             rest, self._held = self._held.copy(), None  # the block goes before the next is swept
@@ -144,7 +91,20 @@ class MeshStream:
         return np.min(lo, axis=0), np.max(hi, axis=0)
 
 
-def resolve_projection(mesh: MeshGrid | MeshStream, mode: str) -> int:
+def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshStream:
+    """A surface's mesh over the grid; curvature channels are nan off the
+    spacelike locus.
+
+    The surface is read through ``helicoid_jet``, its profile once per
+    sweep and the geometry on blocks of rows.  A callable (u, v) ->
+    SurfaceJet is accepted in place of a spec and called on each block's u
+    column and v row; one that takes floats only raises its own error on
+    the arrays, when the rows are read.
+    """
+    return MeshStream(surface, grid)
+
+
+def resolve_projection(mesh: MeshStream, mode: str) -> int:
     """Index (0..3) of the coordinate to drop for a 3D projection.
 
     ``drop-k`` for k in 1..4 drops that coordinate; ``drop-constant`` finds
@@ -393,7 +353,7 @@ def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), pick.reshape(table.shape)
 
 
-def write_obj(mesh: MeshGrid | MeshStream, out: TextIO, projection: str = "drop-constant") -> int:
+def write_obj(mesh: MeshStream, out: TextIO, projection: str = "drop-constant") -> int:
     """Write a quad OBJ; returns the index of the dropped coordinate.
 
     Each vertex line is followed by a comment carrying the dropped
@@ -420,7 +380,7 @@ def write_obj(mesh: MeshGrid | MeshStream, out: TextIO, projection: str = "drop-
 _CSV_COLUMNS = [0, 1, 2, 3, 4, 5, 6, 8]
 
 
-def write_csv(mesh: MeshGrid | MeshStream, out: TextIO) -> int:
+def write_csv(mesh: MeshStream, out: TextIO) -> int:
     """Write one row per sample: u,v,x1,x2,x3,x4,K,H1,H2,W.  Returns row count."""
     out.write("u,v,x1,x2,x3,x4,K,H1,H2,W\n")
     nu, nv = mesh.grid.nu, mesh.grid.nv

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -503,6 +504,20 @@ class TestVerify:
         assert err.endswith(": the gauge constraint 4cW/g22'^2 is singular\n")
         assert err.count("\n") == 1
 
+    def test_g22_prime_root_between_samples_is_named(self, tmp_path, capsys):
+        # g22' = 8(u-1)^3 changes sign at u = 1, which no domain sample hits
+        spec = write_json(tmp_path / "spec.json", {
+            "kind": "III", "lambda": 1.0, "profile": {"x": "u", "z": "0.1*u", "w": "(u-1)^2"},
+            "domain": [0.6, 2.0]})
+        assert main(["verify", "--theorem", "3.7", "--spec", spec, "--gauge-a", "0",
+                     "--grid", "5x5"]) == 3
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"numerical failure: g22' = (\S+) at u = (\S+): "
+                             r"the gauge constraint 4cW/g22'\^2 is singular\n", err)
+        assert match, err
+        assert abs(float(match[2]) - 1.0) <= 1e-6
+        assert abs(float(match[1])) <= 1e-12
+
     def test_infeasible_gauge_exits_2(self, tmp_path):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "3*u", "w": "0"},
@@ -577,6 +592,17 @@ class TestExample:
         for name in ("helicoid.json", "pair_report.json", "helicoid.obj",
                      "helicoid.csv", "rotational.obj", "rotational.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("n, projection", [(1, "drop-constant"), (3, "drop-1")])
+    def test_example_meshes_are_the_export_of_its_helicoid(self, tmp_path, n, projection):
+        out = tmp_path / f"ex{n}"
+        assert main(["example", str(n), "--out-dir", str(out), "--grid", "9x7"]) == 0
+        for fmt in ("csv", "obj"):
+            mesh = tmp_path / f"export.{fmt}"
+            assert main(["export", "--spec", str(out / "helicoid.json"), "--grid", "9x7",
+                         "--format", fmt, "--projection", projection,
+                         "--out", str(mesh)]) == 0
+            assert mesh.read_bytes() == (out / f"helicoid.{fmt}").read_bytes(), fmt
 
     def test_example_3_verdicts(self, tmp_path):
         out = tmp_path / "ex3"
@@ -655,6 +681,7 @@ class TestExport:
         argv = ["export", "--spec", write_json(tmp_path / "s.json", data), "--grid", "11x7",
                 "--format", fmt, "--out", str(out)]
         assert main(argv + (["--projection", projection] if projection else [])) == 0
+        monkeypatch.undo()  # the reference: one sweep block, one write group
         spec = helicoid_from_json(data)
         mesh = bour4.meshes.sample_mesh(spec, grid_for(spec, 11, 7))
         want = io.StringIO()

@@ -13,8 +13,8 @@ from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeE
                           ValidationError)
 from bour4.families import helicoid_jet, make_helicoid
 from bour4.grids import Grid, grid_for, sweep
-from bour4.meshes import (CHANNEL_NAMES, MeshGrid, MeshStream, resolve_projection,
-                          sample_mesh, write_csv, write_obj)
+from bour4.meshes import (CHANNEL_NAMES, COLUMNS, MeshStream, resolve_projection, sample_mesh,
+                          write_csv, write_obj)
 from bour4.surfaces import curvature_report
 
 SPEC = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
@@ -31,20 +31,31 @@ KINDS = {
 }
 
 
+def one_pass(surface, grid: Grid) -> np.ndarray:
+    """The samples of a surface's mesh, from one pass over all its rows."""
+    return sample_mesh(surface, grid).rows(0, grid.nu)
+
+
+class TableMesh:
+    """A mesh of given samples (nu*nv rows of x1..x4 and the channels)."""
+
+    def __init__(self, grid: Grid, table: np.ndarray):
+        self.grid, self.table = grid, table
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        return self.table[i * self.grid.nv:j * self.grid.nv]
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.table[:, :4].min(axis=0), self.table[:, :4].max(axis=0)
+
+
 class TestSampleMesh:
     def test_counts_and_channels(self):
-        mesh = sample_mesh(SPEC, GRID)
-        assert len(mesh.vertices) == 7 * 5
-        assert len(mesh.faces) == 6 * 4
-        for name in CHANNEL_NAMES:
-            assert len(mesh.channels[name]) == len(mesh.vertices)
-        flat = [i for face in mesh.faces for i in face]
-        assert min(flat) == 0 and max(flat) == len(mesh.vertices) - 1
+        assert one_pass(SPEC, GRID).shape == (7 * 5, COLUMNS)
 
     def test_channels_nan_off_spacelike_locus(self):
         bad = make_helicoid("II", 1.0, {"x": "0", "y": "0", "w": "u"}, (0.5, 2.0))
-        mesh = sample_mesh(bad, Grid(0.6, 1.9, -0.3, 0.3, 3, 3))
-        assert all(math.isnan(k) for k in mesh.channels["K"])
+        assert np.isnan(one_pass(bad, Grid(0.6, 1.9, -0.3, 0.3, 3, 3))[:, 4]).all()
 
     @pytest.mark.parametrize("name", ["I", "II", "III", "partner"])
     def test_vertices_and_channels_match_scalar_calls(self, name):
@@ -54,22 +65,20 @@ class TestSampleMesh:
         else:
             surface = KINDS[name]
         grid = grid_for(KINDS["I" if name == "partner" else name], 7, 5)
-        mesh = sample_mesh(surface, grid)
+        table = one_pass(surface, grid)
         points = [(u, v) for u in grid.us() for v in grid.vs()]
         for idx, (u, v) in enumerate(points):
             jet = helicoid_jet(surface, u, v)
             rep = curvature_report(jet)
             want = (*jet.X, rep.K, rep.H1, rep.H2, rep.first.W)
-            got = (*mesh.vertices[idx], *(mesh.channels[c][idx] for c in ("K", "H1", "H2", "W")))
+            got = table[idx, [0, 1, 2, 3, 4, 5, 6, 8]]
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (idx, got, want)
 
     def test_jet_callback_gives_the_same_mesh(self):
-        by_spec = sample_mesh(SPEC, GRID)
-        by_callback = sample_mesh(lambda u, v: helicoid_jet(SPEC, u, v), GRID)
-        assert np.array_equal(by_spec.vertices, by_callback.vertices)
-        for name in CHANNEL_NAMES:
-            assert np.array_equal(by_spec.channels[name], by_callback.channels[name])
+        by_spec = one_pass(SPEC, GRID)
+        by_callback = one_pass(lambda u, v: helicoid_jet(SPEC, u, v), GRID)
+        assert np.array_equal(by_spec, by_callback, equal_nan=True)
 
     def test_jet_callback_raises_the_error_of_its_first_failing_point(self):
         # sqrt(1 - u) fails from u = 1 on, past the first rows of the block
@@ -77,21 +86,21 @@ class TestSampleMesh:
                              (0.3, 1.8))
         grid = grid_for(spec, 9, 5)
         with pytest.raises(EvalDomainError) as by_spec:
-            sample_mesh(spec, grid)
+            one_pass(spec, grid)
         with pytest.raises(EvalDomainError) as by_callback:
-            sample_mesh(lambda u, v: helicoid_jet(spec, u, v), grid)
+            one_pass(lambda u, v: helicoid_jet(spec, u, v), grid)
         assert str(by_callback.value) == str(by_spec.value)
         assert "sqrt(1 - u)" in str(by_spec.value)
 
     def test_timelike_points_keep_their_vertices(self):
         spec = make_helicoid("II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5),
                              v_domain=(-0.5, 0.5))
-        mesh = sample_mesh(spec, grid_for(spec, 9, 7))
-        nan = np.isnan(mesh.channels["K"])
+        table = one_pass(spec, grid_for(spec, 9, 7))
+        nan = np.isnan(table[:, 4])
         assert nan.sum() == 21
-        for name in CHANNEL_NAMES:
-            assert np.array_equal(np.isnan(mesh.channels[name]), nan)
-        assert np.isfinite(mesh.vertices).all()
+        for column in table[:, 4:].T:
+            assert np.array_equal(np.isnan(column), nan)
+        assert np.isfinite(table[:, :4]).all()
 
 
 class TestOneJetEntry:
@@ -113,8 +122,8 @@ class TestOneJetEntry:
     def test_sample_mesh_reads_both_surfaces_on_arrays(self, calls):
         spec = KINDS["I"]
         partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
-        sample_mesh(spec, grid_for(spec, 7, 5))
-        sample_mesh(partner, grid_for(spec, 7, 5))
+        one_pass(spec, grid_for(spec, 7, 5))
+        one_pass(partner, grid_for(spec, 7, 5))
         assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (1, 5))]
 
     def test_pair_report_reads_both_surfaces_on_arrays(self, calls):
@@ -169,26 +178,39 @@ class TestOnePassPerSweep:
         assert {shape for _, shape in calls} == {(grid.nu, 1)}
         assert ("RotationalSpec", (grid.nu, 1)) in calls
         calls.clear()
-        sample_mesh(spec, grid)
+        one_pass(spec, grid)
         assert calls == [("HelicoidSpec", (grid.nu, 1))]
 
 
 class TestMeshStream:
     @pytest.mark.parametrize("name", [*KINDS, "timelike"])
-    def test_rows_and_bounds_are_the_sampled_mesh_bit_for_bit(self, monkeypatch, name):
+    def test_reads_and_bounds_are_one_pass_bit_for_bit(self, monkeypatch, name):
         monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 21)  # blocks of 3 rows of 7
         spec = KINDS[name] if name in KINDS else make_helicoid(
             "II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5), v_domain=(-0.5, 0.5))
         grid = grid_for(spec, 11, 7)
-        mesh, stream = sample_mesh(spec, grid), MeshStream(spec, grid)
+        stream = sample_mesh(spec, grid)
+        whole = stream.rows(0, 11).copy()
+        assert whole.shape == (7 * 11, COLUMNS)
         # passes of one, two and eleven rows a read; each pass starts at row 0
         for step in (1, 2, 11):
-            for i in range(0, 11, step):
-                want, got = mesh.rows(i, min(i + step, 11)), stream.rows(i, min(i + step, 11))
-                assert got.shape == want.shape == (7 * (min(i + step, 11) - i), 9)
-                assert (got.view(np.uint64) == want.view(np.uint64)).all()
-        for got, want in zip(stream.bounds(), mesh.bounds()):
-            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            got = np.concatenate([stream.rows(i, min(i + step, 11)) for i in range(0, 11, step)])
+            assert (got.view(np.uint64) == whole.view(np.uint64)).all()
+        lo, hi = stream.bounds()
+        assert (lo.view(np.uint64) == whole[:, :4].min(axis=0).view(np.uint64)).all()
+        assert (hi.view(np.uint64) == whole[:, :4].max(axis=0).view(np.uint64)).all()
+
+    def test_a_read_out_of_order_is_refused(self):
+        stream = MeshStream(SPEC, GRID)
+        with pytest.raises(ValueError, match="out of order"):
+            stream.rows(2, 4)  # no pass has started
+        first = stream.rows(0, 2).copy()
+        with pytest.raises(ValueError, match=r"rows 3\.\.4 read out of order: .* at row 2"):
+            stream.rows(3, 5)
+        with pytest.raises(ValueError, match="out of order"):
+            stream.rows(1, 3)
+        assert np.array_equal(stream.rows(2, 3), one_pass(SPEC, GRID)[10:15])
+        assert np.array_equal(stream.rows(0, 2), first)
 
 
 class TestProjection:
@@ -248,8 +270,7 @@ class TestWriters:
         nu, nv = 4, 5
         table = pool[(np.arange(nu * nv * 9).reshape(nu * nv, 9) * 5) % len(pool)]
         table[np.arange(nu * nv), np.arange(nu * nv) % 9] = -0.0  # -0.0 in every column
-        mesh = MeshGrid(Grid(0.0, 1.0, 0.0, 2.0, nu, nv), table[:, :4],
-                        {name: table[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)})
+        mesh = TableMesh(Grid(0.0, 1.0, 0.0, 2.0, nu, nv), table)
         obj, csv = io.StringIO(), io.StringIO()
         write_obj(mesh, obj, "drop-2")
         write_csv(mesh, csv)
@@ -267,8 +288,7 @@ class TestWriters:
     @pytest.mark.parametrize("nu, nv", [(3, 1), (1, 3)])
     def test_a_grid_one_sample_wide_has_no_faces(self, nu, nv):
         table = np.linspace(0.1, 2.7, nu * nv * 9).reshape(nu * nv, 9)
-        mesh = MeshGrid(Grid(0.0, 1.0, 0.0, 1.0, nu, nv), table[:, :4],
-                        {name: table[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)})
+        mesh = TableMesh(Grid(0.0, 1.0, 0.0, 1.0, nu, nv), table)
         obj, csv = io.StringIO(), io.StringIO()
         write_obj(mesh, obj, "drop-4")
         lines = obj.getvalue().splitlines()
@@ -281,9 +301,9 @@ class TestWriters:
         assert uv == [[repr(u), repr(v)] for u in mesh.grid.us() for v in mesh.grid.vs()]
         assert (mesh.grid.us() if nu == 1 else mesh.grid.vs()) == [0.0]
         spec = KINDS["I"]
-        sampled = sample_mesh(spec, grid_for(spec, nu, nv))
-        assert sampled.vertices.shape == (nu * nv, 4)
-        assert np.isfinite(sampled.vertices).all()
+        sampled = one_pass(spec, grid_for(spec, nu, nv))[:, :4]
+        assert sampled.shape == (nu * nv, 4)
+        assert np.isfinite(sampled).all()
 
     @pytest.mark.parametrize("writer", ["csv", "obj"])
     def test_only_fallback_values_reach_repr(self, monkeypatch, writer):
@@ -291,9 +311,11 @@ class TestWriters:
         # strings go through repr; the kernel formats every other value
         fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.0**50 + 0.25]
         spec = KINDS["I"]
-        mesh = sample_mesh(spec, grid_for(spec, 9, 7))
-        mesh.channels["K"][:len(fallback)] = fallback
-        mesh.vertices[20:20 + len(fallback), 1] = fallback
+        grid = grid_for(spec, 9, 7)
+        table = one_pass(spec, grid).copy()
+        table[:len(fallback), 4] = fallback  # K
+        table[20:20 + len(fallback), 1] = fallback  # x2
+        mesh = TableMesh(grid, table)
         calls = []
         monkeypatch.setattr(bour4.meshes, "repr", lambda x: calls.append(x) or repr(x),
                             raising=False)
@@ -334,16 +356,16 @@ class TestFloatText:
         assert formatted(values) == list(map(repr, values.tolist()))
 
 
-def per_value_writers(mesh: MeshGrid, drop: int) -> tuple[str, str]:
+def per_value_writers(mesh: TableMesh, drop: int) -> tuple[str, str]:
     """OBJ and CSV text with one repr per value, one line at a time."""
-    nu, nv = mesh.nu, mesh.nv
-    channels = {name: values.tolist() for name, values in mesh.channels.items()}
+    nu, nv = mesh.grid.nu, mesh.grid.nv
+    channels = {name: mesh.table[:, 4 + k].tolist() for k, name in enumerate(CHANNEL_NAMES)}
     us, vs = mesh.grid.us(), mesh.grid.vs()
     obj = [f"# parametric surface mesh, {nu} x {nv} samples\n",
            f"# projection: dropped coordinate x{drop + 1}\n",
            f"# per-vertex comments: vd x{drop + 1} K H1 H2 Hsup W\n"]
     csv = ["u,v,x1,x2,x3,x4,K,H1,H2,W\n"]
-    for k, x in enumerate(mesh.vertices.tolist()):
+    for k, x in enumerate(mesh.table[:, :4].tolist()):
         vd = [x[drop]] + [channels[name][k] for name in CHANNEL_NAMES]
         obj.append("v " + " ".join(repr(c) for j, c in enumerate(x) if j != drop) + "\n")
         obj.append("# vd " + " ".join(repr(c) for c in vd) + "\n")

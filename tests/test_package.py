@@ -24,7 +24,7 @@ PUBLIC = [
     "Antiderivative", "BIVECTOR_SIGNATURE", "Bivector6", "Bour4Error", "BourGauge",
     "CausalClass", "CurvatureReport", "DegenerateSurfaceError", "EvalDomainError", "Expr",
     "ExprSyntaxError", "FirstForm", "Frame", "FrameFailureError", "Grid", "HelicoidSpec",
-    "InfeasibleGaugeError", "Jet2", "MeshGrid", "NonFiniteError", "NotSpacelikeError",
+    "InfeasibleGaugeError", "Jet2", "NonFiniteError", "NotSpacelikeError",
     "NumericalError", "PairReport", "PairTolerances", "ProfileFn", "QuadratureError",
     "RotationalSpec", "SurfaceJet", "SurfaceKind", "UnknownIdentifierError",
     "ValidationError", "Vec4", "bernoulli_residual", "bivector_dot", "bour", "bour_partner",

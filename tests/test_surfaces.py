@@ -466,7 +466,9 @@ class TestSweep:
             if evaluate == "scan":
                 scan((1.0, 2.0), 8, lambda u: math.sqrt(u))
             else:
-                sample_mesh(lambda u, v: helicoid_jet(spec, float(u), float(v)), GRID_7x5["I"])
+                grid = GRID_7x5["I"]  # a mesh is sampled as its rows are read
+                mesh = sample_mesh(lambda u, v: helicoid_jet(spec, float(u), float(v)), grid)
+                mesh.rows(0, grid.nu)
 
     def test_one_array_call_per_block_and_one_float_call_per_bad_point(self, monkeypatch):
         # kind II, timelike on part of the grid: those points are re-run
