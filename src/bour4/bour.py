@@ -298,16 +298,12 @@ def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
                 point: Callable) -> Iterator[Block]:
     """Sweep ``point(k, hj, rj)`` over the grid: k = d(vbar)/du and both
     surface jets, the partner's read at (u, vbar) = (u, v + shift(u))."""
-    vb = h.vbar
-
     def once(u):
         hp = profile_jets(h, u)
-        return angular_rate(h, hp, u), hp, vb.shift(u), profile_jets(r, u)
+        return angular_rate(h, hp, u), hp, h.vbar.shift(u), profile_jets(r, u)
 
-    def f(u, v, pre=None):  # a float re-run passes no pre: a point's own order
-        k, hp, shift, rp = pre or (vb.du(u), None, None, None)
-        hj = helicoid_jet(h, u, v, hp)
-        return point(k, hj, helicoid_jet(r, u, v + (shift if pre else vb.shift(u)), rp))
+    def f(u, v, k, hp, shift, rp):
+        return point(k, helicoid_jet(h, u, v, hp), helicoid_jet(r, u, v + shift, rp))
 
     return sweep(grid, f, once=once)
 

@@ -8,9 +8,10 @@ Subcommands:
     export   sample a spec into an OBJ or CSV mesh
 
 Exit codes: 0 all requested verdicts pass, 1 a verdict fails, 2 invalid
-input, 3 numerical failure.  The environment variable LB_QUAD_TOL overrides
-the quadrature tolerance; a value that is not a number in (0, 1) is invalid
-input.  Unless OPENBLAS_NUM_THREADS is set, numpy's BLAS runs on one thread.
+input, 3 numerical failure (at a grid point, the sweep's message names it).
+The environment variable LB_QUAD_TOL overrides the quadrature tolerance; a
+value that is not a number in (0, 1) is invalid input.  Unless
+OPENBLAS_NUM_THREADS is set, numpy's BLAS runs on one thread.
 The first call of ``main`` in a process freezes the start-up heap (gc.freeze),
 so interpreter exit does not collect and tear down the imports' objects.
 """
@@ -145,29 +146,20 @@ def _grid_size(text: str | None) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # report
 
-def _located(exc: NumericalError, u: float, v: float) -> NumericalError:
-    return type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]")
-
-
 def cmd_report(args) -> int:
     size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
     grid = grid_for(spec, *size)
-    tolerated = (NotSpacelikeError, DegenerateSurfaceError)
 
-    def f(u, v, profile=None):  # the profile once per sweep; a float re-run passes none
-        try:
-            rep = closed_form_curvatures(spec, u, v, profile)
-        except tolerated:
-            raise
-        except NumericalError as exc:
-            raise _located(exc, u, v) from None
+    def f(u, v, profile):
+        rep = closed_form_curvatures(spec, u, v, profile)
         return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
 
     # one contiguous row per channel; tolerated points are dropped on arrival
     values = np.empty((len(CHANNEL_NAMES), grid.nu * grid.nv))
     kept, violations, first = 0, 0, None
-    for block in sweep(grid, f, tolerated, lambda u: profile_jets(spec, u)):
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
+                       lambda u: (profile_jets(spec, u),)):
         if block.tolerated and first is None:
             u, v = block.point(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}
@@ -263,6 +255,9 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
                 raise TypeError(f"gauge expr must be an expression string, got {expr!r}")
             c0, c1 = raw.get("partner_constants", (0.0, 0.0))
             constants = (float(c0), float(c1))
+            if any(isinstance(c, (str, bool)) for c in (c0, c1)) or not all(
+                    map(math.isfinite, constants)):
+                raise ValueError(f"partner_constants must be two finite numbers, got {[c0, c1]!r}")
             expect = raw.get("expect", ["isometric"])
             claims = (*SAME_GAUSS_CLAIMS, "gauss_differ")
             if not (isinstance(expect, list) and all(name in claims for name in expect)):

@@ -279,6 +279,8 @@ class HelicoidSpec:
 
 def _number(value, what: str) -> float:
     try:
+        if isinstance(value, (str, bool)):  # not numbers, whatever float() makes of them
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
@@ -458,10 +460,10 @@ def closed_form_metric(spec: HelicoidSpec, u: float) -> FirstForm:
 # ---------------------------------------------------------------------------
 # closed-form frames, second fundamental forms and curvature
 
-def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
-                      profile=None) -> tuple[FirstForm, Frame, SecondForm, SecondForm]:
-    """Metric, explicit frame and second forms from the profile jets at u
-    (``profile`` when given), and Xu and Xv as ``orbit_jet`` builds them.
+def _closed_form_pass(spec: HelicoidSpec, u: float, v: float, profile=None
+                      ) -> tuple[FirstForm, Vec4, Vec4, SecondForm, SecondForm]:
+    """Metric, explicit normal pair and second forms from the profile jets
+    at u (``profile`` when given).
 
     The kind's frame precondition is checked before g11 > 0, so a profile
     that leaves the family's frame convention is named as such.
@@ -469,23 +471,20 @@ def _closed_form_pass(spec: HelicoidSpec, u: float, v: float,
     lam, pj = spec.pitch, profile_jets(spec, u) if profile is None else profile
     fam = FAMILIES[spec.kind]
     ff = closed_form_metric_from_profile(spec.kind, lam, pj)
-    sqrt = xp(ff.W).sqrt
-    p, q, r = fam.profile(pj)
-    bad, b1, b2, N1, N2 = fam.frame(lam, p, q, r, v, u, ff.W, sqrt(ff.W))
+    bad, b1, b2, N1, N2 = fam.frame(lam, *fam.profile(pj), v, u, ff.W, xp(ff.W).sqrt(ff.W))
     bad = bad | flag(ff.g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 at u = {!r}",
                      ff.g11, u)
-    M = fam.group(v)
-    Xu = M(p.d1, q.d1, r.d1)
-    Xv = _along(fam.generator(M(p.v, q.v, r.v)), lam, fam.kernel[0])
-    e1 = Xu * (1.0 / sqrt(ff.g11))
-    e2 = (Xv * ff.g11 - Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11))
     b1, b2, N1, N2 = where(bad, math.nan, (b1, b2, N1, N2))
-    return ff, Frame(e1, e2, N1, N2), b1, b2
+    return ff, N1, N2, b1, b2
 
 
 def closed_form_frame(spec: HelicoidSpec, u: float, v: float) -> Frame:
-    """The families' explicit orthonormal frames (N1 spacelike, N2 timelike)."""
-    return _closed_form_pass(spec, u, v)[1]
+    """The families' explicit orthonormal frames (N1 spacelike, N2 timelike),
+    with the tangent pair from Xu and Xv of ``helicoid_jet``."""
+    (ff, N1, N2, _, _), jet = _closed_form_pass(spec, u, v), helicoid_jet(spec, u, v)
+    sqrt = xp(ff.W).sqrt
+    return Frame(jet.Xu * (1.0 / sqrt(ff.g11)),
+                 (jet.Xv * ff.g11 - jet.Xu * ff.g12) * (1.0 / sqrt(ff.W * ff.g11)), N1, N2)
 
 
 def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
@@ -497,12 +496,12 @@ def closed_form_curvatures(spec: HelicoidSpec, u: float, v: float,
     assembled through the standard component formulas; this route never
     touches the generic normal projection.
     """
-    ff, frame, b1, b2 = _closed_form_pass(spec, u, v, profile)
+    ff, N1, N2, b1, b2 = _closed_form_pass(spec, u, v, profile)
     H1 = (b1.b11 * ff.g22 - 2.0 * b1.b12 * ff.g12 + b1.b22 * ff.g11) / (2.0 * ff.W)
     H2 = (b2.b11 * ff.g22 - 2.0 * b2.b12 * ff.g12 + b2.b22 * ff.g11) / (2.0 * ff.W)
-    Hvec = frame.N1 * (frame.eps1 * H1) + frame.N2 * (frame.eps2 * H2)
-    K = (frame.eps1 * (b1.b11 * b1.b22 - b1.b12 ** 2)
-         + frame.eps2 * (b2.b11 * b2.b22 - b2.b12 ** 2)) / ff.W
+    Hvec = N1 * (Frame.eps1 * H1) + N2 * (Frame.eps2 * H2)
+    K = (Frame.eps1 * (b1.b11 * b1.b22 - b1.b12 ** 2)
+         + Frame.eps2 * (b2.b11 * b2.b22 - b2.b12 ** 2)) / ff.W
     return CurvatureReport(ff, H1, H2, Hvec, K)
 
 

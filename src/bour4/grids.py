@@ -4,17 +4,16 @@ A function written once over floats and arrays is called once on the open
 mesh of a block's coordinate axes: rows of a (u, v) grid for residual
 checks, reports and meshes (``sweep``), or the midpoints of a u-domain for
 domain checks (``scan``).  Its non-finite points are re-run on floats for
-their own errors."""
+their own errors; a sweep's names the grid point it failed at."""
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, NumericalError
 from .jets import Jet2
 from .lorentz import BLOCK_POINTS
 
@@ -88,28 +87,38 @@ class Block:
 
 
 def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = (),
-          once: Callable | None = None) -> Iterator[Block]:
-    """Evaluate ``f(u, v)`` over the grid, one block of rows at a time.
+          once: Callable = lambda u: ()) -> Iterator[Block]:
+    """Evaluate ``f(u, v, *once(u))`` over the grid, one block of rows at a time.
 
-    ``f`` is written once over floats and arrays and returns a tuple of
-    outputs.  Each block calls it once, with u as a column of the block's
-    rows and v as a row of the grid's columns.  What depends on u alone runs
-    once per sweep: ``once(u)``, if given, is called on the grid's whole u
-    column, and each block calls ``f(u, v, pre)`` with ``pre`` its rows of
-    the result (or ``f(u, v)``, should ``once`` raise).  Points with a
-    non-finite output are re-run one at a time on floats, in row-major
-    order, as ``f(u, v)``, for their own error: a ``tolerated`` one is
-    recorded in the block, and any other propagates.
+    Both are written over floats and arrays.  ``once``, the work on u alone,
+    runs on the grid's whole u column; each block calls ``f`` once, on a
+    column of its rows' u, the row of v and its rows of ``once``'s result.
+    A point with a non-finite output is re-run on floats through the same
+    call, in row-major order, for its own error: a ``tolerated`` one is
+    recorded in the block, any other propagates, a NumericalError with
+    " [at u = ..., v = ...]" appended.  When ``once`` or a block raises on
+    arrays, the first point is re-run so, tolerating nothing.
     """
     us, vs = grid.us(), grid.vs()
     step = max(1, BLOCK_POINTS // len(vs))  # rows per block
-    column = None  # when once raises, the blocks raise it as they would without it
-    with contextlib.suppress(Exception), np.errstate(all="ignore"):
-        column = once and once(np.array(us)[:, None])
+
+    def at(u: float, v: float) -> tuple:
+        try:
+            return f(u, v, *once(u))
+        except tolerated:
+            raise
+        except NumericalError as exc:
+            raise type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]") from None
+
+    try:
+        with np.errstate(all="ignore"):
+            column = once(np.array(us)[:, None])
+    except Exception as exc:
+        _rerun(at, (us[0], vs[0]), (), exc)
     for start in range(0, len(us), step):
         rows = slice(start, start + step)
-        pre = () if column is None else (_rows(column, rows),)
-        yield _evaluate((us[rows], vs), f, tolerated, pre)
+        pre = _rows(column, rows)
+        yield _evaluate((us[rows], vs), lambda u, v: f(u, v, *pre), at, tolerated)
 
 
 def _rows(x, rows: slice):
@@ -135,30 +144,30 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
     a, b = domain
     with np.errstate(all="ignore"):
         us = a + (b - a) * (np.arange(n) + 0.5) / n
-    return us, _evaluate((us.tolist(),), lambda u: (f(u),), ()).out[:, 0]
+    point = lambda u: (f(u),)  # noqa: E731
+    return us, _evaluate((us.tolist(),), point, point, ()).out[:, 0]
 
 
-def _evaluate(axes: tuple[list[float], ...], f: Callable,
-              tolerated: tuple[type[Exception], ...], pre: tuple = ()) -> Block:
-    """Call f once on the open mesh of the axes, followed by ``pre``, and
-    re-run on floats, without ``pre``, in row-major order, each point with
-    a non-finite output (a failed check leaves NaN, and so does a
-    non-finite profile, jet or metric), so that it raises the float code's
-    own error (``_rerun``).  When the array call itself raises (a failure
-    free of u and v does on arrays too), the first point is re-run the
-    same way, tolerating nothing."""
+def _evaluate(axes: tuple[list[float], ...], f: Callable, at: Callable,
+              tolerated: tuple[type[Exception], ...]) -> Block:
+    """Call f once on the open mesh of the axes, and re-run each point with
+    a non-finite output (a failed check leaves NaN, and so does a non-finite
+    profile, jet or metric) on floats through ``at``, in row-major order,
+    for the float code's own error (``_rerun``).  When the array call
+    itself raises (a failure free of u and v does on arrays too), the first
+    point is re-run the same way, tolerating nothing."""
     try:
         with np.errstate(all="ignore"):
-            values = f(*np.ix_(*axes), *pre)
+            values = f(*np.ix_(*axes))
     except Exception as exc:
-        _rerun(f, tuple(axis[0] for axis in axes), (), exc)
+        _rerun(at, tuple(axis[0] for axis in axes), (), exc)
     shape = tuple(map(len, axes))
     out = np.empty((*shape, len(values)))
     for k, x in enumerate(values):
         out[..., k] = x
     block = Block(axes, out.reshape(-1, len(values)), [], None)
     for index in np.flatnonzero(~np.isfinite(block.out).all(axis=1)).tolist():
-        exc = _rerun(f, block.point(index), tolerated, None)
+        exc = _rerun(at, block.point(index), tolerated, None)
         block.tolerated.append(index)
         block.reason = str(exc) if block.reason is None else block.reason
     return block

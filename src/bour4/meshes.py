@@ -39,15 +39,15 @@ COLUMNS = 4 + len(CHANNEL_NAMES)
 def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
     """The samples of each sweep block of rows, in row order: x1..x4 and,
     with ``channels``, the scalar channels, nan off the spacelike locus."""
-    def f(u, v, profile=None):
+    def f(u, v, profile):  # a callable surface reads no profile
         j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
         if not channels:
             return j.X
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
-    once = None if callable(surface) else (lambda u: profile_jets(surface, u))
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError), once):
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
+                       lambda u: (None if callable(surface) else profile_jets(surface, u),)):
         block.out[block.tolerated, 4:] = math.nan
         yield block.out
 

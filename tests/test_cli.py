@@ -444,9 +444,11 @@ class TestVerify:
     @pytest.mark.parametrize("field, value", [
         ("partner_constants", ["abc", 0]), ("partner_constants", [1.0]),
         ("partner_constants", [0.0, 0.0, 1.0]), ("partner_constants", 2.0),
+        ("partner_constants", ["0.5", 0.0]), ("partner_constants", [0.0, False]),
+        ("partner_constants", [float("nan"), 0.0]),
         ("gauge", {"given": "a", "expr": 0.5}),
         ("expect", ["isometic"]), ("expect", "isometric"),
-    ], ids=["consts0", "consts1", "consts2", "2.0",
+    ], ids=["consts0", "consts1", "consts2", "2.0", "consts-string", "consts-bool", "consts-nan",
             "gauge-expr-number", "expect-unknown-claim", "expect-string"])
     def test_pair_file_bad_partner_constants_exit_2(self, tmp_path, capsys, field, value):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
@@ -662,6 +664,19 @@ class TestExport:
         assert sum(1 for r in rows if r[6:] == ["nan"] * 4) == 21
         assert all("nan" not in r[:6] for r in rows)
 
+    def test_a_failing_point_is_named_as_report_names_it(self, tmp_path):
+        # sqrt(u - 1.5) fails on the grid's first row; every command sweeping
+        # the spec ends its one error line with the same grid point
+        data = {"kind": "I", "lambda": 1.0, "domain": [1.0, 2.0],
+                "profile": {"x": "2 + sqrt(u - 1.5)", "z": "0", "w": "u"}}
+        spec, out = write_json(tmp_path / "s.json", data), str(tmp_path / "out")
+        want = ("numerical failure: square root of negative value -0.48 in 'sqrt(u - 1.5)'"
+                " [at u = 1.02, v = 0.12566370614359174]\n")
+        for command in (["report"], ["export", "--format", "csv"],
+                        ["export", "--format", "obj"]):
+            assert run_cli([*command, "--spec", spec, "--grid", "5x5", "--out", out]) == (
+                3, want)
+
     def test_unknown_projection_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "s.json", COR34)
         assert main(["export", "--spec", spec, "--projection", "drop-9",
@@ -759,6 +774,10 @@ class TestInputValidation:
         {"v_domain": 2.0},
         {"constants": {"c1": "abc"}},
         {"constants": [1.0, 2.0]},
+        {"lambda": "1"},
+        {"lambda": True},
+        {"domain": ["1.5", 3.0]},
+        {"constants": {"c1": "0.5"}},
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, change):
         spec = write_json(tmp_path / "s.json", {**COR34, **change})

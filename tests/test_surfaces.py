@@ -444,7 +444,7 @@ class TestSweep:
 
     def test_first_error_in_row_major_order_is_raised(self):
         # kind II with w'^2 - y'^2 reaching zero at u = 1: the array path
-        # raises the scalar error of the first failing point
+        # raises the scalar error of the first failing point, located by the sweep
         spec = make_helicoid("II", 1.0, {"x": "3*u", "y": "u^2/2", "w": "u"}, (0.5, 1.5))
         grid = Grid(0.6, 1.4, -0.5, 0.5, 9, 4)
 
@@ -454,7 +454,7 @@ class TestSweep:
 
         with pytest.raises(FrameFailureError) as info:
             swept(grid, point)
-        assert str(info.value) == "w'^2 - y'^2 = 0.0 <= 0 at u = 1.0"
+        assert str(info.value) == "w'^2 - y'^2 = 0.0 <= 0 at u = 1.0 [at u = 1.0, v = -0.5]"
 
     @pytest.mark.parametrize("evaluate", ["scan", "sample_mesh"])
     def test_a_float_only_function_raises_its_own_error(self, evaluate):
@@ -491,12 +491,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("command, suffix", [
         (["report"], " [at u = 0.32999999999999996, v = 0.12566370614359174]"),
-        (["export", "--format", "csv"], ""),
-        (["verify", "--theorem", "3.1", "--gauge-a", "0.5"], ""),
+        (["export", "--format", "csv"],
+         " [at u = 0.32999999999999996, v = 0.12566370614359174]"),
+        (["verify", "--theorem", "3.1", "--gauge-a", "0.5"], ""),  # fails before its sweep
     ])
     def test_failure_free_of_u_keeps_the_scalar_error(self, tmp_path, capsys, command,
                                                       suffix):
-        # sqrt(c) raises on the block's arrays too: the first point names it
+        # sqrt(c) raises on the profile's arrays too: the first grid point names it
         data = {"kind": "I", "lambda": 1.0, "domain": [0.3, 1.8], "constants": {"c": -1},
                 "profile": {"x": "sqrt(c) + u", "z": "0.3*sin(u)", "w": "0.2*cos(u)"}}
         spec = tmp_path / "s.json"
