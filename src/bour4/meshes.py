@@ -11,7 +11,8 @@ A mesh (``sample_mesh``'s ``MeshStream``) is sampled one sweep block of rows
 at a time, as the writers read it, and keeps no other block: a write holds
 one block and one group of written rows at any grid size.  Each writer
 reads the rows once, in ascending order, and writes one grid row, or a
-group of rows of at most BLOCK_VALUES values, per write.  Their text is one
+group of rows of at most BLOCK_VALUES (8192) values, per write; a group
+takes at most about 180 bytes per value, 1.5 MB in all.  Their text is one
 repr per value, from integer array operations: Schubfach's shortest digits,
 laid out by repr's rules; zeros, subnormals, inf, nan and ties go through
 repr itself.  Each distinct float of a write (told apart by its bits: -0.0
@@ -148,16 +149,6 @@ _NE = 22  # exponent classes: -4..15 print positionally, then e+XX, e+XXX
 _RAW, _INT = 17 * _NE, 17 * _NE + _WIDTH  # + length - 1: a repr as it is; an integer
 
 
-def _layout(n: int, e: int) -> list[int]:
-    """Source-row bytes of the repr of n digits d.dd..d 10^e (e = 16, 17: e+XX, e+XXX)."""
-    d = list(range(3, 20))
-    if e < 0:
-        return [0, _DOT] + [0] * (-e - 1) + d[:n]
-    if e < 16:
-        return d[:e + 1] + ([_DOT, 0] if e >= n - 1 else [_DOT] + d[e + 1:n])
-    return d[:1] + [_DOT] * (n > 1) + d[1:n] + [_E] + list(range(_EXP + 17 - e, 24))
-
-
 class _Tables:
     """The formatter's tables, built on first use."""
 
@@ -171,12 +162,17 @@ class _Tables:
         edge = np.repeat([0, 1], 2048)
         q = np.tile(np.arange(2048).clip(1, 2046), 2) - 1075
         k = (q * 661_971_961_083 - edge * 274_743_187_321) >> 41
-        r = ((-k * 217_706) >> 16) - 125
-        ks, first, at = np.unique(k, return_index=True, return_inverse=True)
-        g = [1 + ((1 << -rr) // 10**kk if kk > 0 else 10**-kk >> rr if rr >= 0 else 10**-kk << -rr)
-             for kk, rr in zip(ks.tolist(), r[first].tolist())]
-        g0 = np.array([x & (2**63 - 1) for x in g], np.uint64)[at]
-        g1 = np.array([x >> 63 for x in g], np.uint64)[at]
+        ks = np.arange(k.min(), k.max() + 1)
+        rs, at = ((-ks * 217_706) >> 16) - 125, k - ks[0]
+        # floor(10^-k 2^-r) is floor(2^b 10^-k) >> (b + r); for k ascending, each
+        # floor(2^b 10^-k) is the previous one // 10, exactly
+        b = int(-rs.min())
+        x, g = 2**b * 10**int(-ks[0]), bytearray()
+        for s in (b + rs).tolist():
+            g += ((x >> s) + 1).to_bytes(16, "little")
+            x //= 10
+        lo, hi = np.frombuffer(g, "<u8").reshape(-1, 2).T.take(at, axis=1)
+        g0, g1, r = lo & _M63, (hi << _ONE) | (lo >> _S63), rs.take(at)
         cols = [g0, g1]
         for t in (q + r + 128, q + r + 128 - edge):  # a bound is the value +- 2^t
             s = (t - 1).astype(np.uint64)
@@ -188,21 +184,35 @@ class _Tables:
     def digits(self) -> tuple[np.ndarray, ...]:
         """Four-digit ASCII words and their trailing zeros; per exponent its
         word and class; per class its bytes of the source row."""
-        i = np.arange(10000, dtype=np.int32)
-        ascii = i[:, None] // np.array([1000, 100, 10, 1], np.int32) % 10 + 48
-        words = ascii.astype(np.uint8).view(np.uint32)[:, 0]
-        zeros = sum(i % 10**k == 0 for k in (1, 2, 3, 4)).astype(np.intp)
-        es = range(-340, 309)
-        exps = np.frombuffer(b"".join(b"%4s" % (b"%+03d" % e) for e in es), np.uint32)
-        eclass = np.array([e + 4 if -4 <= e < 16 else 20 + (abs(e) >= 100) for e in es]) + 16 * _NE
-        template = np.full((_INT + 17, _WIDTH), _NUL, dtype=np.int32)
-        for n in range(1, 18):
-            for c in range(_NE):
-                text = [_SIGN] + _layout(n, c - 4)
-                template[(n - 1) * _NE + c, :len(text)] = text
-            template[_INT + n - 1, :n] = range(20 - n, 20)
-        for n in range(1, _WIDTH + 1):
-            template[_RAW + n - 1, :n] = range(n)
+        d = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)  # 0000..9999
+        words = np.ascontiguousarray(d).view(np.uint32)[:, 0]
+        zeros = np.zeros(10000, np.intp)
+        for step in (10, 100, 1000, 10000):
+            zeros[::step] += 1
+        e = np.arange(-340, 309)
+        a, sign = abs(e), np.where(e < 0, 45, 43)
+        exps = np.stack([np.where(a < 100, 32, sign), np.where(a < 100, sign, 48 + a // 100),
+                         48 + a // 10 % 10, 48 + a % 10], axis=1)  # "%4s" % "%+03d" % e
+        exps = exps.astype(np.uint8).view(np.uint32)[:, 0]
+        eclass = np.where((-4 <= e) & (e < 16), e + 4, 20 + (a >= 100)) + 16 * _NE
+        # row (n - 1) _NE + c lays out "-" and n digits d.dd..d 10^e, c = e + 4.
+        # Positional, place p after the sign holds "." at dot, else digit i ("0"
+        # before the first digit and after a dot with no digit left); scientific,
+        # d[.dd..d] then "e" and the exponent's w bytes.
+        n, e, p = np.ogrid[1:18, -4:18, -1:_WIDTH - 1]
+        dot = np.maximum(e, 0) + 1
+        i = p - (p > dot) + np.minimum(e, 0)
+        fixed = np.where(p == dot, _DOT, np.where((i < 0) | (p > dot) & (i >= n), 0, 3 + i))
+        fixed = np.where(p <= dot + np.maximum(n - 1 - e, 1), fixed, _NUL)
+        w, m = e - 13, n + (n > 1)  # m: the length of d[.dd..d]
+        sci = np.select([p == 0, p == (n > 1), p < m, p == m, p <= m + w],
+                        [3, _DOT, 2 + p, _E, 23 - w - m + p], _NUL)
+        template = np.empty((_INT + 17, _WIDTH), dtype=np.int32)
+        template[:_RAW] = np.where(e < 16, fixed, sci).reshape(_RAW, _WIDTH)
+        template[:_RAW, 0] = _SIGN
+        j, n = np.arange(_WIDTH), np.arange(1, 18)[:, None]
+        template[_RAW:_INT] = np.where(j <= j[:, None], j, _NUL)  # a repr of j + 1 bytes
+        template[_INT:] = np.where(j < n, j + 20 - n, _NUL)  # an integer of n digits
         return words, zeros, exps, eclass, template
 
 
@@ -271,7 +281,6 @@ class _Lines:
         n = points * cols
         self.rows = np.zeros((n, _ROW), dtype=np.uint8)
         self.rows[:, _DOT:] = np.frombuffer(b".e\0", np.uint8)
-        self.index = np.empty((n, _WIDTH), dtype=np.int32)
         self.base = np.arange(0, n * _ROW, _ROW, dtype=np.int32)[:, None]
 
     def text(self, values: np.ndarray, pick: np.ndarray, head=()) -> str:
@@ -281,8 +290,7 @@ class _Lines:
         for j, fields in enumerate(head):
             self.fields[:p, j] = fields
         self.fields[:p, len(head):] = self._fields(values).take(pick, axis=0)
-        buf = self.buf[:p]
-        return buf[buf != 0].tobytes().decode("ascii")
+        return self.buf[:p].tobytes().translate(None, b"\0").decode("ascii")
 
     def _fields(self, values: np.ndarray) -> np.ndarray:
         """The (n, 24) NUL-padded fields of n values."""
@@ -326,13 +334,16 @@ class _Lines:
                 cls[j] = _RAW + len(text) - 1
         else:
             cls = _INT + np.searchsorted(10 ** np.arange(1, 18, dtype=np.uint64), f, side="right")
-        index = template.take(cls, axis=0, out=self.index[:n])
-        index += self.base[:n]
-        return self.rows.reshape(-1).take(index)
+        flat, fields = self.rows.reshape(-1), np.empty((n, _WIDTH), np.uint8)
+        for a in range(0, n, 1024):  # in slices: take copies its index to intp
+            index = template.take(cls[a:a + 1024], axis=0)
+            index += self.base[a:a + len(index)]
+            fields[a:a + 1024] = flat.take(index)
+        return fields
 
 
 #: Values per write: one grid row, or a group of rows.
-BLOCK_VALUES = 4096
+BLOCK_VALUES = 8192
 
 
 def _write_rows(out: TextIO, fmt: str, rows: int, points: int, table) -> None:

@@ -682,7 +682,8 @@ class TestExport:
         assert main(["export", "--spec", spec, "--projection", "drop-9",
                      "--out", str(tmp_path / "m.obj")]) == 2
 
-    @pytest.mark.parametrize("block_values", [150, 4096])  # groups of 2 rows; the whole grid
+    # groups of 2 rows; the whole grid, in groups of the former and the current size
+    @pytest.mark.parametrize("block_values", [150, 4096, 8192])
     @pytest.mark.parametrize("fmt, projection", [
         ("csv", None), ("obj", "drop-constant"), ("obj", "drop-2")])
     def test_streamed_export_equals_the_writers_of_the_sampled_mesh(

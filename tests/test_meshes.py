@@ -355,6 +355,29 @@ class TestFloatText:
         values = np.concatenate([values, -values])
         assert formatted(values) == list(map(repr, values.tolist()))
 
+    def test_fields_at_both_padding_extremes_compact_to_their_repr(self):
+        # 24-byte reprs (a subnormal through repr, a normal through the
+        # kernel) fill their fields; 0.0, 1.0 and the integer 7 are the
+        # fields with the most NUL padding
+        values = np.array([-1.2345678901234567e-308, -2.2250738585072014e-308, 0.0, 1.0])
+        lines = bour4.meshes._Lines("%s," * 4 + "%s\n", 1)
+        head = (lines._fields(np.array([7])),)
+        text = lines.text(values, np.arange(4)[None, :], head)
+        assert [len(repr(x)) for x in values.tolist()] == [24, 24, 3, 3]
+        assert text == "7," + ",".join(map(repr, values.tolist())) + "\n"
+
+
+class TestTables:
+    def test_tables_equal_the_per_entry_construction(self):
+        tables = bour4.meshes._Tables()
+        got, want = [*tables.scale, *tables.digits], per_entry_tables()
+        names = [*(f"scale[{j}]" for j in range(len(tables.scale))),
+                 "words", "zeros", "exps", "eclass", "template"]
+        assert len(got) == len(want) == len(names) == 15
+        for name, a, b in zip(names, got, want):
+            np.testing.assert_array_equal(a, b, err_msg=name, strict=True)
+            assert a.tobytes() == b.tobytes(), name
+
 
 def per_value_writers(mesh: TableMesh, drop: int) -> tuple[str, str]:
     """OBJ and CSV text with one repr per value, one line at a time."""
@@ -420,3 +443,51 @@ def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
         csv.append("".join(u_text[k // nv] + v_text[k % nv] + ",".join(map(repr, r)) + "\n"
                            for k, r in enumerate(table.tolist(), rows.start)))
     return "".join(obj), "".join(csv)
+
+
+def per_entry_tables() -> list[np.ndarray]:
+    """The formatter's tables, built one entry at a time with Python big
+    integers: the scale columns, then words, zeros, exps, eclass and
+    template."""
+    from bour4.meshes import _DOT, _E, _EXP, _INT, _M63, _NE, _NUL, _RAW, _S63, _SIGN, _WIDTH
+
+    def layout(n, e):  # source-row bytes of n digits d.dd..d 10^e (e = 16, 17: e+XX, e+XXX)
+        d = list(range(3, 20))
+        if e < 0:
+            return [0, _DOT] + [0] * (-e - 1) + d[:n]
+        if e < 16:
+            return d[:e + 1] + ([_DOT, 0] if e >= n - 1 else [_DOT] + d[e + 1:n])
+        return d[:1] + [_DOT] * (n > 1) + d[1:n] + [_E] + list(range(_EXP + 17 - e, 24))
+
+    edge = np.repeat([0, 1], 2048)
+    q = np.tile(np.arange(2048).clip(1, 2046), 2) - 1075
+    k = (q * 661_971_961_083 - edge * 274_743_187_321) >> 41
+    r = ((-k * 217_706) >> 16) - 125
+    ks, first, at = np.unique(k, return_index=True, return_inverse=True)
+    g = [1 + ((1 << -rr) // 10**kk if kk > 0 else 10**-kk >> rr if rr >= 0 else 10**-kk << -rr)
+         for kk, rr in zip(ks.tolist(), r[first].tolist())]
+    g0 = np.array([x & (2**63 - 1) for x in g], np.uint64)[at]
+    g1 = np.array([x >> 63 for x in g], np.uint64)[at]
+    cols = [g0, g1]
+    for t in (q + r + 128, q + r + 128 - edge):
+        s = (t - 1).astype(np.uint64)
+        low = ((g1 << s) & _M63) + (g0 >> (63 - s))
+        cols += [g0 << (s + 1), low & _M63, (g1 >> (63 - s)) + (low >> _S63)]
+    scale = cols + [(q + r + 129).astype(np.uint64), k + 356]
+
+    i = np.arange(10000, dtype=np.int32)
+    ascii = i[:, None] // np.array([1000, 100, 10, 1], np.int32) % 10 + 48
+    words = ascii.astype(np.uint8).view(np.uint32)[:, 0]
+    zeros = sum(i % 10**k == 0 for k in (1, 2, 3, 4)).astype(np.intp)
+    es = range(-340, 309)
+    exps = np.frombuffer(b"".join(b"%4s" % (b"%+03d" % e) for e in es), np.uint32)
+    eclass = np.array([e + 4 if -4 <= e < 16 else 20 + (abs(e) >= 100) for e in es]) + 16 * _NE
+    template = np.full((_INT + 17, _WIDTH), _NUL, dtype=np.int32)
+    for n in range(1, 18):
+        for c in range(_NE):
+            text = [_SIGN] + layout(n, c - 4)
+            template[(n - 1) * _NE + c, :len(text)] = text
+        template[_INT + n - 1, :n] = range(20 - n, 20)
+    for n in range(1, _WIDTH + 1):
+        template[_RAW + n - 1, :n] = range(n)
+    return [*scale, words, zeros, exps, eclass, template]

@@ -4,10 +4,13 @@ The traced peak of a consumer over a 150x150 grid stays within one
 whole-grid copy of what it keeps, plus one block.  A block's cost is the
 traced peak of the same call on a grid one block high; it is allowed twice,
 because the loop still holds the last block's outputs while the sweep
-computes the next one, and numpy keeps small caches.  Blocks are patched to
-two rows, so that the whole-grid copies dominate the bound.  A sampled mesh
+computes the next one, and numpy keeps small caches.  Sweep blocks and
+write groups are patched to two rows (of CSV lines), so that the whole-grid
+copies dominate the bound.  A sampled mesh
 and its writers, as ``example`` and ``export`` run them, keep no whole-grid
-copy at all: their peak stays within the block's allowance alone.
+copy at all: their peak stays within the block's allowance alone.  A
+writer's own allocation, on samples held beforehand, stays within a fixed
+number of bytes per value of one write group (``BLOCK_VALUES``).
 """
 
 import json
@@ -16,6 +19,7 @@ import tracemalloc
 import pytest
 
 import bour4.grids
+import bour4.meshes
 from bour4.bour import bour_partner, gauge_complete, pair_report
 from bour4.cli import main
 from bour4.families import make_helicoid
@@ -49,6 +53,7 @@ def traced_peak(call) -> int:
 def assert_one_copy(run, bytes_per_point: int, monkeypatch) -> None:
     """run(nu) sweeps nu rows of N points; the consumer keeps bytes_per_point."""
     monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 2 * N)
+    monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", 2 * N * 10)
     run(3)  # tables, their array copies and numpy's caches exist from here on
     block = traced_peak(lambda: run(2))
     peak = traced_peak(lambda: run(N))
@@ -63,6 +68,37 @@ def test_mesh_and_writers_keep_no_whole_grid_copy(monkeypatch):
         write_obj(mesh, Discard(), "drop-constant")
 
     assert_one_copy(run, 0, monkeypatch)
+
+
+class HeldMesh:
+    """A sampled mesh whose rows are read from one array, so that a write
+    allocates only what the writer itself does."""
+
+    def __init__(self, mesh):
+        self.grid, self.samples = mesh.grid, mesh.rows(0, mesh.grid.nu)
+
+    def rows(self, i: int, j: int):
+        return self.samples[i * self.grid.nv:j * self.grid.nv]
+
+
+#: A writer's traced peak per value of a write group: about 150 bytes for
+#: CSV and 180 for OBJ, most of it the digit arithmetic's temporaries.
+WRITER_BYTES_PER_VALUE = 200
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_a_write_holds_one_group_of_values(fmt):
+    def write():
+        if fmt == "csv":
+            write_csv(mesh, Discard())
+        else:
+            write_obj(mesh, Discard(), "drop-4")
+
+    mesh = HeldMesh(sample_mesh(SPEC, grid_for(SPEC, N, N)))
+    write()  # the formatter's tables exist from here on
+    peak = traced_peak(write)
+    assert peak <= WRITER_BYTES_PER_VALUE * bour4.meshes.BLOCK_VALUES, (
+        peak, bour4.meshes.BLOCK_VALUES)
 
 
 def test_report_keeps_its_channels_once(tmp_path, monkeypatch):
