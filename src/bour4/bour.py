@@ -18,7 +18,6 @@ the parameter curves the correspondence produces.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -76,8 +75,7 @@ BOUR = {kind: _bour_data(fam) for kind, fam in FAMILIES.items()}
 # ---------------------------------------------------------------------------
 # gauge functions and their compatibility constraint
 
-@dataclass(frozen=True)
-class BourGauge:
+class BourGauge(NamedTuple):
     """The free pair a(u), b(u) of the partner construction.
 
     Feasible gauges satisfy a^2 + s h(b) = ``constraint_rhs`` on the whole
@@ -562,19 +560,17 @@ def same_gauss_pair_II(w: "Expr | str", lam: float, c3: float,
 # ---------------------------------------------------------------------------
 # aggregate verification
 
-@dataclass(frozen=True)
-class PairTolerances:
+class PairTolerances(NamedTuple):
     isometry: float = 1e-7
     gauss: float = 1e-7
     mean_curvature: float = 1e-7
     hyperplanarity: float = 1e-10
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class PairReport:
+class PairReport(NamedTuple):
     grid: Grid
     isometry_residual: float
     gauss_residual: float

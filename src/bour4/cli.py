@@ -397,7 +397,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one."""
+    only = command if command in ("report", "verify", "example", "export") else None
     ap = _Parser(
         prog="bour4",
         description="Spacelike helicoidal/rotational surface geometry in "
@@ -405,47 +407,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, and mesh export.")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    rep = sub.add_parser("report", help="curvature statistics over a grid")
-    rep.add_argument("--spec", required=True, help="surface spec JSON file")
-    rep.add_argument("--grid", help="samples as NUxNV (default 33x33)")
-    rep.add_argument("--out", help="output JSON path (default stdout)")
-    rep.set_defaults(fn=cmd_report)
+    if only in (None, "report"):
+        rep = sub.add_parser("report", help="curvature statistics over a grid")
+        rep.add_argument("--spec", required=True, help="surface spec JSON file")
+        rep.add_argument("--grid", help="samples as NUxNV (default 33x33)")
+        rep.add_argument("--out", help="output JSON path (default stdout)")
+        rep.set_defaults(fn=cmd_report)
 
-    ver = sub.add_parser("verify", help="verify an isometric pair")
-    ver.add_argument("--pair-file", help="JSON file with helicoid spec + gauge")
-    ver.add_argument("--theorem", help="built-in scenario: 3.1, 3.3, 3.5, 3.6 or 3.7")
-    ver.add_argument("--spec", help="helicoid spec JSON (scenarios 3.1/3.5/3.7)")
-    gauge = ver.add_mutually_exclusive_group()
-    gauge.add_argument("--gauge-a", help="gauge function a(u) (expression)")
-    gauge.add_argument("--gauge-b", help="gauge function b(u) (expression)")
-    ver.add_argument("--x", help="profile component x(u) (scenario 3.3)")
-    ver.add_argument("--w", help="profile component w(u) (scenario 3.6)")
-    ver.add_argument("--lambda", dest="lam", type=float, help="pitch")
-    ver.add_argument("--c1", type=float, help="default 0")
-    ver.add_argument("--c2", type=float, help="default 0")
-    ver.add_argument("--c3", type=float)
-    ver.add_argument("--c4", type=float, help="default 0")
-    ver.add_argument("--sign-w", choices=["+", "-"], help="default +")
-    ver.add_argument("--example", type=int, help="bundled example number (with --theorem 3.7)")
-    ver.add_argument("--domain", type=float, nargs=2, metavar=("A", "B"))
-    ver.add_argument("--grid", help="samples as NUxNV (default 33x33)")
-    ver.add_argument("--out", help="output JSON path (default stdout)")
-    ver.set_defaults(fn=cmd_verify)
+    if only in (None, "verify"):
+        ver = sub.add_parser("verify", help="verify an isometric pair")
+        ver.add_argument("--pair-file", help="JSON file with helicoid spec + gauge")
+        ver.add_argument("--theorem", help="built-in scenario: 3.1, 3.3, 3.5, 3.6 or 3.7")
+        ver.add_argument("--spec", help="helicoid spec JSON (scenarios 3.1/3.5/3.7)")
+        gauge = ver.add_mutually_exclusive_group()
+        gauge.add_argument("--gauge-a", help="gauge function a(u) (expression)")
+        gauge.add_argument("--gauge-b", help="gauge function b(u) (expression)")
+        ver.add_argument("--x", help="profile component x(u) (scenario 3.3)")
+        ver.add_argument("--w", help="profile component w(u) (scenario 3.6)")
+        ver.add_argument("--lambda", dest="lam", type=float, help="pitch")
+        ver.add_argument("--c1", type=float, help="default 0")
+        ver.add_argument("--c2", type=float, help="default 0")
+        ver.add_argument("--c3", type=float)
+        ver.add_argument("--c4", type=float, help="default 0")
+        ver.add_argument("--sign-w", choices=["+", "-"], help="default +")
+        ver.add_argument("--example", type=int, help="bundled example number (with --theorem 3.7)")
+        ver.add_argument("--domain", type=float, nargs=2, metavar=("A", "B"))
+        ver.add_argument("--grid", help="samples as NUxNV (default 33x33)")
+        ver.add_argument("--out", help="output JSON path (default stdout)")
+        ver.set_defaults(fn=cmd_verify)
 
-    exa = sub.add_parser("example", help="run a bundled demonstration pair")
-    exa.add_argument("number", type=int, choices=[1, 2, 3])
-    exa.add_argument("--out-dir", required=True)
-    exa.add_argument("--grid", help="samples as NUxNV (default 33x33)")
-    exa.set_defaults(fn=cmd_example)
+    if only in (None, "example"):
+        exa = sub.add_parser("example", help="run a bundled demonstration pair")
+        exa.add_argument("number", type=int, choices=[1, 2, 3])
+        exa.add_argument("--out-dir", required=True)
+        exa.add_argument("--grid", help="samples as NUxNV (default 33x33)")
+        exa.set_defaults(fn=cmd_example)
 
-    exp = sub.add_parser("export", help="sample a spec into a mesh file")
-    exp.add_argument("--spec", required=True)
-    exp.add_argument("--grid", help="samples as NUxNV (default 33x33)")
-    exp.add_argument("--format", choices=["obj", "csv"], default="obj")
-    exp.add_argument("--projection", default="drop-constant",
-                     help="drop-constant (default) or drop-1..drop-4")
-    exp.add_argument("--out", help="output path (default stdout)")
-    exp.set_defaults(fn=cmd_export)
+    if only in (None, "export"):
+        exp = sub.add_parser("export", help="sample a spec into a mesh file")
+        exp.add_argument("--spec", required=True)
+        exp.add_argument("--grid", help="samples as NUxNV (default 33x33)")
+        exp.add_argument("--format", choices=["obj", "csv"], default="obj")
+        exp.add_argument("--projection", default="drop-constant",
+                         help="drop-constant (default) or drop-1..drop-4")
+        exp.add_argument("--out", help="output path (default stdout)")
+        exp.set_defaults(fn=cmd_export)
     return ap
 
 
@@ -461,7 +467,8 @@ def main(argv=None) -> int:
         _frozen = True
         if not gc.get_freeze_count():
             gc.freeze()
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -20,61 +20,80 @@ Functions: sin cos sinh cosh tan atan asinh asin sqrt exp log.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Union
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from .jets import Jet2
 
-Span = tuple
 _NOSPAN = (0, 0)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Expr:
+    """An expression-tree node, built from its fields in order and its span, the
+    source offsets it was parsed from.  It is immutable, and compares, hashes
+    and prints by its type and fields, never by its span."""
+
+    __slots__ = ("span",)
+
+    def __init__(self, *values, span: tuple[int, int] = _NOSPAN):
+        for name, value in zip((*self._fields, "span"), (*values, span), strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # a copy or an unpickled node is built anew, as parse builds it
+        return partial(type(self), span=self.span), self._key()[1:]
+
+    def _replace(self, **changes) -> Expr:
+        values = map(changes.get, self._fields, self._key()[1:])
+        return type(self)(*values, span=changes.get("span", self.span))
+
+    def _key(self) -> tuple:
+        return type(self), *(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Expr) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Num(Expr):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Var(Expr):
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Const(Expr):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Neg(Expr):
+    __slots__ = _fields = ("arg",)
 
-    def __post_init__(self):
+
+class Bin(Expr):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, *values, span: tuple[int, int] = _NOSPAN):
+        super().__init__(*values, span=span)
         if self.op == "^" and _mentions_var(self.right):
             raise ExprSyntaxError("exponent must be a constant expression", self.right.span[0])
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-    span: Span = field(default=_NOSPAN, compare=False, repr=False)
+class Call(Expr):
+    __slots__ = _fields = ("fn", "arg")
 
-
-Expr = Union[Num, Var, Const, Neg, Bin, Call]
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tan", "atan",
              "asinh", "asin", "sqrt", "exp", "log")
@@ -163,7 +182,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 right = self.term()
-                left = Bin(text, left, right, (left.span[0], right.span[1]))
+                left = Bin(text, left, right, span=(left.span[0], right.span[1]))
             else:
                 return left
 
@@ -174,7 +193,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 right = self.unary()
-                left = Bin(text, left, right, (left.span[0], right.span[1]))
+                left = Bin(text, left, right, span=(left.span[0], right.span[1]))
             else:
                 return left
 
@@ -183,7 +202,7 @@ class _Parser:
         if kind == "op" and text == "-":
             self.advance()
             arg = self.unary()
-            return Neg(arg, (off, arg.span[1]))
+            return Neg(arg, span=(off, arg.span[1]))
         return self.power()
 
     def power(self) -> Expr:
@@ -192,16 +211,16 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.unary()
-            return Bin("^", base, exponent, (base.span[0], exponent.span[1]))
+            return Bin("^", base, exponent, span=(base.span[0], exponent.span[1]))
         return base
 
     def atom(self) -> Expr:
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text), (off, off + len(text)))
+            return Num(float(text), span=(off, off + len(text)))
         if kind == "name":
             if text == "u":
-                return Var((off, off + len(text)))
+                return Var(span=(off, off + len(text)))
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
                 if text not in FUNCTIONS:
@@ -209,24 +228,20 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 close = self.expect_op(")")
-                return Call(text, arg, (off, close[2] + 1))
-            return Const(text, (off, off + len(text)))
+                return Call(text, arg, span=(off, close[2] + 1))
+            return Const(text, span=(off, off + len(text)))
         if kind == "op" and text == "(":
             e = self.expr()
             close = self.expect_op(")")
-            return replace(e, span=(off, close[2] + 1))
+            return e._replace(span=(off, close[2] + 1))
         if kind == "end":
             raise ExprSyntaxError("unexpected end of input", off)
         raise ExprSyntaxError(f"unexpected '{text}'", off)
 
 
-#: The fields of each node type that hold sub-expressions.
-_CHILD_FIELDS = {Neg: ("arg",), Call: ("arg",), Bin: ("left", "right")}
-
-
 def _children(e: Expr) -> dict:
     """The direct sub-expressions of e, by field name."""
-    return {name: getattr(e, name) for name in _CHILD_FIELDS.get(type(e), ())}
+    return {name: x for name in e._fields if isinstance(x := getattr(e, name), Expr)}
 
 
 def _mentions_var(e: Expr) -> bool:
@@ -337,5 +352,5 @@ def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
     """Replace named constants by whole subtrees (used to build derived profiles)."""
     if isinstance(e, Const):
         return replacements.get(e.name, e)
-    return replace(e, **{name: substitute(child, replacements)
+    return e._replace(**{name: substitute(child, replacements)
                          for name, child in _children(e).items()})

@@ -24,10 +24,9 @@ array that broadcasts against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, ClassVar, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import FrameFailureError, NotSpacelikeError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
@@ -55,8 +54,7 @@ class SecondForm(NamedTuple):
     b22: float
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What one kind is.  Each formula takes the pitch lam, then the profile
     jets in ``names`` order, floats or arrays alike.  A formula or datum the
     kind lacks is None."""
@@ -244,15 +242,17 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # helicoid specs
 
-@dataclass(frozen=True)
-class HelicoidSpec:
+class _HelicoidFields(NamedTuple):
     kind: SurfaceKind
     pitch: float
     profile: tuple[tuple[str, Expr], ...]
     domain: tuple[float, float]
     constants: tuple[tuple[str, float], ...] = ()
     v_domain: tuple[float, float] | None = None
-    v_offset: ClassVar[float] = 0.0  # helicoid_jet adds it to v, as for a RotationalSpec
+
+
+class HelicoidSpec(_HelicoidFields):
+    v_offset = 0.0  # helicoid_jet adds it to v, as for a RotationalSpec
 
     @property
     def exprs(self) -> dict[str, Expr]:
@@ -273,7 +273,7 @@ class HelicoidSpec:
 
     @cached_property
     def vbar(self) -> VbarMap:
-        """The helicoid's angular map, built on first use and kept."""
+        """The angular map, built on first use and kept in ``__dict__``, which == and hash skip."""
         return VbarMap(self)
 
 
@@ -539,8 +539,7 @@ def const_profile(value: float) -> ProfileFn:
     return fn
 
 
-@dataclass(frozen=True)
-class RotationalSpec:
+class RotationalSpec(NamedTuple):
     """Rotational surface of the same three kinds (pitch 0), one profile slot each:
 
     kind I    R(u,t) = (n cos t, n sin t, s, r)
@@ -552,12 +551,12 @@ class RotationalSpec:
     """
 
     kind: SurfaceKind
-    n: ProfileFn = field(compare=False)
-    s: ProfileFn = field(compare=False)
-    r: ProfileFn = field(compare=False)
+    n: ProfileFn
+    s: ProfileFn
+    r: ProfileFn
     domain: tuple[float, float]
     v_offset: float = 0.0
-    pitch: ClassVar[float] = 0.0  # helicoid_jet reads it as the pitch-0 helicoid
+    pitch = 0.0  # helicoid_jet reads it as the pitch-0 helicoid
 
     def component_sources(self) -> dict[str, str]:
         return {name: getattr(getattr(self, name), "source", "<numeric>")

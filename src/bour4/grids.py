@@ -8,8 +8,7 @@ their own errors; a sweep's names the grid point it failed at."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ if TYPE_CHECKING:
 EDGE_SHRINK = 0.02
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     u0: float
     u1: float
     v0: float
@@ -63,8 +61,7 @@ def grid_for(spec: HelicoidSpec, nu: int = 33, nv: int = 33) -> Grid:
 # ---------------------------------------------------------------------------
 # block evaluation: row-block sweeps and domain scans
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     """The outputs of one block of points.
 
     ``axes`` are the block's coordinate samples, ``(us,)`` for a scan or
@@ -169,7 +166,7 @@ def _evaluate(axes: tuple[list[float], ...], f: Callable, at: Callable,
     for index in np.flatnonzero(~np.isfinite(block.out).all(axis=1)).tolist():
         exc = _rerun(at, block.point(index), tolerated, None)
         block.tolerated.append(index)
-        block.reason = str(exc) if block.reason is None else block.reason
+        block = block._replace(reason=str(exc)) if block.reason is None else block
     return block
 
 

@@ -25,8 +25,7 @@ at the failed points instead (see ``lorentz.flag``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (DegenerateSurfaceError, FrameFailureError, NonFiniteError,
                      NotSpacelikeError)
@@ -51,20 +50,17 @@ class FirstForm(NamedTuple):
     W: float
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Orthonormal tangent pair e1, e2 and normal pair N1 (spacelike), N2 (timelike)."""
 
     e1: Vec4
     e2: Vec4
     N1: Vec4
     N2: Vec4
-    eps1: ClassVar[int] = 1
-    eps2: ClassVar[int] = -1
+    eps1, eps2 = 1, -1
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Curvature at one point (or a block of points).  H1 and H2 are Hvec's
     components in a normal frame, Hvec = H1 N1 - H2 N2; the minimal flag and
     H_sup = sup |Hvec| are derived on access."""

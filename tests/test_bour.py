@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -137,7 +136,7 @@ class TestVbar:
         fresh, built = (make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "u/2"}, (1.5, 3.0))
                         for _ in range(2))
         built.vbar(2.0, 0.0)
-        assert built == fresh and hash(built) == hash(fresh)
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
         assert helicoid_to_json(built) == helicoid_to_json(fresh)
         assert repr(built) == repr(fresh)
 
@@ -661,7 +660,7 @@ class TestParallelCurves:
         h, r, u0, vs = self.pairs()[kind]
         slot = ("n", "s", "r")[BOUR[h.kind].radial]
         radial = getattr(r, slot)
-        wrong = dataclasses.replace(r, **{slot: lambda u: radial(u) * (1.0 + 1e-6)})
+        wrong = r._replace(**{slot: lambda u: radial(u) * (1.0 + 1e-6)})
         assert parallel_curve_residual(h, r, u0, vs) < 1e-9
         assert parallel_curve_residual(h, wrong, u0, vs) > 1e-7
 

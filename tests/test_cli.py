@@ -900,6 +900,22 @@ class TestInputValidation:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith(f"usage: {' '.join(['bour4', *argv[:-1]])} ")
 
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] for command in ("report", "verify", "example", "export")),
+        ["report", "--grid", "3x3"],
+        ["verify", "--theorem", "3.1", "--gauge-a", "0", "--gauge-b", "0"],
+        ["example", "4", "--out-dir", "out"],
+        ["export", "--spec", "s.json", "--format", "ply"],
+        ["report", "--spec", "s.json", "extra"],
+    ])
+    def test_one_command_parser_prints_as_the_full_one(self, capsys, argv):
+        # main builds the parser of the command it runs alone
+        code, printed = main(argv), capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            bour4.cli.build_parser().parse_args(argv)
+        assert (code, printed) == (exc.value.code, capsys.readouterr())
+        assert printed.out if code == 0 else printed.err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", ["5000x5000", "2001x2"])
     @pytest.mark.parametrize("command", [
         ["report", "--spec", "SPEC"], ["export", "--spec", "SPEC"],

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from bour4.bour import _W_TEMPLATE_I, _X_TEMPLATE_II, constraint_rhs
 from bour4.errors import (EvalDomainError, ExprSyntaxError,
                           UnknownIdentifierError)
-from bour4.expressions import (FUNCTIONS, Bin, Call, Num, Var, eval_jet, parse,
-                               substitute, to_source)
+from bour4.expressions import (FUNCTIONS, Bin, Call, Const, Neg, Num, Var, eval_jet,
+                               parse, substitute, to_source)
 from bour4.families import make_helicoid
 
 # text of the fourth profile component used in the first bundled example
@@ -108,10 +110,36 @@ class TestParse:
     def test_substitute_keeps_u_out_of_exponents(self):
         with pytest.raises(ExprSyntaxError):
             substitute(parse("u^c"), {"c": Var()})
+        with pytest.raises(ExprSyntaxError):
+            substitute(parse("u^c"), {"c": parse("u")})
         assert substitute(parse("u^c"), {"c": parse("1/2")}) == parse("u^(1/2)")
 
     def test_structural_equality_ignores_spans(self):
         assert parse("u + 1") == parse("  u+1 ")
+        assert hash(parse("u + 1")) == hash(parse("  u+1 "))
+        assert parse("(u)").span == (0, 3) and parse("(u)") == Var()
+
+    def test_a_node_equals_only_its_own_type(self):
+        assert Num(1.0) != (1.0,) and (1.0,) != Num(1.0)
+        assert Var() != () and Call("sin", Var()) != ("sin", Var())
+        assert Num(1.0) != Const(1.0) and Neg(Var()) == Neg(Var())
+        assert Neg(Num(1.0)) != Neg(Const(1.0))
+
+    def test_a_node_is_immutable(self):
+        with pytest.raises(AttributeError):
+            parse("u + 1").op = "-"
+
+    def test_copies_keep_fields_and_spans(self):
+        e = parse("sin(u)^2 - c")
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and twin.span == e.span and twin.left.right.span == (7, 8)
+        with pytest.raises(ExprSyntaxError):
+            copy.deepcopy(Bin("^", Num(2.0), Const("c")))._replace(right=Var())
+
+    def test_repr_names_fields_but_not_the_span(self):
+        assert repr(parse("sin(u)^2 - c")) == (
+            "Bin(op='-', left=Bin(op='^', left=Call(fn='sin', arg=Var()), "
+            "right=Num(value=2.0)), right=Const(name='c'))")
 
 
 class TestPrinter:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, closed_form_c
                             helicoid_jet, helicoid_to_json,
                             is_constant_profile, make_helicoid, orbit_jet,
                             profile_jets)
+from bour4.grids import grid_for
 from bour4.lorentz import (Vec4, minkowski_dot, pseudo_to_standard,
                            standard_to_pseudo, xp)
 from bour4.surfaces import SurfaceJet, curvature_report, first_form, gauss_map
@@ -57,6 +60,17 @@ class TestConstruction:
         spec = SPECS["III"]
         again = helicoid_from_json(helicoid_to_json(spec))
         assert again == spec
+
+    def test_specs_are_immutable(self):
+        spec = SPECS["I"]
+        rot = RotationalSpec(SurfaceKind.I, *(expr_profile(e) for e in ("u", "0", "u")), (1, 2))
+        for record, field in ((spec, "pitch"), (rot, "domain"), (grid_for(spec), "nu")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_a_spec_copies_and_pickles(self):
+        spec = SPECS["III"]
+        assert copy.deepcopy(spec) == spec == pickle.loads(pickle.dumps(spec))
 
     def test_json_validation(self):
         with pytest.raises(ValidationError):

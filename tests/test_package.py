@@ -132,6 +132,14 @@ class TestFrozenExit:
         assert piped.stdout == mesh.read_bytes()
 
 
+def imported(node: ast.AST) -> list[str]:
+    """The modules and names that ``node`` imports, if it is an import."""
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return []
+    names = [alias.name for alias in node.names]
+    return names + ([node.module] if isinstance(node, ast.ImportFrom) and node.module else [])
+
+
 def blas_uses(path: Path) -> list[str]:
     """Where the module at ``path`` multiplies with ``@``, or reaches a BLAS
     name through an attribute or an import."""
@@ -141,10 +149,8 @@ def blas_uses(path: Path) -> list[str]:
             found.append(f"{path.name}:{node.lineno}: @")
         elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
             found.append(f"{path.name}:{node.lineno}: .{node.attr}")
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-            names += [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
-            found += [f"{path.name}:{node.lineno}: import {name}" for name in names
+        else:
+            found += [f"{path.name}:{node.lineno}: import {name}" for name in imported(node)
                       if BLAS_NAMES & set(name.split("."))]
     return found
 
@@ -163,3 +169,12 @@ def test_package_makes_no_blas_call():
     assert not found, ("bour4.cli runs numpy's BLAS on one thread because the package "
                        "makes no BLAS call; revisit that setting in cli.py before adding "
                        f"one: {found}")
+
+
+def test_package_imports_no_dataclasses():
+    # @dataclass execs its generated methods in every process that defines
+    # the class, cached bytecode or not; the package's records are NamedTuples
+    found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "bour4").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if any("dataclasses" in name.split(".") for name in imported(node))]
+    assert not found, f"a module imports dataclasses: {found}"
