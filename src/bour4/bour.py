@@ -604,24 +604,24 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> PairReport:
                 sup(*map(abs, mean_curvature_vector(hj, g))),
                 sup(*map(abs, mean_curvature_vector(rj, G))), *hj.X, *rj.X)
 
-    # the residual maxima fold per block; both surfaces' positions go into
-    # one array, whose variances are then taken in place
-    n = grid.nu * grid.nv
-    worst, positions, start = np.zeros(4), np.empty((2, n, 4)), 0
+    # per block: the residual maxima, and each surface's count, means and
+    # sums of squared deviations per coordinate, merged by the pairwise
+    # update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983); each surface
+    # is moved so that its first point is the origin, so that a constant
+    # coordinate has variance exactly 0 however large it is
+    worst, n, mean, m2, origin = np.zeros(4), 0, np.zeros(8), np.zeros(8), None
     for block in _pair_sweep(h, r, grid, point):
-        worst = np.maximum(worst, block.out[:, :4].max(axis=0))
-        stop = start + len(block.out)
-        positions[:, start:stop] = block.out[:, 4:].reshape(-1, 2, 4).transpose(1, 0, 2)
-        start = stop
+        worst = np.maximum(worst, block.out[:4].max(axis=1))
+        x = block.out[4:]
+        origin = x[:, :1].copy() if origin is None else origin
+        x -= origin
+        m, part = x.shape[1], x.mean(axis=1)
+        x -= part[:, None]
+        delta, n = part - mean, n + m
+        mean += delta * (m / n)
+        m2 += np.square(x, out=x).sum(axis=1) + delta * delta * ((n - m) * m / n)
     iso, gauss, *h_sup = worst.tolist()
-    # the steps of np.var(axis=1), without its copy of the positions, after
-    # moving each surface's first point to the origin, so that a constant
-    # coordinate has variance exactly 0 however large it is (the copy keeps
-    # numpy from buffering the whole overlapping subtraction)
-    positions -= positions[:, :1].copy()
-    positions -= positions.sum(axis=1, keepdims=True) / n
-    positions *= positions
-    defects = tuple(np.min(positions.sum(axis=1) / n, axis=1).tolist())
+    defects = tuple(np.min(m2.reshape(2, 4) / n, axis=1).tolist())
     verdicts = {
         "isometric": iso < tols.isometry,
         "same_gauss": gauss < tols.gauss,

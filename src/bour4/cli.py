@@ -155,8 +155,10 @@ def cmd_report(args) -> int:
         rep = closed_form_curvatures(spec, u, v, profile)
         return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
 
-    # one contiguous row per channel; tolerated points are dropped on arrival
-    values = np.empty((len(CHANNEL_NAMES), grid.nu * grid.nv))
+    # min, max and each grid row's sum fold per block, the row sums in row
+    # order, so that no statistic depends on where the blocks split the rows
+    lo = np.full(len(CHANNEL_NAMES), np.inf)
+    hi, total = -lo, np.zeros_like(lo)
     kept, violations, first = 0, 0, None
     for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
                        lambda u: (profile_jets(spec, u),)):
@@ -164,10 +166,13 @@ def cmd_report(args) -> int:
             u, v = block.point(block.tolerated[0])
             first = {"u": u, "v": v, "reason": block.reason}
         violations += len(block.tolerated)
-        out = np.delete(block.out, block.tolerated, axis=0)
-        values[:, kept:kept + len(out)] = out.T
-        kept += len(out)
-    values = values[:, :kept]
+        out = np.delete(block.out, block.tolerated, axis=1) if block.tolerated else block.out
+        lo = np.minimum(lo, out.min(axis=1, initial=np.inf))
+        hi = np.maximum(hi, out.max(axis=1, initial=-np.inf))
+        kept += out.shape[1]
+        block.out[:, block.tolerated] = 0.0  # adds nothing to its row's sum
+        rows = block.out.reshape(len(block.out), -1, grid.nv).sum(axis=2)
+        total = np.add.accumulate(np.column_stack((total, rows)), axis=1)[:, -1]
     if not kept:
         raise NotSpacelikeError("no spacelike points on the whole grid")
     report = {
@@ -175,9 +180,8 @@ def cmd_report(args) -> int:
         "family": "rotational (zero pitch)" if spec.rotational else "helicoidal",
         "grid": grid.describe(),
         "stats": {
-            name: {"min": float(np.min(vals)), "max": float(np.max(vals)),
-                   "mean": float(np.mean(vals))}
-            for name, vals in zip(CHANNEL_NAMES, values)
+            name: {"min": a, "max": b, "mean": c / kept}
+            for name, a, b, c in zip(CHANNEL_NAMES, lo.tolist(), hi.tolist(), total.tolist())
         },
         "spacelike_violations": {"count": violations, "first": first},
         "quadrature_tolerance": default_tolerance(),

@@ -65,11 +65,11 @@ class Block(NamedTuple):
     """The outputs of one block of points.
 
     ``axes`` are the block's coordinate samples, ``(us,)`` for a scan or
-    ``(us, vs)`` for a sweep.  ``out`` has one row per point (row-major:
-    u outer, v inner) and one column per output of the evaluated function.
-    ``tolerated`` lists the points, as indices into ``out``, whose float
-    re-run raised a tolerated error; ``reason`` is the message of the first
-    of them.
+    ``(us, vs)`` for a sweep.  ``out`` has one contiguous row per output of
+    the evaluated function and one column per point (row-major: u outer, v
+    inner).  ``tolerated`` lists the points, as column indices of ``out``,
+    whose float re-run raised a tolerated error; ``reason`` is the message
+    of the first of them.
     """
 
     axes: tuple[list[float], ...]
@@ -78,7 +78,7 @@ class Block(NamedTuple):
     reason: str | None
 
     def point(self, index: int) -> tuple[float, ...]:
-        """The coordinates of the point at ``index`` of ``out``."""
+        """The coordinates of the point in column ``index`` of ``out``."""
         shape = tuple(map(len, self.axes))
         return tuple(axis[i] for axis, i in zip(self.axes, np.unravel_index(index, shape)))
 
@@ -142,7 +142,7 @@ def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, 
     with np.errstate(all="ignore"):
         us = a + (b - a) * (np.arange(n) + 0.5) / n
     point = lambda u: (f(u),)  # noqa: E731
-    return us, _evaluate((us.tolist(),), point, point, ()).out[:, 0]
+    return us, _evaluate((us.tolist(),), point, point, ()).out[0]
 
 
 def _evaluate(axes: tuple[list[float], ...], f: Callable, at: Callable,
@@ -158,12 +158,13 @@ def _evaluate(axes: tuple[list[float], ...], f: Callable, at: Callable,
             values = f(*np.ix_(*axes))
     except Exception as exc:
         _rerun(at, tuple(axis[0] for axis in axes), (), exc)
-    shape = tuple(map(len, axes))
-    out = np.empty((*shape, len(values)))
+    out = np.empty((len(values), *map(len, axes)))
     for k, x in enumerate(values):
-        out[..., k] = x
-    block = Block(axes, out.reshape(-1, len(values)), [], None)
-    for index in np.flatnonzero(~np.isfinite(block.out).all(axis=1)).tolist():
+        out[k] = x
+    block = Block(axes, out.reshape(len(values), -1), [], None)
+    if np.isfinite(block.out).all():
+        return block
+    for index in np.flatnonzero(~np.isfinite(block.out).all(axis=0)).tolist():
         exc = _rerun(at, block.point(index), tolerated, None)
         block.tolerated.append(index)
         block = block._replace(reason=str(exc)) if block.reason is None else block

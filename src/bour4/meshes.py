@@ -38,8 +38,9 @@ COLUMNS = 4 + len(CHANNEL_NAMES)
 
 
 def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
-    """The samples of each sweep block of rows, in row order: x1..x4 and,
-    with ``channels``, the scalar channels, nan off the spacelike locus."""
+    """The samples of each sweep block of rows, in row order, one row per
+    output: x1..x4 and, with ``channels``, the scalar channels, nan off the
+    spacelike locus."""
     def f(u, v, profile):  # a callable surface reads no profile
         j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
         if not channels:
@@ -49,7 +50,7 @@ def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
 
     for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
                        lambda u: (None if callable(surface) else profile_jets(surface, u),)):
-        block.out[block.tolerated, 4:] = math.nan
+        block.out[4:, block.tolerated] = math.nan
         yield block.out
 
 
@@ -62,7 +63,7 @@ class MeshStream:
 
     def __init__(self, surface: HelicoidSpec | RotationalSpec, grid: Grid):
         self.surface, self.grid = surface, grid
-        self._blocks, self._held = iter(()), np.empty((0, COLUMNS))  # rows not yet read
+        self._blocks, self._held = iter(()), np.empty((COLUMNS, 0))  # points not yet read
         self._next = None  # the row the pass reads next
 
     def rows(self, i: int, j: int) -> np.ndarray:
@@ -70,23 +71,23 @@ class MeshStream:
         the channels.  i = 0 starts a pass; any other i must be the last
         call's j."""
         if i == 0:
-            self._blocks, self._held = _blocks(self.surface, self.grid), np.empty((0, COLUMNS))
+            self._blocks, self._held = _blocks(self.surface, self.grid), np.empty((COLUMNS, 0))
         elif i != self._next:
             raise ValueError(f"mesh rows {i}..{j - 1} read out of order: "
                              f"the pass is at row {self._next}")
         self._next = j
         n = (j - i) * self.grid.nv
-        while len(self._held) < n:
+        while self._held.shape[1] < n:
             rest, self._held = self._held.copy(), None  # the block goes before the next is swept
             block = next(self._blocks)
-            self._held = np.concatenate([rest, block]) if len(rest) else block
-        out, self._held = self._held[:n], self._held[n:]
-        return out
+            self._held = np.concatenate([rest, block], axis=1) if rest.size else block
+        out, self._held = self._held[:, :n], self._held[:, n:]
+        return out.T
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each coordinate's least and greatest value, from a sweep of the
         positions alone (the floats of the full sweep's x1..x4)."""
-        ends = [(x.min(axis=0), x.max(axis=0))
+        ends = [(x.min(axis=1), x.max(axis=1))
                 for x in _blocks(self.surface, self.grid, channels=False)]
         lo, hi = zip(*ends)
         return np.min(lo, axis=0), np.max(hi, axis=0)

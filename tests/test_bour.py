@@ -178,7 +178,7 @@ class TestVbar:
         built = count_tables(monkeypatch)
         grid = grid_for(h, nu=5, nv=3)
         blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (k, *rj.X))
-        seen = np.concatenate([b.out for b in blocks])
+        seen = np.concatenate([b.out for b in blocks], axis=1).T
         assert built == []
         for (u, v), out in zip(((u, v) for u in grid.us() for v in grid.vs()), seen):
             assert out[0] == pytest.approx(h.vbar.du(u), abs=1e-15)
@@ -388,24 +388,35 @@ class TestPairSweep:
         assert gauss_residual(spec, r, grid) == pytest.approx(rep.gauss_residual,
                                                               abs=1e-12)
 
-    @pytest.mark.parametrize("pair", ["theorem-3.1", "example-1"])
+    @pytest.mark.parametrize("pair", ["theorem-3.1", "example-1", "example-3"])
     def test_defects_equal_the_variance_of_the_concatenated_blocks(self, monkeypatch, pair):
-        # rows of 7 points do not divide blocks of 16: two rows a block
-        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 16)
+        # rows of 7 points in blocks of 21: 3, 3 and 1 rows
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 21)
         if pair == "example-1":
             h, r = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0, domain=(1.1, math.pi),
                                      v_domain=(0.0, 2.0 * math.pi))
+        elif pair == "example-3":
+            h, r = paper_pair(pair)
         else:
             h = spec_I()
             r = bour_partner(h, gauge_complete(h, "a", "1/2"))
-        grid = grid_for(h, nu=9, nv=7)
+        grid = grid_for(h, nu=7, nv=7)
         blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (*hj.X, *rj.X))
-        pos = np.concatenate([block.out for block in blocks])
-        # pair_report's steps: each surface's first point moved to the
+        pos = np.concatenate([block.out for block in blocks], axis=1)
+        # the whole-grid arithmetic: each surface's first point moved to the
         # origin, then the population variance of each coordinate
-        want = tuple(float(np.min(np.var(pos[:, c:c + 4] - pos[:1, c:c + 4], axis=0)))
-                     for c in (0, 4))
-        assert pair_report(h, r, grid).hyperplanarity_defect == want
+        want = [float(np.min(np.var(pos[c:c + 4] - pos[c:c + 4, :1], axis=1)))
+                for c in (0, 4)]
+        got = pair_report(h, r, grid).hyperplanarity_defect
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["theorem-3.3", "theorem-3.6"])
+    def test_a_constant_coordinate_keeps_variance_zero_across_blocks(self, monkeypatch, name):
+        h, r = paper_pair(name)
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 3 * 33)  # 11 blocks of 3 rows
+        assert len(list(bour_mod._pair_sweep(h, r, grid_for(h, 33, 33),
+                                             lambda k, hj, rj: (k,)))) == 11
+        assert pair_report(h, r, grid_for(h, 33, 33)).hyperplanarity_defect == (0.0, 0.0)
 
     def test_isometry_accepts_a_timelike_partner(self):
         # a strongly detuned gauge can make the partner timelike; the
@@ -717,7 +728,7 @@ class TestPairMinimality:
         grid = grid_for(h, 33, 33)
         blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (
             curvature_report(hj).H_sup, curvature_report(rj).H_sup))
-        want = np.max(np.concatenate([block.out for block in blocks]), axis=0)
+        want = np.max(np.concatenate([block.out for block in blocks], axis=1), axis=1)
         got = pair_report(h, r, grid).max_mean_curvature
         for a, b in zip(got, want.tolist()):
             assert a == pytest.approx(b, rel=0.0, abs=1e-9 * max(1.0, abs(b)))

@@ -411,9 +411,9 @@ def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
 
     parts = []
     for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
-        block.out[block.tolerated, 4:] = math.nan
+        block.out[4:, block.tolerated] = math.nan
         parts.append(block.out)
-    data = np.concatenate(parts)
+    data = np.concatenate(parts, axis=1).T
     vertices = data[:, :4]
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
     nv, n = grid.nv, len(data)

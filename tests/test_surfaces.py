@@ -17,7 +17,7 @@ from bour4.families import (closed_form_curvatures, closed_form_gauss, helicoid_
                             make_helicoid, helicoid_jet, helicoid_position)
 import bour4.grids
 import bour4.surfaces
-from bour4.grids import Grid, scan, sweep
+from bour4.grids import Grid, _evaluate, scan, sweep
 from bour4.lorentz import E3, E4, Vec4, bivector_dot, minkowski_dot, wedge
 from bour4.meshes import sample_mesh
 from bour4.surfaces import (SurfaceJet, curvature_report, first_form, gauss_map,
@@ -388,7 +388,8 @@ def sweep_surface(name):
 
 
 def swept(grid, point):
-    return np.concatenate([b.out for b in sweep(grid, point)])
+    """The outputs of a sweep, one row per point."""
+    return np.concatenate([b.out for b in sweep(grid, point)], axis=1).T
 
 
 def assert_matches(got, want):
@@ -484,10 +485,39 @@ class TestSweep:
             return (closed_form_curvatures(spec, u, v).K,)
 
         blocks = list(sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)))
-        bad = sum(int((~np.isfinite(b.out)).any(axis=1).sum()) for b in blocks)
+        bad = sum(int((~np.isfinite(b.out)).any(axis=0).sum()) for b in blocks)
         assert bad > 0 and bad == sum(len(b.tolerated) for b in blocks)
         assert calls == {"array": math.ceil(grid.nu / max(1, points // grid.nv)),
                          "float": bad}
+
+    def test_an_all_finite_block_reruns_no_point(self):
+        def at(u, v):
+            raise AssertionError(f"the finite point {(u, v)} was re-run")
+
+        block = _evaluate(([1.0, 2.0], [0.5, 1.5, 2.5]), lambda u, v: (u + v, u * v), at, ())
+        assert block.tolerated == [] and block.out.shape == (2, 6)
+        assert block.out.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad, order", [
+        ([(2.0, 1.5)], [3]),  # only the last output of one point
+        ([(3.0, 0.5), (1.0, 1.5), (2.0, 0.5)], [1, 2, 4]),
+    ])
+    def test_points_with_a_non_finite_output_rerun_in_row_major_order(self, bad, order):
+        us, vs = [1.0, 2.0, 3.0], [0.5, 1.5]
+        runs = []
+
+        def f(u, v):
+            hit = sum((u == a) & (v == b) for a, b in bad)
+            return u + v, u - v, np.where(hit, np.nan, u * v)
+
+        def at(u, v):
+            runs.append((u, v))
+            raise NotSpacelikeError(f"tolerated at {u}, {v}")
+
+        block = _evaluate((us, vs), f, at, (NotSpacelikeError,))
+        points = [(u, v) for u in us for v in vs]
+        assert block.tolerated == order and runs == [points[i] for i in order]
+        assert block.reason == "tolerated at {}, {}".format(*points[order[0]])
 
     @pytest.mark.parametrize("command, suffix", [
         (["report"], " [at u = 0.32999999999999996, v = 0.12566370614359174]"),
