@@ -18,7 +18,7 @@ the parameter curves the correspondence produces.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,13 +27,12 @@ from .errors import (EvalDomainError, InfeasibleGaugeError, NonFiniteError, NotS
 from .expressions import (Bin, Expr, Neg, Num, eval_jet, parse, substitute,
                           to_source)
 from .families import (FAMILIES, Family, HelicoidSpec, ProfileFn, RotationalSpec,
-                       SurfaceKind, _number, angular_rate, const_profile,
-                       expr_profile, helicoid_jet, is_constant_profile,
-                       make_helicoid, profile_jets)
+                       SurfaceKind, _number, angular_rate, const_profile, expr_profile,
+                       helicoid_jet, is_constant_profile, make_helicoid, orbit_sweep, profile_jets)
 from .families import VbarMap  # noqa: F401  (re-exported)
-from .grids import Block, Grid, scan, shrunk, sweep
+from .grids import Grid, rows, scan, shrunk
 from .jets import Jet2
-from .lorentz import Bivector6, flag, minkowski_dot, sup, where
+from .lorentz import flag, minkowski_dot, sup, where
 from .quadrature import Antiderivative
 from .surfaces import FirstForm, first_form, gauss_map, mean_curvature_vector, spacelike
 
@@ -292,23 +291,12 @@ def bour_partner(spec: HelicoidSpec, gauge: BourGauge,
 # ---------------------------------------------------------------------------
 # residual checkers
 
-def _pair_sweep(h: HelicoidSpec, r: RotationalSpec, grid: Grid,
-                point: Callable) -> Iterator[Block]:
-    """Sweep ``point(k, hj, rj)`` over the grid: k = d(vbar)/du and both
-    surface jets, the partner's read at (u, vbar) = (u, v + shift(u))."""
-    def once(u):
-        hp = profile_jets(h, u)
-        return angular_rate(h, hp, u), hp, h.vbar.shift(u), profile_jets(r, u)
-
-    def f(u, v, k, hp, shift, rp):
-        return point(k, helicoid_jet(h, u, v, hp), helicoid_jet(r, u, v + shift, rp))
-
-    return sweep(grid, f, once=once)
-
-
-def _sweep_sup(blocks: Iterator[Block]) -> float:
-    """The largest output of a sweep, and at least 0."""
-    return max(0.0, *(float(b.out.max()) for b in blocks))
+def _pair_profiles(h: HelicoidSpec, r: RotationalSpec, u):
+    """k = d(vbar)/du, the helicoid's profile jets, shift(u) and the
+    partner's profile jets at u: the partner is read at (u, vbar) = (u, v +
+    shift(u)), at angle v + shift(u) + v_offset."""
+    hp = profile_jets(h, u)
+    return angular_rate(h, hp, u), hp, h.vbar.shift(u), profile_jets(r, u)
 
 
 def _isometry_defect(g: FirstForm, G: FirstForm, k: float) -> float:
@@ -320,25 +308,24 @@ def _isometry_defect(g: FirstForm, G: FirstForm, k: float) -> float:
     return sup(abs(p11 - g.g11), abs(p12 - g.g12), abs(G.g22 - g.g22), abs(pW - g.W))
 
 
-def _gauss_defect(nu: Bivector6, mu: Bivector6) -> float:
-    return (nu - mu).sup_norm()
-
-
 def isometry_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> float:
     """Sup difference between the helicoid metric and the pulled-back partner metric.
 
     The pullback of the partner's first form under (u, v) -> (u, vbar(u, v))
     uses the exact derivative of the shift, so quadrature error never enters;
-    the residual is zero exactly when the gauge constraint holds.
+    the residual is zero exactly when the gauge constraint holds.  Both
+    forms hold along each v-curve, and are read once per grid row, at v = 0.
     """
-    return _sweep_sup(_pair_sweep(
-        h, r, grid, lambda k, hj, rj: (_isometry_defect(first_form(hj), first_form(rj), k),)))
+    def row(u):
+        k, hp, shift, rp = _pair_profiles(h, r, u)
+        return (_isometry_defect(first_form(helicoid_jet(h, u, 0.0, hp)),
+                                 first_form(helicoid_jet(r, u, shift, rp)), k),)
+    return max(0.0, float(rows(grid, row).out.max()))
 
 
 def gauss_residual(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> float:
     """Sup componentwise difference of the two Gauss maps under the correspondence."""
-    return _sweep_sup(_pair_sweep(
-        h, r, grid, lambda k, hj, rj: (_gauss_defect(gauss_map(hj), gauss_map(rj)),)))
+    return pair_report(h, r, grid).gauss_residual
 
 
 def bernoulli_residual(sq_gauge: "ProfileFn | Expr | str", profile: "Expr | str",
@@ -594,25 +581,46 @@ class PairReport(NamedTuple):
 
 
 def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> PairReport:
-    """Sweep the grid once and aggregate every pairwise claim into verdicts."""
-    tols = PairTolerances()
+    """Evaluate each grid row once, spread it along v, and aggregate every
+    pairwise claim into verdicts.
 
-    def point(k, hj, rj):  # one first form per surface; both built before either is checked
+    A row is read at v = 0 (``orbit_sweep``): both first forms and the
+    isometry defect, which hold along v, and both Gauss maps, mean
+    curvature vectors and positions, the partner's moved by the group to
+    its angle at v = 0, shift(u) + v_offset.  The group spreads the Gauss
+    defect, the mean curvature vectors and the positions over the v row.
+    """
+    tols, fam, lam = PairTolerances(), FAMILIES[h.kind], h.pitch
+
+    def row(u, vc):
+        k, hp, shift, rp = _pair_profiles(h, r, u)
+        # the partner at v = 0 is at angle shift(u) + v_offset
+        hj, rj, dh, dr = (helicoid_jet(s, u, v + a, pj) for v in (0.0, vc)
+                          for s, pj, a in ((h, hp, 0.0), (r, rp, shift)))
         g, G = first_form(hj), first_form(rj)
-        iso, g, G = _isometry_defect(g, G, k), spacelike(g), spacelike(G)
-        return (iso, _gauss_defect(gauss_map(hj, g), gauss_map(rj, G)),
-                sup(*map(abs, mean_curvature_vector(hj, g))),
-                sup(*map(abs, mean_curvature_vector(rj, G))), *hj.X, *rj.X)
+        (nu, H, X), (mu, Hr, R) = (
+            (gauss_map(j, ff), mean_curvature_vector(j, ff), j.X)
+            for j, ff in ((hj, spacelike(g)), (rj, spacelike(G))))
+        # each surface's orbit from 0 to vc checks the Gauss maps and the
+        # positions; the mean curvature vectors of a minimal pair are
+        # rounding noise
+        fh, fr = first_form(dh, True), first_form(dr, True)
+        checked = ((nu, 0.0, gauss_map(dh, fh), fh), (mu, 0.0, gauss_map(dr, fr), fr),
+                   (X, lam, dh.X, fh), (R, 0.0, dr.X, fr))
+        return ((_isometry_defect(g, G, k),),
+                ((nu - mu, 0.0), (H, 0.0), (Hr, 0.0), (X, lam), (R, 0.0)), checked)
 
-    # per block: the residual maxima, and each surface's count, means and
-    # sums of squared deviations per coordinate, merged by the pairwise
+    # per block: the sup of each residual, and each surface's count, means
+    # and sums of squared deviations per coordinate, merged by the pairwise
     # update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983); each surface
     # is moved so that its first point is the origin, so that a constant
     # coordinate has variance exactly 0 however large it is
-    worst, n, mean, m2, origin = np.zeros(4), 0, np.zeros(8), np.zeros(8), None
-    for block in _pair_sweep(h, r, grid, point):
-        worst = np.maximum(worst, block.out[:4].max(axis=1))
-        x = block.out[4:]
+    _, (iso,), blocks = orbit_sweep(fam, grid, row)
+    worst, n, mean, m2, origin = np.zeros(3), 0, np.zeros(8), np.zeros(8), None
+    for out in blocks:
+        ends = np.maximum(out[:14].max(axis=(1, 2)), -out[:14].min(axis=(1, 2)))
+        worst = np.maximum(worst, np.maximum.reduceat(ends, [0, 6, 10]))
+        x = out[14:].reshape(8, -1)
         origin = x[:, :1].copy() if origin is None else origin
         x -= origin
         m, part = x.shape[1], x.mean(axis=1)
@@ -620,7 +628,8 @@ def pair_report(h: HelicoidSpec, r: RotationalSpec, grid: Grid) -> PairReport:
         delta, n = part - mean, n + m
         mean += delta * (m / n)
         m2 += np.square(x, out=x).sum(axis=1) + delta * delta * ((n - m) * m / n)
-    iso, gauss, *h_sup = worst.tolist()
+    gauss, *h_sup = worst.tolist()
+    iso = float(iso.max())
     defects = tuple(np.min(m2.reshape(2, 4) / n, axis=1).tolist())
     verdicts = {
         "isometric": iso < tols.isometry,

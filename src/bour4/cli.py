@@ -37,10 +37,10 @@ from .bour import (bour_partner, gauge_complete, pair_report, pitch_bound,
                    same_gauss_pair_I, same_gauss_pair_II)
 from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
-from .families import (HelicoidSpec, RotationalSpec, SurfaceKind,
-                       closed_form_curvatures, helicoid_from_json,
-                       helicoid_to_json, make_helicoid, profile_jets)
-from .grids import Grid, grid_for, sweep
+from .families import (FAMILIES, HelicoidSpec, RotationalSpec, SurfaceKind,
+                       closed_form_curvatures, helicoid_from_json, helicoid_to_json,
+                       make_helicoid, orbit_sweep, profile_jets)
+from .grids import Grid, grid_for
 from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
 
@@ -150,44 +150,51 @@ def cmd_report(args) -> int:
     size = _grid_size(args.grid)
     spec = _load_spec(args.spec)
     grid = grid_for(spec, *size)
+    fam = FAMILIES[spec.kind]
 
-    def f(u, v, profile):
-        rep = closed_form_curvatures(spec, u, v, profile)
-        return rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W
+    def row(u, vc):  # the closed forms at v = 0, checked at vc
+        profile = profile_jets(spec, u)
+        there = closed_form_curvatures(spec, u, vc, profile)
+        rep = closed_form_curvatures(spec, u, 0.0, profile)
+        return ((rep.K, rep.H1, rep.H2, rep.first.W), ((rep.Hvec, 0.0),),
+                ((rep.Hvec, 0.0, there.Hvec, there.first),))
 
-    # min, max and each grid row's sum fold per block, the row sums in row
-    # order, so that no statistic depends on where the blocks split the rows
-    lo = np.full(len(CHANNEL_NAMES), np.inf)
-    hi, total = -lo, np.zeros_like(lo)
-    kept, violations, first = 0, 0, None
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
-                       lambda u: (profile_jets(spec, u),)):
-        if block.tolerated and first is None:
-            u, v = block.point(block.tolerated[0])
-            first = {"u": u, "v": v, "reason": block.reason}
-        violations += len(block.tolerated)
-        out = np.delete(block.out, block.tolerated, axis=1) if block.tolerated else block.out
-        lo = np.minimum(lo, out.min(axis=1, initial=np.inf))
-        hi = np.maximum(hi, out.max(axis=1, initial=-np.inf))
-        kept += out.shape[1]
-        block.out[:, block.tolerated] = 0.0  # adds nothing to its row's sum
-        rows = block.out.reshape(len(block.out), -1, grid.nv).sum(axis=2)
-        total = np.add.accumulate(np.column_stack((total, rows)), axis=1)[:, -1]
-    if not kept:
+    # K, H1, H2 and W hold along each row; Hsup, the sup of the components of
+    # the mean curvature vector, which the group moves, is read at each point.
+    # Each row's least, greatest and mean value of a channel make its
+    # statistics, so that none depends on where the blocks split the rows; a
+    # mean is their exact sum over the rows, put back into [min, max] where
+    # its rounding leaves it
+    block, fixed, blocks = orbit_sweep(fam, grid, row, (NotSpacelikeError, DegenerateSurfaceError))
+    if not fixed.shape[1]:
         raise NotSpacelikeError("no spacelike points on the whole grid")
+    hsup, start = np.empty((3, fixed.shape[1])), 0
+    for out in blocks:
+        x = np.abs(out).max(axis=0)
+        hsup[:, start:start + len(x)] = x.min(axis=1), x.max(axis=1), x.mean(axis=1)
+        start += len(x)
+    channels = [(x, x, x) for x in fixed]
+    channels.insert(3, hsup)
+    first = None
+    if block.tolerated:
+        u, v = block.point(block.tolerated[0])
+        first = {"u": u, "v": v, "reason": block.reason}
     report = {
         "surface": helicoid_to_json(spec),
         "family": "rotational (zero pitch)" if spec.rotational else "helicoidal",
         "grid": grid.describe(),
-        "stats": {
-            name: {"min": a, "max": b, "mean": c / kept}
-            for name, a, b, c in zip(CHANNEL_NAMES, lo.tolist(), hi.tolist(), total.tolist())
-        },
-        "spacelike_violations": {"count": violations, "first": first},
+        "stats": {name: _stats(*x) for name, x in zip(CHANNEL_NAMES, channels)},
+        "spacelike_violations": {"count": len(block.tolerated) * grid.nv, "first": first},
         "quadrature_tolerance": default_tolerance(),
     }
     _dump_json(report, args.out)
     return EXIT_PASS
+
+
+def _stats(lo: np.ndarray, hi: np.ndarray, mean: np.ndarray) -> dict:
+    """min, max and mean of a channel from its rows' least, greatest and mean values."""
+    a, b = float(lo.min()), float(hi.max())
+    return {"min": a, "max": b, "mean": min(max(math.fsum(mean.tolist()) / len(mean), a), b)}
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,14 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import FrameFailureError, NotSpacelikeError, ValidationError
+import numpy as np
+
+from .errors import FrameFailureError, NotSpacelikeError, NumericalError, ValidationError
 from .expressions import Expr, eval_jet, parse, to_source
-from .grids import scan
+from .grids import Grid, require_finite, rows, scan, spans
 from .jets import Jet2
 from .lorentz import (E1, E2, E3, E4, XI3, Bivector6, Vec4, bivector_from_pseudo, flag,
-                      pseudo_to_standard, where, xp)
+                      pseudo_to_standard, sup, wedge, where, xp)
 from .quadrature import Antiderivative
 from .surfaces import CurvatureReport, FirstForm, Frame, SurfaceJet, finalize_first_form
 
@@ -63,16 +65,35 @@ class Family(NamedTuple):
     v_domain: tuple[float, float]
     group: Callable  # v -> M: M(p, q, r) is exp(vA) of the profile point with components p, q, r
     generator: Callable  # A: Vec4 -> Vec4
+    coefficients: Callable  # s -> (f1(s), f2(s)): exp(sA) = I + f1 A + f2 A^2
     kernel: tuple[Vec4, Vec4]  # the kernel of A; its first vector is the axis t
     metric: Callable  # (lam, *jets) -> (g11, g12, g22, W); d(vbar)/du is g12/g22
     frame: Callable  # (lam, *jets, v, u, W, sqrt W) -> (frame failure, b1, b2, N1, N2)
     gauss: Callable  # (lam, *jets, v, 1/sqrt W) -> the unit Gauss 2-vector
     closed_shift: Callable | None = None  # (lam, *jets) -> vbar - v, a Jet2 in u; no table
     identity: Callable | None = None  # (lam, *jets) -> what a shared Gauss map makes 0
+    action: Mapping | None = None  # from the generator, by ``_action``
 
     def profile(self, pj: Mapping[str, Jet2]) -> list[Jet2]:
         """The profile jets of a name -> jet map, in name order."""
         return [pj[name] for name in self.names]
+
+    def orbit(self, x, lam=0.0) -> list[tuple]:
+        """(x_i, (Ax)_i, (A^2 x)_i, lam t_i) per field of x, a Vec4 or a
+        Bivector6: the screw motion by s moves x to x + f1(s) Ax + f2(s)
+        A^2 x + s lam t, a point of a surface of pitch lam, or a vector
+        (lam = 0).  A acts on a Bivector6 as a derivation, A(a ^ b) = Aa ^ b
+        + a ^ Ab, whose cube is A's multiple as on vectors (-A, A or 0), so
+        f1 and f2 hold there too."""
+        m, t = self.action[len(x)], self.kernel[0] if lam else (0.0,) * len(x)
+        ax = [sum(c * y for c, y in zip(r, x) if c) for r in m]
+        return list(zip(x, ax, [sum(c * y for c, y in zip(r, ax) if c) for r in m],
+                        [lam * ti for ti in t]))
+
+    def act(self, x, s, lam=0.0):
+        """x moved by s (``orbit``); x's fields broadcast against s."""
+        f1, f2 = self.coefficients(s)
+        return type(x)(*(a + f1 * b + f2 * c + s * d for a, b, c, d in self.orbit(x, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +244,30 @@ def _gauss_III(lam, x, z, w, v, c):
         -w.d1 * (lam + 2.0 * v * w.v) * c)
 
 
-FAMILIES = {
+def _action(A: Callable) -> dict:
+    """A's matrix on Vec4 (4) and, as a derivation, on Bivector6 (6), from A
+    on the basis."""
+    e = (E1, E2, E3, E4)
+    return {4: np.array([A(x) for x in e]).T.tolist(),
+            6: np.array([wedge(A(a), b) + wedge(a, A(b))
+                         for i, a in enumerate(e) for b in e[i + 1:]]).T.tolist()}
+
+
+FAMILIES = {kind: fam._replace(action=_action(fam.generator)) for kind, fam in {
     SurfaceKind.I: Family(
         ("x", "z", "w"), (0.0, 2.0 * math.pi), _rotation,
-        lambda p: Vec4(-p.x2, p.x1, 0.0, 0.0), (E4, E3), _metric_I, _frame_I, _gauss_I,
-        identity=_identity_I),
+        lambda p: Vec4(-p.x2, p.x1, 0.0, 0.0), lambda s: (xp(s).sin(s), 1.0 - xp(s).cos(s)),
+        (E4, E3), _metric_I, _frame_I, _gauss_I, identity=_identity_I),
     SurfaceKind.II: Family(
         ("x", "y", "w"), (-math.pi / 4.0, math.pi / 4.0), _boost,
-        lambda p: Vec4(0.0, 0.0, p.x4, p.x3), (E1, E2), _metric_II, _frame_II, _gauss_II,
-        identity=_identity_II),
+        lambda p: Vec4(0.0, 0.0, p.x4, p.x3), lambda s: (xp(s).sinh(s), xp(s).cosh(s) - 1.0),
+        (E1, E2), _metric_II, _frame_II, _gauss_II, identity=_identity_II),
     SurfaceKind.III: Family(
         ("x", "z", "w"), (-math.pi, math.pi), _null_rotation,
-        lambda p: Vec4(0.0, p.x3 + p.x4, -p.x2, p.x2), (XI3, E1), _metric_III, _frame_III,
-        _gauss_III, closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
-}
+        lambda p: Vec4(0.0, p.x3 + p.x4, -p.x2, p.x2), lambda s: (s, 0.5 * s * s),
+        (XI3, E1), _metric_III, _frame_III, _gauss_III,
+        closed_shift=lambda lam, x, z, w: lam / (2.0 * w)),
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +473,77 @@ def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
     def pos(u, v):
         return helicoid_jet(spec, u, v).X
     return pos
+
+
+# ---------------------------------------------------------------------------
+# the orbit reduction: rows evaluated at v = 0 and spread along v
+
+#: How far a value moved by the group may lie from the direct route's
+#: (``deviation``): a wrong action misses by about |vc|.
+ORBIT_TOL = 1e-12
+
+
+def deviation(x, y, ff: FirstForm):
+    """sup |x - y| / max(1, sup |y|) over the fields of two Vec4s or
+    Bivector6s, per unit of (|g11 g22| + g12^2) / |W| of y's first form ff:
+    the cancellation in W by which rounding moves y."""
+    size = sup(*map(abs, y), 1.0) * (abs(ff.g11 * ff.g22) + ff.g12 * ff.g12) / abs(ff.W)
+    return sup(*(abs(a - b) for a, b in zip(x, y))) / size
+
+
+def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -> tuple:
+    """Evaluate ``row(u, vc)`` on the grid's u column (``grids.rows``) and
+    spread what the group moves along v.
+
+    ``row`` returns the outputs that hold along v, the (value, pitch) pairs
+    that the group moves (``Family.orbit``), both at v = 0, and (value,
+    pitch, direct, first form) checks: the value moved to vc must lie within
+    ORBIT_TOL (``deviation``) of the direct route's there, or a
+    NumericalError names u.  vc is the grid's v nearest 0 but 0: far out,
+    wide kind-II windows cost the direct route its digits.  Returns the
+    block of rows, whose ``tolerated`` rows failed, the fixed outputs of the
+    others, and, a block of their rows (``grids.spans``) at a time, the
+    moved values' fields at each point (fields, rows, v), finite.
+    """
+    vs, n = grid.vs(), []
+    vc = min(vs, key=lambda v: (v == 0.0, abs(v)))
+
+    def f(u):
+        out, moved, checked = row(u, vc)
+        n[:] = [len(out)]
+        return (*out, sup(*(deviation(fam.act(x, vc, lam), y, ff) for x, lam, y, ff in checked)),
+                *(c for x, lam in moved for field in fam.orbit(x, lam) for c in field))
+
+    block = rows(grid, f, tolerated)
+    us = [u for i, u in enumerate(block.axes[0]) if i not in block.tolerated]
+    kept, n = np.delete(block.out, block.tolerated, axis=1), n[0]
+    bad = np.flatnonzero(~(kept[n] <= ORBIT_TOL))
+    if bad.size:
+        raise NumericalError(f"the group moves a row {kept[n, bad[0]]:.3g} off the direct route "
+                             f"at u = {us[bad[0]]!r}, v = {vc!r}")
+    x, ax, a2x, lt = kept[n + 1:].reshape((len(kept) - n) // 4, 4, len(us), 1).swapaxes(0, 1)
+    v = np.array(vs)
+    f1, f2 = fam.coefficients(v)
+    pitched = np.flatnonzero(lt.any(axis=(1, 2)))
+    # only a product of more than 1e300 can overflow: else no block is searched
+    safe = (np.abs(kept[n + 1:]).max(initial=0.0) * 4.0
+            * np.abs([f1, f2, v]).max(initial=1.0) < 1e300)
+
+    def blocks():
+        buf = None  # as large as the first block, the largest
+        for span in spans(len(us), len(vs)):
+            k = len(us[span])
+            buf = np.empty((2, len(x), k, len(vs))) if buf is None else buf
+            out, tmp = buf[:, :, :k]
+            np.add(np.multiply(ax[:, span], f1, out=out), x[:, span], out=out)
+            np.add(out, np.multiply(a2x[:, span], f2, out=tmp), out=out)
+            for i in pitched:
+                out[i] += lt[i, span] * v
+            if not safe:
+                require_finite(us[span], vs, out)
+            yield out
+
+    return block, kept[:n], blocks()
 
 
 # ---------------------------------------------------------------------------

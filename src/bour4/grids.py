@@ -83,6 +83,24 @@ class Block(NamedTuple):
         return tuple(axis[i] for axis, i in zip(self.axes, np.unravel_index(index, shape)))
 
 
+def spans(n: int, nv: int) -> Iterator[slice]:
+    """The blocks of a sweep of n rows of nv points: BLOCK_POINTS // nv rows, or 1."""
+    step = max(1, BLOCK_POINTS // nv)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _named(f: Callable, tolerated: tuple[type[Exception], ...]) -> Callable:
+    """f on floats, its NumericalError, unless tolerated, with " [at u = ..., v = ...]"."""
+    def at(u: float, v: float) -> tuple:
+        try:
+            return f(u, v)
+        except tolerated:
+            raise
+        except NumericalError as exc:
+            raise type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]") from None
+    return at
+
+
 def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = (),
           once: Callable = lambda u: ()) -> Iterator[Block]:
     """Evaluate ``f(u, v, *once(u))`` over the grid, one block of rows at a time.
@@ -97,25 +115,32 @@ def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = (),
     arrays, the first point is re-run so, tolerating nothing.
     """
     us, vs = grid.us(), grid.vs()
-    step = max(1, BLOCK_POINTS // len(vs))  # rows per block
-
-    def at(u: float, v: float) -> tuple:
-        try:
-            return f(u, v, *once(u))
-        except tolerated:
-            raise
-        except NumericalError as exc:
-            raise type(exc)(f"{exc} [at u = {u!r}, v = {v!r}]") from None
-
+    at = _named(lambda u, v: f(u, v, *once(u)), tolerated)
     try:
         with np.errstate(all="ignore"):
             column = once(np.array(us)[:, None])
     except Exception as exc:
         _rerun(at, (us[0], vs[0]), (), exc)
-    for start in range(0, len(us), step):
-        rows = slice(start, start + step)
+    for rows in spans(len(us), len(vs)):
         pre = _rows(column, rows)
         yield _evaluate((us[rows], vs), lambda u, v: f(u, v, *pre), at, tolerated)
+
+
+def rows(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = ()) -> Block:
+    """Evaluate ``f(u)``, written as for ``sweep``, on the grid's whole u
+    column in one array call: the work of a sweep that holds along each row,
+    or moves along it by a map its caller applies.  The block is a sweep's
+    of the grid's first column: a failing row is named by its first point."""
+    point = lambda u, v: f(u)  # noqa: E731
+    return _evaluate((grid.us(), grid.vs()[:1]), point, _named(point, tolerated), tolerated)
+
+
+def require_finite(us: list[float], vs: list[float], x: np.ndarray) -> None:
+    """Raise the NonFiniteError of the first point, in row-major order, where
+    x (outputs, rows, v) is not finite."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise _non_finite((us[bad[0] // len(vs)], vs[bad[0] % len(vs)]))
 
 
 def _rows(x, rows: slice):
@@ -187,5 +212,9 @@ def _rerun(f: Callable, point: tuple[float, ...], tolerated: tuple[type[Exceptio
     else:
         if raised is not None:
             raise raised
+    raise _non_finite(point)
+
+
+def _non_finite(point: tuple[float, ...]) -> NonFiniteError:
     at = ", ".join(f"{name} = {x!r}" for name, x in zip("uv", point))
-    raise NonFiniteError(f"non-finite value at {at}: a value overflows or is undefined")
+    return NonFiniteError(f"non-finite value at {at}: a value overflows or is undefined")

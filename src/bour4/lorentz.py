@@ -70,9 +70,9 @@ def flag(bad, error, message: str, *args):
 
 
 def sup(*values):
-    """The largest of the values; pointwise when the first is an array (the
-    others broadcast against it)."""
-    if isinstance(values[0], np.ndarray):
+    """The largest of the values; pointwise when one is an array (the others
+    broadcast against it)."""
+    if any(isinstance(x, np.ndarray) for x in values):
         return functools.reduce(np.maximum, values)
     return max(values)
 

@@ -16,14 +16,16 @@ from bour4.bour import (BOUR, BourGauge, bernoulli_residual, bour_partner,
                         same_gauss_pair_I, same_gauss_pair_II, scale_gauge)
 from bour4.cli import _example3_pair
 from bour4.errors import (Bour4Error, EvalDomainError, InfeasibleGaugeError,
-                          NonFiniteError, NotSpacelikeError, ValidationError)
+                          NonFiniteError, NotSpacelikeError, NumericalError, ValidationError)
 from bour4.expressions import eval_jet, parse, to_source
-from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, expr_profile,
-                            helicoid_jet, helicoid_to_json, is_constant_profile,
-                            make_helicoid, profile_jets)
-from bour4.grids import grid_for
+from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, angular_rate, expr_profile,
+                            helicoid_from_json, helicoid_jet, helicoid_to_json,
+                            is_constant_profile, make_helicoid, profile_jets)
+from bour4.grids import grid_for, spans, sweep
+from bour4.lorentz import Bivector6, Vec4, sup
 from bour4.quadrature import Antiderivative
-from bour4.surfaces import curvature_report
+from bour4.surfaces import (curvature_report, first_form, gauss_map, mean_curvature_vector,
+                            spacelike)
 
 EX1 = dict(lam=1.0, c3=0.5, domain=(1.1, math.pi))
 
@@ -43,6 +45,37 @@ def samples(domain, n):
 FAILING_I = make_helicoid("I", 1.0, {"x": "u + 0*sqrt(2.6 - u)", "z": "0*sqrt(2.6 - u)",
                                      "w": "u/2"}, (1.5, 3.0))
 B_ONE_I = BourGauge(SurfaceKind.I, expr_profile("0"), expr_profile("1"))
+
+
+def per_point(h, r, grid, point) -> np.ndarray:
+    """``point(k, hj, rj)`` at every grid point, one row per output and one
+    column per point: k = d(vbar)/du and both surfaces' jets, the partner's
+    read at (u, vbar).  The route the pair report took before it evaluated
+    each row once and spread it along v, kept here as its reference."""
+    def once(u):
+        hp = profile_jets(h, u)
+        return angular_rate(h, hp, u), hp, h.vbar.shift(u), profile_jets(r, u)
+
+    def f(u, v, k, hp, shift, rp):
+        return point(k, helicoid_jet(h, u, v, hp), helicoid_jet(r, u, v + shift, rp))
+
+    return np.concatenate([block.out for block in sweep(grid, f, once=once)], axis=1)
+
+
+def per_point_report(h, r, grid) -> tuple[list, list]:
+    """The residuals (isometry, Gauss, both mean curvature sups) and the
+    hyperplanarity defects of the pair report, from ``per_point``."""
+    def point(k, hj, rj):
+        g, G = first_form(hj), first_form(rj)
+        iso, g, G = bour_mod._isometry_defect(g, G, k), spacelike(g), spacelike(G)
+        return (iso, (gauss_map(hj, g) - gauss_map(rj, G)).sup_norm(),
+                sup(*map(abs, mean_curvature_vector(hj, g))),
+                sup(*map(abs, mean_curvature_vector(rj, G))), *hj.X, *rj.X)
+
+    out = per_point(h, r, grid, point)
+    pos = out[4:]
+    defects = [float(np.min(np.var(pos[c:c + 4] - pos[c:c + 4, :1], axis=1))) for c in (0, 4)]
+    return out[:4].max(axis=1).tolist(), defects
 
 
 def count_tables(monkeypatch) -> list:
@@ -172,18 +205,17 @@ class TestVbar:
         assert len(h.vbar._table._us) - 1 == panels
 
     def test_sweep_reads_the_one_shift(self, monkeypatch):
-        # the pair sweep reads the partner at v + shift(u) with k = du(u),
-        # from the one table the construction built
+        # the pair report reads k = du(u) and the partner's shift from the one
+        # table the construction built
         h, r = same_gauss_pair_I("u", **EX1)
         built = count_tables(monkeypatch)
         grid = grid_for(h, nu=5, nv=3)
-        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (k, *rj.X))
-        seen = np.concatenate([b.out for b in blocks], axis=1).T
+        pair_report(h, r, grid)
+        k, _, shift, _ = bour_mod._pair_profiles(h, r, np.array(grid.us())[:, None])
         assert built == []
-        for (u, v), out in zip(((u, v) for u in grid.us() for v in grid.vs()), seen):
-            assert out[0] == pytest.approx(h.vbar.du(u), abs=1e-15)
-            want = helicoid_jet(r, u, v + h.vbar.shift(u)).X
-            assert tuple(out[1:]) == pytest.approx(tuple(want), abs=1e-12)
+        for u, ku, su in zip(grid.us(), k.ravel().tolist(), shift.ravel().tolist()):
+            assert ku == pytest.approx(h.vbar.du(u), abs=1e-15)
+            assert su == h.vbar.shift(u)
 
 
 def test_no_cache_decorator_in_the_package():
@@ -401,8 +433,7 @@ class TestPairSweep:
             h = spec_I()
             r = bour_partner(h, gauge_complete(h, "a", "1/2"))
         grid = grid_for(h, nu=7, nv=7)
-        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (*hj.X, *rj.X))
-        pos = np.concatenate([block.out for block in blocks], axis=1)
+        pos = per_point(h, r, grid, lambda k, hj, rj: (*hj.X, *rj.X))
         # the whole-grid arithmetic: each surface's first point moved to the
         # origin, then the population variance of each coordinate
         want = [float(np.min(np.var(pos[c:c + 4] - pos[c:c + 4, :1], axis=1)))
@@ -414,8 +445,7 @@ class TestPairSweep:
     def test_a_constant_coordinate_keeps_variance_zero_across_blocks(self, monkeypatch, name):
         h, r = paper_pair(name)
         monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 3 * 33)  # 11 blocks of 3 rows
-        assert len(list(bour_mod._pair_sweep(h, r, grid_for(h, 33, 33),
-                                             lambda k, hj, rj: (k,)))) == 11
+        assert len(list(spans(33, 33))) == 11
         assert pair_report(h, r, grid_for(h, 33, 33)).hyperplanarity_defect == (0.0, 0.0)
 
     def test_isometry_accepts_a_timelike_partner(self):
@@ -425,6 +455,102 @@ class TestPairSweep:
         bad = bour_partner(spec, scale_gauge(gauge_complete(spec, "a", "0"), b_factor=3.0))
         grid = grid_for(spec, nu=5, nv=5)
         assert isometry_residual(spec, bad, grid) > 1e-3
+
+
+#: One pair per kind: the benchmark's seed-1 specs and gauges.
+SEEDED = {
+    "I": ({"kind": "I", "lambda": 0.7074913952899209, "domain": [0.3, 1.8],
+           "profile": {"x": "1.7854383848397068 + u + 0.0791323856929842*sin(u)",
+                       "z": "-0.19594477940846267*sin(u)",
+                       "w": "-0.002738947744835407*cos(u)"},
+           "v_domain": [0.0, 6.283185307179586]}, "a", "0.4494910647887381"),
+    "II": ({"kind": "II", "lambda": 1.1212743781782102, "domain": [0.5, 1.7],
+            "profile": {"x": "2.9042126915897186*u + -0.4061404132257651*u^2/4",
+                        "y": "-0.42448727113019435*sin(u)", "w": "1.0686120831358958 + u"},
+            "v_domain": [-0.8, 0.8]}, "a", "0.43276706790505337"),
+    "III": ({"kind": "III", "lambda": 1.2098240659663535, "domain": [0.6, 2.0],
+             "profile": {"x": "u + -0.19915757865955575*sin(u)",
+                         "z": "-0.021845122378079423*u",
+                         "w": "1.2050780226385478 + u + -0.1627426672377284*u^2/6"},
+             "v_domain": [-1.5, 1.5]}, "b", "0.47263534777696115"),
+}
+
+
+def seeded_pair(name):
+    if name not in SEEDED:
+        return paper_pair(name)
+    data, given, expr = SEEDED[name]
+    h = helicoid_from_json(data)
+    return h, bour_partner(h, gauge_complete(h, given, expr))
+
+
+def close(x, y, tol=1e-12) -> bool:
+    """Each field of x within tol * max(1, sup |y|) of y's."""
+    return max(abs(a - b) for a, b in zip(x, y)) <= tol * max(1.0, *map(abs, y))
+
+
+class TestOrbitReduction:
+    """The pair report evaluates each row at v = 0 and spreads it along v by
+    the group; the per-point route is its reference."""
+
+    @pytest.mark.parametrize("name", [*SEEDED, "theorem-3.3", "theorem-3.6"])
+    def test_the_reduced_sweep_equals_the_per_point_route(self, monkeypatch, name):
+        h, r = seeded_pair(name)
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 15)  # rows of 5: 3, 3 and 1
+        grid = grid_for(h, 7, 5)
+        rep = pair_report(h, r, grid)
+        residuals, defects = per_point_report(h, r, grid)
+        got = (rep.isometry_residual, rep.gauss_residual, *rep.max_mean_curvature)
+        # a residual of rounding noise (the mean curvature of a minimal pair:
+        # 8.4e-12 against 1.1e-11 on the 3.6 pair) is below 1e-10 both ways
+        for a, b in zip((*got, *rep.hyperplanarity_defect), (*residuals, *defects)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)) or max(a, b) < 1e-10, (got, residuals)
+        tols = rep.tolerances
+        assert rep.verdicts == {
+            "isometric": residuals[0] < tols.isometry, "same_gauss": residuals[1] < tols.gauss,
+            "minimal": max(residuals[2:]) < tols.mean_curvature,
+            "hyperplanar": max(defects) < tols.hyperplanarity}
+
+    @pytest.mark.parametrize("kind", SEEDED)
+    def test_the_action_moves_along_the_orbit(self, kind):
+        # Hvec and the Gauss map at (u, v) moved by s are theirs at (u, v + s),
+        # and so is the position, which the pitch moves along the axis too
+        h = seeded_pair(kind)[0]
+        fam, u = FAMILIES[h.kind], sum(h.domain) / 2
+        for v in (0.0, 0.3):
+            here = helicoid_jet(h, u, v)
+            for s in (-0.9, -0.25, 0.37, 1.1):
+                there = helicoid_jet(h, u, v + s)
+                assert close(fam.act(here.X, s, h.pitch), there.X)
+                for value in (gauss_map, mean_curvature_vector):
+                    assert close(fam.act(value(here), s), value(there))
+
+    @pytest.mark.parametrize("kind", SEEDED)
+    def test_the_action_is_a_one_parameter_group(self, kind):
+        fam, rng = FAMILIES[SurfaceKind(kind)], random.Random(7)
+        for make in (Vec4, Bivector6):
+            x = make(*(rng.uniform(-2.0, 2.0) for _ in make._fields))
+            for s, t in ((0.4, -1.3), (-0.7, 0.2), (1.5, 0.9)):
+                assert close(fam.act(fam.act(x, s), t), fam.act(x, s + t))
+                assert close(fam.act(fam.act(x, s), -s), x)
+            # a point of a surface of pitch lam moves along the axis as well
+            if make is Vec4:
+                lam = 0.8
+                assert close(fam.act(fam.act(x, 0.4, lam), -1.3, lam), fam.act(x, -0.9, lam))
+
+    @pytest.mark.parametrize("kind", SEEDED)
+    def test_a_wrong_action_trips_the_check(self, monkeypatch, kind):
+        # the check column compares the spread values with the direct route:
+        # the action of -s in place of s is caught, naming u and that column
+        h, r = seeded_pair(kind)
+        fam = FAMILIES[h.kind]
+        flipped = fam._replace(coefficients=lambda s: (-fam.coefficients(s)[0],
+                                                       fam.coefficients(s)[1]))
+        monkeypatch.setitem(FAMILIES, h.kind, flipped)
+        grid = grid_for(h, 7, 5)
+        vc = min(grid.vs(), key=lambda v: (v == 0.0, abs(v)))
+        with pytest.raises(NumericalError, match=rf"at u = {grid.us()[0]!r}, v = {vc!r}$"):
+            pair_report(h, r, grid)
 
 
 def _draw_pair_I(rng: random.Random):
@@ -726,9 +852,8 @@ class TestPairMinimality:
     def test_minimality_matches_the_frame_route(self, name):
         h, r = paper_pair(name)
         grid = grid_for(h, 33, 33)
-        blocks = bour_mod._pair_sweep(h, r, grid, lambda k, hj, rj: (
-            curvature_report(hj).H_sup, curvature_report(rj).H_sup))
-        want = np.max(np.concatenate([block.out for block in blocks], axis=1), axis=1)
+        want = np.max(per_point(h, r, grid, lambda k, hj, rj: (
+            curvature_report(hj).H_sup, curvature_report(rj).H_sup)), axis=1)
         got = pair_report(h, r, grid).max_mean_curvature
         for a, b in zip(got, want.tolist()):
             assert a == pytest.approx(b, rel=0.0, abs=1e-9 * max(1.0, abs(b)))

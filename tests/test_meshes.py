@@ -130,15 +130,16 @@ class TestOneJetEntry:
         spec = KINDS["I"]
         partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
         pair_report(spec, partner, grid_for(spec, 7, 5))
-        # the helicoid, whose jet also gives its metric, and the partner at
-        # its shifted angles
-        assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (7, 5))]
+        # the helicoid, whose jet also gives its metric, and the partner, on
+        # the grid's u column at v = 0 (the partner at its angle shift(u)
+        # there) and at the check column
+        assert calls == [("HelicoidSpec", (7, 1), ()), ("RotationalSpec", (7, 1), (7, 1))] * 2
 
 
 class TestOnePassPerSweep:
-    """A pair sweep builds one first form per surface per block, and every
-    sweep evaluates each surface's profile once, on the grid's whole u
-    column, however many blocks it takes."""
+    """A pair report builds each surface's first form once at v = 0 and once
+    at the check column, and every sweep evaluates each surface's profile
+    once, on the grid's whole u column, however many blocks it takes."""
 
     @pytest.fixture
     def pair(self, monkeypatch):
@@ -161,11 +162,11 @@ class TestOnePassPerSweep:
             monkeypatch.setattr(module, name, counting, raising=False)
         return calls
 
-    def test_one_first_form_per_surface_per_block(self, pair, monkeypatch):
+    def test_two_first_forms_per_surface_per_sweep(self, pair, monkeypatch):
         calls = self.counted(monkeypatch, "first_form", (bour4.surfaces, bour4.bour),
                              lambda j, *args, **kwargs: np.shape(j.X.x1))
         pair_report(*pair)
-        assert calls == [(2, 5)] * 2 * 3 + [(1, 5)] * 2  # 7 rows: blocks of 2, 2, 2 and 1
+        assert calls == [(7, 1)] * 2 * 2  # 7 rows, in blocks of 2, 2, 2 and 1
 
     def test_profiles_once_per_sweep(self, pair, monkeypatch):
         spec, partner, grid = pair
