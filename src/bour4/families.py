@@ -248,9 +248,9 @@ def _action(A: Callable) -> dict:
     """A's matrix on Vec4 (4) and, as a derivation, on Bivector6 (6), from A
     on the basis."""
     e = (E1, E2, E3, E4)
-    return {4: np.array([A(x) for x in e]).T.tolist(),
-            6: np.array([wedge(A(a), b) + wedge(a, A(b))
-                         for i, a in enumerate(e) for b in e[i + 1:]]).T.tolist()}
+    return {4: list(zip(*map(A, e))),
+            6: list(zip(*(wedge(A(a), b) + wedge(a, A(b))
+                          for i, a in enumerate(e) for b in e[i + 1:])))}
 
 
 FAMILIES = {kind: fam._replace(action=_action(fam.generator)) for kind, fam in {
