@@ -35,7 +35,7 @@ from .expressions import Expr, eval_jet, parse, to_source
 from .grids import Grid, require_finite, rows, scan, spans
 from .jets import Jet2
 from .lorentz import (E1, E2, E3, E4, XI3, Bivector6, Vec4, bivector_from_pseudo, flag,
-                      pseudo_to_standard, sup, wedge, where, xp)
+                      pseudo_to_standard, wedge, where, xp)
 from .quadrature import Antiderivative
 from .surfaces import CurvatureReport, FirstForm, Frame, SurfaceJet, finalize_first_form
 
@@ -78,22 +78,19 @@ class Family(NamedTuple):
         """The profile jets of a name -> jet map, in name order."""
         return [pj[name] for name in self.names]
 
-    def orbit(self, x, lam=0.0) -> list[tuple]:
-        """(x_i, (Ax)_i, (A^2 x)_i, lam t_i) per field of x, a Vec4 or a
-        Bivector6: the screw motion by s moves x to x + f1(s) Ax + f2(s)
-        A^2 x + s lam t, a point of a surface of pitch lam, or a vector
-        (lam = 0).  A acts on a Bivector6 as a derivation, A(a ^ b) = Aa ^ b
-        + a ^ Ab, whose cube is A's multiple as on vectors (-A, A or 0), so
-        f1 and f2 hold there too."""
-        m, t = self.action[len(x)], self.kernel[0] if lam else (0.0,) * len(x)
-        ax = [sum(c * y for c, y in zip(r, x) if c) for r in m]
-        return list(zip(x, ax, [sum(c * y for c, y in zip(r, ax) if c) for r in m],
-                        [lam * ti for ti in t]))
-
-    def act(self, x, s, lam=0.0):
-        """x moved by s (``orbit``); x's fields broadcast against s."""
-        f1, f2 = self.coefficients(s)
-        return type(x)(*(a + f1 * b + f2 * c + s * d for a, b, c, d in self.orbit(x, lam)))
+    def orbit(self, x: np.ndarray, sizes: list[int], lams: list[float]) -> tuple:
+        """(x, Ax, A^2 x, lam t) of Vec4s (size 4) and Bivector6s (6) of
+        pitches ``lams``, stacked fieldwise in x: the screw motion by s moves
+        each to x + f1(s) Ax + f2(s) A^2 x + s lam t.  A acts on a Bivector6
+        as a derivation, A(a ^ b) = Aa ^ b + a ^ Ab, whose cube is A's
+        multiple as on vectors (-A, A or 0), so f1 and f2 hold there too."""
+        shape, at = (-1,) + (1,) * (x.ndim - 1), np.cumsum([0, *sizes])
+        i, c = (np.concatenate(p, axis=1) for p in zip(*(
+            (self.action[k][0] + a, self.action[k][1]) for k, a in zip(sizes, at))))
+        A = lambda y: sum((y[k] * ck.reshape(shape) for k, ck in zip(i, c)), 0.0)  # noqa: E731
+        lt = [lam * np.array(self.kernel[0]) if lam else np.zeros(k) for k, lam in zip(sizes, lams)]
+        ax = A(x)
+        return x, ax, A(ax), np.concatenate(lt).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +242,16 @@ def _gauss_III(lam, x, z, w, v, c):
 
 
 def _action(A: Callable) -> dict:
-    """A's matrix on Vec4 (4) and, as a derivation, on Bivector6 (6), from A
-    on the basis."""
-    e = (E1, E2, E3, E4)
-    return {4: list(zip(*map(A, e))),
-            6: list(zip(*(wedge(A(a), b) + wedge(a, A(b))
-                          for i, a in enumerate(e) for b in e[i + 1:])))}
+    """A on Vec4 (4) and, as a derivation, on Bivector6 (6), from A on the
+    basis: the two fields that each field of Ax reads and their factors,
+    0-padded (a field of three terms fails here)."""
+    e, action = (E1, E2, E3, E4), {}
+    for m in (list(map(A, e)), [wedge(A(a), b) + wedge(a, A(b))
+                                for i, a in enumerate(e) for b in e[i + 1:]]):
+        terms = [[(j, c) for j, c in enumerate(r) if c] for r in zip(*m)]
+        j, c = np.array([t + [(0, 0.0)] * (2 - len(t)) for t in terms]).T
+        action[len(m)] = (j.astype(np.intp), c)
+    return action
 
 
 FAMILIES = {kind: fam._replace(action=_action(fam.generator)) for kind, fam in {
@@ -478,17 +479,11 @@ def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
 # ---------------------------------------------------------------------------
 # the orbit reduction: rows evaluated at v = 0 and spread along v
 
-#: How far a value moved by the group may lie from the direct route's
-#: (``deviation``): a wrong action misses by about |vc|.
+#: How far a value moved by the group may lie from the direct route's y:
+#: sup |x - y| / max(1, sup |y|) over the fields of a Vec4 or Bivector6, per
+#: unit of (|g11 g22| + g12^2) / |W| of y's first form, the cancellation in W
+#: by which rounding moves y.  A wrong action misses by about |vc|.
 ORBIT_TOL = 1e-12
-
-
-def deviation(x, y, ff: FirstForm):
-    """sup |x - y| / max(1, sup |y|) over the fields of two Vec4s or
-    Bivector6s, per unit of (|g11 g22| + g12^2) / |W| of y's first form ff:
-    the cancellation in W by which rounding moves y."""
-    size = sup(*map(abs, y), 1.0) * (abs(ff.g11 * ff.g22) + ff.g12 * ff.g12) / abs(ff.W)
-    return sup(*(abs(a - b) for a, b in zip(x, y))) / size
 
 
 def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -> tuple:
@@ -498,35 +493,47 @@ def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -
     ``row`` returns the outputs that hold along v, the (value, pitch) pairs
     that the group moves (``Family.orbit``), both at v = 0, and (value,
     pitch, direct, first form) checks: the value moved to vc must lie within
-    ORBIT_TOL (``deviation``) of the direct route's there, or a
-    NumericalError names u.  vc is the grid's v nearest 0 but 0: far out,
+    ORBIT_TOL of the direct route's there, or a NumericalError names u.  vc is the grid's v nearest 0 but 0: far out,
     wide kind-II windows cost the direct route its digits.  Returns the
     block of rows, whose ``tolerated`` rows failed, the fixed outputs of the
     others, and, a block of their rows (``grids.spans``) at a time, the
     moved values' fields at each point (fields, rows, v), finite.
     """
-    vs, n = grid.vs(), []
+    vs, form = grid.vs(), []
     vc = min(vs, key=lambda v: (v == 0.0, abs(v)))
 
-    def f(u):
+    def f(u):  # the fixed outputs, the moved and checked values, the direct values and forms
         out, moved, checked = row(u, vc)
-        n[:] = [len(out)]
-        return (*out, sup(*(deviation(fam.act(x, vc, lam), y, ff) for x, lam, y, ff in checked)),
-                *(c for x, lam in moved for field in fam.orbit(x, lam) for c in field))
+        values = [*moved, *((x, lam) for x, lam, *_ in checked)]
+        form[:] = [len(out), len(moved), [len(x) for x, _ in values], [lam for _, lam in values]]
+        return (*out, *(c for x, _ in values for c in x),
+                *(c for *_, y, _ in checked for c in y), *(c for *_, ff in checked for c in ff))
 
     block = rows(grid, f, tolerated)
     us = [u for i, u in enumerate(block.axes[0]) if i not in block.tolerated]
-    kept, n = np.delete(block.out, block.tolerated, axis=1), n[0]
-    bad = np.flatnonzero(~(kept[n] <= ORBIT_TOL))
+    kept = np.delete(block.out, block.tolerated, axis=1) if block.tolerated else block.out
+    n, m, sizes, lams = form
+    at = np.cumsum([n, *sizes])  # the rows of kept where each value starts
+    x, ax, a2x, lt = fam.orbit(kept[n:at[-1]], sizes, lams)
+    # the checked values moved to vc by the coefficients spread along v, and
+    # their deviation from the direct route's y, the largest of each row's
+    p, (f1, f2), checks = at[m] - n, fam.coefficients(vc), at[m:-1] - at[m]
+    y, ff = np.split(kept[at[-1]:], [at[-1] - at[m]])
+    g11, g12, g22, W = ff.reshape(len(checks), 4, -1).swapaxes(0, 1)
+    size = np.maximum(np.maximum.reduceat(np.abs(y), checks), 1.0) * (
+        np.abs(g11 * g22) + g12 * g12) / np.abs(W)
+    miss = np.abs(x[p:] + f1 * ax[p:] + f2 * a2x[p:] + vc * lt[p:] - y)
+    dev = (np.maximum.reduceat(miss, checks) / size).max(axis=0, initial=0.0)
+    bad = np.flatnonzero(~(dev <= ORBIT_TOL))
     if bad.size:
-        raise NumericalError(f"the group moves a row {kept[n, bad[0]]:.3g} off the direct route "
+        raise NumericalError(f"the group moves a row {dev[bad[0]]:.3g} off the direct route "
                              f"at u = {us[bad[0]]!r}, v = {vc!r}")
-    x, ax, a2x, lt = kept[n + 1:].reshape((len(kept) - n) // 4, 4, len(us), 1).swapaxes(0, 1)
+    x, ax, a2x, lt = (np.broadcast_to(c, x.shape)[:p, :, None] for c in (x, ax, a2x, lt))
     v = np.array(vs)
     f1, f2 = fam.coefficients(v)
     pitched = np.flatnonzero(lt.any(axis=(1, 2)))
     # only a product of more than 1e300 can overflow: else no block is searched
-    safe = (np.abs(kept[n + 1:]).max(initial=0.0) * 4.0
+    safe = (max(np.abs(c).max(initial=0.0) for c in (x, ax, a2x, lt)) * 4.0
             * np.abs([f1, f2, v]).max(initial=1.0) < 1e300)
 
     def blocks():

@@ -16,7 +16,8 @@ takes at most about 180 bytes per value, 1.5 MB in all.  Their text is one
 repr per value, from integer array operations: Schubfach's shortest digits,
 laid out by repr's rules; zeros, subnormals, inf, nan and ties go through
 repr itself.  Each distinct float of a write (told apart by its bits: -0.0
-is not 0.0) is formatted once.
+is not 0.0) is formatted once, into a field as wide as the longest repr (24
+bytes); a face index, into one as wide as the digits of the vertex count.
 """
 
 from __future__ import annotations
@@ -266,19 +267,20 @@ def _shortest(mag: np.ndarray):
 class _Lines:
     """Lines of one ``%s`` format, filled from a table of float64 or integer
     values: each value's repr (an integer's digits) goes, as a NUL-padded
-    24-byte field, into every slot of the line buffer that holds it, and
-    dropping the NULs leaves the text."""
+    field of ``width`` bytes, into every slot of the line buffer that holds
+    it, and dropping the NULs leaves the text."""
 
-    def __init__(self, fmt: str, points: int):
+    def __init__(self, fmt: str, points: int, width: int = _WIDTH):
         *pieces, end = [np.frombuffer(p, np.uint8) for p in fmt.encode().split(b"%s")]
         self.cols = cols = len(pieces)
-        slot = max(map(len, pieces)) + _WIDTH
+        self.template = np.ascontiguousarray(_TABLES.digits[-1][:, :width])
+        slot = max(map(len, pieces)) + width
         self.buf = np.zeros((points, cols * slot + len(end)), dtype=np.uint8)
         self.buf[:, cols * slot:] = end
         slots = self.buf[:, :cols * slot].reshape(points, cols, slot)
         for j, piece in enumerate(pieces):  # NULs pad each piece on its left
-            slots[:, j, slot - _WIDTH - len(piece):slot - _WIDTH] = piece
-        self.fields = slots[:, :, slot - _WIDTH:]
+            slots[:, j, slot - width - len(piece):slot - width] = piece
+        self.fields = slots[:, :, slot - width:]
         n = points * cols
         self.rows = np.zeros((n, _ROW), dtype=np.uint8)
         self.rows[:, _DOT:] = np.frombuffer(b".e\0", np.uint8)
@@ -294,8 +296,8 @@ class _Lines:
         return self.buf[:p].tobytes().translate(None, b"\0").decode("ascii")
 
     def _fields(self, values: np.ndarray) -> np.ndarray:
-        """The (n, 24) NUL-padded fields of n values."""
-        words, zeros, exps, eclass, template = _TABLES.digits
+        """The (n, width) NUL-padded fields of n values."""
+        words, zeros, exps, eclass, _ = _TABLES.digits
         n, floats = len(values), values.dtype.kind == "f"
         rows = self.rows[:n]
         r32 = rows.view(np.uint32)
@@ -335,9 +337,9 @@ class _Lines:
                 cls[j] = _RAW + len(text) - 1
         else:
             cls = _INT + np.searchsorted(10 ** np.arange(1, 18, dtype=np.uint64), f, side="right")
-        flat, fields = self.rows.reshape(-1), np.empty((n, _WIDTH), np.uint8)
+        flat, fields = self.rows.reshape(-1), np.empty((n, self.template.shape[1]), np.uint8)
         for a in range(0, n, 1024):  # in slices: take copies its index to intp
-            index = template.take(cls[a:a + 1024], axis=0)
+            index = self.template.take(cls[a:a + 1024], axis=0)
             index += self.base[a:a + len(index)]
             fields[a:a + 1024] = flat.take(index)
         return fields
@@ -347,13 +349,14 @@ class _Lines:
 BLOCK_VALUES = 8192
 
 
-def _write_rows(out: TextIO, fmt: str, rows: int, points: int, table) -> None:
+def _write_rows(out: TextIO, fmt: str, rows: int, points: int, table, width=_WIDTH) -> None:
     """Write the ``fmt`` lines of ``rows`` grid rows of ``points`` lines
-    each; ``table(i, j)`` gives rows i..j-1 as ``_Lines.text``'s arguments."""
+    each, in fields of ``width`` bytes; ``table(i, j)`` gives rows i..j-1 as
+    ``_Lines.text``'s arguments."""
     if not rows * points:
         return
     group = min(rows, max(1, BLOCK_VALUES // (points * fmt.count("%s"))))
-    lines = _Lines(fmt, group * points)
+    lines = _Lines(fmt, group * points, width)
     for i in range(0, rows, group):
         out.write(lines.text(*table(i, min(i + group, rows))))
 
@@ -384,7 +387,7 @@ def write_obj(mesh: MeshStream, out: TextIO, projection: str = "drop-constant") 
         return (np.arange(i * nv + 1, (j + 1) * nv + 1),
                 (np.arange(j - i)[:, None] * nv + corners).reshape(-1, 4))
 
-    _write_rows(out, "f %s %s %s %s\n", nu - 1, nv - 1, faces)
+    _write_rows(out, "f %s %s %s %s\n", nu - 1, nv - 1, faces, len(str(nu * nv)))
     return drop
 
 

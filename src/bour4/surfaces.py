@@ -14,7 +14,10 @@ against which closed-form family formulas are checked:
 
 H and K need no normal frame.  H1 and H2 are read in the least-boosted one:
 N2 is the unit normal part of e4 (timelike), and N1 the unit normal with no
-e4 component.
+e4 component.  ``curvature_report`` reads them without building the frame:
+
+    H2 = -H.x4 / sqrt(1 + (g22 a^2 - 2 g12 a b + g11 b^2) / W),  a, b = Xu.x4, Xv.x4
+    H1 = (H.x1 c23 - H.x2 c13 + H.x3 c12) / |c|,  c = Xv x Xu (spatial)
 
 The surface is required to be spacelike (W > 0) wherever frames, curvatures,
 or the Gauss map are requested.  Jets may carry floats (one point) or arrays
@@ -100,31 +103,21 @@ def numeric_jet(surface: Callable[[float, float], Vec4], u: float, v: float) -> 
     def rich(coarse: Vec4, fine: Vec4) -> Vec4:
         return (fine * 4.0 - coarse) * (1.0 / 3.0)
 
+    def p(k, axis):  # the stencil point k steps of s along the axis
+        return pts[(k, 0) if axis == 0 else (0, k)]
+
     def d1(axis):
-        if axis == 0:
-            coarse = (pts[(2, 0)] - pts[(-2, 0)]) * (1.0 / (2.0 * h))
-            fine = (pts[(1, 0)] - pts[(-1, 0)]) * (1.0 / h)
-        else:
-            coarse = (pts[(0, 2)] - pts[(0, -2)]) * (1.0 / (2.0 * h))
-            fine = (pts[(0, 1)] - pts[(0, -1)]) * (1.0 / h)
-        return rich(coarse, fine)
+        return rich((p(2, axis) - p(-2, axis)) * (1.0 / (2.0 * h)),
+                    (p(1, axis) - p(-1, axis)) * (1.0 / h))
 
     def d2(axis):
         c = pts[(0, 0)] * 2.0
-        if axis == 0:
-            coarse = (pts[(2, 0)] + pts[(-2, 0)] - c) * (1.0 / (h * h))
-            fine = (pts[(1, 0)] + pts[(-1, 0)] - c) * (4.0 / (h * h))
-        else:
-            coarse = (pts[(0, 2)] + pts[(0, -2)] - c) * (1.0 / (h * h))
-            fine = (pts[(0, 1)] + pts[(0, -1)] - c) * (4.0 / (h * h))
-        return rich(coarse, fine)
+        return rich((p(2, axis) + p(-2, axis) - c) * (1.0 / (h * h)),
+                    (p(1, axis) + p(-1, axis) - c) * (4.0 / (h * h)))
 
-    def dmix():
-        coarse = (pts[(2, 2)] - pts[(2, -2)] - pts[(-2, 2)] + pts[(-2, -2)]) * (1.0 / (4.0 * h * h))
-        fine = (pts[(1, 1)] - pts[(1, -1)] - pts[(-1, 1)] + pts[(-1, -1)]) * (1.0 / (h * h))
-        return rich(coarse, fine)
-
-    return SurfaceJet(pts[(0, 0)], d1(0), d1(1), d2(0), dmix(), d2(1))
+    coarse = (pts[(2, 2)] - pts[(2, -2)] - pts[(-2, 2)] + pts[(-2, -2)]) * (1.0 / (4.0 * h * h))
+    fine = (pts[(1, 1)] - pts[(1, -1)] - pts[(-1, 1)] + pts[(-1, -1)]) * (1.0 / (h * h))
+    return SurfaceJet(pts[(0, 0)], d1(0), d1(1), d2(0), rich(coarse, fine), d2(1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +195,22 @@ def classify_mean_curvature(Hvec: Vec4) -> bool:
 def curvature_report(j: SurfaceJet) -> CurvatureReport:
     """Curvature by the generic route: Hvec is ``mean_curvature_vector``, K
     comes from the Gauss equation on the normal parts h_jk of the second
-    derivatives, and H1, H2 are <Hvec, N1>, <Hvec, N2> in
-    ``orthonormal_frame(j)``."""
-    ff = first_form(j, require_spacelike=True)
-    frame = orthonormal_frame(j, ff)
+    derivatives, and H1, H2 are <Hvec, N1>, <Hvec, N2> in the normals of
+    ``orthonormal_frame(j)``, read without building them (Hvec is normal):
+    H2 = -Hvec.x4 / sqrt(1 + (g22 a^2 - 2 g12 a b + g11 b^2) / W), a = Xu.x4,
+    b = Xv.x4, the root the norm of e4's normal part; H1 = (Hvec.x1 c23 -
+    Hvec.x2 c13 + Hvec.x3 c12) / |c|, N1 along the spatial c = Xv x Xu."""
+    g11, g12, g22, W = ff = first_form(j, require_spacelike=True)
+    bad = flag(g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 on a spacelike surface", g11)
     h11, h12, h22 = (_normal_part(x, j, ff) for x in (j.Xuu, j.Xuv, j.Xvv))
-    K = (minkowski_dot(h11, h22) - minkowski_dot(h12, h12)) / ff.W
+    K = (minkowski_dot(h11, h22) - minkowski_dot(h12, h12)) / W
     Hvec = mean_curvature_vector(j, ff)
-    return CurvatureReport(ff, minkowski_dot(Hvec, frame.N1), minkowski_dot(Hvec, frame.N2),
-                           Hvec, K)
+    (x1, x2, x3, a), (y1, y2, y3, b) = j.Xu, j.Xv
+    c12, c13, c23 = y1 * x2 - y2 * x1, y1 * x3 - y3 * x1, y2 * x3 - y3 * x2
+    sqrt = xp(W).sqrt
+    H1 = (Hvec.x1 * c23 - Hvec.x2 * c13 + Hvec.x3 * c12) / sqrt(c12 ** 2 + c13 ** 2 + c23 ** 2)
+    H2 = -Hvec.x4 / sqrt(1.0 + (g22 * a * a - 2.0 * g12 * a * b + g11 * b * b) / W)
+    return CurvatureReport(ff, *where(bad, math.nan, (H1, H2)), Hvec, K)
 
 
 def _normal_part(x: Vec4, j: SurfaceJet, ff: FirstForm) -> Vec4:

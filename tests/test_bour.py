@@ -489,6 +489,13 @@ def close(x, y, tol=1e-12) -> bool:
     return max(abs(a - b) for a, b in zip(x, y)) <= tol * max(1.0, *map(abs, y))
 
 
+def act(fam, x, s, lam=0.0):
+    """x, a Vec4 or a Bivector6 of floats, moved by s along fam's orbits."""
+    f1, f2 = fam.coefficients(s)
+    x0, ax, a2x, lt = fam.orbit(np.array(x, float), [len(x)], [lam])
+    return type(x)(*(x0 + f1 * ax + f2 * a2x + s * lt).tolist())
+
+
 class TestOrbitReduction:
     """The pair report evaluates each row at v = 0 and spreads it along v by
     the group; the per-point route is its reference."""
@@ -521,9 +528,9 @@ class TestOrbitReduction:
             here = helicoid_jet(h, u, v)
             for s in (-0.9, -0.25, 0.37, 1.1):
                 there = helicoid_jet(h, u, v + s)
-                assert close(fam.act(here.X, s, h.pitch), there.X)
+                assert close(act(fam, here.X, s, h.pitch), there.X)
                 for value in (gauss_map, mean_curvature_vector):
-                    assert close(fam.act(value(here), s), value(there))
+                    assert close(act(fam, value(here), s), value(there))
 
     @pytest.mark.parametrize("kind", SEEDED)
     def test_the_action_is_a_one_parameter_group(self, kind):
@@ -531,12 +538,12 @@ class TestOrbitReduction:
         for make in (Vec4, Bivector6):
             x = make(*(rng.uniform(-2.0, 2.0) for _ in make._fields))
             for s, t in ((0.4, -1.3), (-0.7, 0.2), (1.5, 0.9)):
-                assert close(fam.act(fam.act(x, s), t), fam.act(x, s + t))
-                assert close(fam.act(fam.act(x, s), -s), x)
+                assert close(act(fam, act(fam, x, s), t), act(fam, x, s + t))
+                assert close(act(fam, act(fam, x, s), -s), x)
             # a point of a surface of pitch lam moves along the axis as well
             if make is Vec4:
                 lam = 0.8
-                assert close(fam.act(fam.act(x, 0.4, lam), -1.3, lam), fam.act(x, -0.9, lam))
+                assert close(act(fam, act(fam, x, 0.4, lam), -1.3, lam), act(fam, x, -0.9, lam))
 
     @pytest.mark.parametrize("kind", SEEDED)
     def test_a_wrong_action_trips_the_check(self, monkeypatch, kind):

@@ -40,10 +40,12 @@ PARTLY_TIMELIKE = {"kind": "II", "lambda": 1.0,
 OVERFLOWING = {"kind": "I", "lambda": 0.5,
                "profile": {"x": "exp(u)", "z": "0", "w": "0"},
                "domain": [700, 720]}
-#: x^6 overflows past u = 118.3: on a 9-row grid only the last row, u = 119.6, fails.
+#: W ~ x^4 overflows past u = 177.4: on a 9-row grid only the last row, u = 179.6, fails.
 LATE_OVERFLOW = {"kind": "I", "lambda": 1.0,
                  "profile": {"x": "exp(u)", "z": "0", "w": "0"},
-                 "domain": [100.0, 120.0]}
+                 "domain": [160.0, 180.0]}
+#: W g11 ~ x^6 overflows past u = 118.3, at the last row of a 9-row grid; W does not.
+FRAME_OVERFLOW = {**LATE_OVERFLOW, "domain": [100.0, 120.0]}
 
 
 #: The valid pair of TestVerify.test_pair_file_flow.
@@ -772,7 +774,7 @@ class TestExport:
         assert main(["export", "--spec", spec, "--grid", "9x5", "--format", fmt,
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: non-finite value at u = 119.6, v = ")
+        assert err.startswith("numerical failure: non-finite value at u = 179.6, v = ")
         assert err.count("\n") == 1
         if existing is None:
             assert not out.exists()
@@ -814,6 +816,14 @@ class TestExport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "u,v,x1,x2,x3,x4,K,H1,H2,W"
         assert len(lines) == 1 + 8 * 5  # the rows before the failing one
+
+    def test_channels_stay_finite_where_the_frame_overflows(self, tmp_path, capsys):
+        # the least-boosted frame divides by sqrt(W g11), which overflows in the
+        # last row; H1 and H2 are read without it, so every channel is finite
+        spec = write_json(tmp_path / "s.json", FRAME_OVERFLOW)
+        assert main(["export", "--spec", spec, "--grid", "9x5", "--format", "csv"]) == 0
+        rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        assert rows.shape == (9 * 5, 10) and np.isfinite(rows).all()
 
 
 class TestInputValidation:

@@ -13,9 +13,12 @@ from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeE
                           ValidationError)
 from bour4.families import helicoid_jet, make_helicoid
 from bour4.grids import Grid, grid_for, sweep
+from bour4.lorentz import minkowski_dot
 from bour4.meshes import (CHANNEL_NAMES, COLUMNS, MeshStream, resolve_projection, sample_mesh,
                           write_csv, write_obj)
-from bour4.surfaces import curvature_report
+from bour4.surfaces import curvature_report, mean_curvature_vector, orthonormal_frame
+
+from test_bour import seeded_pair  # the benchmark's seed-1 specs
 
 SPEC = make_helicoid("I", 1.0, {"x": "u", "z": "c1", "w": "0"},
                      (1.5, 3.0), constants={"c1": 2.0})
@@ -74,6 +77,19 @@ class TestSampleMesh:
             got = table[idx, [0, 1, 2, 3, 4, 5, 6, 8]]
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (idx, got, want)
+
+    @pytest.mark.parametrize("name", ["I", "II", "III", "partner"])
+    def test_H1_H2_are_the_frame_components_on_the_seed_1_meshes(self, name):
+        # the channels are <Hvec, N1> and <Hvec, N2> in the least-boosted frame
+        h, r = seeded_pair("I" if name == "partner" else name)
+        surface, grid = r if name == "partner" else h, grid_for(h, 33, 33)
+        table = one_pass(surface, grid)
+        for row, (u, v) in zip(table, [(u, v) for u in grid.us() for v in grid.vs()]):
+            jet = helicoid_jet(surface, u, v)
+            frame, Hvec = orthonormal_frame(jet), mean_curvature_vector(jet)
+            tol = 1e-12 * max(1.0, row[7])
+            assert abs(row[5] - minkowski_dot(Hvec, frame.N1)) <= tol
+            assert abs(row[6] - minkowski_dot(Hvec, frame.N2)) <= tol
 
     def test_jet_callback_gives_the_same_mesh(self):
         by_spec = one_pass(SPEC, GRID)
@@ -305,6 +321,17 @@ class TestWriters:
         sampled = one_pass(spec, grid_for(spec, nu, nv))[:, :4]
         assert sampled.shape == (nu * nv, 4)
         assert np.isfinite(sampled).all()
+
+    @pytest.mark.parametrize("nu, nv", [(100, 100), (3, 34), (2, 2), (1, 4), (4, 1)])
+    def test_face_lines_are_their_indices(self, nu, nv):
+        # the indices fill fields as wide as nu nv's digits: the last vertex of
+        # 100x100, 10000, and of 3x34, 102, are one digit wider than most
+        mesh = TableMesh(Grid(0.0, 1.0, 0.0, 1.0, nu, nv), np.zeros((nu * nv, 9)))
+        obj = io.StringIO()
+        write_obj(mesh, obj, "drop-4")
+        faces = [line for line in obj.getvalue().splitlines() if line.startswith("f ")]
+        assert faces == [f"f {a} {a + 1} {a + nv + 1} {a + nv}"
+                         for i in range(nu - 1) for a in range(i * nv + 1, (i + 1) * nv)]
 
     @pytest.mark.parametrize("writer", ["csv", "obj"])
     def test_only_fallback_values_reach_repr(self, monkeypatch, writer):

@@ -18,9 +18,9 @@ from bour4.families import (closed_form_curvatures, closed_form_gauss, helicoid_
 import bour4.grids
 import bour4.surfaces
 from bour4.grids import Grid, _evaluate, scan, sweep
-from bour4.lorentz import E3, E4, Vec4, bivector_dot, minkowski_dot, wedge
+from bour4.lorentz import E3, E4, Vec4, bivector_dot, minkowski_dot, wedge, where
 from bour4.meshes import sample_mesh
-from bour4.surfaces import (SurfaceJet, curvature_report, first_form, gauss_map,
+from bour4.surfaces import (FirstForm, SurfaceJet, curvature_report, first_form, gauss_map,
                             mean_curvature_vector, numeric_jet, orthonormal_frame)
 
 RNG = random.Random(424242)
@@ -305,6 +305,79 @@ class TestCurvatureReport:
                 for x in jet)))
             for a, b in ((moved.K, rep.K), (moved.H1, rep.H1), (moved.H2, rep.H2)):
                 assert abs(a - b) <= 1e-12 * abs(b)
+
+
+class TestFrameFreeH1H2:
+    """curvature_report reads H1 and H2 from Hvec and the tangent vectors,
+    without the least-boosted frame whose normals define them."""
+
+    def test_they_are_the_frame_components(self):
+        for _ in range(300):
+            j = random_spacelike_jet()
+            frame, rep = orthonormal_frame(j), curvature_report(j)
+            tol = 1e-12 * max(1.0, rep.H_sup)
+            assert abs(rep.H1 - minkowski_dot(rep.Hvec, frame.N1)) <= tol
+            assert abs(rep.H2 - minkowski_dot(rep.Hvec, frame.N2)) <= tol
+
+    def test_no_frame_is_built(self, monkeypatch):
+        def no_frame(*args):
+            raise AssertionError("curvature_report built a normal frame")
+        monkeypatch.setattr(bour4.surfaces, "orthonormal_frame", no_frame)
+        spec, grid = SWEEP_SPECS["II"], GRID_7x5["II"]
+        curvature_report(helicoid_jet(spec, 1.0, 0.3))
+        sample_mesh(spec, grid).rows(0, grid.nu)
+
+    @staticmethod
+    def patch_first_form(monkeypatch, at, form):
+        """first_form, ``form`` at the jets whose position X satisfies ``at``."""
+        first = bour4.surfaces.first_form
+
+        def patched(j, require_spacelike=False):
+            ff = where(at(j.X), FirstForm(*form), first(j))
+            return bour4.surfaces.spacelike(ff) if require_spacelike else ff
+        monkeypatch.setattr(bour4.surfaces, "first_form", patched)
+
+    #: Jets marked by X.x1 = 1 whose first form is patched to a spacelike one
+    #: that fails the frame: g11 <= 0, or tangent vectors whose spatial parts
+    #: are parallel, so that their spatial cross product vanishes.
+    FAULTS = {
+        "g11": (FrameFailureError, (-1.0, 0.0, -1.0, 1.0), None),
+        "cross": (ZeroDivisionError, (1.0, 0.0, 1.0, 1.0),
+                  (Vec4(1.0, 0.0, 0.0, 0.0), Vec4(2.0, 0.0, 0.0, 1.0))),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_a_frame_failure_raises_on_floats_and_is_nan_on_arrays(self, monkeypatch, fault):
+        error, form, tangents = self.FAULTS[fault]
+        self.patch_first_form(monkeypatch, lambda x: x.x1 == 1.0, form)
+        jets = [random_spacelike_jet() for _ in range(3)]
+        bad = jets[1]._replace(X=Vec4(1.0, 0.0, 0.0, 0.0))
+        jets[1] = bad if tangents is None else bad._replace(Xu=tangents[0], Xv=tangents[1])
+        with pytest.raises(error):
+            curvature_report(jets[1])
+        block = SurfaceJet(*(Vec4(*(np.array([j[f][c] for j in jets]) for c in range(4)))
+                             for f in range(6)))
+        with np.errstate(all="ignore"):
+            rep = curvature_report(block)
+        assert np.isnan(rep.H1[1]) and (fault == "cross" or np.isnan(rep.H2[1]))
+        for i in (0, 2):
+            want = curvature_report(jets[i])
+            assert (rep.H1[i], rep.H2[i], rep.K[i]) == (want.H1, want.H2, want.K)
+
+    def test_export_names_a_frame_failure(self, tmp_path, monkeypatch, capsys):
+        spec = {"kind": "I", "lambda": 1.0, "domain": [0.3, 1.8],
+                "profile": {"x": "2 + u + 0.1*sin(u)", "z": "0.3*sin(u)", "w": "0.2*cos(u)"}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        grid = bour4.grids.grid_for(helicoid_from_json(spec), 5, 4)
+        u, v = grid.us()[2], grid.vs()[1]
+        x = helicoid_jet(helicoid_from_json(spec), u, v).X
+        self.patch_first_form(monkeypatch, lambda y: abs(y.x1 - x.x1) + abs(y.x2 - x.x2) < 1e-12,
+                              (-1.0, 0.0, -1.0, 1.0))
+        assert main(["export", "--spec", str(path), "--grid", "5x4", "--format", "csv",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: g11 = -1.0 <= 0 on a spacelike surface [at u = {u!r}, v = {v!r}]\n")
 
 
 class TestMeanCurvatureVector:

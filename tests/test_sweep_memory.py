@@ -1,12 +1,14 @@
 """No grid-sweep consumer keeps a whole-grid copy of its outputs.
 
-The traced peak of a consumer over a 150x150 grid stays within what one
-block costs.  A block's cost is the traced peak of the same call on a grid
-one block high; it is allowed twice, because the loop still holds the last
-block's outputs while the sweep computes the next one, and numpy keeps
-small caches.  Sweep blocks and write groups are patched to two rows (of
-CSV lines), so that a whole-grid array of even one float a point would
-exceed the bound of ``report``, the pair report and ``verify``.
+The traced peak of a consumer over a grid of 150 points a row, 150 rows
+(300 for a mesh), stays within what one block costs.  A block's cost is the
+traced peak of the same call on a grid one block high; it is allowed twice,
+because the loop still holds the last block's outputs while the sweep
+computes the next one, and numpy keeps small caches.  Sweep blocks are
+patched to two rows, and write groups to two rows of CSV lines (to one row
+of OBJ vertex values for a mesh, whose writer takes about 200 bytes a
+value), so that a whole-grid array of even one float a point would exceed
+every bound.
 ``report`` folds its statistics, and the pair report behind ``verify``
 and ``example`` its residuals and variances, per block; a sampled mesh and
 its writers, as ``example`` and ``export`` run them, read one block at a
@@ -51,14 +53,20 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def assert_no_whole_grid_copy(run, monkeypatch) -> None:
-    """run(nu) sweeps nu rows of N points and keeps nothing a point."""
+def assert_no_whole_grid_copy(run, monkeypatch, rows=N, values=2 * N * 10) -> None:
+    """run(nu) sweeps nu rows of N points and keeps nothing a point: over
+    ``rows`` rows, in write groups of ``values`` values."""
     monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 2 * N)
-    monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", 2 * N * 10)
+    monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", values)
     run(3)  # tables, their array copies and numpy's caches exist from here on
     block = traced_peak(lambda: run(2))
-    peak = traced_peak(lambda: run(N))
+    peak = traced_peak(lambda: run(rows))
     assert peak <= 2 * block, (peak, block)
+
+
+#: A mesh's write group is one grid row of OBJ vertex values, 9 a point, so
+#: that a block costs about 360 kB; a float a point over its 300 rows, 360 kB.
+MESH = {"rows": 2 * N, "values": 9 * N}
 
 
 def test_mesh_and_writers_keep_no_whole_grid_copy(monkeypatch):
@@ -67,7 +75,7 @@ def test_mesh_and_writers_keep_no_whole_grid_copy(monkeypatch):
         write_csv(mesh, Discard())
         write_obj(mesh, Discard(), "drop-constant")
 
-    assert_no_whole_grid_copy(run, monkeypatch)
+    assert_no_whole_grid_copy(run, monkeypatch, **MESH)
 
 
 class HeldMesh:
@@ -138,4 +146,4 @@ def test_export_keeps_no_whole_grid_copy(tmp_path, monkeypatch, fmt):
         assert main(["export", "--spec", str(spec), "--grid", f"{nu}x{N}", "--format", fmt,
                      "--projection", "drop-4", "--out", str(tmp_path / f"mesh.{fmt}")]) == 0
 
-    assert_no_whole_grid_copy(run, monkeypatch)
+    assert_no_whole_grid_copy(run, monkeypatch, **MESH)
