@@ -85,10 +85,13 @@ class Family(NamedTuple):
         as a derivation, A(a ^ b) = Aa ^ b + a ^ Ab, whose cube is A's
         multiple as on vectors (-A, A or 0), so f1 and f2 hold there too."""
         shape, at = (-1,) + (1,) * (x.ndim - 1), np.cumsum([0, *sizes])
-        i, c = (np.concatenate(p, axis=1) for p in zip(*(
-            (self.action[k][0] + a, self.action[k][1]) for k, a in zip(sizes, at))))
-        A = lambda y: sum((y[k] * ck.reshape(shape) for k, ck in zip(i, c)), 0.0)  # noqa: E731
-        lt = [lam * np.array(self.kernel[0]) if lam else np.zeros(k) for k, lam in zip(sizes, lams)]
+        # each field of Ax adds its two terms, 0-padded, to 0.0 one by one
+        i, c = np.array([[(a + j, f) for j, f in t + [(0, 0.0)] * (2 - len(t))]
+                         for k, a in zip(sizes, at) for t in self.action[k]]).T
+        i, c = i.astype(np.intp), c.reshape(c.shape + shape[1:])
+        A = lambda y: sum((y[k] * f for k, f in zip(i, c)), 0.0)  # noqa: E731
+        lt = [lam * np.array(self.kernel[0]) if lam else np.zeros(k)
+              for k, lam in zip(sizes, lams)]
         ax = A(x)
         return x, ax, A(ax), np.concatenate(lt).reshape(shape)
 
@@ -243,15 +246,11 @@ def _gauss_III(lam, x, z, w, v, c):
 
 def _action(A: Callable) -> dict:
     """A on Vec4 (4) and, as a derivation, on Bivector6 (6), from A on the
-    basis: the two fields that each field of Ax reads and their factors,
-    0-padded (a field of three terms fails here)."""
-    e, action = (E1, E2, E3, E4), {}
-    for m in (list(map(A, e)), [wedge(A(a), b) + wedge(a, A(b))
-                                for i, a in enumerate(e) for b in e[i + 1:]]):
-        terms = [[(j, c) for j, c in enumerate(r) if c] for r in zip(*m)]
-        j, c = np.array([t + [(0, 0.0)] * (2 - len(t)) for t in terms]).T
-        action[len(m)] = (j.astype(np.intp), c)
-    return action
+    basis: per field of Ax, the (field, factor) pairs of its nonzero terms."""
+    e = (E1, E2, E3, E4)
+    return {len(m): [[(j, c) for j, c in enumerate(r) if c] for r in zip(*m)]
+            for m in (list(map(A, e)), [wedge(A(a), b) + wedge(a, A(b))
+                                        for i, a in enumerate(e) for b in e[i + 1:]])}
 
 
 FAMILIES = {kind: fam._replace(action=_action(fam.generator)) for kind, fam in {
@@ -493,11 +492,12 @@ def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -
     ``row`` returns the outputs that hold along v, the (value, pitch) pairs
     that the group moves (``Family.orbit``), both at v = 0, and (value,
     pitch, direct, first form) checks: the value moved to vc must lie within
-    ORBIT_TOL of the direct route's there, or a NumericalError names u.  vc is the grid's v nearest 0 but 0: far out,
-    wide kind-II windows cost the direct route its digits.  Returns the
-    block of rows, whose ``tolerated`` rows failed, the fixed outputs of the
-    others, and, a block of their rows (``grids.spans``) at a time, the
-    moved values' fields at each point (fields, rows, v), finite.
+    ORBIT_TOL of the direct route's there, or a NumericalError names u.
+    vc is the grid's v nearest 0 but 0: far out, wide kind-II windows cost
+    the direct route its digits.  Returns the block of rows, whose
+    ``tolerated`` rows failed, the fixed outputs of the others, and, a block
+    of their rows (``grids.spans``) at a time, the moved values' fields at
+    each point (fields, rows, v), finite.
     """
     vs, form = grid.vs(), []
     vc = min(vs, key=lambda v: (v == 0.0, abs(v)))
