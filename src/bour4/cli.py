@@ -122,7 +122,7 @@ def _load_spec(path: str) -> HelicoidSpec:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ValidationError(f"spec file is not valid JSON: {exc}") from None
     return helicoid_from_json(raw)
 
@@ -273,7 +273,7 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
             claims = (*SAME_GAUSS_CLAIMS, "gauss_differ")
             if not (isinstance(expect, list) and all(name in claims for name in expect)):
                 raise ValueError(f"expect must be a list of claims from {claims}, got {expect!r}")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"bad pair file: {exc}") from None
         r = bour_partner(h, gauge_complete(h, given, expr), constants=constants)
         return h, r, expect, "pair-file", None

@@ -148,11 +148,20 @@ def _tokenize(src: str):
     yield ("end", "", n)
 
 
+#: The most levels an expression may nest: parentheses, calls, negations and
+#: exponents open at once, and the height of its tree (a chain of n operands
+#: takes n - 1).  Parsing takes ~6 frames a level and each walk of a tree 1 to
+#: 3, so all stay well within Python's default recursion limit of 1000, with
+#: room for the 13 levels a shared-Gauss-map template adds.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = list(_tokenize(src))
         self.pos = 0
+        self.open = 0  # the parentheses, calls, negations and exponents open
+        self.height = 0  # of the tree parsed last
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,41 +177,46 @@ class _Parser:
             raise ExprSyntaxError(f"expected '{op}'", off)
         return self.advance()
 
+    def nested(self, parse, off: int) -> Expr:
+        """parse() one level further in, at off."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests more than {MAX_DEPTH} levels deep", off)
+        e = parse()
+        self.open -= 1
+        return e
+
+    def node(self, e: Expr, off: int, other: int = 0) -> Expr:
+        """e, at off, over the tree parsed last and one of height ``other``."""
+        self.height = max(self.height, other) + 1
+        if self.height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests more than {MAX_DEPTH} levels deep", off)
+        return e
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e = self.chain()
         kind, text, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected '{text}'", off)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                left = Bin(text, left, right, span=(left.span[0], right.span[1]))
-            else:
-                return left
-
-    def term(self) -> Expr:
-        left = self.unary()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.unary()
-                left = Bin(text, left, right, span=(left.span[0], right.span[1]))
-            else:
-                return left
+    def chain(self, ops: str = "+-") -> Expr:
+        """Operands joined by the operators in ops, associating left: an
+        expr for "+-", a term for "*/"."""
+        operand = partial(self.chain, "*/") if ops == "+-" else self.unary
+        left = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            _, op, off = self.advance()
+            height, right = self.height, operand()
+            left = self.node(Bin(op, left, right, span=(left.span[0], right.span[1])), off, height)
+        return left
 
     def unary(self) -> Expr:
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            arg = self.unary()
-            return Neg(arg, span=(off, arg.span[1]))
+            arg = self.nested(self.unary, off)
+            return self.node(Neg(arg, span=(off, arg.span[1])), off)
         return self.power()
 
     def power(self) -> Expr:
@@ -210,12 +224,13 @@ class _Parser:
         kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.unary()
-            return Bin("^", base, exponent, span=(base.span[0], exponent.span[1]))
+            height, exp = self.height, self.nested(self.unary, off)
+            return self.node(Bin("^", base, exp, span=(base.span[0], exp.span[1])), off, height)
         return base
 
     def atom(self) -> Expr:
         kind, text, off = self.advance()
+        self.height = 0
         if kind == "num":
             return Num(float(text), span=(off, off + len(text)))
         if kind == "name":
@@ -226,12 +241,12 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise UnknownIdentifierError(text, off)
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.chain, off)
                 close = self.expect_op(")")
-                return Call(text, arg, span=(off, close[2] + 1))
+                return self.node(Call(text, arg, span=(off, close[2] + 1)), off)
             return Const(text, span=(off, off + len(text)))
         if kind == "op" and text == "(":
-            e = self.expr()
+            e = self.nested(self.chain, off)
             close = self.expect_op(")")
             return e._replace(span=(off, close[2] + 1))
         if kind == "end":
@@ -251,8 +266,9 @@ def _mentions_var(e: Expr) -> bool:
 def parse(src: str) -> Expr:
     """Parse source text into an Expr tree.
 
-    Raises ExprSyntaxError (with byte offset) on malformed input and
-    UnknownIdentifierError for a call to an unknown function.
+    Raises ExprSyntaxError (with byte offset) on malformed input or input
+    nested more than MAX_DEPTH levels deep, and UnknownIdentifierError for a
+    call to an unknown function.
     """
     return _Parser(src).parse()
 

@@ -315,6 +315,8 @@ def _number(value, what: str) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:  # an int too large for a float
+        x = math.inf
     if not math.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return x
@@ -481,8 +483,10 @@ def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
 #: How far a value moved by the group may lie from the direct route's y:
 #: sup |x - y| / max(1, sup |y|) over the fields of a Vec4 or Bivector6, per
 #: unit of (|g11 g22| + g12^2) / |W| of y's first form, the cancellation in W
-#: by which rounding moves y.  A wrong action misses by about |vc|.
+#: by which rounding moves y.  A wrong action misses by about ORBIT_CHECK_V.
 ORBIT_TOL = 1e-12
+#: The angle of every orbit check: far out, wide kind-II windows cost the direct route its digits.
+ORBIT_CHECK_V = 0.5
 
 
 def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -> tuple:
@@ -491,16 +495,13 @@ def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -
 
     ``row`` returns the outputs that hold along v, the (value, pitch) pairs
     that the group moves (``Family.orbit``), both at v = 0, and (value,
-    pitch, direct, first form) checks: the value moved to vc must lie within
-    ORBIT_TOL of the direct route's there, or a NumericalError names u.
-    vc is the grid's v nearest 0 but 0: far out, wide kind-II windows cost
-    the direct route its digits.  Returns the block of rows, whose
-    ``tolerated`` rows failed, the fixed outputs of the others, and, a block
-    of their rows (``grids.spans``) at a time, the moved values' fields at
-    each point (fields, rows, v), finite.
-    """
-    vs, form = grid.vs(), []
-    vc = min(vs, key=lambda v: (v == 0.0, abs(v)))
+    pitch, direct, first form) checks: the value moved to vc = ORBIT_CHECK_V
+    must lie within ORBIT_TOL of the direct route's there, or a
+    NumericalError names u.  Returns the block of rows, whose ``tolerated``
+    rows failed, the fixed outputs of the others, and, a block of their rows
+    (``grids.spans``) at a time, the moved values' fields at each point
+    (fields, rows, v), finite."""
+    vs, form, vc = grid.vs(), [], ORBIT_CHECK_V
 
     def f(u):  # the fixed outputs, the moved and checked values, the direct values and forms
         out, moved, checked = row(u, vc)

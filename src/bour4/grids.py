@@ -1,10 +1,11 @@
 """Uniform parameter grids and one block evaluator over them.
 
 A function written once over floats and arrays is called once on the open
-mesh of a block's coordinate axes: rows of a (u, v) grid for residual
-checks, reports and meshes (``sweep``), or the midpoints of a u-domain for
-domain checks (``scan``).  Its non-finite points are re-run on floats for
-their own errors; a sweep's names the grid point it failed at."""
+mesh of a block's coordinate axes: ``f(u, v)`` on rows of a (u, v) grid for
+meshes (``sweep``), ``f(u)`` on a grid's u column for the rows of an orbit
+sweep (``rows``), or on the midpoints of a u-domain for domain checks
+(``scan``).  Its non-finite points are re-run on floats for their own
+errors; on a grid, such an error names the point it was raised at."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import NonFiniteError, NumericalError
-from .jets import Jet2
 from .lorentz import BLOCK_POINTS
 
 if TYPE_CHECKING:
@@ -101,29 +101,18 @@ def _named(f: Callable, tolerated: tuple[type[Exception], ...]) -> Callable:
     return at
 
 
-def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = (),
-          once: Callable = lambda u: ()) -> Iterator[Block]:
-    """Evaluate ``f(u, v, *once(u))`` over the grid, one block of rows at a time.
-
-    Both are written over floats and arrays.  ``once``, the work on u alone,
-    runs on the grid's whole u column; each block calls ``f`` once, on a
-    column of its rows' u, the row of v and its rows of ``once``'s result.
-    A point with a non-finite output is re-run on floats through the same
-    call, in row-major order, for its own error: a ``tolerated`` one is
+def sweep(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = ()) -> Iterator[Block]:
+    """Evaluate ``f(u, v)``, written over floats and arrays, over the grid,
+    one block of rows at a time: each block calls ``f`` once, on a column of
+    its rows' u and the row of v.  A point with a non-finite output is re-run
+    on floats, in row-major order, for its own error: a ``tolerated`` one is
     recorded in the block, any other propagates, a NumericalError with
-    " [at u = ..., v = ...]" appended.  When ``once`` or a block raises on
-    arrays, the first point is re-run so, tolerating nothing.
-    """
+    " [at u = ..., v = ...]" appended.  When a block raises on arrays, its
+    first point is re-run so, tolerating nothing."""
     us, vs = grid.us(), grid.vs()
-    at = _named(lambda u, v: f(u, v, *once(u)), tolerated)
-    try:
-        with np.errstate(all="ignore"):
-            column = once(np.array(us)[:, None])
-    except Exception as exc:
-        _rerun(at, (us[0], vs[0]), (), exc)
+    at = _named(f, tolerated)
     for rows in spans(len(us), len(vs)):
-        pre = _rows(column, rows)
-        yield _evaluate((us[rows], vs), lambda u, v: f(u, v, *pre), at, tolerated)
+        yield _evaluate((us[rows], vs), f, at, tolerated)
 
 
 def rows(grid: Grid, f: Callable, tolerated: tuple[type[Exception], ...] = ()) -> Block:
@@ -141,17 +130,6 @@ def require_finite(us: list[float], vs: list[float], x: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
     if bad.size:
         raise _non_finite((us[bad[0] // len(vs)], vs[bad[0] % len(vs)]))
-
-
-def _rows(x, rows: slice):
-    """The rows of a once-per-sweep result: of each array, in jets, tuples and dicts."""
-    if isinstance(x, np.ndarray):
-        return x[rows] if x.ndim and len(x) > 1 else x
-    if isinstance(x, Jet2):
-        return Jet2(_rows(x.v, rows), _rows(x.d1, rows), _rows(x.d2, rows))
-    if isinstance(x, dict):
-        return {key: _rows(y, rows) for key, y in x.items()}
-    return tuple(_rows(y, rows) for y in x) if isinstance(x, tuple) else x
 
 
 def scan(domain: tuple[float, float], n: int, f: Callable) -> tuple[np.ndarray, np.ndarray]:

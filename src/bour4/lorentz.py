@@ -48,11 +48,6 @@ def where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def any_(cond) -> bool:
-    """Whether cond holds anywhere."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
 def flag(bad, error, message: str, *args):
     """A failed check: raise ``error(message.format(*args))`` when ``bad`` is true.
 
@@ -222,10 +217,5 @@ _PSEUDO_WEDGES = tuple(
 
 def bivector_from_pseudo(c12, c13, c14, c23, c24, c34) -> Bivector6:
     """Assemble a 2-vector given components on the wedge basis of {e1, e2, xi3, xi4}."""
-    coeffs = (c12, c13, c14, c23, c24, c34)
-    out = Bivector6(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    for c, w in zip(coeffs, _PSEUDO_WEDGES):
-        used = c != 0.0
-        if any_(used):
-            out = where(used, out + w * c, out)
-    return out
+    return sum((w * c for c, w in zip((c12, c13, c14, c23, c24, c34), _PSEUDO_WEDGES)),
+               Bivector6(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))

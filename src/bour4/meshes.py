@@ -23,13 +23,13 @@ bytes); a face index, into one as wide as the digits of the vertex count.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
-from .families import HelicoidSpec, RotationalSpec, helicoid_jet, profile_jets
+from .families import HelicoidSpec, RotationalSpec, helicoid_jet
 from .grids import Grid, sweep
 from .surfaces import curvature_report
 
@@ -42,15 +42,16 @@ def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
     """The samples of each sweep block of rows, in row order, one row per
     output: x1..x4 and, with ``channels``, the scalar channels, nan off the
     spacelike locus."""
-    def f(u, v, profile):  # a callable surface reads no profile
-        j = surface(u, v) if callable(surface) else helicoid_jet(surface, u, v, profile)
+    jet = surface if callable(surface) else partial(helicoid_jet, surface)
+
+    def f(u, v):
+        j = jet(u, v)
         if not channels:
             return j.X
         rep = curvature_report(j)
         return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError),
-                       lambda u: (None if callable(surface) else profile_jets(surface, u),)):
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
         block.out[4:, block.tolerated] = math.nan
         yield block.out
 
@@ -98,11 +99,11 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshStrea
     """A surface's mesh over the grid; curvature channels are nan off the
     spacelike locus.
 
-    The surface is read through ``helicoid_jet``, its profile once per
-    sweep and the geometry on blocks of rows.  A callable (u, v) ->
-    SurfaceJet is accepted in place of a spec and called on each block's u
-    column and v row; one that takes floats only raises its own error on
-    the arrays, when the rows are read.
+    The surface is read through ``helicoid_jet``, its profile and geometry
+    once per sweep block, on the block's rows.  A callable (u, v) ->
+    SurfaceJet is accepted in place of a spec and called the same way, on
+    each block's u column and v row; one that takes floats only raises its
+    own error on the arrays, when the rows are read.
     """
     return MeshStream(surface, grid)
 

@@ -107,7 +107,8 @@ DOMAIN_ENDS = st.sampled_from(["nan", "inf", "1e200"]) | st.floats(-5.0, 5.0).ma
 EXPRESSIONS = (st.sampled_from(["0", "2", "u", "1/2", "u/3", "2 + u", "1 - u", "(u - 1)^2",
                                 "cos(u)", "sqrt(u)", "sqrt(-1)", "1/(u - 2)", "log(u - 1)",
                                 "exp(1000*u)", "asin(u)", "c1", "q", "u^", "(", "",
-                                "1e308*u^2", "u^(1/2)", "tan(u)", "u^((0-8)^(1/3))"])
+                                "1e308*u^2", "u^(1/2)", "tan(u)", "u^((0-8)^(1/3))",
+                                "(" * 200 + "u" + ")" * 200])
                | st.text(max_size=4))
 GRIDS = st.sampled_from(["3x3", "2x4", "4X2", "1x3", "3x0", "-2x3", "3", "x", "3x3x3",
                          "ax3", "2001x2", " 3x3 ", ""])
@@ -382,11 +383,13 @@ GAUGE_II = "0.43276706790505337"
 
 
 class TestVerify:
-    @pytest.mark.parametrize("window", [[0, 20], [0, 8]])
+    @pytest.mark.parametrize("window", [[0, 20], [0, 8], [-200, 200]])
     def test_a_wide_boost_window_keeps_the_first_forms(self, tmp_path, window):
         # at v = 19.6 the generic first form cancels at a boost of cosh v (W
         # came out 0.0, exit 3) and at v = 7.8 it kept 7 digits; both hold
-        # along v and are read at v = 0
+        # along v and are read at v = 0.  The group is checked at one fixed
+        # angle, not at the grid's v nearest 0 (-48 on [-200, 200], where W
+        # came out 0.0 too)
         spec = write_json(tmp_path / "s.json", {**SEEDED_II, "v_domain": window})
         out = tmp_path / "v.json"
         assert main(["verify", "--theorem", "3.5", "--spec", spec, "--gauge-a", GAUGE_II,
@@ -397,7 +400,7 @@ class TestVerify:
         ["report"], ["verify", "--theorem", "3.5", "--gauge-a", GAUGE_II]])
     def test_a_wrong_group_action_exits_3(self, tmp_path, monkeypatch, capsys, command):
         # the action of -s in place of s misses the direct route at the check
-        # column: one stderr line names u there
+        # angle: one stderr line names u and that angle
         fam = bour4.families.FAMILIES[bour4.families.SurfaceKind.II]
         flipped = fam._replace(coefficients=lambda s: (-fam.coefficients(s)[0],
                                                        fam.coefficients(s)[1]))
@@ -407,7 +410,7 @@ class TestVerify:
                      "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the group moves a row ") and err.count("\n") == 1
-        assert err.endswith(" at u = 0.524, v = -0.18849555921538763\n")
+        assert err.endswith(" at u = 0.524, v = 0.5\n")
 
     def test_theorem_33_passes(self, tmp_path):
         out = tmp_path / "v.json"
@@ -499,11 +502,11 @@ class TestVerify:
         ("partner_constants", ["abc", 0]), ("partner_constants", [1.0]),
         ("partner_constants", [0.0, 0.0, 1.0]), ("partner_constants", 2.0),
         ("partner_constants", ["0.5", 0.0]), ("partner_constants", [0.0, False]),
-        ("partner_constants", [float("nan"), 0.0]),
+        ("partner_constants", [float("nan"), 0.0]), ("partner_constants", [10**400, 0]),
         ("gauge", {"given": "a", "expr": 0.5}),
         ("expect", ["isometic"]), ("expect", "isometric"),
     ], ids=["consts0", "consts1", "consts2", "2.0", "consts-string", "consts-bool", "consts-nan",
-            "gauge-expr-number", "expect-unknown-claim", "expect-string"])
+            "consts-huge", "gauge-expr-number", "expect-unknown-claim", "expect-string"])
     def test_pair_file_bad_partner_constants_exit_2(self, tmp_path, capsys, field, value):
         pair = {"helicoid": {"kind": "I", "lambda": 1.0,
                              "profile": {"x": "u", "z": "0", "w": "u/2"},
@@ -540,8 +543,10 @@ class TestVerify:
          "error: c2 must be finite, got nan\n"),
         (["--theorem", "3.6", "--lambda", "1", "--c3", "-0.5"],
          "error: --theorem 3.6 needs --w, --lambda and --c3\n"),
+        (["--theorem", "3.3", "--x", "(" * 200 + "u" + ")" * 200, "--lambda", "1", "--c3", "0.5"],
+         "error: expression nests more than 100 levels deep (offset 100)\n"),
     ], ids=["huge-pitch", "tiny-pitch", "constant-x", "underflow", "overflowing-domain",
-            "infinite-c1", "nan-c2", "missing-w"])
+            "infinite-c1", "nan-c2", "missing-w", "deep-x"])
     def test_degenerate_pair_inputs_exit_2_or_3(self, capsys, args, err):
         code = main(["verify", *args, "--grid", "3x3"])
         assert code == (2 if err.startswith("error: ") else 3)
@@ -841,12 +846,28 @@ class TestInputValidation:
         {"lambda": True},
         {"domain": ["1.5", 3.0]},
         {"constants": {"c1": "0.5"}},
+        {"lambda": 10**400},
+        {"constants": {"c1": 10**400}},
+        {"domain": [1.5, 10**400]},
+        {"profile": {"x": "(" * 200 + "u" + ")" * 200, "z": "c1", "w": "0"}},
+        {"profile": {"x": " + ".join(["u"] * 1201), "z": "c1", "w": "0"}},
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, change):
         spec = write_json(tmp_path / "s.json", {**COR34, **change})
         assert main(["report", "--spec", spec, "--grid", "5x5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option, data, prefix", [
+        ("--spec", COR34, "error: spec file is not valid JSON: "),
+        ("--pair-file", FLOW_PAIR, "error: bad pair file: ")])
+    def test_an_integer_past_the_digit_limit_exits_2(self, tmp_path, option, data, prefix):
+        # written as text: json.dumps refuses an int of more than 4300 digits
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data).replace("1.0", "1" + "0" * 5000, 1))
+        command = ["report"] if option == "--spec" else ["verify"]
+        code, err = run_cli([*command, option, str(path), "--grid", "3x3"])
+        assert code == 2 and err.startswith(prefix) and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("field", ["domain", "v_domain"])
     @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import pickle
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from bour4.bour import _W_TEMPLATE_I, _X_TEMPLATE_II, constraint_rhs
 from bour4.errors import (EvalDomainError, ExprSyntaxError,
                           UnknownIdentifierError)
-from bour4.expressions import (FUNCTIONS, Bin, Call, Const, Neg, Num, Var, eval_jet,
-                               parse, substitute, to_source)
+from bour4.expressions import (FUNCTIONS, MAX_DEPTH, Bin, Call, Const, Neg, Num, Var,
+                               eval_jet, parse, substitute, to_source)
 from bour4.families import make_helicoid
 
 # text of the fourth profile component used in the first bundled example
@@ -91,6 +92,30 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as info:
             parse("u + 2 % 3")
         assert info.value.offset == 6
+
+    @pytest.mark.parametrize("nest, token", [
+        (lambda n: "(" * n + "u" + ")" * n, "("),
+        (lambda n: "sin(" * n + "u" + ")" * n, "sin"),
+        (lambda n: "-" * n + "u", "-"),
+        (lambda n: "2^" * n + "2", "^"),
+        (lambda n: "+".join("u" * (n + 1)), "+"),
+        (lambda n: "/".join("u" * (n + 1)), "/"),
+        # each group's chain of 10 adds 10 levels to the group inside it
+        (lambda n: "(" * 10 + "u" + ("+u" * 10 + ")") * 10 + "+u" * (n - 100), "+"),
+    ], ids=["parentheses", "calls", "negations", "exponents", "sum", "quotient", "groups"])
+    def test_nesting_past_the_bound_is_refused(self, nest, token):
+        # at the bound, and 13 template levels deeper, every walk of the tree
+        # stays within the recursion limit
+        e = parse(nest(MAX_DEPTH))
+        t = substitute(parse(_X_TEMPLATE_II), {"X": e})
+        assert parse(to_source(e)) == e and hash(t) == hash(substitute(t, {}))
+        with contextlib.suppress(EvalDomainError):
+            eval_jet(t, 0.5, {"c3": -0.5, "lam": 1.0})
+        src = nest(MAX_DEPTH + 1)
+        with pytest.raises(ExprSyntaxError, match=f"nests more than {MAX_DEPTH} levels deep"
+                           ) as info:
+            parse(src)
+        assert info.value.offset == src.rindex(token)
 
     def test_precedence(self):
         assert eval_jet(parse("2 + 3*4"), 0.0).v == 14.0

@@ -148,14 +148,15 @@ class TestOneJetEntry:
         pair_report(spec, partner, grid_for(spec, 7, 5))
         # the helicoid, whose jet also gives its metric, and the partner, on
         # the grid's u column at v = 0 (the partner at its angle shift(u)
-        # there) and at the check column
+        # there) and at the check angle
         assert calls == [("HelicoidSpec", (7, 1), ()), ("RotationalSpec", (7, 1), (7, 1))] * 2
 
 
 class TestOnePassPerSweep:
     """A pair report builds each surface's first form once at v = 0 and once
-    at the check column, and every sweep evaluates each surface's profile
-    once, on the grid's whole u column, however many blocks it takes."""
+    at the check angle, and evaluates each surface's profile once, on the
+    grid's whole u column, however many blocks it takes; a mesh evaluates
+    its profile once per sweep block, on the block's rows."""
 
     @pytest.fixture
     def pair(self, monkeypatch):
@@ -186,17 +187,20 @@ class TestOnePassPerSweep:
 
     def test_profiles_once_per_sweep(self, pair, monkeypatch):
         spec, partner, grid = pair
-        calls = self.counted(monkeypatch, "profile_jets",
-                             (bour4.families, bour4.bour, bour4.meshes),
-                             lambda surface, u: (type(surface).__name__, np.shape(u)))
+        calls = self.counted(monkeypatch, "profile_jets", (bour4.families, bour4.bour),
+                             lambda surface, u: (type(surface).__name__, np.shape(u),
+                                                 np.ravel(u).tolist()))
         pair_report(*pair)
         # the helicoid's profile is also read by the angular map's rate and the
         # partner's gauge, each once per sweep too
-        assert {shape for _, shape in calls} == {(grid.nu, 1)}
-        assert ("RotationalSpec", (grid.nu, 1)) in calls
+        assert {shape for _, shape, _ in calls} == {(grid.nu, 1)}
+        assert ("RotationalSpec", (grid.nu, 1)) in [call[:2] for call in calls]
         calls.clear()
         one_pass(spec, grid)
-        assert calls == [("HelicoidSpec", (grid.nu, 1))]
+        # 7 rows, in blocks of 2, 2, 2 and 1: each grid u once
+        assert [call[:2] for call in calls] == [("HelicoidSpec", (2, 1))] * 3 + [
+            ("HelicoidSpec", (1, 1))]
+        assert [u for *_, us in calls for u in us] == grid.us()
 
 
 class TestMeshStream:
