@@ -37,9 +37,9 @@ from .bour import (bour_partner, gauge_complete, pair_report, pitch_bound,
                    same_gauss_pair_I, same_gauss_pair_II)
 from .errors import (DegenerateSurfaceError, NotSpacelikeError, NumericalError,
                      ValidationError)
-from .families import (FAMILIES, HelicoidSpec, RotationalSpec, SurfaceKind,
+from .families import (FAMILIES, HelicoidSpec, RotationalSpec, SurfaceKind, _number, _shown,
                        closed_form_curvatures, helicoid_from_json, helicoid_to_json,
-                       make_helicoid, orbit_sweep, profile_jets)
+                       make_helicoid, orbit_sweep, profile_jets, read_json)
 from .grids import Grid, grid_for
 from .meshes import CHANNEL_NAMES, sample_mesh, write_csv, write_obj
 from .quadrature import default_tolerance
@@ -119,10 +119,10 @@ def _dump_json(data: dict, path: str | None) -> None:
 
 def _load_spec(path: str) -> HelicoidSpec:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = read_json(Path(path).read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    except ValueError as exc:
         raise ValidationError(f"spec file is not valid JSON: {exc}") from None
     return helicoid_from_json(raw)
 
@@ -258,17 +258,18 @@ def _verify_pair(args) -> tuple[HelicoidSpec, RotationalSpec, list[str], str, di
     if args.pair_file is not None:
         _refuse_unread(args, "--pair-file", "")
         try:
-            raw = json.loads(Path(args.pair_file).read_text())
+            raw = read_json(Path(args.pair_file).read_text())
             h = helicoid_from_json(raw["helicoid"])
             gspec = raw["gauge"]
             given, expr = gspec["given"], gspec["expr"]
             if not isinstance(expr, str):
                 raise TypeError(f"gauge expr must be an expression string, got {expr!r}")
             c0, c1 = raw.get("partner_constants", (0.0, 0.0))
-            constants = (float(c0), float(c1))
-            if any(isinstance(c, (str, bool)) for c in (c0, c1)) or not all(
-                    map(math.isfinite, constants)):
-                raise ValueError(f"partner_constants must be two finite numbers, got {[c0, c1]!r}")
+            try:
+                constants = tuple(_number(c, "partner_constants") for c in (c0, c1))
+            except ValidationError:
+                raise ValueError(f"partner_constants must be two finite numbers, "
+                                 f"got {_shown([c0, c1])}") from None
             expect = raw.get("expect", ["isometric"])
             claims = (*SAME_GAUSS_CLAIMS, "gauss_differ")
             if not (isinstance(expect, list) and all(name in claims for name in expect)):

@@ -23,6 +23,7 @@ array that broadcasts against them.
 
 from __future__ import annotations
 
+import json
 import math
 from enum import Enum
 from functools import cached_property
@@ -308,17 +309,42 @@ class HelicoidSpec(_HelicoidFields):
         return VbarMap(self)
 
 
+def read_json(text: str):
+    """json.loads, an integer past Python's digit limit for int() read as a
+    power of ten of as many digits: no float holds either, and ``_shown``
+    shows both by their digit count."""
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            return (-1 if digits[0] == "-" else 1) * 10 ** (len(digits.lstrip("-")) - 1)
+
+    return json.loads(text, parse_int=integer)
+
+
+def _shown(value) -> str:
+    """repr of a spec value, an integer of more than 17 digits (also in a
+    list) shown by its digit count."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    if isinstance(value, int) and not -10**17 < value < 10**17:
+        n = abs(value)
+        k = int(math.log10(n)) + 1  # str(n) fails past the digit limit
+        return f"an integer of {k + (n >= 10**k) - (n < 10**(k - 1))} digits"
+    return repr(value)
+
+
 def _number(value, what: str) -> float:
     try:
         if isinstance(value, (str, bool)):  # not numbers, whatever float() makes of them
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+        raise ValidationError(f"{what} must be a number, got {_shown(value)}") from None
     except OverflowError:  # an int too large for a float
         x = math.inf
     if not math.isfinite(x):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be finite, got {_shown(value)}")
     return x
 
 
@@ -326,10 +352,10 @@ def _interval(value, what: str) -> tuple[float, float]:
     try:
         a, b = value
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be two numbers, got {value!r}") from None
+        raise ValidationError(f"{what} must be two numbers, got {_shown(value)}") from None
     a, b = _number(a, what), _number(b, what)
     if not math.isfinite(b - a):
-        raise ValidationError(f"{what} {value!r} is too wide: its width overflows")
+        raise ValidationError(f"{what} {_shown(value)} is too wide: its width overflows")
     return a, b
 
 
@@ -349,7 +375,7 @@ def make_helicoid(kind, pitch: float, profile: Mapping[str, "str | Expr"],
     for name, e in profile.items():
         if not isinstance(e, (str, Expr)):
             raise ValidationError(
-                f"profile component {name!r} must be an expression string, got {e!r}")
+                f"profile component {name!r} must be an expression string, got {_shown(e)}")
     pitch = _number(pitch, "lambda")
     if pitch < 0.0:
         raise ValidationError(f"pitch must be a finite number >= 0, got {pitch!r}")
@@ -470,13 +496,6 @@ def helicoid_jet(surface: "HelicoidSpec | RotationalSpec", u, v,
     return orbit_jet(FAMILIES[surface.kind], surface.pitch, pj, v + surface.v_offset)
 
 
-def helicoid_position(spec: HelicoidSpec) -> Callable[[float, float], Vec4]:
-    """Position map only, for feeding the finite-difference oracle."""
-    def pos(u, v):
-        return helicoid_jet(spec, u, v).X
-    return pos
-
-
 # ---------------------------------------------------------------------------
 # the orbit reduction: rows evaluated at v = 0 and spread along v
 
@@ -498,9 +517,9 @@ def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -
     pitch, direct, first form) checks: the value moved to vc = ORBIT_CHECK_V
     must lie within ORBIT_TOL of the direct route's there, or a
     NumericalError names u.  Returns the block of rows, whose ``tolerated``
-    rows failed, the fixed outputs of the others, and, a block of their rows
-    (``grids.spans``) at a time, the moved values' fields at each point
-    (fields, rows, v), finite."""
+    rows failed, the fixed outputs of the others, and, for each block of the
+    grid's rows (``grids.spans``), the moved values' fields at each point of
+    its other rows (fields, rows, v), finite."""
     vs, form, vc = grid.vs(), [], ORBIT_CHECK_V
 
     def f(u):  # the fixed outputs, the moved and checked values, the direct values and forms
@@ -537,14 +556,16 @@ def orbit_sweep(fam: Family, grid: Grid, row: Callable, tolerated: tuple = ()) -
     safe = (max(np.abs(c).max(initial=0.0) for c in (x, ax, a2x, lt)) * 4.0
             * np.abs([f1, f2, v]).max(initial=1.0) < 1e300)
 
+    # the kept rows of each block of the grid's rows (``grids.spans``), maybe none
+    ends = np.searchsorted(np.delete(np.arange(grid.nu), block.tolerated),
+                           [s.stop for s in spans(grid.nu, len(vs))])
+
     def blocks():
-        buf = None  # as large as the first block, the largest
-        for span in spans(len(us), len(vs)):
-            k = len(us[span])
-            buf = np.empty((2, len(x), k, len(vs))) if buf is None else buf
-            out, tmp = buf[:, :, :k]
+        buf = np.empty((len(x), np.diff(ends, prepend=0).max(initial=0), len(vs)))
+        for span in map(slice, [0, *ends[:-1]], ends):
+            out = buf[:, :span.stop - span.start]
             np.add(np.multiply(ax[:, span], f1, out=out), x[:, span], out=out)
-            np.add(out, np.multiply(a2x[:, span], f2, out=tmp), out=out)
+            out += a2x[:, span] * f2
             for i in pitched:
                 out[i] += lt[i, span] * v
             if not safe:

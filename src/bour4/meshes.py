@@ -7,53 +7,97 @@ explicitly (``drop-k``) or drop the one that is constant across the mesh
 dropped coordinate and the per-vertex scalar channels ride along in comment
 lines.  CSV keeps everything: u, v, x1..x4, K, H1, H2, W per row.
 
-A mesh (``sample_mesh``'s ``MeshStream``) is sampled one sweep block of rows
-at a time, as the writers read it, and keeps no other block: a write holds
-one block and one group of written rows at any grid size.  Each writer
-reads the rows once, in ascending order, and writes one grid row, or a
-group of rows of at most BLOCK_VALUES (8192) values, per write; a group
-takes at most about 180 bytes per value, 1.5 MB in all.  Their text is one
-repr per value, from integer array operations: Schubfach's shortest digits,
-laid out by repr's rules; zeros, subnormals, inf, nan and ties go through
-repr itself.  Each distinct float of a write (told apart by its bits: -0.0
-is not 0.0) is formatted once, into a field as wide as the longest repr (24
-bytes); a face index, into one as wide as the digits of the vertex count.
+A mesh (``sample_mesh``'s ``MeshStream``) reads each grid row once, at
+v = 0 (``families.orbit_sweep``), and samples one sweep block of rows at a
+time, as the writers read it: K, W and the first form hold along a row, the
+group moves Xu, Xv and Hvec along it, and H1 and H2 are read from those.
+Each writer reads the rows once, in ascending order, and writes one grid
+row, or a group of rows of at most BLOCK_VALUES (8192) values, per write; a
+group takes at most about 180 bytes per value, 1.5 MB in all.  Their text
+is one repr per value, from integer array operations: Schubfach's shortest
+digits, laid out by repr's rules; zeros, subnormals, inf, nan and ties go
+through repr itself.  A column whose bits hold along a grid row (-0.0 is
+not 0.0, a NaN is itself) is formatted once for that row, any other at
+each point, into a field as wide as the longest repr (24 bytes); a face
+index, into one as wide as the digits of the vertex count.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from .errors import DegenerateSurfaceError, NotSpacelikeError, ValidationError
-from .families import HelicoidSpec, RotationalSpec, helicoid_jet
-from .grids import Grid, sweep
-from .surfaces import curvature_report
+from .families import (FAMILIES, HelicoidSpec, RotationalSpec, _along, helicoid_jet, orbit_sweep,
+                       profile_jets)
+from .grids import Grid, require_finite, rows, spans, sweep
+from .lorentz import Vec4
+from .surfaces import (FirstForm, curvature_report, first_form, mean_curvature_vector,
+                       normal_components)
 
 CHANNEL_NAMES = ("K", "H1", "H2", "Hsup", "W")
 #: Columns of a row of samples: x1..x4, then the channels.
 COLUMNS = 4 + len(CHANNEL_NAMES)
+_TOLERATED = (NotSpacelikeError, DegenerateSurfaceError)
 
 
 def _blocks(surface, grid: Grid, channels: bool = True) -> Iterator[np.ndarray]:
     """The samples of each sweep block of rows, in row order, one row per
     output: x1..x4 and, with ``channels``, the scalar channels, nan off the
     spacelike locus."""
-    jet = surface if callable(surface) else partial(helicoid_jet, surface)
+    if callable(surface):  # a jet read at every point
+        def f(u, v):
+            j = surface(u, v)
+            if not channels:
+                return j.X
+            rep = curvature_report(j)
+            return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
 
-    def f(u, v):
-        j = jet(u, v)
-        if not channels:
-            return j.X
-        rep = curvature_report(j)
-        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
+        for block in sweep(grid, f, _TOLERATED):
+            block.out[4:, block.tolerated] = math.nan
+            yield block.out
+        return
+    fam, us, vs = FAMILIES[surface.kind], grid.us(), grid.vs()
+    v = np.array(vs)[None, :] + surface.v_offset
+    M, t, lv = fam.group(v), fam.kernel[0], surface.pitch * v
 
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
-        block.out[4:, block.tolerated] = math.nan
-        yield block.out
+    def row(u, vc):
+        # the profile, K and the first form at v = 0, and H1 and H2 there,
+        # which a failed frame check leaves nan; Xu, Xv and Hvec moved along
+        # v, and checked at vc
+        pj = profile_jets(surface, u)
+        j, d = (helicoid_jet(surface, u, a, pj) for a in (0.0, vc))
+        rep, there = curvature_report(j), first_form(d, True)
+        base, direct = (j.Xu, j.Xv, rep.Hvec), (d.Xu, d.Xv, mean_curvature_vector(d, there))
+        return ((*(x.v for x in fam.profile(pj)), rep.K, *rep.first, rep.H1, rep.H2),
+                [(x, 0.0) for x in base], [(x, 0.0, y, there) for x, y in zip(base, direct)])
+
+    if channels:
+        block, fixed, spread = orbit_sweep(fam, grid, row, _TOLERATED)
+        ok, form = ~np.isin(np.arange(len(us)), block.tolerated), fixed[3:8, :, None]
+        done = 0  # the spacelike rows sampled
+    else:
+        block = rows(grid, lambda u: tuple(x.v for x in fam.profile(profile_jets(surface, u))))
+    for span in spans(len(us), len(vs)):
+        out = np.empty((COLUMNS if channels else 4, len(us[span]), len(vs)))
+        for k, x in enumerate(_along(M(*block.out[:3, span, None]), lv, t)):  # orbit_jet's X
+            out[k] = x
+        require_finite(us[span], vs, out[:4])
+        if channels:  # from the moved Xu, Xv and Hvec of the block's spacelike rows
+            good, moved = ok[span], next(spread)
+            n = moved.shape[1]
+            (K, *g), kept = form[:, done:done + n], good if n < len(good) else slice(None)
+            done += n
+            Xu, Xv, Hvec = (Vec4(*x) for x in np.split(moved, 3))
+            c = out[4:]
+            c[:, ~good] = math.nan
+            c[0, kept], c[3, kept], c[4, kept] = K, np.abs(moved[8:]).max(axis=0), g[3]
+            c[1, kept], c[2, kept] = normal_components(Hvec, Xu, Xv, FirstForm(*g))
+            require_finite([u for u, y in zip(us[span], good) if y], vs, c[:, kept])
+        yield out.reshape(len(out), -1)
 
 
 class MeshStream:
@@ -88,7 +132,7 @@ class MeshStream:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each coordinate's least and greatest value, from a sweep of the
-        positions alone (the floats of the full sweep's x1..x4)."""
+        positions alone (the floats of a pass's x1..x4)."""
         ends = [(x.min(axis=1), x.max(axis=1))
                 for x in _blocks(self.surface, self.grid, channels=False)]
         lo, hi = zip(*ends)
@@ -99,11 +143,11 @@ def sample_mesh(surface: HelicoidSpec | RotationalSpec, grid: Grid) -> MeshStrea
     """A surface's mesh over the grid; curvature channels are nan off the
     spacelike locus.
 
-    The surface is read through ``helicoid_jet``, its profile and geometry
-    once per sweep block, on the block's rows.  A callable (u, v) ->
-    SurfaceJet is accepted in place of a spec and called the same way, on
-    each block's u column and v row; one that takes floats only raises its
-    own error on the arrays, when the rows are read.
+    A pass reads the profile once, on the grid's u column, and the geometry
+    through ``helicoid_jet`` there, at v = 0 and at the orbit check's angle.
+    A callable (u, v) -> SurfaceJet, kept for the benchmark's tests, is read
+    at every point, on each block's u column and v row; one that takes
+    floats only raises its own error on the arrays, when the rows are read.
     """
     return MeshStream(surface, grid)
 
@@ -233,17 +277,18 @@ def _shortest(mag: np.ndarray):
     """Schubfach on the bits of positive normal floats: the shortest digits
     (16 or 17 of them, trailing zeros kept), each value's row in the exponent
     tables, and which values are ties between two candidates."""
-    *scale, exponent_row = _TABLES.scale
-    c = mag & _M52
+    # each column is taken where it is first read, so that fewer arrays of a
+    # value each are held at once, and no temporary outlives its last read
+    g0, g1, *bounds, shift, exponent_row = _TABLES.scale
     i = (mag >> _S52).view(np.intp)
-    i[c == 0] += 2048  # a power of two: its lower neighbour is nearer
-    g0, g1, rc, rl, rh, lc, ll, lh, shift = (col.take(i) for col in scale)
-    cp = (c | _B52) << shift
-    c0, c1 = cp & _M32, cp >> _S32
-    x1, lo = _mul128(g0, c0, c1)
-    y1, y0 = _mul128(g1, c0, c1)
+    i[(mag & _M52) == 0] += 2048  # a power of two: its lower neighbour is nearer
+    c1 = ((mag & _M52) | _B52) << shift.take(i)
+    c0, c1 = c1 & _M32, c1 >> _S32
+    x1, lo = _mul128(g0.take(i), c0, c1)
+    y1, y0 = _mul128(g1.take(i), c0, c1)
     z = (y0 >> _ONE) + x1
     ah, al = y1 + (z >> _S63), z & _M63
+    rc, rl, rh, lc, ll, lh = (col.take(i) for col in bounds)
     # the value and its bounds times 4 10^-k, rounded to odd
     vb = ah | ((al + _M63) >> _S63)
     sl = al + rl + ((lo + rc) < lo)
@@ -306,7 +351,8 @@ class _Lines:
             bits = values.view(np.uint64)
             mag = bits & _M63
             special = (mag - _B52) >= np.uint64(0x7FE0000000000000)  # 0, subnormal, inf, nan
-            f, k, tie = _shortest(np.where(special, np.uint64(0x3FF0000000000000), mag))
+            mag = np.where(special, np.uint64(0x3FF0000000000000), mag)  # the unmasked go
+            f, k, tie = _shortest(mag)
             small = f < _E16
             f = np.where(small, f * _TEN, f)  # 17 digits
             k -= small
@@ -332,10 +378,12 @@ class _Lines:
                 tz[more] += zeros[d] + (d == 0) * (zeros[c] + (c == 0) * zeros[b])
             cls = eclass.take(k) - tz * _NE  # by digits left and exponent
             fallback = np.flatnonzero(special | tie)
-            for j, v in zip(fallback.tolist(), values[fallback].tolist()):
-                text = repr(v).encode()
-                rows[j, :len(text)] = np.frombuffer(text, np.uint8)
-                cls[j] = _RAW + len(text) - 1
+            if fallback.size:  # each distinct value once, through repr
+                distinct, at = np.unique(bits[fallback], return_inverse=True)
+                text = [repr(x).encode() for x in distinct.view(np.float64).tolist()]
+                table = np.array(text, f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+                rows[fallback, :_WIDTH], cls[fallback] = table[at], _RAW - 1 + np.array(
+                    [len(t) for t in text])[at]
         else:
             cls = _INT + np.searchsorted(10 ** np.arange(1, 18, dtype=np.uint64), f, side="right")
         flat, fields = self.rows.reshape(-1), np.empty((n, self.template.shape[1]), np.uint8)
@@ -362,11 +410,16 @@ def _write_rows(out: TextIO, fmt: str, rows: int, points: int, table, width=_WID
         out.write(lines.text(*table(i, min(i + group, rows))))
 
 
-def _distinct(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct floats of a table, told apart by their bits (-0.0 is not
-    0.0), and the index of each entry's float."""
-    bits, pick = np.unique(table.view(np.uint64), return_inverse=True)
-    return bits.view(np.float64), pick.reshape(table.shape)
+def _by_row(table: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The floats to format of a table of grid rows of ``points`` entries
+    each, and the index of each entry's float: where a column's bits hold
+    along a row (-0.0 is not 0.0, and a NaN is itself), the row's first
+    entry, elsewhere every entry."""
+    n, cols = table.shape
+    bits = table.view(np.uint64).reshape(-1, points, cols).transpose(0, 2, 1)  # row, column, point
+    kept = (bits != bits[..., :1]).any(axis=2, keepdims=True) | (np.arange(points) == 0)
+    pick = (np.cumsum(kept) - 1).reshape(kept.shape)  # an entry not kept takes its row's first
+    return bits[kept].view(np.float64), pick.transpose(0, 2, 1).reshape(n, cols)
 
 
 def write_obj(mesh: MeshStream, out: TextIO, projection: str = "drop-constant") -> int:
@@ -381,7 +434,7 @@ def write_obj(mesh: MeshStream, out: TextIO, projection: str = "drop-constant") 
               f"# projection: dropped coordinate x{drop + 1}\n"
               f"# per-vertex comments: vd x{drop + 1} " + " ".join(CHANNEL_NAMES) + "\n")
     _write_rows(out, "v %s %s %s\n# vd %s %s %s %s %s %s\n", nu, nv,
-                lambda i, j: _distinct(mesh.rows(i, j)[:, columns]))
+                lambda i, j: _by_row(mesh.rows(i, j)[:, columns], nv))
     corners = (np.arange(nv - 1)[:, None] + [0, 1, nv + 1, nv]).reshape(-1)  # faces below row 0
 
     def faces(i, j):  # the cells below rows i..j-1 pick from the 1-based indices of rows i..j
@@ -404,7 +457,7 @@ def write_csv(mesh: MeshStream, out: TextIO) -> int:
     u, v = np.split(_Lines("%s", len(grid))._fields(grid), [nu])  # formatted once
 
     def table(i, j):
-        values, pick = _distinct(mesh.rows(i, j)[:, _CSV_COLUMNS])
+        values, pick = _by_row(mesh.rows(i, j)[:, _CSV_COLUMNS], nv)
         return values, pick, (u[i:j].repeat(nv, axis=0), np.tile(v, (j - i, 1)))
 
     _write_rows(out, "%s," * 9 + "%s\n", nu, nv, table)

@@ -195,22 +195,29 @@ def classify_mean_curvature(Hvec: Vec4) -> bool:
 def curvature_report(j: SurfaceJet) -> CurvatureReport:
     """Curvature by the generic route: Hvec is ``mean_curvature_vector``, K
     comes from the Gauss equation on the normal parts h_jk of the second
-    derivatives, and H1, H2 are <Hvec, N1>, <Hvec, N2> in the normals of
-    ``orthonormal_frame(j)``, read without building them (Hvec is normal):
-    H2 = -Hvec.x4 / sqrt(1 + (g22 a^2 - 2 g12 a b + g11 b^2) / W), a = Xu.x4,
-    b = Xv.x4, the root the norm of e4's normal part; H1 = (Hvec.x1 c23 -
-    Hvec.x2 c13 + Hvec.x3 c12) / |c|, N1 along the spatial c = Xv x Xu."""
+    derivatives, and H1, H2 are ``normal_components``."""
     g11, g12, g22, W = ff = first_form(j, require_spacelike=True)
     bad = flag(g11 <= 0.0, FrameFailureError, "g11 = {!r} <= 0 on a spacelike surface", g11)
     h11, h12, h22 = (_normal_part(x, j, ff) for x in (j.Xuu, j.Xuv, j.Xvv))
     K = (minkowski_dot(h11, h22) - minkowski_dot(h12, h12)) / W
     Hvec = mean_curvature_vector(j, ff)
-    (x1, x2, x3, a), (y1, y2, y3, b) = j.Xu, j.Xv
+    H12 = normal_components(Hvec, j.Xu, j.Xv, ff)
+    return CurvatureReport(ff, *where(bad, math.nan, H12), Hvec, K)
+
+
+def normal_components(Hvec: Vec4, Xu: Vec4, Xv: Vec4, ff: FirstForm) -> tuple:
+    """<Hvec, N1> and <Hvec, N2> of a normal Hvec in the normals of
+    ``orthonormal_frame`` at tangents Xu, Xv of form ff, without building
+    them: H2 = -Hvec.x4 / sqrt(1 + (g22 a^2 - 2 g12 a b + g11 b^2) / W), a =
+    Xu.x4, b = Xv.x4, the root the norm of e4's normal part; H1 = (Hvec.x1
+    c23 - Hvec.x2 c13 + Hvec.x3 c12) / |c|, N1 along the spatial c = Xv x Xu."""
+    g11, g12, g22, W = ff
+    (x1, x2, x3, a), (y1, y2, y3, b) = Xu, Xv
     c12, c13, c23 = y1 * x2 - y2 * x1, y1 * x3 - y3 * x1, y2 * x3 - y3 * x2
     sqrt = xp(W).sqrt
     H1 = (Hvec.x1 * c23 - Hvec.x2 * c13 + Hvec.x3 * c12) / sqrt(c12 ** 2 + c13 ** 2 + c23 ** 2)
     H2 = -Hvec.x4 / sqrt(1.0 + (g22 * a * a - 2.0 * g12 * a * b + g11 * b * b) / W)
-    return CurvatureReport(ff, *where(bad, math.nan, (H1, H2)), Hvec, K)
+    return H1, H2
 
 
 def _normal_part(x: Vec4, j: SurfaceJet, ff: FirstForm) -> Vec4:

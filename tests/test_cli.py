@@ -812,15 +812,14 @@ class TestExport:
             reader.kill()
         assert fifo.is_fifo() and len(text.splitlines()) == 1 + 9
 
-    def test_failure_in_a_late_block_keeps_the_rows_written_before_it(
+    def test_a_failing_last_row_is_found_before_any_row_is_written(
             self, tmp_path, monkeypatch, capsys):
+        # a mesh reads every row at v = 0 before it writes one
         monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 10)
         monkeypatch.setattr(bour4.meshes, "BLOCK_VALUES", 100)  # 2 rows of CSV a write
         spec = write_json(tmp_path / "s.json", LATE_OVERFLOW)
         assert main(["export", "--spec", spec, "--grid", "9x5", "--format", "csv"]) == 3
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "u,v,x1,x2,x3,x4,K,H1,H2,W"
-        assert len(lines) == 1 + 8 * 5  # the rows before the failing one
+        assert capsys.readouterr().out.splitlines() == ["u,v,x1,x2,x3,x4,K,H1,H2,W"]
 
     def test_channels_stay_finite_where_the_frame_overflows(self, tmp_path, capsys):
         # the least-boosted frame divides by sqrt(W g11), which overflows in the
@@ -856,18 +855,21 @@ class TestInputValidation:
         spec = write_json(tmp_path / "s.json", {**COR34, **change})
         assert main(["report", "--spec", spec, "--grid", "5x5"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+        if str(10**400) in json.dumps(change):
+            # an integer of more than 17 digits is shown by its digit count
+            assert next(iter(change)).rstrip("s") in err  # lambda, domain, constant 'c1'
+            assert err.endswith(" must be finite, got an integer of 401 digits\n")
 
-    @pytest.mark.parametrize("option, data, prefix", [
-        ("--spec", COR34, "error: spec file is not valid JSON: "),
-        ("--pair-file", FLOW_PAIR, "error: bad pair file: ")])
-    def test_an_integer_past_the_digit_limit_exits_2(self, tmp_path, option, data, prefix):
+    @pytest.mark.parametrize("option, data", [("--spec", COR34), ("--pair-file", FLOW_PAIR)])
+    def test_an_integer_past_the_digit_limit_exits_2(self, tmp_path, option, data):
         # written as text: json.dumps refuses an int of more than 4300 digits
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data).replace("1.0", "1" + "0" * 5000, 1))
         command = ["report"] if option == "--spec" else ["verify"]
         code, err = run_cli([*command, option, str(path), "--grid", "3x3"])
-        assert code == 2 and err.startswith(prefix) and err.count("\n") == 1, err
+        assert code == 2, err
+        assert err == "error: lambda must be finite, got an integer of 5001 digits\n"
 
     @pytest.mark.parametrize("field", ["domain", "v_domain"])
     @pytest.mark.parametrize("command", [

@@ -12,7 +12,7 @@ from bour4.families import (FAMILIES, RotationalSpec, SurfaceKind, closed_form_c
                             closed_form_frame, closed_form_gauss,
                             closed_form_metric, expr_profile, helicoid_from_json,
                             helicoid_jet, helicoid_to_json,
-                            is_constant_profile, make_helicoid, orbit_jet,
+                            is_constant_profile, make_helicoid, orbit_jet, read_json,
                             profile_jets)
 from bour4.grids import grid_for
 from bour4.lorentz import (Vec4, minkowski_dot, pseudo_to_standard,
@@ -56,6 +56,28 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "0"}, (2, 1))
 
+    @pytest.mark.parametrize("value, digits", [
+        (10**17, 18), (-(10**400), 401), (10**400 - 1, 400), (10**5000, 5001)],
+        ids=["1e17", "-1e400", "1e400-1", "1e5000"])
+    def test_a_huge_integer_is_shown_by_its_digit_count(self, value, digits):
+        # 10**5000 is past the digit limit of str(int)
+        shown = f"an integer of {digits} digits"
+        with pytest.raises(ValidationError) as domain:
+            make_helicoid("I", 1.0, {"x": "u", "z": "0", "w": "0"}, [1, value, 3])
+        assert str(domain.value) == f"domain must be two numbers, got [1, {shown}, 3]"
+        if digits > 309:  # past the largest float
+            with pytest.raises(ValidationError) as pitch:
+                make_helicoid("I", abs(value), {"x": "u", "z": "0", "w": "0"}, (1, 2))
+            assert str(pitch.value) == f"lambda must be finite, got {shown}"
+
+    def test_json_reads_an_integer_past_the_digit_limit_by_its_digit_count(self):
+        text = ('{"kind": "I", "lambda": 1, "profile": {"x": "u", "z": "0", "w": "0"}, '
+                '"domain": [1, 2]}')
+        assert helicoid_from_json(read_json(text)).pitch == 1.0
+        with pytest.raises(ValidationError) as info:
+            helicoid_from_json(read_json(text.replace("1", "-9" + "9" * 5000, 1)))
+        assert str(info.value) == "lambda must be finite, got an integer of 5001 digits"
+
     def test_json_round_trip(self):
         spec = SPECS["III"]
         again = helicoid_from_json(helicoid_to_json(spec))
@@ -98,12 +120,10 @@ class TestPositions:
         assert p[3] == pytest.approx(u, abs=1e-14)
 
     def test_all_kinds_match_numeric_oracle(self):
-        from bour4.families import helicoid_position
         from bour4.surfaces import numeric_jet
         for spec in SPECS.values():
-            pos = helicoid_position(spec)
             for u, v in sample_points(spec, 12):
-                nj = numeric_jet(pos, u, v)
+                nj = numeric_jet(lambda u, v: helicoid_jet(spec, u, v).X, u, v)
                 ej = helicoid_jet(spec, u, v)
                 for a, b in zip(nj, ej):
                     assert a == pytest.approx(tuple(b), abs=1e-7)

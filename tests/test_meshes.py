@@ -1,17 +1,20 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import bour4.bour
+import bour4.families
 import bour4.grids
 import bour4.meshes
 import bour4.surfaces
-from bour4.bour import bour_partner, gauge_complete, pair_report
+from bour4.bour import bour_partner, gauge_complete, pair_report, same_gauss_pair_I
+from bour4.cli import main
 from bour4.errors import (DegenerateSurfaceError, EvalDomainError, NotSpacelikeError,
                           ValidationError)
-from bour4.families import helicoid_jet, make_helicoid
+from bour4.families import helicoid_jet, helicoid_to_json, make_helicoid
 from bour4.grids import Grid, grid_for, sweep
 from bour4.lorentz import minkowski_dot
 from bour4.meshes import (CHANNEL_NAMES, COLUMNS, MeshStream, resolve_projection, sample_mesh,
@@ -37,6 +40,22 @@ KINDS = {
 def one_pass(surface, grid: Grid) -> np.ndarray:
     """The samples of a surface's mesh, from one pass over all its rows."""
     return sample_mesh(surface, grid).rows(0, grid.nu)
+
+
+def per_point(surface, grid: Grid) -> np.ndarray:
+    """The samples of a surface's mesh from its jet and generic curvature at
+    every grid point: the route a mesh took before it evaluated each row once
+    and moved it along v, kept here as its reference."""
+    def f(u, v):
+        j = helicoid_jet(surface, u, v)
+        rep = curvature_report(j)
+        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
+
+    parts = []
+    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
+        block.out[4:, block.tolerated] = math.nan
+        parts.append(block.out)
+    return np.concatenate(parts, axis=1).T
 
 
 class TableMesh:
@@ -91,10 +110,9 @@ class TestSampleMesh:
             assert abs(row[5] - minkowski_dot(Hvec, frame.N1)) <= tol
             assert abs(row[6] - minkowski_dot(Hvec, frame.N2)) <= tol
 
-    def test_jet_callback_gives_the_same_mesh(self):
-        by_spec = one_pass(SPEC, GRID)
+    def test_jet_callback_gives_the_per_point_mesh(self):
         by_callback = one_pass(lambda u, v: helicoid_jet(SPEC, u, v), GRID)
-        assert np.array_equal(by_spec, by_callback, equal_nan=True)
+        assert np.array_equal(by_callback, per_point(SPEC, GRID), equal_nan=True)
 
     def test_jet_callback_raises_the_error_of_its_first_failing_point(self):
         # sqrt(1 - u) fails from u = 1 on, past the first rows of the block
@@ -140,7 +158,8 @@ class TestOneJetEntry:
         partner = bour_partner(spec, gauge_complete(spec, "a", "1/2"))
         one_pass(spec, grid_for(spec, 7, 5))
         one_pass(partner, grid_for(spec, 7, 5))
-        assert calls == [("HelicoidSpec", (7, 1), (1, 5)), ("RotationalSpec", (7, 1), (1, 5))]
+        # on the grid's u column, at v = 0 and at the check angle
+        assert calls == [("HelicoidSpec", (7, 1), ())] * 2 + [("RotationalSpec", (7, 1), ())] * 2
 
     def test_pair_report_reads_both_surfaces_on_arrays(self, calls):
         spec = KINDS["I"]
@@ -154,9 +173,9 @@ class TestOneJetEntry:
 
 class TestOnePassPerSweep:
     """A pair report builds each surface's first form once at v = 0 and once
-    at the check angle, and evaluates each surface's profile once, on the
-    grid's whole u column, however many blocks it takes; a mesh evaluates
-    its profile once per sweep block, on the block's rows."""
+    at the check angle, and a pair report and a mesh evaluate each surface's
+    profile once, on the grid's whole u column, however many blocks they
+    take."""
 
     @pytest.fixture
     def pair(self, monkeypatch):
@@ -187,7 +206,8 @@ class TestOnePassPerSweep:
 
     def test_profiles_once_per_sweep(self, pair, monkeypatch):
         spec, partner, grid = pair
-        calls = self.counted(monkeypatch, "profile_jets", (bour4.families, bour4.bour),
+        calls = self.counted(monkeypatch, "profile_jets",
+                             (bour4.families, bour4.bour, bour4.meshes),
                              lambda surface, u: (type(surface).__name__, np.shape(u),
                                                  np.ravel(u).tolist()))
         pair_report(*pair)
@@ -197,10 +217,62 @@ class TestOnePassPerSweep:
         assert ("RotationalSpec", (grid.nu, 1)) in [call[:2] for call in calls]
         calls.clear()
         one_pass(spec, grid)
-        # 7 rows, in blocks of 2, 2, 2 and 1: each grid u once
-        assert [call[:2] for call in calls] == [("HelicoidSpec", (2, 1))] * 3 + [
-            ("HelicoidSpec", (1, 1))]
-        assert [u for *_, us in calls for u in us] == grid.us()
+        # 7 rows, in blocks of 2, 2, 2 and 1: the whole u column once
+        assert calls == [("HelicoidSpec", (grid.nu, 1), grid.us())]
+
+
+#: Example 1's partner (nonzero v_offset), a spec timelike on some rows, and
+#: the seed-1 kind-II spec on a window whose boosts reach cosh 200.
+_EX1 = same_gauss_pair_I("u", 1.0, 0.5, c4=0.0, domain=(1.1, math.pi),
+                         v_domain=(0.0, 2.0 * math.pi))
+REDUCED = {**KINDS, "partner": (_EX1[1], grid_for(_EX1[0], 7, 5)),
+           "timelike": make_helicoid("II", 1.0, {"x": "u^2", "y": "0", "w": "u"}, (0.5, 1.5),
+                                     v_domain=(-0.5, 0.5)),
+           "wide": seeded_pair("II")[0]._replace(v_domain=(-200.0, 200.0))}
+
+
+class TestOrbitReducedMesh:
+    """A spec's mesh reads each grid row once, at v = 0, and moves Xu, Xv and
+    Hvec along v by the group: positions as the per-point route makes them,
+    channels within rounding of it."""
+
+    @pytest.mark.parametrize("name", REDUCED)
+    def test_equals_the_per_point_mesh(self, monkeypatch, name):
+        monkeypatch.setattr(bour4.grids, "BLOCK_POINTS", 13)  # blocks of 2, 2, 2 and 1 rows
+        surface, grid = REDUCED[name] if name == "partner" else (
+            REDUCED[name], grid_for(REDUCED[name], 7, 5))
+        assert name != "partner" or surface.v_offset != 0.0
+        got, want = one_pass(surface, grid), per_point(surface, grid)
+        assert got[:, :4].tobytes() == want[:, :4].tobytes()
+        assert np.isfinite(got[:, :4]).all()
+        nan = np.isnan(got[:, 4:])
+        by_row = nan.reshape(grid.nu, grid.nv, -1)  # whole rows, every channel
+        assert (by_row == by_row[:, :1, :1]).all() and nan.any() == (name == "timelike")
+        # on the wide window the per-point first form loses its digits past
+        # |v| ~ 20 (degenerate there, so nan); the rows read at v = 0 do not
+        seen = np.isfinite(want[:, 4:])
+        if name == "wide":
+            assert (seen <= ~nan).all() and seen[2::grid.nv].all()  # v = 0 is compared
+        else:
+            assert np.array_equal(seen, ~nan)
+        tol = 1e-12 * np.maximum(1.0, np.abs(want[:, 4:]))
+        assert (np.abs(got[:, 4:] - want[:, 4:])[seen] <= tol[seen]).all()
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    def test_a_wrong_group_action_makes_export_exit_3(self, tmp_path, monkeypatch, capsys, kind):
+        # the action of -s in place of s misses the direct route at the check angle
+        fam = bour4.families.FAMILIES[kind]
+        monkeypatch.setitem(bour4.families.FAMILIES, kind,
+                            fam._replace(coefficients=lambda s: fam.coefficients(-s)))
+        h, _ = seeded_pair(kind)
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(helicoid_to_json(h)))
+        assert main(["export", "--spec", str(spec), "--grid", "7x5", "--format", "csv",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the group moves a row ") and err.count("\n") == 1
+        assert err.endswith(f" at u = {grid_for(h, 7, 5).us()[0]!r}, v = 0.5\n")
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestMeshStream:
@@ -434,18 +506,9 @@ def per_value_writers(mesh: TableMesh, drop: int) -> tuple[str, str]:
 
 
 def block_list_writers(spec, grid: Grid, chunk: int) -> tuple[str, str]:
-    """OBJ (drop-4) and CSV text as the writers made it from the sweep's
-    concatenated blocks and a faces array, chunk vertices at a time."""
-    def f(u, v):
-        j = helicoid_jet(spec, u, v)
-        rep = curvature_report(j)
-        return (*j.X, rep.K, rep.H1, rep.H2, rep.H_sup, rep.first.W)
-
-    parts = []
-    for block in sweep(grid, f, (NotSpacelikeError, DegenerateSurfaceError)):
-        block.out[4:, block.tolerated] = math.nan
-        parts.append(block.out)
-    data = np.concatenate(parts, axis=1).T
+    """OBJ (drop-4) and CSV text as the writers made it from the mesh's
+    samples and a faces array, chunk vertices at a time."""
+    data = one_pass(spec, grid)
     vertices = data[:, :4]
     channels = {name: data[:, 4 + k] for k, name in enumerate(CHANNEL_NAMES)}
     nv, n = grid.nv, len(data)
